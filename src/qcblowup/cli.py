@@ -57,21 +57,14 @@ def _parse_curve(text: str) -> CurveClass:
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return range(int(lo), int(hi) + 1)
-        except ValueError:
-            raise UsageError(f"bad range {text!r}") from None
+    lo, sep, hi = text.partition("..")
     try:
-        value = int(text)
+        bounds = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise UsageError(f"bad range {text!r}") from None
-    return range(value, value + 1)
-
-
-def _scalar_str(value) -> str:
-    return str(value)
+    if not bounds:
+        raise UsageError(f"empty range {text!r}")
+    return bounds
 
 
 def _document(command: str, request: dict, payload: dict, status: str) -> dict:
@@ -88,10 +81,6 @@ def _emit(doc: dict, as_json: bool, text: str) -> None:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(text)
-
-
-def _report_dicts(report: CheckReport) -> list[dict]:
-    return report.as_dicts()
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -160,17 +149,10 @@ def cmd_gw(args) -> tuple[dict, str, str]:
     qp = quantum.quantum_presentation(params, args.coords, max_degree=budget)
     query = quantum.GWQuery(curve, alpha, beta, gamma)
     value = quantum.gw_invariant(query, qp)
-    if args.coords == geometry.BLOWUP:
-        bundle_query = quantum.GWQuery(
-            curve,
-            *(geometry.change_vars(c, geometry.BLOWUP_TO_BUNDLE) for c in (alpha, beta, gamma)),
-        )
-    else:
-        bundle_query = query
-    d = bundle_query.degree_budget
-    admissible = bundle_query.admissible
+    d = query.degree_budget
+    admissible = query.admissible
     payload = {
-        "value": int(value) if value.denominator == 1 else _scalar_str(value),
+        "value": int(value) if value.denominator == 1 else str(value),
         "curve_class": [curve.a, curve.b],
         "alpha": str(alpha),
         "beta": str(beta),
@@ -200,8 +182,8 @@ def cmd_integrate(args) -> tuple[dict, str, str]:
     equal = groebner_value == oracle_value
     payload = {
         "class": str(cls),
-        "groebner": _scalar_str(groebner_value),
-        "oracle": _scalar_str(oracle_value),
+        "groebner": str(groebner_value),
+        "oracle": str(oracle_value),
         "equal": equal,
     }
     status = STATUS_OK if equal else STATUS_CHECK_FAILED
@@ -235,19 +217,14 @@ def cmd_basis(args) -> tuple[dict, str, str]:
     return payload, STATUS_OK, "\n".join(lines)
 
 
-def _verify_instance(m: int, p: int, b_max: int, grid_bound: int) -> dict:
+def _verify_instance(m: int, p: int, b_max: int, grid_bound: int) -> tuple[bool, CheckReport]:
+    """The range flag and the check report of one (m, p) instance."""
     try:
         params = derive_params(m, p)
     except UsageError as exc:
         report = CheckReport()
         report.skip("parameters_valid", str(exc))
-        return {
-            "m": m,
-            "p": p,
-            "in_range": False,
-            "ok": True,
-            "checks": _report_dicts(report),
-        }
+        return False, report
     report = geometry.verify_classical_geometry(params, grid_bound)
     if params.in_range:
         report.merge(quantum.verify_gw_identities(params, b_max))
@@ -257,13 +234,7 @@ def _verify_instance(m: int, p: int, b_max: int, grid_bound: int) -> dict:
             "quantum_suite",
             f"hypothesis 2p+3 < m fails (2p+3 = {2 * p + 3}, m = {m}); quantum checks skipped",
         )
-    return {
-        "m": m,
-        "p": p,
-        "in_range": params.in_range,
-        "ok": report.ok,
-        "checks": _report_dicts(report),
-    }
+    return params.in_range, report
 
 
 def cmd_verify(args) -> tuple[dict, str, str]:
@@ -277,18 +248,16 @@ def cmd_verify(args) -> tuple[dict, str, str]:
         if args.m is None or args.p is None:
             raise UsageError("give either --m and --p or --grid-m and --grid-p")
         pairs = [(args.m, args.p)]
-    instances = [
-        _verify_instance(m, p, args.b_max, args.grid_bound) for m, p in pairs
-    ]
+    instances: list[dict] = []
+    lines: list[str] = []
+    for m, p in pairs:
+        in_range, report = _verify_instance(m, p, args.b_max, args.grid_bound)
+        instances.append(
+            {"m": m, "p": p, "in_range": in_range, "ok": report.ok, "checks": report.as_dicts()}
+        )
+        lines += [f"== (m, p) = ({m}, {p}) ==", str(report)]
     ok = all(inst["ok"] for inst in instances)
     payload = {"instances": instances, "ok": ok}
-    lines = []
-    for inst in instances:
-        lines.append(f"== (m, p) = ({inst['m']}, {inst['p']}) ==")
-        for check in inst["checks"]:
-            tag = "skip" if check["skipped"] else ("ok" if check["passed"] else "FAIL")
-            detail = f" ({check['detail']})" if check["detail"] else ""
-            lines.append(f"[{tag}] {check['name']}{detail}")
     lines.append(f"overall: {'all checks passed' if ok else 'FAILURES PRESENT'}")
     return payload, STATUS_OK if ok else STATUS_CHECK_FAILED, "\n".join(lines)
 

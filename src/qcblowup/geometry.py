@@ -37,6 +37,7 @@ from .groebner import (
     ideal_equal,
     staircase_basis,
 )
+from .linalg import determinant
 from .poly import Polynomial, Scalar, VariableSet, blowup_variables, bundle_variables
 from .report import CheckReport
 
@@ -183,23 +184,20 @@ def classical_relations(
 
 
 @lru_cache(maxsize=None)
-def _classical_cached(params: GeometryParams, coords: str) -> Presentation:
+def _classical_cached(
+    params: GeometryParams, coords: str, max_degree: int | None
+) -> Presentation:
     relations = classical_relations(params, coords)
     ideal = Ideal(relations[0].variables, relations)
-    quotient = staircase_basis(buchberger(ideal))
+    quotient = staircase_basis(buchberger(ideal, max_degree=max_degree))
     return Presentation(coords, params, relations, quotient)
 
 
 def classical_presentation(
     params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
 ) -> Presentation:
-    """Build the classical presentation and its quotient ring."""
-    if max_degree is None:
-        return _classical_cached(params, coords)
-    relations = classical_relations(params, coords)
-    ideal = Ideal(relations[0].variables, relations)
-    quotient = staircase_basis(buchberger(ideal, max_degree=max_degree))
-    return Presentation(coords, params, relations, quotient)
+    """Build the classical presentation and its quotient ring (cached)."""
+    return _classical_cached(params, coords, max_degree)
 
 
 def change_vars(f: Polynomial, direction: str) -> Polynomial:
@@ -352,31 +350,6 @@ def pairing_matrix(presentation: Presentation) -> list[list[int]]:
     return matrix
 
 
-def _determinant(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for j in range(i + 1, n):
-                if a[j][i] != 0:
-                    a[i], a[j] = a[j], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for j in range(i + 1, n):
-            for k in range(i + 1, n):
-                a[j][k] = (a[j][k] * a[i][i] - a[j][i] * a[i][k]) // prev
-            a[j][i] = 0
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
-
-
 def fano_positivity_check(params: GeometryParams, grid_bound: int = 5) -> CheckReport:
     """Verify anticanonical positivity and nef pairings on the grid of
     effective classes a, b in 0..grid_bound, (a, b) != (0, 0)."""
@@ -514,9 +487,9 @@ def verify_classical_geometry(
     # staircase is an integral basis of the cohomology).  The blow-up
     # staircase only spans a finite-index sublattice for p >= 1, so there
     # the pairing is merely required to be nondegenerate.
-    det = _determinant(pairing_matrix(bundle))
+    det = int(determinant(pairing_matrix(bundle)))
     report.add("pairing_unimodular", det in (1, -1), f"det {det}")
-    det_blowup = _determinant(pairing_matrix(blowup))
+    det_blowup = int(determinant(pairing_matrix(blowup)))
     report.add("pairing_nondegenerate_blowup", det_blowup != 0, f"det {det_blowup}")
 
     # Expected dimensions of the genus-0 moduli spaces.

@@ -49,9 +49,9 @@ from .geometry import (
     classical_presentation,
     classical_relations,
     integrate,
-    variables_for,
 )
 from .groebner import Ideal, QuotientRing, buchberger, ideal_equal, staircase_basis
+from .linalg import eliminate
 from .poly import Mono, Polynomial, Scalar, VariableSet
 from .report import CheckReport
 
@@ -94,24 +94,20 @@ def quantum_relations(
 
 
 @lru_cache(maxsize=None)
-def _quantum_cached(params: GeometryParams, coords: str) -> QuantumPresentation:
+def _quantum_cached(
+    params: GeometryParams, coords: str, max_degree: int | None
+) -> QuantumPresentation:
     relations = quantum_relations(params, coords)
     ideal = Ideal(relations[0].variables, relations)
-    quotient = staircase_basis(buchberger(ideal))
+    quotient = staircase_basis(buchberger(ideal, max_degree=max_degree))
     return QuantumPresentation(coords, params, relations, quotient, params.in_range)
 
 
 def quantum_presentation(
     params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
 ) -> QuantumPresentation:
-    """Build the deformed presentation and its quotient ring."""
-    variables_for(params, coords)  # validate coords early
-    if max_degree is None:
-        return _quantum_cached(params, coords)
-    relations = quantum_relations(params, coords)
-    ideal = Ideal(relations[0].variables, relations)
-    quotient = staircase_basis(buchberger(ideal, max_degree=max_degree))
-    return QuantumPresentation(coords, params, relations, quotient, params.in_range)
+    """Build the deformed presentation and its quotient ring (cached)."""
+    return _quantum_cached(params, coords, max_degree)
 
 
 def decompose_contributions(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
@@ -129,42 +125,6 @@ def decompose_contributions(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
         stripped[i2] = 0
         pieces.setdefault(key, {})[tuple(stripped)] = coeff
     return {key: Polynomial(vs, terms) for key, terms in sorted(pieces.items())}
-
-
-def _solve_exact(
-    rows: list[tuple[dict[int, Fraction], Fraction]], ncols: int
-) -> list[Fraction]:
-    """Solve an exact linear system; requires a unique consistent solution."""
-    mat: list[list[Fraction]] = []
-    for row, rhs in rows:
-        line = [Fraction(0)] * (ncols + 1)
-        line[ncols] = rhs
-        for col, val in row.items():
-            line[col] = val
-        mat.append(line)
-    rank = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [v / lead for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != ncols:
-        raise CheckFailure("basis-identification system is underdetermined")
-    if any(all(v == 0 for v in line[:ncols]) and line[ncols] != 0 for line in mat):
-        raise CheckFailure("basis-identification system is inconsistent")
-    solution = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        solution[col] = mat[i][ncols]
-    return solution
 
 
 @lru_cache(maxsize=None)
@@ -185,8 +145,11 @@ def basis_corrections(qp: QuantumPresentation) -> dict[Mono, Polynomial]:
       two-point class for every divisor;
     * three-point invariants with a fundamental-class insertion vanish.
 
-    The system has a unique solution, solved here exactly; every correction
-    comes out integral.  Returns the nonzero corrections keyed by staircase
+    The system is 2-3% nonzero; it is eliminated sparsely and exactly
+    (:func:`qcblowup.linalg.eliminate`), must have a unique solution, and
+    every correction comes out integral.  The corrections are read off the
+    staircase expansion of a class, which :func:`class_representative`
+    produces for any input by reducing it first.  Returns the nonzero corrections keyed by staircase
     exponent tuple.  Empty for blow-up coordinates (extraction converts to
     bundle coordinates first) and for out-of-range parameters, where results
     are formal and uncorrected.
@@ -227,7 +190,9 @@ def basis_corrections(qp: QuantumPresentation) -> dict[Mono, Polynomial]:
         for mono in by_degree.get(d, []):
             register("S", mono, d - n + 1)
 
-    rows: list[tuple[dict[int, Fraction], Fraction]] = []
+    # One row per equation, with its right-hand side in column ``ncols``.
+    ncols = len(unknowns)
+    rows: list[dict[int, Fraction]] = []
 
     def bump(row: dict[int, Fraction], key: tuple[str, Mono, Mono], val: Fraction) -> None:
         if val:
@@ -247,8 +212,7 @@ def basis_corrections(qp: QuantumPresentation) -> dict[Mono, Polynomial]:
             known = naive_q2_part(divisor * mono_poly(cmono))
             classical = cp.quotient.normal_form(divisor * mono_poly(cmono))
             for comp in by_degree.get(out_degree, []):
-                row: dict[int, Fraction] = {}
-                rhs = -known.coefficient(comp)
+                row: dict[int, Fraction] = {ncols: -known.coefficient(comp)}
                 for mu in by_degree.get(sum(cmono) - n, []):
                     shifted = cp.quotient.normal_form(divisor * mono_poly(mu))
                     bump(row, ("C", cmono, mu), shifted.coefficient(comp))
@@ -256,7 +220,7 @@ def basis_corrections(qp: QuantumPresentation) -> dict[Mono, Polynomial]:
                     if ("C", mu, comp) in index:
                         bump(row, ("C", mu, comp), -coeff)
                 bump(row, ("S", cmono, comp), Fraction(-1))
-                rows.append((row, rhs))
+                rows.append(row)
 
     # Fundamental-class closure: for complementary pairs the corrected
     # exceptional-line contribution of x * y integrates to zero.
@@ -268,15 +232,19 @@ def basis_corrections(qp: QuantumPresentation) -> dict[Mono, Polynomial]:
             for y in by_degree.get(dy, []):
                 if dy == dx and y < x:
                     continue
-                row = {}
-                rhs = -integrate(naive_q2_part(mono_poly(x) * mono_poly(y)), cp)
+                row = {ncols: -integrate(naive_q2_part(mono_poly(x) * mono_poly(y)), cp)}
                 for mu in by_degree.get(dy - n, []):
                     bump(row, ("C", y, mu), integrate(mono_poly(x) * mono_poly(mu), cp))
                 for mu in by_degree.get(dx - n, []):
                     bump(row, ("C", x, mu), integrate(mono_poly(y) * mono_poly(mu), cp))
-                rows.append((row, rhs))
+                rows.append(row)
 
-    solution = _solve_exact(rows, len(unknowns))
+    system = eliminate(rows, ncols)
+    if len(system.pivots) != ncols:
+        raise CheckFailure("basis-identification system is underdetermined")
+    if system.leftover:
+        raise CheckFailure("basis-identification system is inconsistent")
+    solution = system.solution()
     corrections: dict[Mono, Polynomial] = {}
     for idx, (kind, key, comp) in enumerate(unknowns):
         if kind == "C" and solution[idx]:
@@ -289,18 +257,23 @@ def basis_corrections(qp: QuantumPresentation) -> dict[Mono, Polynomial]:
 
 
 def class_representative(f: Polynomial, qp: QuantumPresentation) -> Polynomial:
-    """The element of the deformed quotient representing a classical class
-    given as a parameter-free polynomial in the staircase monomials."""
+    """The element of the deformed quotient representing a classical class.
+
+    Any parameter-free polynomial is accepted.  A term outside the classical
+    staircase is first reduced with the classical normal form, so that the
+    correction coefficients are read off the class's expansion over the
+    classical basis; staircase inputs skip the reduction.
+    """
     if f.variables != qp.variables:
         raise UsageError("class over a different variable set than the presentation")
     if not f.is_parameter_free():
         raise UsageError("classical classes must be parameter-free")
-    corrections = basis_corrections(qp)
-    if not corrections:
-        return f
+    classical = classical_presentation(qp.params, qp.coords).quotient
+    if not set(f.terms) <= set(classical.staircase):
+        f = classical.normal_form(f)
     q2 = Polynomial.variable(qp.variables, "q2")
     out = f
-    for mono, corr in corrections.items():
+    for mono, corr in basis_corrections(qp).items():
         coeff = f.coefficient(mono)
         if coeff:
             out = out + coeff * (q2 * corr)
@@ -363,7 +336,8 @@ def contribution_by_class(
 @dataclass(frozen=True)
 class GWQuery:
     """A three-point invariant request: a curve class and three parameter-free
-    homogeneous classes in bundle coordinates."""
+    homogeneous classes, in either coordinate system (both give the same
+    degree bookkeeping)."""
 
     curve: CurveClass
     alpha: Polynomial
@@ -429,9 +403,12 @@ class GWTable:
 def gw_invariant(query: GWQuery, qp: QuantumPresentation) -> Scalar:
     """Evaluate a three-point invariant from the deformed presentation.
 
-    Blow-up queries are translated to bundle coordinates first.  The result
-    of an admissible integral query is asserted to be an integer; queries
-    that fail the degree bookkeeping return 0.
+    Blow-up queries are translated to bundle coordinates first.  The classes
+    need not be written in staircase monomials: any class is reduced to the
+    classical staircase before the basis corrections apply (see
+    :func:`class_representative`).  The result of an admissible integral
+    query is asserted to be an integer; queries that fail the degree
+    bookkeeping return 0.
     """
     alpha, beta, gamma = query.alpha, query.beta, query.gamma
     if qp.coords == BLOWUP:

@@ -204,6 +204,23 @@ def test_verify_grid_marks_invalid_combinations(capsys):
     assert instances[(4, 2)]["ok"] and instances[(5, 2)]["ok"]
 
 
+def test_verify_reversed_grid_is_a_usage_error(capsys):
+    code, doc = run_json(capsys, "verify", "--grid-m", "12..4", "--grid-p", "0..3")
+    assert code == 2
+    assert doc["status"] == "usage-error"
+    assert "empty range" in doc["payload"]["error"]
+
+
+def test_gw_blowup_reports_degree_bookkeeping(capsys):
+    code, doc = run_json(
+        capsys, "gw", "--m", "6", "--p", "1", "--coords", "blowup", "--class", "1,0",
+        "--alpha", "k", "--beta", "k*eta^4", "--gamma", "k^3",
+    )
+    assert code == 0
+    assert doc["payload"]["value"] == -1
+    assert (doc["payload"]["d"], doc["payload"]["admissible"]) == (3, True)
+
+
 def test_verify_requires_instance_or_grid(capsys):
     code, _ = run(capsys, "verify")
     assert code == 2

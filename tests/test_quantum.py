@@ -335,3 +335,53 @@ def test_quantum_presentation_suite_refuses_out_of_range():
 def test_s3_symmetry_40(params40):
     report = verify_s3_symmetry(params40)
     assert report.ok, [e.detail for e in report.failures()]
+
+
+# -- classes outside the staircase ------------------------------------------------------
+
+
+def _slot_values(curve, classes, qp):
+    a, b, c = classes
+    return [
+        gw_invariant(GWQuery(curve, *slots), qp)
+        for slots in ((a, b, c), (b, c, a), (c, a, b), (b, a, c))
+    ]
+
+
+def test_blowup_classes_are_reduced_before_extraction():
+    from qcblowup import blowup_variables
+
+    params = derive_params(6, 1)
+    qp = quantum_presentation(params, "blowup")
+    kv = blowup_variables(params.r, params.n)
+    classes = [Polynomial.parse(kv, t) for t in ("k*eta^4", "k^3", "k")]
+    assert _slot_values(CurveClass(1, 0), classes, qp) == [-1] * 4
+
+
+def test_bundle_classes_outside_the_staircase_are_slot_symmetric():
+    params = derive_params(6, 1)
+    qp = quantum_presentation(params, "bundle")
+    classes = [bp(t, params) for t in ("xi^3", "h", "h^3*xi^2")]
+    values = _slot_values(CurveClass(1, 0), classes, qp)
+    assert len(set(values)) == 1
+    # xi^3 reduces to its staircase expansion, which gives the same value
+    reduced = classical_presentation(params, "bundle").quotient.normal_form(classes[0])
+    assert gw_invariant(GWQuery(CurveClass(1, 0), reduced, *classes[1:]), qp) == values[0]
+
+
+def test_zero_class_gives_zero():
+    # h^(n+1) vanishes classically but not in the deformed ring
+    params = derive_params(6, 1)
+    qp = quantum_presentation(params, "bundle")
+    zero, one, gamma = bp("h^5", params), Polynomial.one(qp.variables), bp("h^4*xi", params)
+    assert gw_invariant(GWQuery(CurveClass(0, 1), zero, one, gamma), qp) == 0
+    assert gw_invariant(GWQuery(CurveClass(0, 1), one, zero, gamma), qp) == 0
+    assert quantum_product(zero, one, qp).is_zero
+
+
+def test_presentations_are_built_once_per_key():
+    params = derive_params(4, 0)
+    for build in (quantum_presentation, classical_presentation):
+        assert build(params) is build(params, "blowup", max_degree=None)
+        assert build(params, "bundle", max_degree=20) is build(params, "bundle", max_degree=20)
+        assert build(params, "bundle", max_degree=20) == build(params, "bundle")
