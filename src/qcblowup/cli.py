@@ -238,6 +238,9 @@ def _verify_instance(m: int, p: int, b_max: int, grid_bound: int) -> tuple[bool,
 
 
 def cmd_verify(args) -> tuple[dict, str, str]:
+    for flag, value in (("--b-max", args.b_max), ("--grid-bound", args.grid_bound)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     if args.grid_m or args.grid_p:
         if not (args.grid_m and args.grid_p):
             raise UsageError("--grid-m and --grid-p must be given together")
@@ -247,6 +250,7 @@ def cmd_verify(args) -> tuple[dict, str, str]:
     else:
         if args.m is None or args.p is None:
             raise UsageError("give either --m and --p or --grid-m and --grid-p")
+        derive_params(args.m, args.p)  # a bad single instance is a usage error, not a skip
         pairs = [(args.m, args.p)]
     instances: list[dict] = []
     lines: list[str] = []

@@ -38,7 +38,7 @@ from .groebner import (
     staircase_basis,
 )
 from .linalg import determinant
-from .poly import Polynomial, Scalar, VariableSet, blowup_variables, bundle_variables
+from .poly import Polynomial, Scalar, VariableSet, blowup_variables, bundle_variables, mono_mul
 from .report import CheckReport
 
 BUNDLE = "bundle"
@@ -240,14 +240,18 @@ def _to_bundle(f: Polynomial) -> Polynomial:
 def integrate(f: Polynomial, presentation: Presentation) -> Scalar:
     """Integrate a parameter-free class against the fundamental class.
 
+    Every relation is homogeneous, so only the top-degree part of f can
+    reach the top class; the other terms are dropped before anything else.
     Reduction happens in bundle coordinates; the value is the coefficient of
     the top staircase monomial h^n xi^(r-1) in the normal form, normalized so
     that h^n xi^(r-1) integrates to 1.
     """
     params = presentation.params
-    f = _to_bundle(f)
     if not f.is_parameter_free():
         raise UsageError("cannot integrate a class containing deformation parameters")
+    degree = f.variables.weighted_degree
+    top = {mono: c for mono, c in f.terms.items() if degree(mono) == params.top_degree}
+    f = _to_bundle(f if len(top) == len(f.terms) else Polynomial(f.variables, top))
     bundle = (
         presentation
         if presentation.coords == BUNDLE
@@ -336,18 +340,17 @@ def oracle_integrate(f: Polynomial, params: GeometryParams) -> Scalar:
 
 
 def pairing_matrix(presentation: Presentation) -> list[list[int]]:
-    """Intersection pairing of the staircase basis with itself."""
-    polys = presentation.quotient.staircase_polynomials()
-    matrix: list[list[int]] = []
-    for bi in polys:
-        row = []
-        for bj in polys:
-            value = integrate(bi * bj, presentation)
-            if value.denominator != 1:
-                raise CheckFailure(f"non-integral pairing value {value}")
-            row.append(int(value))
-        matrix.append(row)
-    return matrix
+    """Intersection pairing of the staircase basis with itself; each distinct
+    product monomial is integrated once."""
+    vs = presentation.variables
+    staircase = presentation.quotient.staircase
+    values: dict[tuple[int, ...], int] = {}
+    for mono in dict.fromkeys(mono_mul(mi, mj) for mi in staircase for mj in staircase):
+        value = integrate(Polynomial.monomial(vs, mono), presentation)
+        if value.denominator != 1:
+            raise CheckFailure(f"non-integral pairing value {value}")
+        values[mono] = int(value)
+    return [[values[mono_mul(mi, mj)] for mj in staircase] for mi in staircase]
 
 
 def fano_positivity_check(params: GeometryParams, grid_bound: int = 5) -> CheckReport:

@@ -271,22 +271,31 @@ def class_representative(f: Polynomial, qp: QuantumPresentation) -> Polynomial:
     classical = classical_presentation(qp.params, qp.coords).quotient
     if not set(f.terms) <= set(classical.staircase):
         f = classical.normal_form(f)
-    q2 = Polynomial.variable(qp.variables, "q2")
-    out = f
+    correction = Polynomial.zero(qp.variables)
     for mono, corr in basis_corrections(qp).items():
         coeff = f.coefficient(mono)
         if coeff:
-            out = out + coeff * (q2 * corr)
-    return out
+            correction = correction + coeff * corr
+    return f + Polynomial.variable(qp.variables, "q2") * correction
 
 
-def _class_expansion(z: Polynomial, qp: QuantumPresentation) -> dict[tuple[int, int], Polynomial]:
-    """Expand a normal-form ring element over the classical basis classes,
-    split by curve class.  Monomials in the result denote basis classes."""
+def _contributions(
+    x: Polynomial, y: Polynomial, qp: QuantumPresentation
+) -> dict[tuple[int, int], Polynomial]:
+    """The quantum product of two classical classes split by curve class: the
+    nonzero class over the classical basis multiplying q1^a q2^b, keyed by
+    (a, b).  The one place where class representatives are multiplied;
+    blow-up pieces are computed in bundle coordinates and translated back."""
+    if qp.coords == BLOWUP:
+        pieces = _contributions(
+            change_vars(x, BLOWUP_TO_BUNDLE),
+            change_vars(y, BLOWUP_TO_BUNDLE),
+            quantum_presentation(qp.params, BUNDLE),
+        )
+        return {key: change_vars(piece, BUNDLE_TO_BLOWUP) for key, piece in pieces.items()}
+    z = qp.quotient.normal_form(class_representative(x, qp) * class_representative(y, qp))
     naive = decompose_contributions(z)
     corrections = basis_corrections(qp)
-    if not corrections:
-        return naive
     out = dict(naive)
     zero = Polynomial.zero(qp.variables)
     for (a, b), piece in naive.items():
@@ -301,21 +310,9 @@ def quantum_product(x: Polynomial, y: Polynomial, qp: QuantumPresentation) -> Po
     """Quantum product of two classical classes, expanded over the classical
     basis: the result is a sum of q1^a q2^b times parameter-free classes,
     one term per contributing curve class."""
-    if qp.coords == BLOWUP:
-        bundle_qp = quantum_presentation(qp.params, BUNDLE)
-        product = quantum_product(
-            change_vars(x, BLOWUP_TO_BUNDLE), change_vars(y, BLOWUP_TO_BUNDLE), bundle_qp
-        )
-        return change_vars(product, BUNDLE_TO_BLOWUP)
-    for f in (x, y):
-        if f.variables != qp.variables:
-            raise UsageError("class over a different variable set than the presentation")
-        if not f.is_parameter_free():
-            raise UsageError("quantum factors must be parameter-free classes")
-    z = qp.quotient.normal_form(class_representative(x, qp) * class_representative(y, qp))
     vs = qp.variables
     out = Polynomial.zero(vs)
-    for (a, b), piece in _class_expansion(z, qp).items():
+    for (a, b), piece in _contributions(x, y, qp).items():
         out = out + piece * Polynomial.monomial(vs, (0, 0, a, b))
     return out
 
@@ -327,10 +324,7 @@ def contribution_by_class(
     zero whenever the degree budget deg x + deg y - (r a + n b) is negative."""
     if a < 0 or b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
-    product = quantum_product(x, y, qp)
-    return decompose_contributions(product).get(
-        (a, b), Polynomial.zero(qp.variables)
-    )
+    return _contributions(x, y, qp).get((a, b), Polynomial.zero(qp.variables))
 
 
 @dataclass(frozen=True)
@@ -428,28 +422,28 @@ def gw_invariant(query: GWQuery, qp: QuantumPresentation) -> Scalar:
         raise UsageError("curve-class coefficients must be non-negative")
     if not query.admissible:
         return Fraction(0)
-    piece = contribution_by_class(alpha, beta, query.curve.a, query.curve.b, qp)
-    value = integrate(
-        piece * gamma, classical_presentation(qp.params, BUNDLE)
-    )
+    key = (query.curve.a, query.curve.b)
+    piece = _contributions(alpha, beta, qp).get(key, Polynomial.zero(qp.variables))
+    value = integrate(piece * gamma, classical_presentation(qp.params, BUNDLE))
     if alpha.is_integral() and beta.is_integral() and gamma.is_integral():
         if value.denominator != 1:
             raise CheckFailure(f"non-integral invariant {value} from integral classes")
     return value
 
 
+@lru_cache(maxsize=1)
 def _staircase_products(
     qp: QuantumPresentation,
 ) -> dict[tuple[int, int], dict[tuple[int, int], Polynomial]]:
-    """Quantum products of all staircase basis pairs, split by curve class."""
+    """Quantum products of all staircase basis pairs (i <= j), split by
+    curve class.  The verification suites of one instance run back to back
+    and share this table; only the latest instance's table is kept."""
     polys = qp.quotient.staircase_polynomials()
-    products: dict[tuple[int, int], dict[tuple[int, int], Polynomial]] = {}
-    for i, bi in enumerate(polys):
-        for j in range(i, len(polys)):
-            products[(i, j)] = decompose_contributions(
-                quantum_product(bi, polys[j], qp)
-            )
-    return products
+    return {
+        (i, j): _contributions(bi, polys[j], qp)
+        for i, bi in enumerate(polys)
+        for j in range(i, len(polys))
+    }
 
 
 def verify_gw_identities(
@@ -532,7 +526,7 @@ def verify_gw_identities(
     # basis classes dies whenever the fiber degrees sum below b*r.
     staircase = qp.quotient.staircase
     polys = qp.quotient.staircase_polynomials()
-    products: dict[tuple[int, int], dict] = {}
+    products = _staircase_products(qp)
     for b in range(1, b_max + 1):
         offenders = []
         checked = 0
@@ -542,10 +536,6 @@ def verify_gw_identities(
                 if xi_sum >= b * r:
                     continue
                 checked += 1
-                if (i, j) not in products:
-                    products[(i, j)] = decompose_contributions(
-                        quantum_product(polys[i], polys[j], qp)
-                    )
                 piece = products[(i, j)].get((b, 0))
                 if piece is not None and not piece.is_zero:
                     offenders.append(f"{polys[i]} * {polys[j]} -> {piece}")
@@ -622,16 +612,16 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
         specialized = tuple(g.substitute({"q1": 0, "q2": 0}) for g in qp.relations)
         report.add(f"classical_specialization_{coords}", specialized == classical)
 
-    # Products specialize too: the deformed product at q = 0 is the classical
-    # normal-form product on every basis pair.
+    # Products specialize too: the classical-class piece of the deformed
+    # product is the classical normal-form product on every basis pair.
     cp = classical_presentation(params, BUNDLE)
     polys = qpf.quotient.staircase_polynomials()
+    products = _staircase_products(qpf)
+    zero = Polynomial.zero(qpf.variables)
     mismatches = []
     for i, bi in enumerate(polys):
         for j in range(i, len(polys)):
-            deformed = quantum_product(bi, polys[j], qpf).substitute(
-                {"q1": 0, "q2": 0}
-            )
+            deformed = products[(i, j)].get((0, 0), zero)
             classical_nf = cp.quotient.normal_form(bi * polys[j])
             if deformed != classical_nf:
                 mismatches.append(f"{bi} * {polys[j]}")

@@ -148,6 +148,12 @@ def test_integrate_81(capsys):
     assert doc["payload"]["groebner"] == doc["payload"]["oracle"] == "4"
 
 
+def test_integrate_off_degree_class_is_zero(capsys):
+    code, doc = run_json(capsys, "integrate", "--m", "4", "--p", "0", "--class", "xi^12800")
+    assert code == 0
+    assert doc["payload"]["groebner"] == doc["payload"]["oracle"] == "0"
+
+
 def test_integrate_rejects_parameters(capsys):
     code, _ = run(capsys, "integrate", "--m", "4", "--p", "0", "--class", "h*q1")
     assert code == 2
@@ -202,6 +208,24 @@ def test_verify_grid_marks_invalid_combinations(capsys):
     assert instances[(4, 3)]["checks"][0]["name"] == "parameters_valid"
     assert instances[(4, 3)]["checks"][0]["skipped"] is True
     assert instances[(4, 2)]["ok"] and instances[(5, 2)]["ok"]
+
+
+def test_verify_invalid_single_instance_is_a_usage_error(capsys):
+    code, doc = run_json(capsys, "verify", "--m", "4", "--p", "9")
+    assert code == 2
+    assert doc["status"] == "usage-error"
+    assert "0 <= p <= m-2" in doc["payload"]["error"]
+
+
+def test_verify_rejects_bounds_below_one_before_any_instance(capsys):
+    for argv in (
+        ("--m", "4", "--p", "1", "--b-max", "0"),
+        ("--m", "4", "--p", "0", "--grid-bound", "0"),
+        ("--grid-m", "4..5", "--grid-p", "3..4", "--b-max", "-1"),
+    ):
+        code, doc = run_json(capsys, "verify", *argv)
+        assert code == 2
+        assert "must be at least 1" in doc["payload"]["error"]
 
 
 def test_verify_reversed_grid_is_a_usage_error(capsys):

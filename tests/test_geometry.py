@@ -10,6 +10,7 @@ from qcblowup import (
     FIBER_LINE,
     Polynomial,
     UsageError,
+    VariableSet,
     anticanonical_class,
     blowup_variables,
     bundle_variables,
@@ -184,6 +185,23 @@ def test_one_step_reduction_value(grid_params):
     assert integrate(f, pres) == r + 1
 
 
+def test_integrate_reads_only_the_top_degree_part():
+    params = derive_params(4, 0)
+    pres = classical_presentation(params, "bundle")
+    assert integrate(bp("xi^12800", params), pres) == 0
+    mixed = bp("xi^9 + h^2*xi^3 + xi^4 + h", params)
+    top = pres.quotient.normal_form(mixed).coefficient((params.r - 1, params.n, 0, 0))
+    assert integrate(mixed, pres) == top == 15
+    blowup = classical_presentation(params, "blowup")
+    k = Polynomial.variable(blowup.variables, "k")
+    assert integrate(k**12800 + k**4, blowup) == integrate(k**4, blowup) == 1
+    # dropping the off-degree terms skips none of the validation
+    with pytest.raises(UsageError):
+        integrate(bp("h^4 + h*q2", params), pres)
+    with pytest.raises(UsageError):
+        integrate(Polynomial.parse(VariableSet(("a", "b"), (1, 1)), "a^9 + a^4"), pres)
+
+
 def test_integrate_rejects_parameters():
     params = derive_params(4, 0)
     pres = classical_presentation(params, "bundle")
@@ -258,6 +276,14 @@ def test_pairing_matrix_unimodular_in_bundle_coordinates(grid_params):
     pres = classical_presentation(grid_params, "bundle")
     matrix = pairing_matrix(pres)
     assert bareiss_determinant(matrix) in (1, -1)
+
+
+def test_pairing_matrix_matches_entrywise_integrals(grid_params):
+    for coords in ("bundle", "blowup"):
+        pres = classical_presentation(grid_params, coords)
+        polys = pres.quotient.staircase_polynomials()
+        expected = [[integrate(bi * bj, pres) for bj in polys] for bi in polys]
+        assert pairing_matrix(pres) == expected
 
 
 def test_blowup_pairing_matrix_nondegenerate(params40):

@@ -23,6 +23,7 @@ from qcblowup import (
     verify_quantum_presentation,
     verify_s3_symmetry,
 )
+from qcblowup.quantum import _staircase_products
 
 
 def bp(text, params):
@@ -183,6 +184,14 @@ def test_blowup_products_translate_from_bundle():
         change_vars(k, BLOWUP_TO_BUNDLE), change_vars(k * (k - eta), BLOWUP_TO_BUNDLE), qpf
     )
     assert change_vars(product, BLOWUP_TO_BUNDLE) == expected
+    for x, y in ((k, k * (k - eta)), (k**2, eta**2), (eta, k**3)):
+        bx, by = change_vars(x, BLOWUP_TO_BUNDLE), change_vars(y, BLOWUP_TO_BUNDLE)
+        for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            piece = contribution_by_class(x, y, a, b, qpb)
+            assert piece.variables == kv
+            assert change_vars(piece, BLOWUP_TO_BUNDLE) == contribution_by_class(
+                bx, by, a, b, qpf
+            )
 
 
 # -- basis identification -----------------------------------------------------------
@@ -325,6 +334,21 @@ def test_gw_identity_suite_refuses_out_of_range():
 def test_quantum_presentation_suite(grid_params):
     report = verify_quantum_presentation(grid_params)
     assert report.ok, [e.name for e in report.failures()]
+
+
+def test_verify_suites_share_one_product_table():
+    _staircase_products.cache_clear()
+    params = derive_params(8, 1)
+    assert verify_gw_identities(params).ok
+    info = _staircase_products.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    assert verify_quantum_presentation(params).ok
+    assert verify_s3_symmetry(params).ok
+    info = _staircase_products.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert verify_gw_identities(derive_params(6, 1)).ok
+    info = _staircase_products.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
 
 
 def test_quantum_presentation_suite_refuses_out_of_range():
