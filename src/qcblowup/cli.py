@@ -89,26 +89,20 @@ def _emit(doc: dict, as_json: bool, text: str) -> None:
 def cmd_present(args) -> tuple[dict, str, str]:
     params = derive_params(args.m, args.p)
     budget = _max_degree()
-    warnings: list[str] = []
     if args.at_q_one and not args.quantum:
         raise UsageError("--at-q-one requires --quantum")
-    if args.quantum:
-        qp = quantum.quantum_presentation(params, args.coords, max_degree=budget)
-        relations = qp.relations
-        if args.at_q_one:
-            relations = tuple(g.substitute({"q1": 1, "q2": 1}) for g in relations)
-        quotient = qp.quotient
-        certified = qp.certified
-        if not params.in_range:
-            warnings.append(
-                f"hypothesis 2p+3 < m fails (2p+3 = {2 * params.p + 3}, m = {params.m});"
-                " quantum presentation is formal"
-            )
-    else:
-        pres = geometry.classical_presentation(params, args.coords, max_degree=budget)
-        relations = pres.relations
-        quotient = pres.quotient
-        certified = True
+    build = quantum.quantum_presentation if args.quantum else geometry.classical_presentation
+    pres = build(params, args.coords, max_degree=budget)
+    relations = pres.relations
+    if args.at_q_one:
+        relations = tuple(g.substitute({"q1": 1, "q2": 1}) for g in relations)
+    quotient = pres.quotient
+    warnings: list[str] = []
+    if not pres.certified:
+        warnings.append(
+            f"hypothesis 2p+3 < m fails (2p+3 = {2 * params.p + 3}, m = {params.m});"
+            " quantum presentation is formal"
+        )
     payload = {
         "m": params.m,
         "p": params.p,
@@ -118,7 +112,7 @@ def cmd_present(args) -> tuple[dict, str, str]:
         "coords": args.coords,
         "quantum": args.quantum,
         "at_q_one": args.at_q_one,
-        "certified": certified,
+        "certified": pres.certified,
         "relations": [str(g) for g in relations],
         "staircase": list(quotient.staircase_strings()),
         "rank": quotient.rank,
@@ -193,15 +187,10 @@ def cmd_integrate(args) -> tuple[dict, str, str]:
 
 def cmd_basis(args) -> tuple[dict, str, str]:
     params = derive_params(args.m, args.p)
-    budget = _max_degree()
-    if args.quantum:
-        qp = quantum.quantum_presentation(params, args.coords, max_degree=budget)
-        quotient = qp.quotient
-        matrix = None
-    else:
-        pres = geometry.classical_presentation(params, args.coords, max_degree=budget)
-        quotient = pres.quotient
-        matrix = geometry.pairing_matrix(pres)
+    build = quantum.quantum_presentation if args.quantum else geometry.classical_presentation
+    pres = build(params, args.coords, max_degree=_max_degree())
+    quotient = pres.quotient
+    matrix = None if pres.quantum else geometry.pairing_matrix(pres)
     payload = {
         "coords": args.coords,
         "quantum": args.quantum,
@@ -215,6 +204,14 @@ def cmd_basis(args) -> tuple[dict, str, str]:
         lines.append("pairing matrix:")
         lines += ["  " + " ".join(f"{v:3d}" for v in row) for row in matrix]
     return payload, STATUS_OK, "\n".join(lines)
+
+
+def _valid(m: int, p: int) -> bool:
+    try:
+        derive_params(m, p)
+    except UsageError:
+        return False
+    return True
 
 
 def _verify_instance(m: int, p: int, b_max: int, grid_bound: int) -> tuple[bool, CheckReport]:
@@ -247,6 +244,10 @@ def cmd_verify(args) -> tuple[dict, str, str]:
         ms = _parse_range(args.grid_m)
         ps = _parse_range(args.grid_p)
         pairs = [(m, p) for m in ms for p in ps]
+        if not any(_valid(m, p) for m, p in pairs):
+            raise UsageError(
+                f"no valid (m, p) pair in --grid-m {args.grid_m} x --grid-p {args.grid_p}"
+            )
     else:
         if args.m is None or args.p is None:
             raise UsageError("give either --m and --p or --grid-m and --grid-p")

@@ -30,7 +30,6 @@ from functools import lru_cache
 
 from .errors import CheckFailure, UsageError
 from .groebner import (
-    GroebnerBasis,
     Ideal,
     QuotientRing,
     buchberger,
@@ -133,10 +132,12 @@ EXCEPTIONAL_LINE = CurveClass(0, 1)
 
 @dataclass(frozen=True)
 class Presentation:
-    """A classical presentation: two relations plus the processed quotient."""
+    """Two relations, classical or deformed (``quantum``; q1 = q2 = 0 gives
+    back the classical ones), plus the processed quotient."""
 
     coords: str
     params: GeometryParams
+    quantum: bool
     relations: tuple[Polynomial, Polynomial]
     quotient: QuotientRing
 
@@ -145,8 +146,10 @@ class Presentation:
         return self.relations[0].variables
 
     @property
-    def basis(self) -> GroebnerBasis:
-        return self.quotient.basis
+    def certified(self) -> bool:
+        """Classical rings always are; the deformed ring is certified by the
+        range hypothesis 2p+3 < m."""
+        return not self.quantum or self.params.in_range
 
 
 def variables_for(params: GeometryParams, coords: str) -> VariableSet:
@@ -183,21 +186,42 @@ def classical_relations(
     return (h ** (params.n + 1), factored)
 
 
+def quantum_relations(
+    params: GeometryParams, coords: str
+) -> tuple[Polynomial, Polynomial]:
+    """The two deformed relations in the requested coordinates."""
+    classical = classical_relations(params, coords)
+    vs = classical[0].variables
+    q1 = Polynomial.variable(vs, "q1")
+    q2 = Polynomial.variable(vs, "q2")
+    if coords == BLOWUP:
+        eta = Polynomial.variable(vs, "eta")
+        deformed = (classical[0] - eta * q2, classical[1] - q1)
+    else:
+        xi = Polynomial.variable(vs, "xi")
+        h = Polynomial.variable(vs, "h")
+        deformed = (classical[0] - (xi - 2 * h) * q2, classical[1] - q1)
+    for rel in deformed:
+        if not rel.is_homogeneous():
+            raise CheckFailure(f"deformed relation {rel} is not graded-homogeneous")
+    return deformed
+
+
 @lru_cache(maxsize=None)
-def _classical_cached(
-    params: GeometryParams, coords: str, max_degree: int | None
+def _presentation(
+    params: GeometryParams, coords: str, quantum: bool, max_degree: int | None
 ) -> Presentation:
-    relations = classical_relations(params, coords)
+    relations = (quantum_relations if quantum else classical_relations)(params, coords)
     ideal = Ideal(relations[0].variables, relations)
     quotient = staircase_basis(buchberger(ideal, max_degree=max_degree))
-    return Presentation(coords, params, relations, quotient)
+    return Presentation(coords, params, quantum, relations, quotient)
 
 
 def classical_presentation(
     params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
 ) -> Presentation:
     """Build the classical presentation and its quotient ring (cached)."""
-    return _classical_cached(params, coords, max_degree)
+    return _presentation(params, coords, False, max_degree)
 
 
 def change_vars(f: Polynomial, direction: str) -> Polynomial:

@@ -15,16 +15,15 @@ concurrent duplicate writes are harmless.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, StructuralError, UsageError
 from .poly import (
-    DISPLAY_ORDER,
     Mono,
-    MonomialOrder,
     Polynomial,
     VariableSet,
+    grlex_key,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -38,11 +37,10 @@ DEFAULT_MAX_PAIRS = 100_000
 
 @dataclass(frozen=True)
 class Ideal:
-    """A finitely generated ideal with a chosen monomial order."""
+    """A finitely generated ideal."""
 
     variables: VariableSet
     generators: tuple[Polynomial, ...]
-    order: MonomialOrder = field(default_factory=MonomialOrder)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -60,13 +58,12 @@ class GroebnerBasis:
     divisible by the leading term of another, sorted by ascending leading
     monomial."""
 
-    __slots__ = ("ideal", "order", "polys", "_reducers", "_nf_memo")
+    __slots__ = ("ideal", "polys", "_reducers", "_nf_memo")
 
     def __init__(self, ideal: Ideal, polys: tuple[Polynomial, ...]) -> None:
         self.ideal = ideal
-        self.order = ideal.order
         self.polys = polys
-        self._reducers = tuple((p.leading_monomial(self.order), p) for p in polys)
+        self._reducers = tuple((p.leading_monomial(), p) for p in polys)
         self._nf_memo: dict[Mono, Polynomial] = {}
 
     @property
@@ -85,21 +82,21 @@ class GroebnerBasis:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return self.polys == other.polys and self.order == other.order
+        return self.polys == other.polys
 
     def __hash__(self) -> int:
-        return hash((self.polys, self.order))
+        return hash(self.polys)
 
     def __repr__(self) -> str:
         return f"GroebnerBasis({[str(p) for p in self.polys]})"
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of f and g: the leading terms cancel against their lcm."""
     if f.variables != g.variables:
         raise UsageError("S-polynomial of polynomials over different variable sets")
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
+    lmf, lcf = f.leading_term()
+    lmg, lcg = g.leading_term()
     lcm = mono_lcm(lmf, lmg)
     tf = Polynomial.monomial(f.variables, mono_div(lcm, lmf), Fraction(1, 1) / lcf)
     tg = Polynomial.monomial(g.variables, mono_div(lcm, lmg), Fraction(1, 1) / lcg)
@@ -109,11 +106,10 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
 def _reduce(f: Polynomial, reducers: tuple[tuple[Mono, Polynomial], ...]) -> Polynomial:
     """Full remainder of f under division by monic reducers (lt, poly)."""
     variables = f.variables
-    order = DISPLAY_ORDER  # any global order works for the worklist maximum
     rest = dict(f.terms)
     out: dict[Mono, Fraction] = {}
     while rest:
-        mono = order.max(rest)
+        mono = max(rest, key=grlex_key)
         coeff = rest.pop(mono)
         for lt, g in reducers:
             if mono_divides(lt, mono):
@@ -133,8 +129,8 @@ def _reduce(f: Polynomial, reducers: tuple[tuple[Mono, Polynomial], ...]) -> Pol
     return Polynomial(variables, out)
 
 
-def _monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, lc = f.leading_term(order)
+def _monic(f: Polynomial) -> Polynomial:
+    _, lc = f.leading_term()
     return f * (Fraction(1) / lc)
 
 
@@ -150,7 +146,6 @@ def buchberger(
     degree of any intermediate element or the number of treated S-pairs
     raises :class:`BudgetError` rather than truncating.
     """
-    order = ideal.order
     degree_budget = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
     pair_budget = DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
 
@@ -160,17 +155,15 @@ def buchberger(
             raise BudgetError(
                 f"generator degree {g.total_degree()} exceeds budget {degree_budget}"
             )
-        basis.append(_monic(g, order))
+        basis.append(_monic(g))
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     treated = 0
 
     def pair_key(pair: tuple[int, int]):
         i, j = pair
-        lcm = mono_lcm(
-            basis[i].leading_monomial(order), basis[j].leading_monomial(order)
-        )
-        return (order.key(lcm), i, j)
+        lcm = mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
+        return (grlex_key(lcm), i, j)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
@@ -178,40 +171,38 @@ def buchberger(
         treated += 1
         if treated > pair_budget:
             raise BudgetError(f"pair budget {pair_budget} exceeded")
-        lmi = basis[i].leading_monomial(order)
-        lmj = basis[j].leading_monomial(order)
+        lmi = basis[i].leading_monomial()
+        lmj = basis[j].leading_monomial()
         if mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        reducers = tuple((p.leading_monomial(order), p) for p in basis)
-        remainder = _reduce(spolynomial(basis[i], basis[j], order), reducers)
+        reducers = tuple((p.leading_monomial(), p) for p in basis)
+        remainder = _reduce(spolynomial(basis[i], basis[j]), reducers)
         if remainder.is_zero:
             continue
         if remainder.total_degree() > degree_budget:
             raise BudgetError(
                 f"intermediate degree {remainder.total_degree()} exceeds budget {degree_budget}"
             )
-        basis.append(_monic(remainder, order))
+        basis.append(_monic(remainder))
         pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
 
     # Minimalize: drop elements whose leading term is divisible by another's.
-    basis.sort(key=lambda p: order.key(p.leading_monomial(order)))
+    basis.sort(key=lambda p: grlex_key(p.leading_monomial()))
     minimal: list[Polynomial] = []
     for p in basis:
-        lm = p.leading_monomial(order)
-        if not any(mono_divides(q.leading_monomial(order), lm) for q in minimal):
+        lm = p.leading_monomial()
+        if not any(mono_divides(q.leading_monomial(), lm) for q in minimal):
             minimal.append(p)
 
     # Interreduce: every element fully reduced against the others.
     reduced: list[Polynomial] = []
     for idx, p in enumerate(minimal):
         others = tuple(
-            (q.leading_monomial(order), q)
-            for k, q in enumerate(minimal)
-            if k != idx
+            (q.leading_monomial(), q) for k, q in enumerate(minimal) if k != idx
         )
         rem = _reduce(p, others)
-        reduced.append(_monic(rem, order))
-    reduced.sort(key=lambda p: order.key(p.leading_monomial(order)))
+        reduced.append(_monic(rem))
+    reduced.sort(key=lambda p: grlex_key(p.leading_monomial()))
     return GroebnerBasis(ideal, tuple(reduced))
 
 
@@ -247,7 +238,10 @@ class QuotientRing:
 
     basis: GroebnerBasis
     staircase: tuple[Mono, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.staircase)
 
     @property
     def variables(self) -> VariableSet:
@@ -291,8 +285,8 @@ def staircase_basis(gb: GroebnerBasis) -> QuotientRing:
         mono = exps + (0,) * (nvars - dc)
         if not any(mono_divides(lm, mono) for lm in qfree):
             staircase.append(mono)
-    staircase.sort(key=DISPLAY_ORDER.key)
-    return QuotientRing(gb, tuple(staircase), len(staircase))
+    staircase.sort(key=grlex_key)
+    return QuotientRing(gb, tuple(staircase))
 
 
 def ideal_equal(a: Ideal, b: Ideal, *, max_degree: int | None = None) -> bool:
@@ -300,8 +294,6 @@ def ideal_equal(a: Ideal, b: Ideal, *, max_degree: int | None = None) -> bool:
     form zero modulo the other's Groebner basis."""
     if a.variables != b.variables:
         raise UsageError("ideals over different variable sets")
-    if a.order != b.order:
-        raise UsageError("ideals carry different monomial orders")
     gb_a = buchberger(a, max_degree=max_degree)
     gb_b = buchberger(b, max_degree=max_degree)
     return all(normal_form(g, gb_b).is_zero for g in a.generators) and all(

@@ -12,8 +12,12 @@ and blow-up coordinates ``(k, eta, q1, q2)``.  The divisor variables have
 weight 1 while the deformation parameters ``q1``, ``q2`` weigh ``r`` and
 ``n``, which keeps the deformed ring relations homogeneous.
 
+The package uses one monomial order, graded-lex with the declared variable
+precedence (:func:`grlex_key`), for every Groebner basis, staircase listing
+and rendering.
+
 Canonical text format (also consumed by the command line): terms sorted in
-descending graded-lex order with the declared variable precedence, each term
+descending graded-lex order, each term
 rendered as ``[sign]coef*var^exp*...`` with unit coefficients and exponent 1
 omitted, e.g. ``h^4 - xi*q2 + 2*h*q2``.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import ParseError, UsageError
 
@@ -35,9 +39,6 @@ Scalar = Fraction
 Mono = tuple[int, ...]
 
 ScalarLike = Union[int, Fraction]
-
-LEX = "lex"
-GRLEX = "grlex"
 
 
 @dataclass(frozen=True)
@@ -132,45 +133,12 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A global monomial order: lex or graded-lex.
+def grlex_key(mono: Mono) -> tuple[int, Mono]:
+    """Sort key of the graded-lex order, ascending: total degree with every
+    variable counting 1, ties broken by the declared variable precedence.
+    1 is minimal and the order is multiplicative."""
+    return (sum(mono), mono)
 
-    Grading uses total degree with every variable counting 1; ties are broken
-    by the variable precedence declared in the VariableSet.  1 is minimal and
-    the order is multiplicative in both flavours.
-    """
-
-    kind: str = GRLEX
-
-    def __post_init__(self) -> None:
-        if self.kind not in (LEX, GRLEX):
-            raise UsageError(f"unknown monomial order {self.kind!r}")
-
-    def key(self, mono: Mono):
-        """Sort key; ascending in the order."""
-        if self.kind == LEX:
-            return mono
-        return (sum(mono), mono)
-
-    def compare(self, a: Mono, b: Mono) -> int:
-        """-1, 0 or 1 as a <, =, > b."""
-        if len(a) != len(b):
-            raise UsageError("monomials over different variable sets")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-    def max(self, monos: Iterable[Mono]) -> Mono:
-        return max(monos, key=self.key)
-
-
-def monomial_compare(order: MonomialOrder, a: Mono, b: Mono) -> int:
-    """Compare two monomials in the given order (-1, 0, 1)."""
-    return order.compare(a, b)
-
-
-#: Order used for canonical rendering and staircase listings.
-DISPLAY_ORDER = MonomialOrder(GRLEX)
 
 _NUMBER_RE = re.compile(r"(\d+)(?:/(\d+))?\Z")
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?\Z")
@@ -248,11 +216,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * len(self.variables))
 
-    def iter_terms(self, order: MonomialOrder = DISPLAY_ORDER, descending: bool = True) -> Iterator[tuple[Mono, Fraction]]:
-        monos = sorted(self.terms, key=order.key, reverse=descending)
-        for m in monos:
-            yield m, self.terms[m]
-
     def total_degree(self) -> int:
         """Largest unweighted degree among terms; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
@@ -282,14 +245,14 @@ class Polynomial:
         """True when no deformation parameter occurs."""
         return all(self.variables.is_parameter_free(m) for m in self.terms)
 
-    def leading_term(self, order: MonomialOrder) -> tuple[Mono, Fraction]:
+    def leading_term(self) -> tuple[Mono, Fraction]:
         if self.is_zero:
             raise UsageError("the zero polynomial has no leading term")
-        m = order.max(self.terms)
+        m = max(self.terms, key=grlex_key)
         return m, self.terms[m]
 
-    def leading_monomial(self, order: MonomialOrder) -> Mono:
-        return self.leading_term(order)[0]
+    def leading_monomial(self) -> Mono:
+        return self.leading_term()[0]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -391,24 +354,13 @@ class Polynomial:
 
     def substitute(self, values: Mapping[str, Polynomial | ScalarLike]) -> Polynomial:
         """Replace named variables by polynomials or scalars over the same set."""
-        images: dict[int, Polynomial] = {}
+        images: dict[str, Polynomial] = {}
         for name, val in values.items():
-            idx = self.variables.index(name)
+            self.variables.index(name)  # an unknown name raises
             if not isinstance(val, Polynomial):
                 val = Polynomial.constant(self.variables, val)
-            else:
-                self._check_same_variables(val)
-            images[idx] = val
-        out = Polynomial.zero(self.variables)
-        for mono, coeff in self.terms.items():
-            residual = list(mono)
-            factor = Polynomial.constant(self.variables, coeff)
-            for idx, img in images.items():
-                if mono[idx]:
-                    factor = factor * img ** mono[idx]
-                    residual[idx] = 0
-            out = out + factor * Polynomial.monomial(self.variables, tuple(residual))
-        return out
+            images[name] = val
+        return self.map_variables(self.variables, images)
 
     def map_variables(
         self, target: VariableSet, images: Mapping[str, Polynomial]
@@ -443,7 +395,8 @@ class Polynomial:
             return "0"
         display_indices = [self.variables.names.index(n) for n in self.variables.display]
         pieces: list[str] = []
-        for i, (mono, coeff) in enumerate(self.iter_terms()):
+        for i, mono in enumerate(sorted(self.terms, key=grlex_key, reverse=True)):
+            coeff = self.terms[mono]
             factors = [
                 f"{self.variables.names[idx]}^{mono[idx]}"
                 if mono[idx] > 1

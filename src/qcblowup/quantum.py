@@ -45,69 +45,25 @@ from .geometry import (
     BUNDLE_TO_BLOWUP,
     CurveClass,
     GeometryParams,
+    Presentation,
+    _presentation,
     change_vars,
     classical_presentation,
     classical_relations,
     integrate,
+    quantum_relations,  # noqa: F401  (kept importable from this module)
 )
-from .groebner import Ideal, QuotientRing, buchberger, ideal_equal, staircase_basis
+from .groebner import Ideal, ideal_equal
 from .linalg import eliminate
-from .poly import Mono, Polynomial, Scalar, VariableSet
+from .poly import Mono, Polynomial, Scalar
 from .report import CheckReport
-
-
-@dataclass(frozen=True)
-class QuantumPresentation:
-    """A deformed presentation with its quotient over the extended variable
-    set; ``certified`` records whether the range hypothesis 2p+3 < m holds."""
-
-    coords: str
-    params: GeometryParams
-    relations: tuple[Polynomial, Polynomial]
-    quotient: QuotientRing
-    certified: bool
-
-    @property
-    def variables(self) -> VariableSet:
-        return self.relations[0].variables
-
-
-def quantum_relations(
-    params: GeometryParams, coords: str
-) -> tuple[Polynomial, Polynomial]:
-    """The two deformed relations in the requested coordinates."""
-    classical = classical_relations(params, coords)
-    vs = classical[0].variables
-    q1 = Polynomial.variable(vs, "q1")
-    q2 = Polynomial.variable(vs, "q2")
-    if coords == BLOWUP:
-        eta = Polynomial.variable(vs, "eta")
-        deformed = (classical[0] - eta * q2, classical[1] - q1)
-    else:
-        xi = Polynomial.variable(vs, "xi")
-        h = Polynomial.variable(vs, "h")
-        deformed = (classical[0] - (xi - 2 * h) * q2, classical[1] - q1)
-    for rel in deformed:
-        if not rel.is_homogeneous():
-            raise CheckFailure(f"deformed relation {rel} is not graded-homogeneous")
-    return deformed
-
-
-@lru_cache(maxsize=None)
-def _quantum_cached(
-    params: GeometryParams, coords: str, max_degree: int | None
-) -> QuantumPresentation:
-    relations = quantum_relations(params, coords)
-    ideal = Ideal(relations[0].variables, relations)
-    quotient = staircase_basis(buchberger(ideal, max_degree=max_degree))
-    return QuantumPresentation(coords, params, relations, quotient, params.in_range)
 
 
 def quantum_presentation(
     params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
-) -> QuantumPresentation:
+) -> Presentation:
     """Build the deformed presentation and its quotient ring (cached)."""
-    return _quantum_cached(params, coords, max_degree)
+    return _presentation(params, coords, True, max_degree)
 
 
 def decompose_contributions(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
@@ -128,7 +84,7 @@ def decompose_contributions(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
 
 
 @lru_cache(maxsize=None)
-def basis_corrections(qp: QuantumPresentation) -> dict[Mono, Polynomial]:
+def basis_corrections(qp: Presentation) -> dict[Mono, Polynomial]:
     """Exceptional-line corrections turning staircase monomials into the
     classical basis classes they are named after.
 
@@ -256,7 +212,7 @@ def basis_corrections(qp: QuantumPresentation) -> dict[Mono, Polynomial]:
     return corrections
 
 
-def class_representative(f: Polynomial, qp: QuantumPresentation) -> Polynomial:
+def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     """The element of the deformed quotient representing a classical class.
 
     Any parameter-free polynomial is accepted.  A term outside the classical
@@ -280,12 +236,14 @@ def class_representative(f: Polynomial, qp: QuantumPresentation) -> Polynomial:
 
 
 def _contributions(
-    x: Polynomial, y: Polynomial, qp: QuantumPresentation
+    x: Polynomial, y: Polynomial, qp: Presentation
 ) -> dict[tuple[int, int], Polynomial]:
     """The quantum product of two classical classes split by curve class: the
     nonzero class over the classical basis multiplying q1^a q2^b, keyed by
     (a, b).  The one place where class representatives are multiplied;
     blow-up pieces are computed in bundle coordinates and translated back."""
+    if not qp.quantum:
+        raise UsageError("quantum products need the deformed presentation")
     if qp.coords == BLOWUP:
         pieces = _contributions(
             change_vars(x, BLOWUP_TO_BUNDLE),
@@ -306,7 +264,7 @@ def _contributions(
     return {key: val for key, val in sorted(out.items()) if not val.is_zero}
 
 
-def quantum_product(x: Polynomial, y: Polynomial, qp: QuantumPresentation) -> Polynomial:
+def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomial:
     """Quantum product of two classical classes, expanded over the classical
     basis: the result is a sum of q1^a q2^b times parameter-free classes,
     one term per contributing curve class."""
@@ -318,7 +276,7 @@ def quantum_product(x: Polynomial, y: Polynomial, qp: QuantumPresentation) -> Po
 
 
 def contribution_by_class(
-    x: Polynomial, y: Polynomial, a: int, b: int, qp: QuantumPresentation
+    x: Polynomial, y: Polynomial, a: int, b: int, qp: Presentation
 ) -> Polynomial:
     """The class multiplying q1^a q2^b in the quantum product of x and y;
     zero whenever the degree budget deg x + deg y - (r a + n b) is negative."""
@@ -394,7 +352,7 @@ class GWTable:
         return len(self.entries)
 
 
-def gw_invariant(query: GWQuery, qp: QuantumPresentation) -> Scalar:
+def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     """Evaluate a three-point invariant from the deformed presentation.
 
     Blow-up queries are translated to bundle coordinates first.  The classes
@@ -404,6 +362,8 @@ def gw_invariant(query: GWQuery, qp: QuantumPresentation) -> Scalar:
     query is asserted to be an integer; queries that fail the degree
     bookkeeping return 0.
     """
+    if not qp.quantum:
+        raise UsageError("invariants need the deformed presentation")
     alpha, beta, gamma = query.alpha, query.beta, query.gamma
     if qp.coords == BLOWUP:
         qp = quantum_presentation(qp.params, BUNDLE)
@@ -433,7 +393,7 @@ def gw_invariant(query: GWQuery, qp: QuantumPresentation) -> Scalar:
 
 @lru_cache(maxsize=1)
 def _staircase_products(
-    qp: QuantumPresentation,
+    qp: Presentation,
 ) -> dict[tuple[int, int], dict[tuple[int, int], Polynomial]]:
     """Quantum products of all staircase basis pairs (i <= j), split by
     curve class.  The verification suites of one instance run back to back

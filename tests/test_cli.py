@@ -48,6 +48,10 @@ def test_present_out_of_range_warns_but_succeeds(capsys):
     assert doc["payload"]["in_range"] is False
     assert doc["payload"]["certified"] is False
     assert any("2p+3" in w for w in doc["payload"]["warnings"])
+    code, doc = run_json(capsys, "present", "--m", "5", "--p", "1")
+    assert code == 0
+    assert doc["payload"]["certified"] is True
+    assert doc["payload"]["warnings"] == []
 
 
 def test_present_relations_round_trip_through_parser(capsys):
@@ -226,6 +230,18 @@ def test_verify_rejects_bounds_below_one_before_any_instance(capsys):
         code, doc = run_json(capsys, "verify", *argv)
         assert code == 2
         assert "must be at least 1" in doc["payload"]["error"]
+
+
+def test_verify_grid_without_a_valid_pair_is_a_usage_error(capsys, monkeypatch):
+    from qcblowup import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_verify_instance", lambda *a: ran.append(a))
+    code, doc = run_json(capsys, "verify", "--grid-m", "2..3", "--grid-p", "4..5")
+    assert code == 2
+    assert doc["status"] == "usage-error"
+    assert "no valid (m, p) pair" in doc["payload"]["error"]
+    assert ran == []
 
 
 def test_verify_reversed_grid_is_a_usage_error(capsys):

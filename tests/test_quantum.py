@@ -409,3 +409,25 @@ def test_presentations_are_built_once_per_key():
         assert build(params) is build(params, "blowup", max_degree=None)
         assert build(params, "bundle", max_degree=20) is build(params, "bundle", max_degree=20)
         assert build(params, "bundle", max_degree=20) == build(params, "bundle")
+    # one type for both rings: distinct per key, told apart by ``quantum``
+    for params in (derive_params(4, 0), derive_params(5, 1)):
+        for coords in ("bundle", "blowup"):
+            classical = classical_presentation(params, coords)
+            deformed = quantum_presentation(params, coords)
+            assert classical is not deformed and type(classical) is type(deformed)
+            assert (classical.quantum, deformed.quantum) == (False, True)
+            assert classical.certified
+            assert deformed.certified == params.in_range
+
+
+def test_extraction_rejects_the_classical_presentation():
+    params = derive_params(8, 1)
+    xi = bp("xi", params)
+    query = GWQuery(CurveClass(1, 0), xi, xi**2, bp("h^6*xi^2", params))
+    for coords in ("bundle", "blowup"):
+        cp = classical_presentation(params, coords)
+        with pytest.raises(UsageError):
+            gw_invariant(query, cp)
+    with pytest.raises(UsageError):
+        quantum_product(xi, xi, classical_presentation(params, "bundle"))
+    assert gw_invariant(query, quantum_presentation(params, "bundle")) == 1
