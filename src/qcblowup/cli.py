@@ -214,14 +214,25 @@ def _valid(m: int, p: int) -> bool:
     return True
 
 
-def _verify_instance(m: int, p: int, b_max: int, grid_bound: int) -> tuple[bool, CheckReport]:
-    """The range flag and the check report of one (m, p) instance."""
+def _verify_instance(
+    m: int, p: int, b_max: int, grid_bound: int, budget: int | None
+) -> tuple[bool, CheckReport]:
+    """The range flag and the check report of one (m, p) instance.
+
+    The presentations the suites use are built under the degree budget
+    first, so that an exceeded budget fails the command; without a budget
+    they are the very cache entries the suites read.
+    """
     try:
         params = derive_params(m, p)
     except UsageError as exc:
         report = CheckReport()
         report.skip("parameters_valid", str(exc))
         return False, report
+    for coords in (geometry.BUNDLE, geometry.BLOWUP):
+        geometry.classical_presentation(params, coords, max_degree=budget)
+        if params.in_range:
+            quantum.quantum_presentation(params, coords, max_degree=budget)
     report = geometry.verify_classical_geometry(params, grid_bound)
     if params.in_range:
         report.merge(quantum.verify_gw_identities(params, b_max))
@@ -235,6 +246,7 @@ def _verify_instance(m: int, p: int, b_max: int, grid_bound: int) -> tuple[bool,
 
 
 def cmd_verify(args) -> tuple[dict, str, str]:
+    budget = _max_degree()
     for flag, value in (("--b-max", args.b_max), ("--grid-bound", args.grid_bound)):
         if value < 1:
             raise UsageError(f"{flag} must be at least 1, got {value}")
@@ -256,7 +268,7 @@ def cmd_verify(args) -> tuple[dict, str, str]:
     instances: list[dict] = []
     lines: list[str] = []
     for m, p in pairs:
-        in_range, report = _verify_instance(m, p, args.b_max, args.grid_bound)
+        in_range, report = _verify_instance(m, p, args.b_max, args.grid_bound, budget)
         instances.append(
             {"m": m, "p": p, "in_range": in_range, "ok": report.ok, "checks": report.as_dicts()}
         )

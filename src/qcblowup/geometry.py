@@ -275,7 +275,7 @@ def integrate(f: Polynomial, presentation: Presentation) -> Scalar:
         raise UsageError("cannot integrate a class containing deformation parameters")
     degree = f.variables.weighted_degree
     top = {mono: c for mono, c in f.terms.items() if degree(mono) == params.top_degree}
-    f = _to_bundle(f if len(top) == len(f.terms) else Polynomial(f.variables, top))
+    f = _to_bundle(Polynomial._from_clean(f.variables, top))
     bundle = (
         presentation
         if presentation.coords == BUNDLE
@@ -285,14 +285,22 @@ def integrate(f: Polynomial, presentation: Presentation) -> Scalar:
     return nf.coefficient((params.r - 1, params.n, 0, 0))
 
 
-def curve_dual(curve: CurveClass, params: GeometryParams) -> Polynomial:
-    """The cohomology class Poincare-dual to a curve class, in bundle
-    coordinates: A1 -> h^n xi^(r-2), A2 -> h^(n-1) xi^(r-1) - r h^n xi^(r-2)."""
+@lru_cache(maxsize=1)
+def _extremal_duals(params: GeometryParams) -> tuple[Polynomial, Polynomial]:
+    """The duals of A1 and A2.  The positivity sweep of one instance asks
+    for them back to back; only the latest instance's pair is kept."""
     vs = bundle_variables(params.r, params.n)
     xi = Polynomial.variable(vs, "xi")
     h = Polynomial.variable(vs, "h")
     dual_a1 = h**params.n * xi ** (params.r - 2)
     dual_a2 = h ** (params.n - 1) * xi ** (params.r - 1) - params.r * dual_a1
+    return dual_a1, dual_a2
+
+
+def curve_dual(curve: CurveClass, params: GeometryParams) -> Polynomial:
+    """The cohomology class Poincare-dual to a curve class, in bundle
+    coordinates: A1 -> h^n xi^(r-2), A2 -> h^(n-1) xi^(r-1) - r h^n xi^(r-2)."""
+    dual_a1, dual_a2 = _extremal_duals(params)
     return curve.a * dual_a1 + curve.b * dual_a2
 
 

@@ -23,6 +23,7 @@ from .poly import (
     Mono,
     Polynomial,
     VariableSet,
+    _add_term,
     grlex_key,
     mono_div,
     mono_divides,
@@ -114,19 +115,14 @@ def _reduce(f: Polynomial, reducers: tuple[tuple[Mono, Polynomial], ...]) -> Pol
         for lt, g in reducers:
             if mono_divides(lt, mono):
                 t = mono_div(mono, lt)
+                factor = -coeff
                 for m2, c2 in g.terms.items():
-                    if m2 == lt:
-                        continue
-                    mm = mono_mul(m2, t)
-                    s = rest.get(mm, Fraction(0)) - coeff * c2
-                    if s:
-                        rest[mm] = s
-                    else:
-                        rest.pop(mm, None)
+                    if m2 != lt:
+                        _add_term(rest, mono_mul(m2, t), factor * c2)
                 break
         else:
             out[mono] = coeff
-    return Polynomial(variables, out)
+    return Polynomial._from_clean(variables, out)
 
 
 def _monic(f: Polynomial) -> Polynomial:
@@ -211,10 +207,11 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     leading term; linear in f and idempotent."""
     if f.variables != gb.variables:
         raise UsageError("polynomial over a different variable set than the basis")
-    out = Polynomial.zero(f.variables)
+    out: dict[Mono, Fraction] = {}
     for mono, coeff in f.terms.items():
-        out = out + coeff * _normal_form_monomial(gb, mono)
-    return out
+        for m, c in _normal_form_monomial(gb, mono).terms.items():
+            _add_term(out, m, coeff * c)
+    return Polynomial._from_clean(f.variables, out)
 
 
 def _normal_form_monomial(gb: GroebnerBasis, mono: Mono) -> Polynomial:

@@ -16,6 +16,14 @@ The package uses one monomial order, graded-lex with the declared variable
 precedence (:func:`grlex_key`), for every Groebner basis, staircase listing
 and rendering.
 
+Outside input (user-supplied term maps, :meth:`Polynomial.parse`,
+:meth:`Polynomial.constant`, :meth:`Polynomial.variable`,
+:meth:`Polynomial.monomial`) goes through the public constructor, which
+checks every exponent tuple, accepts only ``int`` and ``Fraction``
+coefficients and adds up repeated monomials.  Arithmetic on valid
+polynomials produces terms that already satisfy those invariants, so its
+results are wrapped as they are (:meth:`Polynomial._from_clean`).
+
 Canonical text format (also consumed by the command line): terms sorted in
 descending graded-lex order, each term
 rendered as ``[sign]coef*var^exp*...`` with unit coefficients and exponent 1
@@ -25,9 +33,10 @@ omitted, e.g. ``h^4 - xi*q2 + 2*h*q2``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .errors import ParseError, UsageError
 
@@ -129,6 +138,19 @@ def mono_div(a: Mono, b: Mono) -> Mono:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _add_term(terms: dict[Mono, Fraction], mono: Mono, coeff: Fraction) -> None:
+    """``terms[mono] += coeff`` for a nonzero coeff, dropping a term that
+    cancels, so that ``terms`` never holds a zero coefficient."""
+    if mono in terms:
+        total = terms[mono] + coeff
+        if total:
+            terms[mono] = total
+        else:
+            del terms[mono]
+    else:
+        terms[mono] = coeff
+
+
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -149,7 +171,9 @@ class Polynomial:
     """A sparse polynomial with exact rational coefficients.
 
     Instances are immutable; arithmetic returns new objects.  Operands of
-    binary operations must share the same VariableSet.
+    binary operations must share the same VariableSet.  The constructor
+    validates its input; results of arithmetic skip that (see
+    :meth:`_from_clean`).
     """
 
     __slots__ = ("variables", "terms", "_hash")
@@ -168,14 +192,25 @@ class Polynomial:
                 raise UsageError(f"exponent tuple {mono} has wrong length for {variables.names}")
             if any(e < 0 or not isinstance(e, int) for e in mono):
                 raise UsageError(f"exponents must be non-negative integers: {mono}")
-            c = clean.get(mono, Fraction(0)) + Fraction(coeff)
-            if c:
-                clean[mono] = c
-            else:
-                clean.pop(mono, None)
+            if not isinstance(coeff, (int, Fraction)):
+                raise UsageError(f"coefficients must be int or Fraction, got {coeff!r}")
+            if coeff:
+                _add_term(clean, mono, Fraction(coeff))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _from_clean(cls, variables: VariableSet, terms: dict[Mono, Fraction]) -> Polynomial:
+        """Wrap terms produced by arithmetic on valid polynomials over
+        ``variables``: exponent tuples of the right length and nonzero
+        ``Fraction`` coefficients.  Nothing is checked or copied, so the
+        caller hands ``terms`` over and must not change it afterwards."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
@@ -192,7 +227,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, variables: VariableSet, value: ScalarLike) -> Polynomial:
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, variables: VariableSet, name: str) -> Polynomial:
@@ -202,7 +237,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, variables: VariableSet, mono: Mono, coeff: ScalarLike = 1) -> Polynomial:
-        return cls(variables, {tuple(mono): Fraction(coeff)})
+        return cls(variables, {tuple(mono): coeff})
 
     # -- basic queries -------------------------------------------------------
 
@@ -276,17 +311,13 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for m, c in rhs.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.variables, out)
+            _add_term(out, m, c)
+        return Polynomial._from_clean(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.variables, {m: -c for m, c in self.terms.items()})
+        return Polynomial._from_clean(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> Polynomial:
         rhs = self._coerce(other)
@@ -305,20 +336,17 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return Polynomial.zero(self.variables)
-            return Polynomial(self.variables, {m: c * v for m, v in self.terms.items()})
+            return Polynomial._from_clean(
+                self.variables, {m: c * v for m, v in self.terms.items()}
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_variables(other)
         out: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial(self.variables, out)
+                _add_term(out, mono_mul(m1, m2), c1 * c2)
+        return Polynomial._from_clean(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -370,7 +398,7 @@ class Polynomial:
         Variables without an explicit image must exist under the same name in
         the target set.  Every image must be a polynomial over ``target``.
         """
-        by_index: list[Polynomial | None] = []
+        by_index: list[Polynomial] = []
         for name in self.variables.names:
             img = images.get(name)
             if img is None:
@@ -378,14 +406,20 @@ class Polynomial:
             elif img.variables != target:
                 raise UsageError("image polynomial is not over the target variable set")
             by_index.append(img)
-        out = Polynomial.zero(target)
+        one = Polynomial.one(target)
+        powers: dict[tuple[int, int], Polynomial] = {}
+        out: dict[Mono, Fraction] = {}
         for mono, coeff in self.terms.items():
-            factor = Polynomial.constant(target, coeff)
+            factor = one
             for idx, e in enumerate(mono):
                 if e:
-                    factor = factor * by_index[idx] ** e
-            out = out + factor
-        return out
+                    power = powers.get((idx, e))
+                    if power is None:
+                        power = powers[(idx, e)] = by_index[idx] ** e
+                    factor = power if factor is one else factor * power
+            for m, c in factor.terms.items():
+                _add_term(out, m, coeff * c)
+        return Polynomial._from_clean(target, out)
 
     # -- text format ---------------------------------------------------------
 

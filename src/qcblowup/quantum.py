@@ -80,7 +80,7 @@ def decompose_contributions(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
         stripped[i1] = 0
         stripped[i2] = 0
         pieces.setdefault(key, {})[tuple(stripped)] = coeff
-    return {key: Polynomial(vs, terms) for key, terms in sorted(pieces.items())}
+    return {key: Polynomial._from_clean(vs, terms) for key, terms in sorted(pieces.items())}
 
 
 @lru_cache(maxsize=None)

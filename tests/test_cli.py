@@ -296,5 +296,33 @@ def test_budget_env_variable(capsys, monkeypatch):
     assert code == 2
 
 
+def test_verify_budget_env_variable(capsys, monkeypatch):
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("QC_MAX_DEGREE", raw)
+        code, doc = run_json(capsys, "verify", "--m", "6", "--p", "1")
+        assert code == 2
+        assert doc["status"] == "usage-error"
+    monkeypatch.setenv("QC_MAX_DEGREE", "3")
+    for argv in (("--m", "6", "--p", "1"), ("--grid-m", "4..6", "--grid-p", "0..1")):
+        code, doc = run_json(capsys, "verify", *argv)
+        assert code == 1
+        assert doc["status"] == "check-failed"
+        assert "exceeds budget 3" in doc["payload"]["error"]
+
+
+def test_verify_builds_each_presentation_once_without_a_budget(capsys, monkeypatch):
+    from qcblowup.geometry import _presentation
+
+    monkeypatch.delenv("QC_MAX_DEGREE", raising=False)
+    _presentation.cache_clear()
+    code, _ = run(capsys, "verify", "--m", "6", "--p", "1")
+    assert code == 0
+    assert _presentation.cache_info().misses == 4
+    monkeypatch.setenv("QC_MAX_DEGREE", "200")
+    code, doc = run_json(capsys, "verify", "--m", "6", "--p", "1")
+    assert code == 0
+    assert doc["payload"]["ok"]
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2

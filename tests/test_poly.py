@@ -12,6 +12,9 @@ from qcblowup import (
     VariableSet,
     blowup_variables,
     bundle_variables,
+    decompose_contributions,
+    derive_params,
+    quantum_presentation,
 )
 from qcblowup.poly import grlex_key
 
@@ -68,6 +71,47 @@ def test_mismatched_variable_sets_rejected():
 def test_negative_power_rejected():
     with pytest.raises(UsageError):
         Polynomial.variable(BV, "h") ** -1
+
+
+def test_constructor_accepts_only_exact_coefficients():
+    for bad in (0.1, 1.0, "1", None):
+        with pytest.raises(UsageError):
+            Polynomial(BV, {(1, 0, 0, 0): bad})
+        with pytest.raises(UsageError):
+            Polynomial(BV, [((1, 0, 0, 0), bad)])
+        with pytest.raises(UsageError):
+            Polynomial.constant(BV, bad)
+        with pytest.raises(UsageError):
+            Polynomial.monomial(BV, (0, 1, 0, 0), bad)
+        with pytest.raises(UsageError):
+            poly("xi + q1").substitute({"q1": bad})
+    f = Polynomial(BV, {(1, 0, 0, 0): 2, (0, 1, 0, 0): Fraction(1, 3), (0, 0, 1, 0): 0})
+    assert f.terms == {(1, 0, 0, 0): Fraction(2), (0, 1, 0, 0): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in f.terms.values())
+
+
+# Results of arithmetic skip the constructor's checks, so each is compared
+# with what the checking constructor makes of the same terms.
+QUANTUM_40 = quantum_presentation(derive_params(4, 0), "bundle")
+SCALARS = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), polynomials(), SCALARS, st.integers(0, 3))
+def test_arithmetic_results_match_the_checking_constructor(f, g, c, e):
+    k = Polynomial.variable(KV, "k")
+    eta = Polynomial.variable(KV, "eta")
+    results = [
+        f + g, f - g, f - f, f + (-f), f * g, f * g - g * f, c * f, f * c, f ** e, -f,
+        f.map_variables(KV, {"xi": 2 * k - eta, "h": k - eta}),
+        QUANTUM_40.quotient.normal_form(f),
+        *decompose_contributions(f).values(),
+    ]
+    for result in results:
+        assert result.terms == Polynomial(result.variables, dict(result.terms)).terms
+        assert all(type(v) is Fraction and v for v in result.terms.values())
 
 
 # -- the monomial order (graded-lex) ---------------------------------------------
