@@ -2,6 +2,8 @@
 space along linear subspaces, with Groebner-based quotient rings and
 three-point Gromov-Witten extraction."""
 
+import types as _types
+
 from .errors import (
     BudgetError,
     CheckFailure,
@@ -58,7 +60,6 @@ from .poly import (
 )
 from .quantum import (
     GWQuery,
-    GWTable,
     basis_corrections,
     class_representative,
     contribution_by_class,
@@ -74,65 +75,9 @@ from .report import CheckEntry, CheckReport
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BLOWUP",
-    "BLOWUP_TO_BUNDLE",
-    "BUNDLE",
-    "BUNDLE_TO_BLOWUP",
-    "BudgetError",
-    "CheckEntry",
-    "CheckFailure",
-    "CheckReport",
-    "ChernVector",
-    "CurveClass",
-    "EXCEPTIONAL_LINE",
-    "FIBER_LINE",
-    "GWQuery",
-    "GWTable",
-    "GeometryParams",
-    "GroebnerBasis",
-    "Ideal",
-    "ParseError",
-    "Polynomial",
-    "Presentation",
-    "QuotientRing",
-    "Scalar",
-    "StructuralError",
-    "UsageError",
-    "VariableSet",
-    "anticanonical_class",
-    "basis_corrections",
-    "blowup_variables",
-    "buchberger",
-    "bundle_variables",
-    "change_vars",
-    "chern_coefficients",
-    "class_representative",
-    "classical_presentation",
-    "classical_relations",
-    "contribution_by_class",
-    "curve_dual",
-    "decompose_contributions",
-    "derive_params",
-    "fano_positivity_check",
-    "gw_invariant",
-    "ideal_equal",
-    "integrate",
-    "moduli_dimension_identities",
-    "normal_form",
-    "oracle_integrate",
-    "pair_divisor_curve",
-    "pairing_matrix",
-    "quantum_presentation",
-    "quantum_product",
-    "quantum_relations",
-    "segre_integral_oracle",
-    "spolynomial",
-    "staircase_basis",
-    "variables_for",
-    "verify_classical_geometry",
-    "verify_gw_identities",
-    "verify_quantum_presentation",
-    "verify_s3_symmetry",
-    "virtual_dimension",
-]
+# Every public name imported above is exported, and nothing else.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -24,7 +24,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -133,13 +133,17 @@ EXCEPTIONAL_LINE = CurveClass(0, 1)
 @dataclass(frozen=True)
 class Presentation:
     """Two relations, classical or deformed (``quantum``; q1 = q2 = 0 gives
-    back the classical ones), plus the processed quotient."""
+    back the classical ones), plus the processed quotient.
+
+    The relations and the quotient follow from (coords, params, quantum), so
+    the hash reads only those three; the caches keyed on a presentation stay
+    cheap to query."""
 
     coords: str
     params: GeometryParams
     quantum: bool
-    relations: tuple[Polynomial, Polynomial]
-    quotient: QuotientRing
+    relations: tuple[Polynomial, Polynomial] = field(hash=False)
+    quotient: QuotientRing = field(hash=False)
 
     @property
     def variables(self) -> VariableSet:
@@ -373,11 +377,16 @@ def oracle_integrate(f: Polynomial, params: GeometryParams) -> Scalar:
 
 def pairing_matrix(presentation: Presentation) -> list[list[int]]:
     """Intersection pairing of the staircase basis with itself; each distinct
-    product monomial is integrated once."""
+    product monomial of top weighted degree is integrated once, and the
+    others pair to 0 by homogeneity."""
     vs = presentation.variables
+    top = presentation.params.top_degree
     staircase = presentation.quotient.staircase
     values: dict[tuple[int, ...], int] = {}
     for mono in dict.fromkeys(mono_mul(mi, mj) for mi in staircase for mj in staircase):
+        if vs.weighted_degree(mono) != top:
+            values[mono] = 0
+            continue
         value = integrate(Polynomial.monomial(vs, mono), presentation)
         if value.denominator != 1:
             raise CheckFailure(f"non-integral pairing value {value}")

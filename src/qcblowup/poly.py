@@ -248,9 +248,6 @@ class Polynomial:
     def coefficient(self, mono: Mono) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * len(self.variables))
-
     def total_degree(self) -> int:
         """Largest unweighted degree among terms; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)

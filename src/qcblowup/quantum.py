@@ -24,7 +24,10 @@ unique corrections are forced by the divisor and fundamental-class axioms
 of the three-point theory and are solved for exactly (see
 :func:`basis_corrections`).  All extraction goes through the corrected
 identification, which is what makes the extracted three-point function
-symmetric.
+symmetric.  A single product takes one Groebner normal form
+(:func:`_contributions`); the verification suites read every staircase
+product from one table of integer multiplication matrices
+(:func:`_staircase_products`), which the tests check against it.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -33,7 +36,7 @@ use the uncorrected identification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,11 +54,12 @@ from .geometry import (
     classical_presentation,
     classical_relations,
     integrate,
+    pairing_matrix,
     quantum_relations,  # noqa: F401  (kept importable from this module)
 )
 from .groebner import Ideal, ideal_equal
 from .linalg import eliminate
-from .poly import Mono, Polynomial, Scalar
+from .poly import Mono, Polynomial, Scalar, _add_term, mono_mul
 from .report import CheckReport
 
 
@@ -227,12 +231,14 @@ def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     classical = classical_presentation(qp.params, qp.coords).quotient
     if not set(f.terms) <= set(classical.staircase):
         f = classical.normal_form(f)
-    correction = Polynomial.zero(qp.variables)
+    q2 = tuple(int(name == "q2") for name in qp.variables.names)
+    out = dict(f.terms)
     for mono, corr in basis_corrections(qp).items():
-        coeff = f.coefficient(mono)
+        coeff = f.terms.get(mono)
         if coeff:
-            correction = correction + coeff * corr
-    return f + Polynomial.variable(qp.variables, "q2") * correction
+            for m, c in corr.terms.items():
+                _add_term(out, mono_mul(m, q2), coeff * c)
+    return Polynomial._from_clean(qp.variables, out)
 
 
 def _contributions(
@@ -324,34 +330,6 @@ class GWQuery:
         return d >= 0 and self.gamma.homogeneous_degree() == top - d
 
 
-@dataclass
-class GWTable:
-    """Extracted three-point invariants keyed by curve class and the rendered
-    class triple, with a provenance note per entry."""
-
-    entries: dict[tuple[tuple[int, int], tuple[str, str, str]], int] = field(
-        default_factory=dict
-    )
-    notes: dict[tuple[tuple[int, int], tuple[str, str, str]], str] = field(
-        default_factory=dict
-    )
-
-    def record(
-        self,
-        curve: CurveClass,
-        triple: tuple[Polynomial, Polynomial, Polynomial],
-        value: int,
-        note: str = "",
-    ) -> None:
-        key = ((curve.a, curve.b), tuple(str(t) for t in triple))
-        self.entries[key] = value
-        if note:
-            self.notes[key] = note
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     """Evaluate a three-point invariant from the deformed presentation.
 
@@ -396,19 +374,91 @@ def _staircase_products(
     qp: Presentation,
 ) -> dict[tuple[int, int], dict[tuple[int, int], Polynomial]]:
     """Quantum products of all staircase basis pairs (i <= j), split by
-    curve class.  The verification suites of one instance run back to back
-    and share this table; only the latest instance's table is kept."""
+    curve class: entry (i, j) is ``_contributions(b_i, b_j, qp)``.
+
+    The deformed bundle quotient is a free Z[q1, q2]-module on the
+    staircase, so the table is integer linear algebra (the multiplication
+    matrices of a zero-dimensional quotient; Auzinger-Stetter 1988, Cox,
+    Little and O'Shea, *Using Algebraic Geometry*, ch. 2).  The matrices of
+    xi and h come from the 2*rank normal forms of xi*s and h*s, and applying
+    them gives the normal form of any product monomial, memoised by
+    monomial.  Entry (i, j) expands phi(b_i) * phi(b_j) bilinearly, where
+    phi = 1 + q2*C is :func:`class_representative`, and then takes the one
+    correction step 1 - q2*C of :func:`_contributions`.  The verification
+    suites of one instance share this table; only the latest is kept.
+    """
+    if not qp.quantum or qp.coords != BUNDLE:
+        raise UsageError("the product table is built on the deformed bundle ring")
+    staircase = qp.quotient.staircase
+    on_staircase = set(staircase)
     polys = qp.quotient.staircase_polynomials()
-    return {
-        (i, j): _contributions(bi, polys[j], qp)
-        for i, bi in enumerate(polys)
-        for j in range(i, len(polys))
+    # A module element: q-power (a, b) -> staircase monomial -> integer.
+    Vector = dict[tuple[int, int], dict[Mono, int]]
+
+    def as_vector(f: Polynomial) -> Vector:
+        pieces = decompose_contributions(f)
+        for piece in pieces.values():
+            if not piece.is_integral() or not set(piece.terms) <= on_staircase:
+                raise CheckFailure(f"{f} is not an integral vector over the staircase")
+        return {key: {t: int(c) for t, c in p.terms.items()} for key, p in pieces.items()}
+
+    def add(out: Vector, vec: Vector, shift: tuple[int, int], scale: int) -> None:
+        """out += scale * q1^shift[0] * q2^shift[1] * vec."""
+        for (a, b), piece in vec.items():
+            target = out.setdefault((a + shift[0], b + shift[1]), {})
+            for t, c in piece.items():
+                target[t] = target.get(t, 0) + scale * c
+
+    matrices = [
+        {s: as_vector(qp.quotient.normal_form(g * b)) for s, b in zip(staircase, polys)}
+        for g in (Polynomial.variable(qp.variables, "xi"), Polynomial.variable(qp.variables, "h"))
+    ]
+    products: dict[Mono, Vector] = {s: {(0, 0): {s: 1}} for s in staircase}
+
+    def product_nf(mono: Mono) -> Vector:
+        if mono not in products:
+            var = 1 if mono[1] else 0  # peel off an h first, else an xi
+            lower = list(mono)
+            lower[var] -= 1
+            out: Vector = {}
+            for key, piece in product_nf(tuple(lower)).items():
+                for s, c in piece.items():
+                    add(out, matrices[var][s], key, c)
+            products[mono] = out
+        return products[mono]
+
+    # phi(b_s) = b_s + q2*C(s), flattened to (monomial, q-power, coefficient)
+    # terms, and q2*C(s) on its own for the correction step.
+    phis = [as_vector(class_representative(b, qp)) for b in polys]
+    terms = [[(u, key, c) for key, p in phi.items() for u, c in p.items()] for phi in phis]
+    corrections = {
+        s: {key: p for key, p in phi.items() if key != (0, 0)}
+        for s, phi in zip(staircase, phis)
+        if len(phi) > 1
     }
+    table: dict[tuple[int, int], dict[tuple[int, int], Polynomial]] = {}
+    for i, terms_i in enumerate(terms):
+        for j in range(i, len(terms)):
+            naive: Vector = {}
+            for u, ku, cu in terms_i:
+                for v, kv, cv in terms[j]:
+                    shift = (ku[0] + kv[0], ku[1] + kv[1])
+                    add(naive, product_nf(mono_mul(u, v)), shift, cu * cv)
+            # One step of 1 - q2*C; in descending order each naive piece is
+            # read before the step writes into it.
+            for key in sorted(naive, reverse=True):
+                for mono, coeff in naive[key].items():
+                    if coeff and mono in corrections:
+                        add(naive, corrections[mono], key, -coeff)
+            table[(i, j)] = {
+                key: Polynomial._from_clean(qp.variables, clean)
+                for key in sorted(naive)
+                if (clean := {t: Fraction(c) for t, c in naive[key].items() if c})
+            }
+    return table
 
 
-def verify_gw_identities(
-    params: GeometryParams, b_max: int = 2, table: GWTable | None = None
-) -> CheckReport:
+def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
     """Check the three families of three-point identities plus the deformed
     ring relations they imply.
 
@@ -420,8 +470,7 @@ def verify_gw_identities(
     * vanishing of every multiple-fiber-class contribution below the degree
       threshold, for multiplicities up to ``b_max``.
 
-    Requires the range hypothesis 2p+3 < m; when ``table`` is given every
-    checked invariant is recorded with a provenance note.
+    Requires the range hypothesis 2p+3 < m.
     """
     if not params.in_range:
         raise UsageError(
@@ -443,10 +492,6 @@ def verify_gw_identities(
     point = h**n * xi ** (r - 1)
     val = gw_invariant(GWQuery(CurveClass(1, 0), xi, xi ** (r - 1), point), qp)
     report.add("fiber_point_count", val == 1, f"value {val}")
-    if table is not None:
-        table.record(
-            CurveClass(1, 0), (xi, xi ** (r - 1), point), int(val), "fiber-line point count"
-        )
 
     # Exceptional-line counts for every split j + (n+1-j) of the base power.
     dual_a1 = h**n * xi ** (r - 2)
@@ -468,19 +513,6 @@ def verify_gw_identities(
         report.add(
             f"exceptional_combination_vanishes[j={j}]", v_combo == 0, f"value {v_combo}"
         )
-        if table is not None:
-            table.record(
-                CurveClass(0, 1), (alpha, beta, dual_a1), int(v_point),
-                "exceptional-line count against a point",
-            )
-            table.record(
-                CurveClass(0, 1), (alpha, beta, section), int(v_section),
-                "exceptional-line count against the section class",
-            )
-            table.record(
-                CurveClass(0, 1), (alpha, beta, combo), int(v_combo),
-                "vanishing combination",
-            )
 
     # Multiple-fiber-class vanishing: the (b, 0) contribution of a product of
     # basis classes dies whenever the fiber degrees sum below b*r.
@@ -598,46 +630,59 @@ def verify_s3_symmetry(params: GeometryParams) -> CheckReport:
     curve class within the degree budget, pairing the contribution of one
     pair against the third class is independent of the grouping.
 
-    Also asserts integrality of every extracted value along the sweep.
+    Every piece of the product table is a class over the classical
+    staircase, which the deformed staircase equals, so its pairing with a
+    basis class is a dot product with the Gram matrix
+    G = ``pairing_matrix(cp)``: each piece's coefficient vector is multiplied
+    by G once, and each pairing of the sweep is a lookup.  Also asserts
+    integrality of every extracted value along the sweep.
     """
     if not params.in_range:
         raise UsageError("symmetry sweep requires 2p+3 < m")
     qp = quantum_presentation(params, BUNDLE)
     cp = classical_presentation(params, BUNDLE)
+    staircase = cp.quotient.staircase
+    if qp.quotient.staircase != staircase:
+        raise CheckFailure("deformed and classical staircases differ")
     polys = qp.quotient.staircase_polynomials()
     products = _staircase_products(qp)
     report = CheckReport()
 
-    def pairing(i: int, j: int, k: int, key: tuple[int, int]) -> Fraction:
-        piece = products[(min(i, j), max(i, j))].get(key)
-        if piece is None or piece.is_zero:
-            return Fraction(0)
-        return integrate(piece * polys[k], cp)
+    # The nonzero entries of G, row by row, keyed by staircase monomial.
+    gram = {
+        s: [(k, g) for k, g in enumerate(row) if g]
+        for s, row in zip(staircase, pairing_matrix(cp))
+    }
+    # paired[(i, j), key][k]: the piece of b_i * b_j at key paired with b_k.
+    paired: dict[tuple[tuple[int, int], tuple[int, int]], dict[int, Scalar]] = {}
+    for pair, pieces in products.items():
+        for key, piece in pieces.items():
+            row = paired[pair, key] = {}
+            for s, c in piece.terms.items():
+                for k, g in gram[s]:
+                    row[k] = row.get(k, 0) + c * g
 
-    failures = []
-    fractional = []
+    failures: list[str] = []
+    fractional: list[str] = []
     checked = 0
     size = len(polys)
     for i in range(size):
         for j in range(i, size):
             for k in range(j, size):
-                keys = set(products[(i, j)]) | set(products[(min(i, k), max(i, k))])
-                keys |= set(products[(min(j, k), max(j, k))])
-                for key in sorted(keys):
-                    v1 = pairing(i, j, k, key)
-                    v2 = pairing(i, k, j, key)
-                    v3 = pairing(j, k, i, key)
+                groupings = (((i, j), k), ((i, k), j), ((j, k), i))
+                for key in sorted({key for pair, _ in groupings for key in products[pair]}):
+                    v1, v2, v3 = values = [
+                        paired.get((pair, key), {}).get(third, 0) for pair, third in groupings
+                    ]
                     checked += 1
                     if not (v1 == v2 == v3):
                         failures.append(
                             f"({polys[i]}, {polys[j]}, {polys[k]}) at q1^{key[0]} q2^{key[1]}:"
                             f" {v1}, {v2}, {v3}"
                         )
-                    for v in (v1, v2, v3):
+                    for v in values:
                         if v.denominator != 1:
-                            fractional.append(
-                                f"({polys[i]}, {polys[j]}, {polys[k]}) -> {v}"
-                            )
+                            fractional.append(f"({polys[i]}, {polys[j]}, {polys[k]}) -> {v}")
     report.add(
         "s3_symmetry",
         not failures,

@@ -187,7 +187,7 @@ def test_criterion_6_consistency_properties(capsys):
         report = verify_quantum_presentation(params)
         assert report.ok, [(e.name, e.detail) for e in report.failures()]
     start = time.perf_counter()
-    for m, p in ((4, 0), (6, 1)):
+    for m, p in GRID:
         params = derive_params(m, p)
         report = verify_s3_symmetry(params)
         assert report.ok, [e.detail for e in report.failures()]

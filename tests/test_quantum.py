@@ -1,11 +1,14 @@
 """Deformed presentations, quantum products and invariant extraction."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from qcblowup import (
+    CheckFailure,
     CurveClass,
     GWQuery,
-    GWTable,
     Polynomial,
     UsageError,
     basis_corrections,
@@ -16,6 +19,7 @@ from qcblowup import (
     derive_params,
     gw_invariant,
     integrate,
+    pairing_matrix,
     quantum_presentation,
     quantum_product,
     quantum_relations,
@@ -23,7 +27,8 @@ from qcblowup import (
     verify_quantum_presentation,
     verify_s3_symmetry,
 )
-from qcblowup.quantum import _staircase_products
+from qcblowup import quantum
+from qcblowup.quantum import _contributions, _staircase_products
 
 
 def bp(text, params):
@@ -229,6 +234,18 @@ def test_class_representative_of_the_point_class():
     assert rep.substitute({"q1": 0, "q2": 0}) == top
 
 
+def test_class_representative_adds_q2_times_the_corrections(grid_params):
+    qp = quantum_presentation(grid_params, "bundle")
+    vs = qp.variables
+    f = Polynomial(vs, {s: k + 1 for k, s in enumerate(qp.quotient.staircase)})
+    correction = Polynomial.zero(vs)
+    for mono, corr in basis_corrections(qp).items():
+        correction = correction + f.coefficient(mono) * corr
+    rep = class_representative(f, qp)
+    assert rep == f + Polynomial.variable(vs, "q2") * correction
+    assert rep.terms == Polynomial(vs, dict(rep.terms)).terms
+
+
 # -- invariant extraction -----------------------------------------------------------
 
 
@@ -305,14 +322,24 @@ def test_gw_query_validation():
 # -- verification suites --------------------------------------------------------------
 
 
-def test_gw_identity_suite_with_table(params40):
-    table = GWTable()
-    report = verify_gw_identities(params40, b_max=2, table=table)
+def test_gw_identity_suite_entries(params40):
+    report = verify_gw_identities(params40, b_max=2)
     assert report.ok, [e.name for e in report.failures()]
-    key = ((1, 0), ("xi", "xi", "h^3*xi"))
-    assert table.entries[key] == 1
-    assert "fiber" in table.notes[key]
-    assert len(table) == 1 + 3 * params40.n
+    r = params40.r
+    expected = [("fiber_point_count", "value 1")]
+    for j in range(1, params40.n + 1):
+        expected += [
+            (f"exceptional_point_count[j={j}]", "value 1"),
+            (f"exceptional_section_count[j={j}]", f"value {r - 1}, expected {r - 1}"),
+            (f"exceptional_combination_vanishes[j={j}]", "value 0"),
+        ]
+    expected += [
+        ("fiber_multiple_vanishing[b=1]", "26 basis pairs checked"),
+        ("fiber_multiple_vanishing[b=2]", "36 basis pairs checked"),
+        ("deformed_base_relation", "h^4 -> xi*q2 - 2*h*q2"),
+        ("deformed_fiber_relation", "-> q1"),
+    ]
+    assert [(e.name, e.detail) for e in report.entries] == expected
 
 
 def test_gw_identity_suite_81(params81):
@@ -349,6 +376,94 @@ def test_verify_suites_share_one_product_table():
     assert verify_gw_identities(derive_params(6, 1)).ok
     info = _staircase_products.cache_info()
     assert (info.misses, info.currsize) == (2, 1)
+
+
+def test_product_table_matches_contributions(grid_params):
+    # the matrix-built table against one Groebner product per basis pair
+    qp = quantum_presentation(grid_params, "bundle")
+    polys = qp.quotient.staircase_polynomials()
+    table = _staircase_products(qp)
+    pairs = [(i, j) for i in range(len(polys)) for j in range(i, len(polys))]
+    assert list(table) == pairs
+    for i, j in pairs:
+        expected = _contributions(polys[i], polys[j], qp)
+        assert list(table[(i, j)]) == list(expected), (polys[i], polys[j])
+        for key, piece in expected.items():
+            assert table[(i, j)][key] == piece, (polys[i], polys[j], key)
+
+
+def test_product_table_takes_two_normal_forms_per_basis_class():
+    # the table multiplies matrices; only xi*s and h*s are normal-formed
+    qp = quantum_presentation(derive_params(11, 3), "bundle")
+    basis_corrections(qp)
+    _staircase_products.cache_clear()
+    memo = qp.quotient.basis._nf_memo
+    memo.clear()
+    _staircase_products(qp)
+    assert 0 < len(memo) <= 2 * qp.quotient.rank
+
+
+def test_product_table_needs_the_deformed_bundle_ring(params40):
+    for pres in (
+        classical_presentation(params40, "bundle"),
+        quantum_presentation(params40, "blowup"),
+    ):
+        with pytest.raises(UsageError):
+            _staircase_products(pres)
+
+
+def test_product_table_rejects_a_fractional_correction(monkeypatch, params40):
+    qp = quantum_presentation(params40, "bundle")
+    top = qp.quotient.staircase[-1]
+    half = Polynomial(qp.variables, {qp.quotient.staircase[0]: Fraction(1, 2)})
+    monkeypatch.setattr(quantum, "basis_corrections", lambda qp: {top: half})
+    with pytest.raises(CheckFailure):
+        _staircase_products.__wrapped__(qp)
+
+
+def test_s3_symmetry_needs_the_classical_staircase(monkeypatch, params40):
+    qp = quantum_presentation(params40, "bundle")
+    short = replace(qp, quotient=replace(qp.quotient, staircase=qp.quotient.staircase[:-1]))
+    monkeypatch.setattr(quantum, "quantum_presentation", lambda params, coords: short)
+    with pytest.raises(CheckFailure):
+        verify_s3_symmetry(params40)
+
+
+def test_gram_pairings_match_integrals(grid_params):
+    # the symmetry sweep pairs each table piece with b_k as (piece . G)_k
+    qp = quantum_presentation(grid_params, "bundle")
+    cp = classical_presentation(grid_params, "bundle")
+    staircase = cp.quotient.staircase
+    polys = cp.quotient.staircase_polynomials()
+    gram = dict(zip(staircase, pairing_matrix(cp)))
+    top = grid_params.top_degree
+    for pieces in _staircase_products(qp).values():
+        for piece in pieces.values():
+            paired = [0] * len(polys)
+            for s, c in piece.terms.items():
+                for k, g in enumerate(gram[s]):
+                    paired[k] += c * g
+            for k, bk in enumerate(polys):
+                if piece.homogeneous_degree() + sum(staircase[k]) == top:
+                    assert paired[k] == integrate(piece * bk, cp)
+                else:
+                    assert paired[k] == 0
+
+
+def test_equal_presentations_hash_equal_and_share_cache_entries():
+    params = derive_params(8, 1)
+    qp = quantum_presentation(params, "bundle")
+    budgeted = quantum_presentation(params, "bundle", max_degree=50)
+    assert budgeted is not qp and budgeted == qp and hash(budgeted) == hash(qp)
+    basis_corrections.cache_clear()
+    basis_corrections(qp)
+    basis_corrections(budgeted)
+    basis_corrections(qp)
+    info = basis_corrections.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    basis_corrections(quantum_presentation(params, "blowup"))
+    info = basis_corrections.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
 
 def test_quantum_presentation_suite_refuses_out_of_range():
