@@ -28,7 +28,9 @@ from qcblowup import (
     verify_s3_symmetry,
 )
 from qcblowup import quantum
-from qcblowup.quantum import _contributions, _staircase_products
+from qcblowup.quantum import _contributions, _ring_model, _staircase_products
+
+from correction_oracle import polynomial_corrections
 
 
 def bp(text, params):
@@ -393,14 +395,45 @@ def test_product_table_matches_contributions(grid_params):
 
 
 def test_product_table_takes_two_normal_forms_per_basis_class():
-    # the table multiplies matrices; only xi*s and h*s are normal-formed
+    # the solve and the table read one integer model per ring; only xi*s and
+    # h*s are normal-formed, in the deformed and in the classical ring
     qp = quantum_presentation(derive_params(11, 3), "bundle")
+    cp = classical_presentation(qp.params, "bundle")
+    for cache in (basis_corrections, _staircase_products, _ring_model):
+        cache.cache_clear()
+    memos = [pres.quotient.basis._nf_memo for pres in (qp, cp)]
+    for memo in memos:
+        memo.clear()
     basis_corrections(qp)
-    _staircase_products.cache_clear()
-    memo = qp.quotient.basis._nf_memo
-    memo.clear()
     _staircase_products(qp)
-    assert 0 < len(memo) <= 2 * qp.quotient.rank
+    assert _ring_model.cache_info().misses == 2
+    for memo in memos:
+        assert 0 < len(memo) <= 2 * qp.quotient.rank
+
+
+IN_RANGE_TO_16 = [(m, p) for m in range(4, 17) for p in range(m - 1) if 2 * p + 3 < m]
+
+
+@pytest.mark.parametrize("m, p", IN_RANGE_TO_16, ids=[f"m{m}p{p}" for m, p in IN_RANGE_TO_16])
+def test_basis_corrections_match_the_polynomial_assembly(m, p):
+    # rows read from the ring models against rows built from Groebner products
+    qp = quantum_presentation(derive_params(m, p), "bundle")
+    expected = polynomial_corrections(qp)
+    corrections = basis_corrections(qp)
+    assert list(corrections) == list(expected)
+    assert corrections == expected
+
+
+@pytest.mark.parametrize("m, p", [(4, 2), (5, 3)])
+def test_ring_model_refuses_parameter_leading_terms(m, p):
+    # n = 1: the deformed basis leads with xi*q2, so staircase classes times
+    # q-powers are not normal forms and the matrices would be wrong
+    qp = quantum_presentation(derive_params(m, p), "bundle")
+    assert (1, 0, 0, 1) in qp.quotient.basis.leading_monomials()
+    with pytest.raises(CheckFailure):
+        _ring_model(qp)
+    with pytest.raises(CheckFailure):
+        _staircase_products(qp)
 
 
 def test_product_table_needs_the_deformed_bundle_ring(params40):
