@@ -63,7 +63,6 @@ from .quantum import (
     basis_corrections,
     class_representative,
     contribution_by_class,
-    decompose_contributions,
     gw_invariant,
     quantum_presentation,
     quantum_product,

@@ -24,12 +24,13 @@ unique corrections are forced by the divisor and fundamental-class axioms
 of the three-point theory and are solved for exactly (see
 :func:`basis_corrections`).  All extraction goes through the corrected
 identification, which is what makes the extracted three-point function
-symmetric.  A single product takes one Groebner normal form
-(:func:`_contributions`).  The rows of the correction solve and the
-verification suites' table of staircase products
-(:func:`_staircase_products`) are read from one integer model of each
-bundle ring, its multiplication matrices (:class:`_RingModel`); the tests
-check both against Groebner products.
+symmetric.  Every product is expanded by one routine
+(:func:`_contributions`) on one integer model of each bundle ring, its
+multiplication matrices (:class:`_RingModel`); the rows of the correction
+solve are read from the same model, and the verification suites share a
+table of staircase products (:func:`_staircase_products`) built by the
+same routine.  The tests check the products and the solve against
+assemblies from Groebner normal forms.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -72,27 +73,11 @@ def quantum_presentation(
     return _presentation(params, coords, True, max_degree)
 
 
-def decompose_contributions(f: Polynomial) -> dict[tuple[int, int], Polynomial]:
-    """Split a polynomial by parameter powers: the piece at key (a, b) is the
-    parameter-free class multiplying q1^a q2^b."""
-    vs = f.variables
-    if len(vs.parameter_indices) != 2:
-        raise UsageError("expected a variable set with two deformation parameters")
-    i1, i2 = vs.parameter_indices
-    pieces: dict[tuple[int, int], dict[Mono, Fraction]] = {}
-    for mono, coeff in f.terms.items():
-        key = (mono[i1], mono[i2])
-        stripped = list(mono)
-        stripped[i1] = 0
-        stripped[i2] = 0
-        pieces.setdefault(key, {})[tuple(stripped)] = coeff
-    return {key: Polynomial._from_clean(vs, terms) for key, terms in sorted(pieces.items())}
-
-
 Vector = dict[tuple[int, int], dict[Mono, int]]  # q-power -> staircase monomial -> int
+Term = tuple[Mono, int, Scalar]  # parameter-free monomial, q2 exponent, coefficient
 
 
-def _add(out: Vector, vec: Vector, shift: tuple[int, int], scale: int) -> None:
+def _add(out: Vector, vec: Vector, shift: tuple[int, int], scale: Scalar) -> None:
     """out += scale * q1^shift[0] * q2^shift[1] * vec."""
     for (a, b), piece in vec.items():
         target = out.setdefault((a + shift[0], b + shift[1]), {})
@@ -106,47 +91,54 @@ class _RingModel:
     integer matrices (Auzinger-Stetter 1988; Cox, Little and O'Shea, *Using
     Algebraic Geometry*, ch. 2).  ``matrices`` sends each staircase monomial
     s to xi*s and h*s (2*rank normal forms); :meth:`product` applies them to
-    give the normal form of any parameter-free monomial, memoised.  A ring
-    with q1 or q2 in a leading monomial (n = 1) is refused: there staircase
-    classes times q-powers are not normal forms."""
+    give the normal form of any parameter-free monomial, memoised.  Where q1
+    or q2 leads a basis element (n = 1), staircase classes times q-powers
+    are not normal forms and the matrices do not compose; there
+    ``matrices`` is None and :meth:`product` reads the ring's own normal
+    form of each monomial instead."""
 
     units = ((1, 0, 0, 0), (0, 1, 0, 0))  # xi, h
 
     def __init__(self, pres: Presentation) -> None:
-        vs = pres.variables
-        if not all(vs.is_parameter_free(lm) for lm in pres.quotient.basis.leading_monomials()):
-            raise CheckFailure("a leading monomial contains a deformation parameter")
+        self._vs, self._nf = pres.variables, pres.quotient.normal_form
         staircase = pres.quotient.staircase
-        on_staircase = set(staircase)
-
-        def as_vector(f: Polynomial) -> Vector:
-            pieces = decompose_contributions(f)
-            for piece in pieces.values():
-                if not piece.is_integral() or not set(piece.terms) <= on_staircase:
-                    raise CheckFailure(f"{f} is not an integral vector over the staircase")
-            return {key: {t: int(c) for t, c in p.terms.items()} for key, p in pieces.items()}
-
-        nf = pres.quotient.normal_form
+        self._on_staircase = set(staircase)
+        free = all(map(self._vs.is_parameter_free, pres.quotient.basis.leading_monomials()))
         self.matrices = tuple(
-            {s: as_vector(nf(Polynomial.monomial(vs, mono_mul(s, unit)))) for s in staircase}
-            for unit in self.units
-        )
+            {s: self._read(mono_mul(s, unit)) for s in staircase} for unit in self.units
+        ) if free else None
         self._products: dict[Mono, Vector] = {s: {(0, 0): {s: 1}} for s in staircase}
+        for unit, rows in zip(self.units, self.matrices or ()):
+            self._products.update((mono_mul(s, unit), row) for s, row in rows.items())
+
+    def _read(self, mono: Mono) -> Vector:
+        """The normal form of a parameter-free monomial, split by q-power."""
+        f = self._nf(Polynomial.monomial(self._vs, mono))
+        out: Vector = {}
+        for t, c in f.terms.items():
+            s = t[:2] + (0, 0)
+            if c.denominator != 1 or s not in self._on_staircase:
+                raise CheckFailure(f"{f} is not an integral vector over the staircase")
+            out.setdefault(t[2:], {})[s] = c.numerator
+        return out
 
     def product(self, mono: Mono) -> Vector:
         if mono not in self._products:
-            var = 1 if mono[1] else 0  # peel off an h first, else an xi
-            out: Vector = {}
-            for key, piece in self.product(mono_div(mono, self.units[var])).items():
-                for s, c in piece.items():
-                    _add(out, self.matrices[var][s], key, c)
+            if self.matrices is None:
+                out = self._read(mono)
+            else:
+                var = 1 if mono[1] else 0  # peel off an h first, else an xi
+                out = {}
+                for key, piece in self.product(mono_div(mono, self.units[var])).items():
+                    for s, c in piece.items():
+                        _add(out, self.matrices[var][s], key, c)
             self._products[mono] = out
         return self._products[mono]
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=None)
 def _ring_model(pres: Presentation) -> _RingModel:
-    """The model of a presentation; the latest instance's two rings are kept."""
+    """The model of a presentation, kept as long as the presentation is."""
     return _RingModel(pres)
 
 
@@ -292,13 +284,60 @@ def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     return Polynomial._from_clean(qp.variables, out)
 
 
+def _terms(f: Polynomial, qp: Presentation) -> list[Term]:
+    """phi(f) = ``class_representative(f, qp)`` as (monomial, q2 exponent,
+    coefficient) terms; an integral coefficient is carried as an ``int``."""
+    return [
+        (t[:2] + (0, 0), t[3], c.numerator if c.denominator == 1 else c)
+        for t, c in class_representative(f, qp).terms.items()
+    ]
+
+
+@lru_cache(maxsize=None)
+def _correction_vectors(qp: Presentation) -> dict[Mono, Vector]:
+    """The basis corrections as integer vectors at q2; a non-integral one is
+    refused."""
+    out: dict[Mono, Vector] = {}
+    for s, corr in basis_corrections(qp).items():
+        if not corr.is_integral():
+            raise CheckFailure(f"non-integral basis correction {corr}")
+        out[s] = {(0, 1): {t: c.numerator for t, c in corr.terms.items()}}
+    return out
+
+
+def _product(
+    qp: Presentation, x: list[Term], y: list[Term]
+) -> dict[tuple[int, int], Polynomial]:
+    """phi(x) * phi(y) expanded on the ring model (:class:`_RingModel`),
+    followed by the one correction step 1 - q2*C that turns the staircase
+    monomials of each piece into the classical basis classes; the nonzero
+    pieces in key order."""
+    model, corrections = _ring_model(qp), _correction_vectors(qp)
+    naive: Vector = {}
+    for u, ku, cu in x:
+        for v, kv, cv in y:
+            _add(naive, model.product(mono_mul(u, v)), (0, ku + kv), cu * cv)
+    # In descending order each naive piece is read before the step writes
+    # into it.
+    for key in sorted(naive, reverse=True):
+        for mono, coeff in naive[key].items():
+            if coeff and mono in corrections:
+                _add(naive, corrections[mono], key, -coeff)
+    return {
+        key: Polynomial._from_clean(qp.variables, clean)
+        for key in sorted(naive)
+        if (clean := {t: Fraction(c) for t, c in naive[key].items() if c})
+    }
+
+
 def _contributions(
     x: Polynomial, y: Polynomial, qp: Presentation
 ) -> dict[tuple[int, int], Polynomial]:
     """The quantum product of two classical classes split by curve class: the
     nonzero class over the classical basis multiplying q1^a q2^b, keyed by
-    (a, b).  The one place where class representatives are multiplied;
-    blow-up pieces are computed in bundle coordinates and translated back."""
+    (a, b).  The one product routine, for every deformed ring (n = 1
+    included); blow-up pieces are computed in bundle coordinates and
+    translated back."""
     if not qp.quantum:
         raise UsageError("quantum products need the deformed presentation")
     if qp.coords == BLOWUP:
@@ -308,17 +347,7 @@ def _contributions(
             quantum_presentation(qp.params, BUNDLE),
         )
         return {key: change_vars(piece, BUNDLE_TO_BLOWUP) for key, piece in pieces.items()}
-    z = qp.quotient.normal_form(class_representative(x, qp) * class_representative(y, qp))
-    naive = decompose_contributions(z)
-    corrections = basis_corrections(qp)
-    out = dict(naive)
-    zero = Polynomial.zero(qp.variables)
-    for (a, b), piece in naive.items():
-        for mono, corr in corrections.items():
-            coeff = piece.coefficient(mono)
-            if coeff:
-                out[(a, b + 1)] = out.get((a, b + 1), zero) - coeff * corr
-    return {key: val for key, val in sorted(out.items()) if not val.is_zero}
+    return _product(qp, _terms(x, qp), _terms(y, qp))
 
 
 def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomial:
@@ -425,47 +454,18 @@ def _staircase_products(
     qp: Presentation,
 ) -> dict[tuple[int, int], dict[tuple[int, int], Polynomial]]:
     """Quantum products of all staircase basis pairs (i <= j), split by
-    curve class: entry (i, j) is ``_contributions(b_i, b_j, qp)``.
-
-    Every product monomial's normal form is read from the integer model of
-    the ring (:class:`_RingModel`) that :func:`basis_corrections` reads too.
-    Entry (i, j) expands phi(b_i) * phi(b_j) bilinearly, where phi(b_s) =
-    b_s + q2*C(s) with C the basis corrections, and then takes the one
-    correction step 1 - q2*C of :func:`_contributions`.  The verification
-    suites of one instance share this table; only the latest is kept.
+    curve class: entry (i, j) is ``_contributions(b_i, b_j, qp)``, the same
+    expansion run with each phi(b_s) read once.  The verification suites of
+    one instance share this table; only the latest is kept.
     """
     if not qp.quantum or qp.coords != BUNDLE:
         raise UsageError("the product table is built on the deformed bundle ring")
-    model = _ring_model(qp)
-    corrections: dict[Mono, Vector] = {}
-    for s, corr in basis_corrections(qp).items():
-        if not corr.is_integral():
-            raise CheckFailure(f"non-integral basis correction {corr}")
-        corrections[s] = {(0, 1): {t: int(c) for t, c in corr.terms.items()}}
-    # phi(b_s) as (monomial, q2 exponent, coefficient) terms.
-    terms = [
-        [(s, 0, 1)] + [(u, 1, c) for u, c in corrections.get(s, {}).get((0, 1), {}).items()]
-        for s in qp.quotient.staircase
-    ]
-    table: dict[tuple[int, int], dict[tuple[int, int], Polynomial]] = {}
-    for i, terms_i in enumerate(terms):
-        for j in range(i, len(terms)):
-            naive: Vector = {}
-            for u, ku, cu in terms_i:
-                for v, kv, cv in terms[j]:
-                    _add(naive, model.product(mono_mul(u, v)), (0, ku + kv), cu * cv)
-            # One step of 1 - q2*C; in descending order each naive piece is
-            # read before the step writes into it.
-            for key in sorted(naive, reverse=True):
-                for mono, coeff in naive[key].items():
-                    if coeff and mono in corrections:
-                        _add(naive, corrections[mono], key, -coeff)
-            table[(i, j)] = {
-                key: Polynomial._from_clean(qp.variables, clean)
-                for key in sorted(naive)
-                if (clean := {t: Fraction(c) for t, c in naive[key].items() if c})
-            }
-    return table
+    terms = [_terms(b, qp) for b in qp.quotient.staircase_polynomials()]
+    return {
+        (i, j): _product(qp, terms_i, terms[j])
+        for i, terms_i in enumerate(terms)
+        for j in range(i, len(terms))
+    }
 
 
 def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
@@ -615,18 +615,18 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
         report.add(f"classical_specialization_{coords}", specialized == classical)
 
     # Products specialize too: the classical-class piece of the deformed
-    # product is the classical normal-form product on every basis pair.
-    cp = classical_presentation(params, BUNDLE)
+    # product is the classical product on every basis pair.
+    classical_ring = _ring_model(classical_presentation(params, BUNDLE))
+    staircase = qpf.quotient.staircase
     polys = qpf.quotient.staircase_polynomials()
     products = _staircase_products(qpf)
-    zero = Polynomial.zero(qpf.variables)
     mismatches = []
-    for i, bi in enumerate(polys):
-        for j in range(i, len(polys)):
-            deformed = products[(i, j)].get((0, 0), zero)
-            classical_nf = cp.quotient.normal_form(bi * polys[j])
-            if deformed != classical_nf:
-                mismatches.append(f"{bi} * {polys[j]}")
+    for i, si in enumerate(staircase):
+        for j in range(i, len(staircase)):
+            piece = products[(i, j)].get((0, 0))
+            expected = classical_ring.product(mono_mul(si, staircase[j])).get((0, 0), {})
+            if (piece.terms if piece else {}) != {t: c for t, c in expected.items() if c}:
+                mismatches.append(f"{polys[i]} * {polys[j]}")
     report.add(
         "product_specialization",
         not mismatches,

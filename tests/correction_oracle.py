@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from qcblowup import CheckFailure, Polynomial, classical_presentation, integrate
 from qcblowup.linalg import eliminate
-from qcblowup.quantum import decompose_contributions
+from product_oracle import decompose_contributions
 
 
 def polynomial_corrections(qp):

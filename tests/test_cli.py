@@ -1,6 +1,9 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
+
+import pytest
 
 from qcblowup import Polynomial, blowup_variables
 from qcblowup.cli import main
@@ -284,6 +287,28 @@ def test_json_output_is_deterministic(capsys):
     _, first = run(capsys, "verify", "--m", "4", "--p", "0", "--json")
     _, second = run(capsys, "verify", "--m", "4", "--p", "0", "--json")
     assert first == second
+
+
+# sha256 of the output bytes, recorded before the product moved onto the
+# integer ring model; a change that alters output on purpose records them again.
+GOLDEN = [
+    ("verify --grid-m 4..6 --grid-p 0..3 --json",
+     "1cbc08512cad48ca6241e7c888a8d9a8294d6d988b50fe1ced6d9fb54be7b5bb"),
+    ("gw --json --m 8 --p 1 --class 1,0 --alpha xi --beta xi^2 --gamma h^6*xi^2",
+     "3165fb93161687b34c18c5d019a3a1dc47c379aa7df3310bcca553d797ba9777"),
+    ("gw --json --m 6 --p 1 --coords blowup --class 1,0 --alpha k*eta^4 --beta k^3 --gamma k",
+     "2e42fd1081376b8941a5ca65cca732d63be1b04314889c3f03dc0608cb3ee16b"),
+    ("gw --json --m 3 --p 1 --class 1,1 --alpha h*xi --beta xi^2 --gamma h",
+     "272fc56d586d02191a1f3403787a863b143fc127409b24a56b0cb2a2c3972cca"),
+    ("gw --json --m 3 --p 1 --class 1,1 --alpha h*xi --beta h*xi^2 --gamma xi^2",
+     "c32cc024b2c4f6d1bbf2e79f9da616c8dc999e75cb03b1250aac04a9b8860132"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_output_bytes_match_the_recorded_digests(capsys, command, digest):
+    _, out = run(capsys, *command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_budget_env_variable(capsys, monkeypatch):

@@ -12,11 +12,12 @@ from qcblowup import (
     VariableSet,
     blowup_variables,
     bundle_variables,
-    decompose_contributions,
     derive_params,
     quantum_presentation,
 )
 from qcblowup.poly import grlex_key
+
+from product_oracle import decompose_contributions
 
 BV = bundle_variables(2, 3)
 KV = blowup_variables(2, 3)

@@ -1,5 +1,6 @@
 """Deformed presentations, quantum products and invariant extraction."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from qcblowup import quantum
 from qcblowup.quantum import _contributions, _ring_model, _staircase_products
 
 from correction_oracle import polynomial_corrections
+from product_oracle import groebner_contributions
 
 
 def bp(text, params):
@@ -380,18 +382,67 @@ def test_verify_suites_share_one_product_table():
     assert (info.misses, info.currsize) == (2, 1)
 
 
-def test_product_table_matches_contributions(grid_params):
-    # the matrix-built table against one Groebner product per basis pair
-    qp = quantum_presentation(grid_params, "bundle")
+def _assert_table_matches_oracle(qp):
     polys = qp.quotient.staircase_polynomials()
     table = _staircase_products(qp)
     pairs = [(i, j) for i in range(len(polys)) for j in range(i, len(polys))]
     assert list(table) == pairs
     for i, j in pairs:
-        expected = _contributions(polys[i], polys[j], qp)
+        expected = groebner_contributions(polys[i], polys[j], qp)
         assert list(table[(i, j)]) == list(expected), (polys[i], polys[j])
         for key, piece in expected.items():
             assert table[(i, j)][key] == piece, (polys[i], polys[j], key)
+
+
+def test_product_table_matches_contributions(grid_params):
+    # the table built on the ring model against one Groebner product per basis pair
+    _assert_table_matches_oracle(quantum_presentation(grid_params, "bundle"))
+
+
+def _random_class(rng, vs, staircase, top):
+    # one to three terms, on or off the staircase, some with rational coefficients
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            mono = rng.choice(staircase)
+        else:
+            a = rng.randint(0, top)
+            mono = (a, rng.randint(0, top - a), 0, 0)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        terms[mono] = Fraction(c, rng.choice([2, 3])) if rng.random() < 0.15 else c
+    return Polynomial(vs, terms)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_contributions_match_the_groebner_product(m):
+    # the ring-model routine against the Groebner assembly, by value and key
+    # order, on seeded queries over every (m, p) and both coordinate systems
+    rng = random.Random(m)
+    for p in range(m - 1):
+        params = derive_params(m, p)
+        for coords in ("bundle", "blowup"):
+            qp = quantum_presentation(params, coords)
+            staircase = classical_presentation(params, coords).quotient.staircase
+            for _ in range(15):
+                x, y = (
+                    _random_class(rng, qp.variables, staircase, params.top_degree)
+                    for _ in range(2)
+                )
+                expected = groebner_contributions(x, y, qp)
+                got = _contributions(x, y, qp)
+                assert list(got) == list(expected), (m, p, coords, x, y)
+                assert got == expected, (m, p, coords, x, y)
+
+
+def test_product_specialization_matches_classical_normal_forms(grid_params):
+    # the (0, 0) piece of each table entry against a Polynomial product and a
+    # classical normal form
+    qp = quantum_presentation(grid_params, "bundle")
+    cp = classical_presentation(grid_params, "bundle")
+    polys = qp.quotient.staircase_polynomials()
+    zero = Polynomial.zero(qp.variables)
+    for (i, j), pieces in _staircase_products(qp).items():
+        assert pieces.get((0, 0), zero) == cp.quotient.normal_form(polys[i] * polys[j])
 
 
 def test_product_table_takes_two_normal_forms_per_basis_class():
@@ -424,16 +475,29 @@ def test_basis_corrections_match_the_polynomial_assembly(m, p):
     assert corrections == expected
 
 
-@pytest.mark.parametrize("m, p", [(4, 2), (5, 3)])
-def test_ring_model_refuses_parameter_leading_terms(m, p):
+N_EQUALS_ONE = [(2, 0), (3, 1), (4, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("m, p", N_EQUALS_ONE, ids=[f"m{m}p{p}" for m, p in N_EQUALS_ONE])
+def test_ring_model_reads_normal_forms_where_a_parameter_leads(m, p):
     # n = 1: the deformed basis leads with xi*q2, so staircase classes times
-    # q-powers are not normal forms and the matrices would be wrong
+    # q-powers are not normal forms and the matrices would be wrong; the model
+    # reads the ring's own normal forms, and the table still equals the oracle
     qp = quantum_presentation(derive_params(m, p), "bundle")
+    vs = qp.variables
     assert (1, 0, 0, 1) in qp.quotient.basis.leading_monomials()
-    with pytest.raises(CheckFailure):
-        _ring_model(qp)
-    with pytest.raises(CheckFailure):
-        _staircase_products(qp)
+    model = _ring_model(qp)
+    assert model.matrices is None
+    staircase = qp.quotient.staircase
+    for i, s in enumerate(staircase):
+        for t in staircase[i:]:
+            mono = tuple(a + b for a, b in zip(s, t))
+            got = Polynomial.zero(vs)
+            for (a, b), piece in model.product(mono).items():
+                for u, c in piece.items():
+                    got = got + Polynomial.monomial(vs, (u[0], u[1], a, b), c)
+            assert got == qp.quotient.normal_form(Polynomial.monomial(vs, mono)), mono
+    _assert_table_matches_oracle(qp)
 
 
 def test_product_table_needs_the_deformed_bundle_ring(params40):
@@ -450,6 +514,7 @@ def test_product_table_rejects_a_fractional_correction(monkeypatch, params40):
     top = qp.quotient.staircase[-1]
     half = Polynomial(qp.variables, {qp.quotient.staircase[0]: Fraction(1, 2)})
     monkeypatch.setattr(quantum, "basis_corrections", lambda qp: {top: half})
+    quantum._correction_vectors.cache_clear()
     with pytest.raises(CheckFailure):
         _staircase_products.__wrapped__(qp)
 
