@@ -17,11 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import BudgetError, StructuralError, UsageError
+from .errors import BudgetError, CheckFailure, StructuralError, UsageError
 from .poly import (
     Mono,
     Polynomial,
+    Scalar,
     VariableSet,
     _add_term,
     grlex_key,
@@ -223,6 +225,68 @@ def _normal_form_monomial(gb: GroebnerBasis, mono: Mono) -> Polynomial:
     return cached
 
 
+Vector = dict[tuple[int, int], dict[Mono, int]]  # q-power -> staircase monomial -> int
+
+
+def _add(out: Vector, vec: Vector, shift: tuple[int, int], scale: Scalar) -> None:
+    """out += scale * q1^shift[0] * q2^shift[1] * vec."""
+    for (a, b), piece in vec.items():
+        target = out.setdefault((a + shift[0], b + shift[1]), {})
+        for t, c in piece.items():
+            target[t] = target.get(t, 0) + scale * c
+
+
+class _RingModel:
+    """A quotient in two divisor variables and q1, q2 as integer linear
+    algebra: it is a free Z[q1, q2]-module on the staircase, so
+    multiplication is given by integer matrices (Auzinger-Stetter 1988; Cox,
+    Little and O'Shea, *Using Algebraic Geometry*, ch. 2).  ``matrices``
+    sends each staircase monomial s to its products with the two variables
+    (2*rank normal forms); :meth:`product` applies them to give the normal
+    form of any parameter-free monomial, memoised.  Where q1 or q2 leads a
+    basis element (n = 1) the matrices do not compose, ``matrices`` is None
+    and :meth:`product` reads the ring's own normal forms.  A rational
+    normal form (classical blow-up rings with p >= 1) is refused."""
+
+    units = ((1, 0, 0, 0), (0, 1, 0, 0))  # the two divisor variables
+
+    def __init__(self, quotient: QuotientRing) -> None:
+        self._vs, self._nf = quotient.variables, quotient.normal_form
+        staircase = quotient.staircase
+        self._on_staircase = set(staircase)
+        free = all(map(self._vs.is_parameter_free, quotient.basis.leading_monomials()))
+        self.matrices = tuple(
+            {s: self._read(mono_mul(s, unit)) for s in staircase} for unit in self.units
+        ) if free else None
+        self._products: dict[Mono, Vector] = {s: {(0, 0): {s: 1}} for s in staircase}
+        for unit, rows in zip(self.units, self.matrices or ()):
+            self._products.update((mono_mul(s, unit), row) for s, row in rows.items())
+
+    def _read(self, mono: Mono) -> Vector:
+        """The normal form of a parameter-free monomial, split by q-power."""
+        f = self._nf(Polynomial.monomial(self._vs, mono))
+        out: Vector = {}
+        for t, c in f.terms.items():
+            s = t[:2] + (0, 0)
+            if c.denominator != 1 or s not in self._on_staircase:
+                raise CheckFailure(f"{f} is not an integral vector over the staircase")
+            out.setdefault(t[2:], {})[s] = c.numerator
+        return out
+
+    def product(self, mono: Mono) -> Vector:
+        if mono not in self._products:
+            if self.matrices is None:
+                out = self._read(mono)
+            else:
+                var = 1 if mono[1] else 0  # peel off the second variable first
+                out = {}
+                for key, piece in self.product(mono_div(mono, self.units[var])).items():
+                    for s, c in piece.items():
+                        _add(out, self.matrices[var][s], key, c)
+            self._products[mono] = out
+        return self._products[mono]
+
+
 @dataclass(frozen=True)
 class QuotientRing:
     """A quotient by a Groebner basis together with its staircase.
@@ -230,7 +294,8 @@ class QuotientRing:
     The staircase lists, in ascending graded-lex order, the monomials in the
     divisor variables not divisible by any leading term; deformation
     parameters are excluded from the listing, so for deformed ideals the
-    quotient is a parameter-module on these monomials.
+    quotient is a parameter-module on these monomials.  Its integer
+    :attr:`model` is built on first use and kept outside equality and hashing.
     """
 
     basis: GroebnerBasis
@@ -252,6 +317,11 @@ class QuotientRing:
 
     def staircase_strings(self) -> tuple[str, ...]:
         return tuple(str(p) for p in self.staircase_polynomials())
+
+    @cached_property
+    def model(self) -> _RingModel:
+        """Multiplication matrices and memoised monomial products."""
+        return _RingModel(self)
 
 
 def staircase_basis(gb: GroebnerBasis) -> QuotientRing:
@@ -287,12 +357,9 @@ def staircase_basis(gb: GroebnerBasis) -> QuotientRing:
 
 
 def ideal_equal(a: Ideal, b: Ideal, *, max_degree: int | None = None) -> bool:
-    """True iff the two ideals coincide: every generator of each has normal
-    form zero modulo the other's Groebner basis."""
+    """True iff the two ideals coincide, that is iff their reduced Groebner
+    bases are equal: a reduced basis is unique for an ideal and an order (Cox,
+    Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 Sec. 7)."""
     if a.variables != b.variables:
         raise UsageError("ideals over different variable sets")
-    gb_a = buchberger(a, max_degree=max_degree)
-    gb_b = buchberger(b, max_degree=max_degree)
-    return all(normal_form(g, gb_b).is_zero for g in a.generators) and all(
-        normal_form(g, gb_a).is_zero for g in b.generators
-    )
+    return buchberger(a, max_degree=max_degree) == buchberger(b, max_degree=max_degree)

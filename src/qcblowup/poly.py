@@ -290,9 +290,7 @@ class Polynomial:
 
     def _check_same_variables(self, other: Polynomial) -> None:
         if self.variables != other.variables:
-            raise UsageError(
-                f"mixed variable sets: {self.variables.names} vs {other.variables.names}"
-            )
+            raise UsageError(f"mixed variable sets: {self.variables} vs {other.variables}")
 
     def _coerce(self, other) -> Polynomial | None:
         if isinstance(other, Polynomial):
@@ -471,6 +469,8 @@ class Polynomial:
             for part in body.split("*"):
                 num = _NUMBER_RE.match(part)
                 if num:
+                    if num.group(2) and not int(num.group(2)):
+                        raise ParseError(f"zero denominator in {text!r}")
                     coeff *= Fraction(int(num.group(1)), int(num.group(2) or 1))
                     continue
                 fac = _FACTOR_RE.match(part)

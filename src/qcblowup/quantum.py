@@ -25,8 +25,8 @@ of the three-point theory and are solved for exactly (see
 :func:`basis_corrections`).  All extraction goes through the corrected
 identification, which is what makes the extracted three-point function
 symmetric.  Every product is expanded by one routine
-(:func:`_contributions`) on one integer model of each bundle ring, its
-multiplication matrices (:class:`_RingModel`); the rows of the correction
+(:func:`_contributions`) on the integer model of each bundle ring, its
+multiplication matrices (``quotient.model``); the rows of the correction
 solve are read from the same model, and the verification suites share a
 table of staircase products (:func:`_staircase_products`) built by the
 same routine.  The tests check the products and the solve against
@@ -52,17 +52,17 @@ from .geometry import (
     CurveClass,
     GeometryParams,
     Presentation,
+    _carries_ideal,
     _presentation,
     change_vars,
     classical_presentation,
-    classical_relations,
     integrate,
     pairing_matrix,
     quantum_relations,  # noqa: F401  (kept importable from this module)
 )
-from .groebner import Ideal, ideal_equal
+from .groebner import Vector, _add, _RingModel
 from .linalg import eliminate
-from .poly import Mono, Polynomial, Scalar, _add_term, mono_div, mono_mul
+from .poly import Mono, Polynomial, Scalar, _add_term, mono_mul
 from .report import CheckReport
 
 
@@ -73,73 +73,7 @@ def quantum_presentation(
     return _presentation(params, coords, True, max_degree)
 
 
-Vector = dict[tuple[int, int], dict[Mono, int]]  # q-power -> staircase monomial -> int
 Term = tuple[Mono, int, Scalar]  # parameter-free monomial, q2 exponent, coefficient
-
-
-def _add(out: Vector, vec: Vector, shift: tuple[int, int], scale: Scalar) -> None:
-    """out += scale * q1^shift[0] * q2^shift[1] * vec."""
-    for (a, b), piece in vec.items():
-        target = out.setdefault((a + shift[0], b + shift[1]), {})
-        for t, c in piece.items():
-            target[t] = target.get(t, 0) + scale * c
-
-
-class _RingModel:
-    """A bundle quotient as integer linear algebra: the deformed ring is a
-    free Z[q1, q2]-module on the staircase, so multiplication is given by
-    integer matrices (Auzinger-Stetter 1988; Cox, Little and O'Shea, *Using
-    Algebraic Geometry*, ch. 2).  ``matrices`` sends each staircase monomial
-    s to xi*s and h*s (2*rank normal forms); :meth:`product` applies them to
-    give the normal form of any parameter-free monomial, memoised.  Where q1
-    or q2 leads a basis element (n = 1), staircase classes times q-powers
-    are not normal forms and the matrices do not compose; there
-    ``matrices`` is None and :meth:`product` reads the ring's own normal
-    form of each monomial instead."""
-
-    units = ((1, 0, 0, 0), (0, 1, 0, 0))  # xi, h
-
-    def __init__(self, pres: Presentation) -> None:
-        self._vs, self._nf = pres.variables, pres.quotient.normal_form
-        staircase = pres.quotient.staircase
-        self._on_staircase = set(staircase)
-        free = all(map(self._vs.is_parameter_free, pres.quotient.basis.leading_monomials()))
-        self.matrices = tuple(
-            {s: self._read(mono_mul(s, unit)) for s in staircase} for unit in self.units
-        ) if free else None
-        self._products: dict[Mono, Vector] = {s: {(0, 0): {s: 1}} for s in staircase}
-        for unit, rows in zip(self.units, self.matrices or ()):
-            self._products.update((mono_mul(s, unit), row) for s, row in rows.items())
-
-    def _read(self, mono: Mono) -> Vector:
-        """The normal form of a parameter-free monomial, split by q-power."""
-        f = self._nf(Polynomial.monomial(self._vs, mono))
-        out: Vector = {}
-        for t, c in f.terms.items():
-            s = t[:2] + (0, 0)
-            if c.denominator != 1 or s not in self._on_staircase:
-                raise CheckFailure(f"{f} is not an integral vector over the staircase")
-            out.setdefault(t[2:], {})[s] = c.numerator
-        return out
-
-    def product(self, mono: Mono) -> Vector:
-        if mono not in self._products:
-            if self.matrices is None:
-                out = self._read(mono)
-            else:
-                var = 1 if mono[1] else 0  # peel off an h first, else an xi
-                out = {}
-                for key, piece in self.product(mono_div(mono, self.units[var])).items():
-                    for s, c in piece.items():
-                        _add(out, self.matrices[var][s], key, c)
-            self._products[mono] = out
-        return self._products[mono]
-
-
-@lru_cache(maxsize=None)
-def _ring_model(pres: Presentation) -> _RingModel:
-    """The model of a presentation, kept as long as the presentation is."""
-    return _RingModel(pres)
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +94,7 @@ def basis_corrections(qp: Presentation) -> dict[Mono, Polynomial]:
       two-point class for every divisor;
     * three-point invariants with a fundamental-class insertion vanish.
 
-    Every row is read from the integer models (:class:`_RingModel`) of the
+    Every row is read from the integer models (``quotient.model``) of the
     deformed and the classical ring: the q2-part of D*c from the deformed
     matrix of the divisor D, the classical D*mu and D*c from the classical
     matrices, and each closure integral as the top-monomial coefficient of a
@@ -178,7 +112,7 @@ def basis_corrections(qp: Presentation) -> dict[Mono, Polynomial]:
     staircase = qp.quotient.staircase
     if cp.quotient.staircase != staircase:
         raise CheckFailure("deformed and classical staircases differ")
-    deformed, classical = _ring_model(qp), _ring_model(cp)
+    deformed, classical = qp.quotient.model, cp.quotient.model
     n, top = params.n, params.top_degree
     by_degree: dict[int, list[Mono]] = {}
     for mono in staircase:
@@ -259,21 +193,29 @@ def basis_corrections(qp: Presentation) -> dict[Mono, Polynomial]:
     return corrections
 
 
+def _below_top(f: Polynomial, params: GeometryParams) -> Polynomial:
+    """A parameter-free class without its terms above the top degree, which
+    are zero in cohomology."""
+    if not f.is_parameter_free():
+        raise UsageError("classical classes must be parameter-free")
+    degree, top = f.variables.weighted_degree, params.top_degree
+    terms = {mono: c for mono, c in f.terms.items() if degree(mono) <= top}
+    return Polynomial._from_clean(f.variables, terms)
+
+
 def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     """The element of the deformed quotient representing a classical class.
 
-    Any parameter-free polynomial is accepted.  A term outside the classical
-    staircase is first reduced with the classical normal form, so that the
-    correction coefficients are read off the class's expansion over the
-    classical basis; staircase inputs skip the reduction.
+    Any parameter-free polynomial is accepted.  Terms above the top degree
+    are dropped and the rest is reduced to the classical staircase (staircase
+    inputs skip the reduction), so the correction coefficients are read off
+    the class's expansion over the classical basis.
     """
     if f.variables != qp.variables:
         raise UsageError("class over a different variable set than the presentation")
-    if not f.is_parameter_free():
-        raise UsageError("classical classes must be parameter-free")
     classical = classical_presentation(qp.params, qp.coords).quotient
     if not set(f.terms) <= set(classical.staircase):
-        f = classical.normal_form(f)
+        f = classical.normal_form(_below_top(f, qp.params))
     q2 = tuple(int(name == "q2") for name in qp.variables.names)
     out = dict(f.terms)
     for mono, corr in basis_corrections(qp).items():
@@ -308,11 +250,11 @@ def _correction_vectors(qp: Presentation) -> dict[Mono, Vector]:
 def _product(
     qp: Presentation, x: list[Term], y: list[Term]
 ) -> dict[tuple[int, int], Polynomial]:
-    """phi(x) * phi(y) expanded on the ring model (:class:`_RingModel`),
+    """phi(x) * phi(y) expanded on the ring model (``qp.quotient.model``),
     followed by the one correction step 1 - q2*C that turns the staircase
     monomials of each piece into the classical basis classes; the nonzero
     pieces in key order."""
-    model, corrections = _ring_model(qp), _correction_vectors(qp)
+    model, corrections = qp.quotient.model, _correction_vectors(qp)
     naive: Vector = {}
     for u, ku, cu in x:
         for v, kv, cv in y:
@@ -337,13 +279,13 @@ def _contributions(
     nonzero class over the classical basis multiplying q1^a q2^b, keyed by
     (a, b).  The one product routine, for every deformed ring (n = 1
     included); blow-up pieces are computed in bundle coordinates and
-    translated back."""
+    translated back, after terms above the top degree are dropped."""
     if not qp.quantum:
         raise UsageError("quantum products need the deformed presentation")
     if qp.coords == BLOWUP:
         pieces = _contributions(
-            change_vars(x, BLOWUP_TO_BUNDLE),
-            change_vars(y, BLOWUP_TO_BUNDLE),
+            change_vars(_below_top(x, qp.params), BLOWUP_TO_BUNDLE),
+            change_vars(_below_top(y, qp.params), BLOWUP_TO_BUNDLE),
             quantum_presentation(qp.params, BUNDLE),
         )
         return {key: change_vars(piece, BUNDLE_TO_BLOWUP) for key, piece in pieces.items()}
@@ -413,23 +355,17 @@ class GWQuery:
 def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     """Evaluate a three-point invariant from the deformed presentation.
 
-    Blow-up queries are translated to bundle coordinates first.  The classes
-    need not be written in staircase monomials: any class is reduced to the
-    classical staircase before the basis corrections apply (see
+    Queries that fail the degree bookkeeping, checked in their own
+    coordinates, or with a class above the top degree return 0; blow-up
+    queries are then translated to bundle coordinates.  Any class is reduced
+    to the classical staircase before the basis corrections apply (see
     :func:`class_representative`).  The result of an admissible integral
-    query is asserted to be an integer; queries that fail the degree
-    bookkeeping return 0.
+    query is asserted to be an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
-    alpha, beta, gamma = query.alpha, query.beta, query.gamma
-    if qp.coords == BLOWUP:
-        qp = quantum_presentation(qp.params, BUNDLE)
-        alpha, beta, gamma = (
-            change_vars(c, BLOWUP_TO_BUNDLE) for c in (alpha, beta, gamma)
-        )
-        query = GWQuery(query.curve, alpha, beta, gamma)
-    for c in (alpha, beta, gamma):
+    classes = (query.alpha, query.beta, query.gamma)
+    for c in classes:
         if c.variables != qp.variables:
             raise UsageError("query class over a different variable set")
         if not c.is_parameter_free():
@@ -438,8 +374,13 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
             raise UsageError("query classes must be nonzero and homogeneous")
     if query.curve.a < 0 or query.curve.b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
-    if not query.admissible:
+    top = qp.params.top_degree
+    if not query.admissible or any(c.weighted_degree() > top for c in classes):
         return Fraction(0)
+    alpha, beta, gamma = classes
+    if qp.coords == BLOWUP:
+        qp = quantum_presentation(qp.params, BUNDLE)
+        alpha, beta, gamma = (change_vars(c, BLOWUP_TO_BUNDLE) for c in classes)
     key = (query.curve.a, query.curve.b)
     piece = _contributions(alpha, beta, qp).get(key, Polynomial.zero(qp.variables))
     value = integrate(piece * gamma, classical_presentation(qp.params, BUNDLE))
@@ -589,13 +530,7 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
     )
 
     # The coordinate change carries the deformed ideals onto each other.
-    mapped = tuple(change_vars(g, BLOWUP_TO_BUNDLE) for g in qpb.relations)
-    report.add(
-        "deformed_ideal_correspondence",
-        ideal_equal(
-            Ideal(qpf.variables, mapped), Ideal(qpf.variables, qpf.relations)
-        ),
-    )
+    report.add("deformed_ideal_correspondence", _carries_ideal(qpb, qpf))
 
     # Homogeneity and rank preservation under deformation.
     report.add(
@@ -610,13 +545,13 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
 
     # q -> 0 recovers the classical presentations exactly.
     for qp, coords in ((qpb, BLOWUP), (qpf, BUNDLE)):
-        classical = classical_relations(params, coords)
+        classical = classical_presentation(params, coords).relations
         specialized = tuple(g.substitute({"q1": 0, "q2": 0}) for g in qp.relations)
         report.add(f"classical_specialization_{coords}", specialized == classical)
 
     # Products specialize too: the classical-class piece of the deformed
     # product is the classical product on every basis pair.
-    classical_ring = _ring_model(classical_presentation(params, BUNDLE))
+    classical_ring = classical_presentation(params, BUNDLE).quotient.model
     staircase = qpf.quotient.staircase
     polys = qpf.quotient.staircase_polynomials()
     products = _staircase_products(qpf)

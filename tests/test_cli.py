@@ -121,6 +121,28 @@ def test_gw_parse_failure_exit_2(capsys):
     assert doc["status"] == "usage-error"
 
 
+@pytest.mark.parametrize("command", [
+    "integrate --m 4 --p 0 --class 2/0*xi^4",
+    "gw --m 4 --p 0 --class 1,0 --alpha 1/0*xi --beta xi --gamma h^3*xi",
+])
+def test_zero_denominator_is_a_usage_error(capsys, command):
+    code, doc = run_json(capsys, *command.split())
+    assert code == 2
+    assert doc["status"] == "usage-error"
+    assert "zero denominator" in doc["payload"]["error"]
+
+
+@pytest.mark.parametrize("command", [
+    "gw --m 4 --p 0 --class 100000,0 --alpha xi^200000 --beta 1 --gamma h^3*xi",
+    "gw --m 4 --p 0 --coords blowup --class 4000,0 --alpha k^8000 --beta 1 --gamma k^4",
+])
+def test_gw_class_above_the_top_degree_is_zero_at_once(capsys, command):
+    code, doc = run_json(capsys, *command.split())
+    assert code == 0
+    payload = doc["payload"]
+    assert (payload["value"], payload["d"], payload["admissible"]) == (0, 0, True)
+
+
 def test_gw_bad_curve_class_exit_2(capsys):
     code, _ = run(
         capsys, "gw", "--m", "4", "--p", "0", "--class", "1;0",
@@ -302,6 +324,18 @@ GOLDEN = [
      "272fc56d586d02191a1f3403787a863b143fc127409b24a56b0cb2a2c3972cca"),
     ("gw --json --m 3 --p 1 --class 1,1 --alpha h*xi --beta h*xi^2 --gamma xi^2",
      "c32cc024b2c4f6d1bbf2e79f9da616c8dc999e75cb03b1250aac04a9b8860132"),
+    # recorded before the pairing matrix and the correspondence checks read
+    # each ring's own Groebner basis
+    ("basis --m 6 --p 1 --coords blowup --json",
+     "5cd2330b5fcda96d2c8c939a6ceba7d4b3719f2a2e274decd71690fc4e45e4a4"),
+    ("basis --m 8 --p 1 --coords blowup --json",
+     "013fcd27394311d22a368a9735dff0b266527441f3fe01e0fe7abf4a23c1c3f4"),
+    ("basis --m 11 --p 3 --coords blowup --json",
+     "c09afebaab8729eefde46448e11c1b5e967e4c6ccdebe614f5e396f446a3e151"),
+    ("basis --m 5 --p 3 --coords blowup --json",
+     "4dc75b7401783f4974b1b556e121d8e493212cb56dea7412c493673fe92be211"),
+    ("verify --m 11 --p 3 --json",
+     "decb6d5825f4d8234aa07f57bcee56cac51e3f9d1c0e97c8c57256839a71204d"),
 ]
 
 

@@ -1,10 +1,14 @@
 """Parameters, Chern data, presentations, integration, pairings."""
 
+from dataclasses import replace
+from math import comb
+
 import pytest
 
 from qcblowup import (
     BLOWUP_TO_BUNDLE,
     BUNDLE_TO_BLOWUP,
+    CheckFailure,
     CurveClass,
     EXCEPTIONAL_LINE,
     FIBER_LINE,
@@ -29,6 +33,7 @@ from qcblowup import (
     verify_classical_geometry,
     virtual_dimension,
 )
+from qcblowup import geometry
 from bareiss import bareiss_determinant
 
 
@@ -165,6 +170,50 @@ def test_ideal_correspondence_on_grid(grid_params):
     assert ideal_equal(Ideal(blowup.variables, mapped_back), Ideal(blowup.variables, blowup.relations))
 
 
+def _entry(report, name):
+    (entry,) = [e for e in report.entries if e.name == name]
+    return entry.passed
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(geometry, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
+def test_each_correspondence_check_builds_one_basis(monkeypatch, params81):
+    # the other side of each comparison is the basis the presentation holds
+    verify_classical_geometry(params81)
+    calls = _counting(monkeypatch, "buchberger")
+    report = verify_classical_geometry(params81)
+    assert _entry(report, "ideal_correspondence_to_bundle")
+    assert _entry(report, "ideal_correspondence_to_blowup")
+    assert len(calls) == 2
+
+
+def test_ideal_correspondence_fails_on_a_changed_relation(monkeypatch, params40):
+    # the mapped fiber relation gains h^r, a nonzero class below its leading
+    # term, so the ideals differ while their leading monomials agree
+    bundle = classical_presentation(params40, "bundle")
+    h = Polynomial.variable(bundle.variables, "h")
+    original = geometry.change_vars
+
+    def changed(f, direction):
+        out = original(f, direction)
+        return out + h**params40.r if out == bundle.relations[1] else out
+
+    monkeypatch.setattr(geometry, "change_vars", changed)
+    report = verify_classical_geometry(params40)
+    assert not _entry(report, "ideal_correspondence_to_bundle")
+    assert _entry(report, "ideal_correspondence_to_blowup")
+
+
 # -- integration -----------------------------------------------------------------
 
 
@@ -289,6 +338,41 @@ def test_pairing_matrix_matches_entrywise_integrals(grid_params):
 def test_blowup_pairing_matrix_nondegenerate(params40):
     pres = classical_presentation(params40, "blowup")
     assert bareiss_determinant(pairing_matrix(pres)) in (1, -1)
+
+
+def test_blowup_pairing_matrix_reduces_in_its_own_ring(monkeypatch, grid_params):
+    # only the integral of the top class eta^m crosses to bundle coordinates
+    pres = classical_presentation(grid_params, "blowup")
+    calls = _counting(monkeypatch, "change_vars")
+    pairing_matrix(pres)
+    assert len(calls) <= 1
+
+
+BLOWUPS_TO_12 = [(m, p) for m in range(2, 13) for p in range(m - 1)]
+
+
+@pytest.mark.parametrize("m, p", BLOWUPS_TO_12, ids=[f"m{m}p{p}" for m, p in BLOWUPS_TO_12])
+def test_top_blowup_class_integrates_to_the_exceptional_self_intersection(m, p):
+    # eta^m = (-1)^(m-1-p) C(m-1, p) for the blow-up of P^m along P^p
+    pres = classical_presentation(derive_params(m, p), "blowup")
+    assert [s for s in pres.quotient.staircase if sum(s) == m] == [(0, m, 0, 0)]
+    eta = Polynomial.variable(pres.variables, "eta")
+    assert integrate(eta**m, pres) == (-1) ** (m - 1 - p) * comb(m - 1, p)
+
+
+def test_pairing_matrix_needs_one_top_staircase_monomial(params40):
+    for coords in ("bundle", "blowup"):
+        pres = classical_presentation(params40, coords)
+        short = replace(pres, quotient=replace(pres.quotient, staircase=pres.quotient.staircase[:-1]))
+        with pytest.raises(CheckFailure, match="0 staircase monomials of top degree"):
+            pairing_matrix(short)
+
+
+def test_pairing_across_two_instances_names_the_weights():
+    k = Polynomial.variable(blowup_variables(3, 4), "k")  # (m, p) = (6, 1)
+    pres = classical_presentation(derive_params(7, 1), "bundle")
+    with pytest.raises(UsageError, match=r"weights=\(1, 1, 3, 4\).* vs .*weights=\(1, 1, 3, 5\)"):
+        pair_divisor_curve(k, FIBER_LINE, pres)
 
 
 # -- anticanonical, dimensions, positivity ----------------------------------------

@@ -227,6 +227,15 @@ def test_ideal_inequality_detected():
     assert not ideal_equal(a, b)
 
 
+def test_ideal_inequality_detected_under_equal_leading_monomials():
+    # both reduced bases lead with h^2 and xi^2, yet xi^2 is only in the first
+    a = Ideal(BV, (poly("h^2"), poly("xi^2")))
+    b = Ideal(BV, (poly("h^2"), poly("xi^2 + h*xi")))
+    assert buchberger(a).leading_monomials() == buchberger(b).leading_monomials()
+    assert not ideal_equal(a, b)
+    assert ideal_equal(b, Ideal(BV, (poly("xi^2 + h*xi + h^2"), poly("h^2"))))
+
+
 def test_ideal_equal_requires_same_setting():
     from qcblowup import blowup_variables
 

@@ -69,6 +69,17 @@ def test_mismatched_variable_sets_rejected():
         Polynomial.variable(BV, "h") + Polynomial.variable(KV, "k")
 
 
+def test_mismatched_variable_sets_name_their_weights():
+    # same names, different weights: the message has to tell the two apart
+    h6, h7 = (Polynomial.variable(bundle_variables(3, n), "h") for n in (4, 5))
+    with pytest.raises(UsageError) as err:
+        h6 * h7
+    message = str(err.value)
+    assert message.startswith("mixed variable sets: VariableSet(names=('xi', 'h', 'q1', 'q2')")
+    assert "weights=(1, 1, 3, 4)" in message.split(" vs ")[0]
+    assert "weights=(1, 1, 3, 5)" in message.split(" vs ")[1]
+
+
 def test_negative_power_rejected():
     with pytest.raises(UsageError):
         Polynomial.variable(BV, "h") ** -1
@@ -246,6 +257,13 @@ def test_parse_rejects_garbage():
             Polynomial.parse(BV, bad)
     with pytest.raises(UsageError):
         Polynomial.parse(BV, "z^2")
+
+
+def test_parse_rejects_a_zero_denominator():
+    for bad in ("2/0*xi^4", "1/0*xi", "h + 0/0", "xi*3/00"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            Polynomial.parse(BV, bad)
+    assert Polynomial.parse(BV, "0/3*h + 3/6") == Fraction(1, 2)
 
 
 @settings(max_examples=80, deadline=None)

@@ -29,7 +29,7 @@ from qcblowup import (
     verify_s3_symmetry,
 )
 from qcblowup import quantum
-from qcblowup.quantum import _contributions, _ring_model, _staircase_products
+from qcblowup.quantum import _contributions, _staircase_products
 
 from correction_oracle import polynomial_corrections
 from product_oracle import groebner_contributions
@@ -326,6 +326,25 @@ def test_gw_query_validation():
 # -- verification suites --------------------------------------------------------------
 
 
+def test_deformed_correspondence_reuses_the_presentation_bases(monkeypatch, params81):
+    # one basis, of the mapped relations; the classical relations are read
+    # off the classical presentations
+    from qcblowup import geometry
+
+    verify_quantum_presentation(params81)
+    calls = {"buchberger": 0, "classical_relations": 0}
+    for name in calls:
+        original = getattr(geometry, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, counted)
+    assert verify_quantum_presentation(params81).ok
+    assert calls == {"buchberger": 1, "classical_relations": 0}
+
+
 def test_gw_identity_suite_entries(params40):
     report = verify_gw_identities(params40, b_max=2)
     assert report.ok, [e.name for e in report.failures()]
@@ -450,14 +469,17 @@ def test_product_table_takes_two_normal_forms_per_basis_class():
     # h*s are normal-formed, in the deformed and in the classical ring
     qp = quantum_presentation(derive_params(11, 3), "bundle")
     cp = classical_presentation(qp.params, "bundle")
-    for cache in (basis_corrections, _staircase_products, _ring_model):
+    for cache in (basis_corrections, _staircase_products):
         cache.cache_clear()
+    for pres in (qp, cp):
+        vars(pres.quotient).pop("model", None)
     memos = [pres.quotient.basis._nf_memo for pres in (qp, cp)]
     for memo in memos:
         memo.clear()
     basis_corrections(qp)
+    models = [pres.quotient.model for pres in (qp, cp)]
     _staircase_products(qp)
-    assert _ring_model.cache_info().misses == 2
+    assert [pres.quotient.model for pres in (qp, cp)] == models
     for memo in memos:
         assert 0 < len(memo) <= 2 * qp.quotient.rank
 
@@ -486,7 +508,7 @@ def test_ring_model_reads_normal_forms_where_a_parameter_leads(m, p):
     qp = quantum_presentation(derive_params(m, p), "bundle")
     vs = qp.variables
     assert (1, 0, 0, 1) in qp.quotient.basis.leading_monomials()
-    model = _ring_model(qp)
+    model = qp.quotient.model
     assert model.matrices is None
     staircase = qp.quotient.staircase
     for i, s in enumerate(staircase):
@@ -614,6 +636,37 @@ def test_zero_class_gives_zero():
     assert gw_invariant(GWQuery(CurveClass(0, 1), zero, one, gamma), qp) == 0
     assert gw_invariant(GWQuery(CurveClass(0, 1), one, zero, gamma), qp) == 0
     assert quantum_product(zero, one, qp).is_zero
+
+
+@pytest.mark.parametrize("coords", ["bundle", "blowup"])
+def test_classes_above_the_top_degree_are_never_reduced(monkeypatch, coords):
+    # xi^200 (k^200) is zero in cohomology: nothing reduces or translates it
+    from qcblowup import groebner
+
+    params = derive_params(4, 0)
+    qp = quantum_presentation(params, coords)
+    vs = qp.variables
+    x, y = (Polynomial.variable(vs, name) for name in vs.names[:2])
+    one, point = Polynomial.one(vs), x * y**3
+    gw_invariant(GWQuery(CurveClass(1, 0), x, x, point), qp)  # builds the models
+    seen = []
+    for module, name in ((groebner, "normal_form"), (quantum, "change_vars")):
+        original = getattr(module, name)
+
+        def spy(f, *args, original=original):
+            seen.append(f.weighted_degree())
+            return original(f, *args)
+
+        monkeypatch.setattr(module, name, spy)
+    high = x**200
+    assert gw_invariant(GWQuery(CurveClass(100, 0), high, one, point), qp) == 0
+    assert gw_invariant(GWQuery(CurveClass(100, 0), one, high, point), qp) == 0
+    assert contribution_by_class(high + x, y, 1, 0, qp) == contribution_by_class(x, y, 1, 0, qp)
+    assert class_representative(high + point, qp) == class_representative(point, qp)
+    assert max(seen, default=0) <= params.top_degree
+    # the spy does see a reduction of such a class
+    assert classical_presentation(params, coords).quotient.normal_form(high).is_zero
+    assert seen[-1] == 200
 
 
 def test_presentations_are_built_once_per_key():
