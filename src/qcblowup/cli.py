@@ -77,10 +77,14 @@ def _document(command: str, request: dict, payload: dict, status: str) -> dict:
 
 
 def _emit(doc: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(text)
+    """Print the document.  A reader that closes the pipe early (``| head``)
+    is not a failed check: the rest is dropped, and stdout is pointed at
+    devnull so that the interpreter's final flush cannot raise again."""
+    try:
+        print(json.dumps(doc, indent=2, sort_keys=True) if as_json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # -- subcommand handlers -----------------------------------------------------

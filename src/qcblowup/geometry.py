@@ -31,7 +31,8 @@ from functools import lru_cache
 from .errors import CheckFailure, UsageError
 from .groebner import Ideal, QuotientRing, buchberger, staircase_basis
 from .linalg import determinant
-from .poly import Polynomial, Scalar, VariableSet, blowup_variables, bundle_variables, mono_mul
+from .poly import Polynomial, Scalar, VariableSet, _add_term, mono_mul
+from .poly import blowup_variables, bundle_variables
 from .report import CheckReport
 
 BUNDLE = "bundle"
@@ -222,33 +223,47 @@ def classical_presentation(
     return _presentation(params, coords, False, max_degree)
 
 
+def _binary_form(a: int, b: int, images: tuple[tuple[int, int], ...]) -> list[int]:
+    """Coefficients of (u1 s + v1 t)^a (u2 s + v2 t)^b for images
+    ((u1, v1), (u2, v2)), indexed by the power of t."""
+    row = [1]
+    for (u, v), e in zip(images, (a, b)):
+        for _ in range(e):
+            row = [u * x + v * y for x, y in zip(row + [0], [0] + row)]
+    return row
+
+
 def change_vars(f: Polynomial, direction: str) -> Polynomial:
     """Translate between the two coordinate systems.
 
     Forward (blow-up to bundle): k -> xi - h, eta -> xi - 2h.
     Inverse (bundle to blow-up): h -> k - eta, xi -> 2k - eta.
-    The deformation parameters pass through unchanged.
+    The deformation parameters pass through unchanged.  Each monomial
+    x^a y^b q1^s q2^t goes to an integer binary form of degree a + b in the
+    two target divisors (:func:`_binary_form`), so no polynomial power or
+    product is formed.
     """
     vs = f.variables
     if direction == BLOWUP_TO_BUNDLE:
         if vs.names != ("k", "eta", "q1", "q2"):
             raise UsageError("expected a polynomial in blow-up coordinates")
-        r, n = vs.weights[2], vs.weights[3]
-        target = bundle_variables(r, n)
-        xi = Polynomial.variable(target, "xi")
-        h = Polynomial.variable(target, "h")
-        return f.map_variables(target, {"k": xi - h, "eta": xi - 2 * h})
-    if direction == BUNDLE_TO_BLOWUP:
+        target = bundle_variables(vs.weights[2], vs.weights[3])
+        images = ((1, -1), (1, -2))  # k, eta in terms of (xi, h)
+    elif direction == BUNDLE_TO_BLOWUP:
         if vs.names != ("xi", "h", "q1", "q2"):
             raise UsageError("expected a polynomial in bundle coordinates")
-        r, n = vs.weights[2], vs.weights[3]
-        target = blowup_variables(r, n)
-        k = Polynomial.variable(target, "k")
-        eta = Polynomial.variable(target, "eta")
-        return f.map_variables(target, {"h": k - eta, "xi": 2 * k - eta})
-    raise UsageError(
-        f"direction must be {BLOWUP_TO_BUNDLE!r} or {BUNDLE_TO_BLOWUP!r}, got {direction!r}"
-    )
+        target = blowup_variables(vs.weights[2], vs.weights[3])
+        images = ((2, -1), (1, -1))  # xi, h in terms of (k, eta)
+    else:
+        raise UsageError(
+            f"direction must be {BLOWUP_TO_BUNDLE!r} or {BUNDLE_TO_BLOWUP!r}, got {direction!r}"
+        )
+    out: dict[tuple[int, ...], Fraction] = {}
+    for (a, b, s, t), coeff in f.terms.items():
+        for j, c in enumerate(_binary_form(a, b, images)):
+            if c:
+                _add_term(out, (a + b - j, j, s, t), coeff * c)
+    return Polynomial._from_clean(target, out)
 
 
 def _carries_ideal(source: Presentation, target: Presentation) -> bool:

@@ -347,9 +347,9 @@ class GWQuery:
         top = n + r - 1
         try:
             d = self.degree_budget
+            return d >= 0 and self.gamma.homogeneous_degree() == top - d
         except UsageError:
             return False
-        return d >= 0 and self.gamma.homogeneous_degree() == top - d
 
 
 def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +313,22 @@ def test_json_output_is_deterministic(capsys):
     _, first = run(capsys, "verify", "--m", "4", "--p", "0", "--json")
     _, second = run(capsys, "verify", "--m", "4", "--p", "0", "--json")
     assert first == second
+
+
+def test_a_reader_closing_the_pipe_early_is_not_a_failure():
+    # about 95 KB of JSON, more than a 64 KB pipe buffer holds, so the
+    # command is still writing when the reader stops after one line
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "qcblowup.cli", "basis", "--m", "18", "--p", "5", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
 
 
 # sha256 of the output bytes, recorded before the product moved onto the

@@ -1,6 +1,8 @@
 """Parameters, Chern data, presentations, integration, pairings."""
 
+import random
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -20,6 +22,7 @@ from qcblowup import (
     bundle_variables,
     change_vars,
     chern_coefficients,
+    classical_relations,
     classical_presentation,
     curve_dual,
     derive_params,
@@ -29,6 +32,7 @@ from qcblowup import (
     oracle_integrate,
     pair_divisor_curve,
     pairing_matrix,
+    quantum_relations,
     segre_integral_oracle,
     verify_classical_geometry,
     virtual_dimension,
@@ -426,3 +430,74 @@ def test_classical_suite_out_of_range_params():
     # classical geometry needs no range hypothesis
     report = verify_classical_geometry(derive_params(5, 1))
     assert report.ok, [e.name for e in report.failures()]
+
+
+# -- the coordinate change against the map_variables oracle -----------------------
+
+
+def _oracle_change_vars(f, direction):
+    # the substitution by polynomial powers that change_vars replaced
+    r, n = f.variables.weights[2], f.variables.weights[3]
+    if direction == BLOWUP_TO_BUNDLE:
+        target = bundle_variables(r, n)
+        xi, h = (Polynomial.variable(target, name) for name in ("xi", "h"))
+        return f.map_variables(target, {"k": xi - h, "eta": xi - 2 * h})
+    target = blowup_variables(r, n)
+    k, eta = (Polynomial.variable(target, name) for name in ("k", "eta"))
+    return f.map_variables(target, {"h": k - eta, "xi": 2 * k - eta})
+
+
+def _seeded_polynomials(vs, rng, count=8):
+    x, y = (Polynomial.variable(vs, name) for name in vs.names[:2])
+    # x^2 - x*y has no y^2 term in either image: the leading terms cancel
+    yield x**2 - x * y
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            mono = (rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 3), rng.randint(0, 3))
+            terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        yield Polynomial(vs, terms)
+
+
+@pytest.mark.parametrize("m, p", BLOWUPS_TO_12, ids=[f"m{m}p{p}" for m, p in BLOWUPS_TO_12])
+def test_change_vars_matches_the_map_variables_oracle(m, p):
+    params = derive_params(m, p)
+    rng = random.Random(100 * m + p)
+    for coords, direction in (("blowup", BLOWUP_TO_BUNDLE), ("bundle", BUNDLE_TO_BLOWUP)):
+        vs = (blowup_variables if coords == "blowup" else bundle_variables)(params.r, params.n)
+        relations = classical_relations(params, coords) + quantum_relations(params, coords)
+        for f in (*relations, *_seeded_polynomials(vs, rng)):
+            out, expected = change_vars(f, direction), _oracle_change_vars(f, direction)
+            assert out.variables == expected.variables
+            assert out.terms == expected.terms
+            assert all(type(c) is Fraction for c in out.terms.values())
+
+
+def test_change_vars_cancels_terms():
+    params = derive_params(8, 1)
+    kv, bv = blowup_variables(params.r, params.n), bundle_variables(params.r, params.n)
+    f = Polynomial.parse(kv, "k^2*q2 - k*eta*q2")
+    assert change_vars(f, BLOWUP_TO_BUNDLE) == Polynomial.parse(bv, "h*xi*q2 - h^2*q2")
+    g = Polynomial.parse(bv, "h^2 - h*xi")
+    assert change_vars(g, BUNDLE_TO_BLOWUP) == Polynomial.parse(kv, "k*eta - k^2")
+
+
+def test_change_vars_forms_no_polynomial_product(monkeypatch):
+    params = derive_params(16, 5)
+    kv = blowup_variables(params.r, params.n)
+    f = Polynomial.parse(kv, "k^6*eta^4 - 3*k^2*eta^8*q1 + 1/2*eta^10")
+    expected = _oracle_change_vars(f, BLOWUP_TO_BUNDLE)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__pow__", "map_variables"):
+        original = getattr(Polynomial, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, name, spy)
+    image = change_vars(f, BLOWUP_TO_BUNDLE)
+    back = change_vars(image, BUNDLE_TO_BLOWUP)
+    assert calls == []
+    monkeypatch.undo()
+    assert image == expected and back == f

@@ -281,6 +281,14 @@ def test_inadmissible_query_returns_zero():
     assert gw_invariant(query, qp) == 0
 
 
+@pytest.mark.parametrize("gamma", ["0", "xi + h^2"])
+def test_a_zero_or_inhomogeneous_third_class_is_not_admissible(gamma):
+    params = derive_params(4, 0)
+    xi = bp("xi", params)
+    query = GWQuery(CurveClass(1, 0), xi, xi, bp(gamma, params))
+    assert query.degree_budget == 0 and not query.admissible
+
+
 def test_gw_invariant_in_blowup_coordinates():
     from qcblowup import blowup_variables
 
