@@ -144,6 +144,11 @@ def cmd_gw(args) -> tuple[dict, str, str]:
     alpha = Polynomial.parse(vs, args.alpha)
     beta = Polynomial.parse(vs, args.beta)
     gamma = Polynomial.parse(vs, args.gamma)
+    # The invariant is read off the bundle rings in either coordinate
+    # system; building them under the budget first lets an exceeded budget
+    # fail the command.
+    geometry.classical_presentation(params, geometry.BUNDLE, max_degree=budget)
+    quantum.quantum_presentation(params, geometry.BUNDLE, max_degree=budget)
     qp = quantum.quantum_presentation(params, args.coords, max_degree=budget)
     query = quantum.GWQuery(curve, alpha, beta, gamma)
     value = quantum.gw_invariant(query, qp)

@@ -258,7 +258,7 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
         raise UsageError(
             f"direction must be {BLOWUP_TO_BUNDLE!r} or {BUNDLE_TO_BLOWUP!r}, got {direction!r}"
         )
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     for (a, b, s, t), coeff in f.terms.items():
         for j, c in enumerate(_binary_form(a, b, images)):
             if c:

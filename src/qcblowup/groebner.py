@@ -110,7 +110,7 @@ def _reduce(f: Polynomial, reducers: tuple[tuple[Mono, Polynomial], ...]) -> Pol
     """Full remainder of f under division by monic reducers (lt, poly)."""
     variables = f.variables
     rest = dict(f.terms)
-    out: dict[Mono, Fraction] = {}
+    out: dict[Mono, Scalar] = {}
     while rest:
         mono = max(rest, key=grlex_key)
         coeff = rest.pop(mono)
@@ -129,7 +129,7 @@ def _reduce(f: Polynomial, reducers: tuple[tuple[Mono, Polynomial], ...]) -> Pol
 
 def _monic(f: Polynomial) -> Polynomial:
     _, lc = f.leading_term()
-    return f * (Fraction(1) / lc)
+    return f if lc == 1 else f * (Fraction(1) / lc)
 
 
 def buchberger(
@@ -209,7 +209,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     leading term; linear in f and idempotent."""
     if f.variables != gb.variables:
         raise UsageError("polynomial over a different variable set than the basis")
-    out: dict[Mono, Fraction] = {}
+    out: dict[Mono, Scalar] = {}
     for mono, coeff in f.terms.items():
         for m, c in _normal_form_monomial(gb, mono).terms.items():
             _add_term(out, m, coeff * c)
@@ -253,7 +253,7 @@ class _RingModel:
     def __init__(self, quotient: QuotientRing) -> None:
         self._vs, self._nf = quotient.variables, quotient.normal_form
         staircase = quotient.staircase
-        self._on_staircase = set(staircase)
+        self._on_staircase = quotient.staircase_set
         free = all(map(self._vs.is_parameter_free, quotient.basis.leading_monomials()))
         self.matrices = tuple(
             {s: self._read(mono_mul(s, unit)) for s in staircase} for unit in self.units
@@ -295,7 +295,8 @@ class QuotientRing:
     divisor variables not divisible by any leading term; deformation
     parameters are excluded from the listing, so for deformed ideals the
     quotient is a parameter-module on these monomials.  Its integer
-    :attr:`model` is built on first use and kept outside equality and hashing.
+    :attr:`model` and :attr:`staircase_set` are built on first use and kept
+    outside equality and hashing.
     """
 
     basis: GroebnerBasis
@@ -317,6 +318,11 @@ class QuotientRing:
 
     def staircase_strings(self) -> tuple[str, ...]:
         return tuple(str(p) for p in self.staircase_polynomials())
+
+    @cached_property
+    def staircase_set(self) -> frozenset[Mono]:
+        """The staircase as a set, for membership tests."""
+        return frozenset(self.staircase)
 
     @cached_property
     def model(self) -> _RingModel:

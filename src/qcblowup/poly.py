@@ -1,10 +1,14 @@
 """Exact sparse multivariate polynomials over a fixed, weighted variable set.
 
-A polynomial is a map from exponent tuples to ``fractions.Fraction``
-coefficients; the zero polynomial is the empty map and zero coefficients are
-never stored.  All arithmetic is exact.  Values are immutable after
-construction and every operation is a pure function, so polynomials can be
-shared freely between threads.
+A polynomial is a map from exponent tuples to exact rational coefficients;
+the zero polynomial is the empty map and zero coefficients are never stored.
+A coefficient is kept in one canonical form (:func:`_canonical`): an ``int``
+when it is integral, a ``fractions.Fraction`` only when its denominator is
+greater than 1.  Most numbers in this package are integers, so most
+arithmetic runs on ``int``; code that reads coefficients may still use
+``.numerator`` and ``.denominator``, which both types have.  All arithmetic
+is exact.  Values are immutable after construction and every operation is a
+pure function, so polynomials can be shared freely between threads.
 
 Variables carry positive integer degree weights.  Two presets cover the
 geometry in this package: projective-bundle coordinates ``(xi, h, q1, q2)``
@@ -20,9 +24,11 @@ Outside input (user-supplied term maps, :meth:`Polynomial.parse`,
 :meth:`Polynomial.constant`, :meth:`Polynomial.variable`,
 :meth:`Polynomial.monomial`) goes through the public constructor, which
 checks every exponent tuple, accepts only ``int`` and ``Fraction``
-coefficients and adds up repeated monomials.  Arithmetic on valid
-polynomials produces terms that already satisfy those invariants, so its
-results are wrapped as they are (:meth:`Polynomial._from_clean`).
+coefficients, brings them to canonical form and adds up repeated monomials.
+Arithmetic on valid polynomials produces terms that already satisfy those
+invariants (sums of terms go through :func:`_add_term`, which keeps the
+canonical form), so its results are wrapped as they are
+(:meth:`Polynomial._from_clean`).
 
 Canonical text format (also consumed by the command line): terms sorted in
 descending graded-lex order, each term
@@ -40,13 +46,14 @@ from typing import Union
 
 from .errors import ParseError, UsageError
 
-# A scalar is an exact rational number; Fraction keeps gcd-reduced form with
-# positive denominator, which is exactly the invariant required here.
-Scalar = Fraction
+# A scalar is an exact rational number in canonical form: an int when it is
+# integral, else a Fraction (gcd-reduced, denominator > 1).
+Scalar = Union[int, Fraction]
 
 # A monomial is one non-negative exponent per variable of the VariableSet.
 Mono = tuple[int, ...]
 
+# Any int or Fraction, canonical or not (a Fraction may have denominator 1).
 ScalarLike = Union[int, Fraction]
 
 
@@ -138,17 +145,24 @@ def mono_div(a: Mono, b: Mono) -> Mono:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _add_term(terms: dict[Mono, Fraction], mono: Mono, coeff: Fraction) -> None:
+def _canonical(c: ScalarLike) -> Scalar:
+    """The canonical form of an exact rational: an ``int`` when it is
+    integral, else a ``Fraction`` with denominator greater than 1."""
+    if type(c) is int:
+        return c
+    return c.numerator if c.denominator == 1 else c
+
+
+def _add_term(terms: dict[Mono, Scalar], mono: Mono, coeff: ScalarLike) -> None:
     """``terms[mono] += coeff`` for a nonzero coeff, dropping a term that
-    cancels, so that ``terms`` never holds a zero coefficient."""
+    cancels, so that ``terms`` never holds a zero coefficient, and keeping
+    every coefficient in canonical form (:func:`_canonical`)."""
     if mono in terms:
-        total = terms[mono] + coeff
-        if total:
-            terms[mono] = total
-        else:
+        coeff = terms[mono] + coeff
+        if not coeff:
             del terms[mono]
-    else:
-        terms[mono] = coeff
+            return
+    terms[mono] = coeff if type(coeff) is int else _canonical(coeff)
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
@@ -168,7 +182,8 @@ _TERM_SPLIT_RE = re.compile(r"[+-]?[^+-]+")
 
 
 class Polynomial:
-    """A sparse polynomial with exact rational coefficients.
+    """A sparse polynomial with exact rational coefficients, each an ``int``
+    or a ``Fraction`` with denominator greater than 1.
 
     Instances are immutable; arithmetic returns new objects.  Operands of
     binary operations must share the same VariableSet.  The constructor
@@ -185,7 +200,7 @@ class Polynomial:
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
         nvars = len(variables)
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[Mono, Scalar] = {}
         for mono, coeff in items:
             mono = tuple(mono)
             if len(mono) != nvars:
@@ -195,16 +210,16 @@ class Polynomial:
             if not isinstance(coeff, (int, Fraction)):
                 raise UsageError(f"coefficients must be int or Fraction, got {coeff!r}")
             if coeff:
-                _add_term(clean, mono, Fraction(coeff))
+                _add_term(clean, mono, coeff)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _from_clean(cls, variables: VariableSet, terms: dict[Mono, Fraction]) -> Polynomial:
+    def _from_clean(cls, variables: VariableSet, terms: dict[Mono, Scalar]) -> Polynomial:
         """Wrap terms produced by arithmetic on valid polynomials over
         ``variables``: exponent tuples of the right length and nonzero
-        ``Fraction`` coefficients.  Nothing is checked or copied, so the
+        coefficients in canonical form.  Nothing is checked or copied, so the
         caller hands ``terms`` over and must not change it afterwards."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
@@ -233,7 +248,7 @@ class Polynomial:
     def variable(cls, variables: VariableSet, name: str) -> Polynomial:
         mono = [0] * len(variables)
         mono[variables.index(name)] = 1
-        return cls(variables, {tuple(mono): Fraction(1)})
+        return cls(variables, {tuple(mono): 1})
 
     @classmethod
     def monomial(cls, variables: VariableSet, mono: Mono, coeff: ScalarLike = 1) -> Polynomial:
@@ -245,8 +260,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coefficient(self, mono: Mono) -> Scalar:
+        return self.terms.get(tuple(mono), 0)
 
     def total_degree(self) -> int:
         """Largest unweighted degree among terms; -1 for the zero polynomial."""
@@ -277,7 +292,7 @@ class Polynomial:
         """True when no deformation parameter occurs."""
         return all(self.variables.is_parameter_free(m) for m in self.terms)
 
-    def leading_term(self) -> tuple[Mono, Fraction]:
+    def leading_term(self) -> tuple[Mono, Scalar]:
         if self.is_zero:
             raise UsageError("the zero polynomial has no leading term")
         m = max(self.terms, key=grlex_key)
@@ -328,16 +343,15 @@ class Polynomial:
 
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Polynomial.zero(self.variables)
             return Polynomial._from_clean(
-                self.variables, {m: c * v for m, v in self.terms.items()}
+                self.variables, {m: _canonical(other * v) for m, v in self.terms.items()}
             )
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_variables(other)
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _add_term(out, mono_mul(m1, m2), c1 * c2)
@@ -403,7 +417,7 @@ class Polynomial:
             by_index.append(img)
         one = Polynomial.one(target)
         powers: dict[tuple[int, int], Polynomial] = {}
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         for mono, coeff in self.terms.items():
             factor = one
             for idx, e in enumerate(mono):
@@ -454,24 +468,24 @@ class Polynomial:
         chunks = _TERM_SPLIT_RE.findall(s)
         if "".join(chunks) != s:
             raise ParseError(f"cannot tokenize {text!r}")
-        terms: list[tuple[Mono, Fraction]] = []
+        terms: list[tuple[Mono, ScalarLike]] = []
         for chunk in chunks:
-            sign = Fraction(1)
+            coeff: ScalarLike = 1
             body = chunk
             if body[0] in "+-":
                 if body[0] == "-":
-                    sign = Fraction(-1)
+                    coeff = -1
                 body = body[1:]
             if not body:
                 raise ParseError(f"dangling sign in {text!r}")
-            coeff = sign
             exps = [0] * len(variables)
             for part in body.split("*"):
                 num = _NUMBER_RE.match(part)
                 if num:
                     if num.group(2) and not int(num.group(2)):
                         raise ParseError(f"zero denominator in {text!r}")
-                    coeff *= Fraction(int(num.group(1)), int(num.group(2) or 1))
+                    value = int(num.group(1))
+                    coeff *= Fraction(value, int(num.group(2))) if num.group(2) else value
                     continue
                 fac = _FACTOR_RE.match(part)
                 if not fac:

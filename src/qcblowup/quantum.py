@@ -29,8 +29,11 @@ symmetric.  Every product is expanded by one routine
 multiplication matrices (``quotient.model``); the rows of the correction
 solve are read from the same model, and the verification suites share a
 table of staircase products (:func:`_staircase_products`) built by the
-same routine.  The tests check the products and the solve against
-assemblies from Groebner normal forms.
+same routine.  A three-point invariant needs one piece of one product:
+:func:`gw_invariant` computes that piece alone on the same model and
+integrates it against the third class on the classical ring's model.  The
+tests check the products, the invariants and the solve against assemblies
+from Groebner normal forms.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -40,8 +43,8 @@ use the uncorrected identification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import CheckFailure, UsageError
 from .geometry import (
@@ -56,13 +59,13 @@ from .geometry import (
     _presentation,
     change_vars,
     classical_presentation,
-    integrate,
+    integrate,  # noqa: F401  (kept importable from this module)
     pairing_matrix,
     quantum_relations,  # noqa: F401  (kept importable from this module)
 )
 from .groebner import Vector, _add, _RingModel
 from .linalg import eliminate
-from .poly import Mono, Polynomial, Scalar, _add_term, mono_mul
+from .poly import Mono, Polynomial, Scalar, _add_term, _canonical, mono_mul
 from .report import CheckReport
 
 
@@ -76,8 +79,17 @@ def quantum_presentation(
 Term = tuple[Mono, int, Scalar]  # parameter-free monomial, q2 exponent, coefficient
 
 
+def _integral(
+    model: _RingModel, params: GeometryParams, x: Mono, y: Mono, key: tuple[int, int]
+) -> int:
+    """The integral of the piece at q-power ``key`` of x * y in a bundle ring
+    whose staircase is the classical one: the coefficient of the top
+    staircase monomial h^n xi^(r-1) in the model product."""
+    return model.product(mono_mul(x, y)).get(key, {}).get((params.r - 1, params.n, 0, 0), 0)
+
+
 @lru_cache(maxsize=None)
-def basis_corrections(qp: Presentation) -> dict[Mono, Polynomial]:
+def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
     """Exceptional-line corrections turning staircase monomials into the
     classical basis classes they are named after.
 
@@ -101,13 +113,14 @@ def basis_corrections(qp: Presentation) -> dict[Mono, Polynomial]:
     model product.  The system is 2-3% nonzero; it is eliminated sparsely
     and exactly (:func:`qcblowup.linalg.eliminate`), must have a unique
     solution, and every correction comes out integral.  Returns the nonzero
-    corrections keyed by staircase exponent tuple.  Empty for blow-up
-    coordinates (extraction converts to bundle coordinates first) and for
-    out-of-range parameters, where results are formal and uncorrected.
+    corrections keyed by staircase exponent tuple, as a read-only mapping
+    (the result is cached and shared).  Empty for blow-up coordinates
+    (extraction converts to bundle coordinates first) and for out-of-range
+    parameters, where results are formal and uncorrected.
     """
     params = qp.params
     if qp.coords != BUNDLE or not params.in_range:
-        return {}
+        return MappingProxyType({})
     cp = classical_presentation(params, BUNDLE)
     staircase = qp.quotient.staircase
     if cp.quotient.staircase != staircase:
@@ -155,11 +168,6 @@ def basis_corrections(qp: Presentation) -> dict[Mono, Polynomial]:
                 bump(row, ("S", cmono, comp), -1)
                 rows.append(row)
 
-    # The staircases agree, so a top-degree piece integrates to its
-    # coefficient of h^n xi^(r-1).
-    def integral(model: _RingModel, x: Mono, y: Mono, key: tuple[int, int]) -> int:
-        return model.product(mono_mul(x, y)).get(key, {}).get((params.r - 1, n, 0, 0), 0)
-
     # Fundamental-class closure: for complementary pairs the corrected
     # exceptional-line contribution of x * y integrates to zero.
     for dx in range(n, top + 1):
@@ -170,11 +178,11 @@ def basis_corrections(qp: Presentation) -> dict[Mono, Polynomial]:
             for y in by_degree.get(dy, []):
                 if dy == dx and y < x:
                     continue
-                row = {ncols: -integral(deformed, x, y, (0, 1))}
+                row = {ncols: -_integral(deformed, params, x, y, (0, 1))}
                 for mu in by_degree.get(dy - n, []):
-                    bump(row, ("C", y, mu), integral(classical, x, mu, (0, 0)))
+                    bump(row, ("C", y, mu), _integral(classical, params, x, mu, (0, 0)))
                 for mu in by_degree.get(dx - n, []):
-                    bump(row, ("C", x, mu), integral(classical, y, mu, (0, 0)))
+                    bump(row, ("C", x, mu), _integral(classical, params, y, mu, (0, 0)))
                 rows.append(row)
 
     system = eliminate(rows, ncols)
@@ -182,15 +190,15 @@ def basis_corrections(qp: Presentation) -> dict[Mono, Polynomial]:
         raise CheckFailure("basis-identification system is underdetermined")
     if system.leftover:
         raise CheckFailure("basis-identification system is inconsistent")
-    terms: dict[Mono, dict[Mono, Fraction]] = {}
+    terms: dict[Mono, dict[Mono, Scalar]] = {}
     for (kind, key, comp), value in zip(index, system.solution()):
         if kind == "C" and value:
-            terms.setdefault(key, {})[comp] = value
+            terms.setdefault(key, {})[comp] = _canonical(value)
     corrections = {key: Polynomial._from_clean(qp.variables, t) for key, t in terms.items()}
     for value in corrections.values():
         if not value.is_integral():
             raise CheckFailure(f"non-integral basis correction {value}")
-    return corrections
+    return MappingProxyType(corrections)
 
 
 def _below_top(f: Polynomial, params: GeometryParams) -> Polynomial:
@@ -206,21 +214,24 @@ def _below_top(f: Polynomial, params: GeometryParams) -> Polynomial:
 def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     """The element of the deformed quotient representing a classical class.
 
-    Any parameter-free polynomial is accepted.  Terms above the top degree
-    are dropped and the rest is reduced to the classical staircase (staircase
-    inputs skip the reduction), so the correction coefficients are read off
-    the class's expansion over the classical basis.
+    Any parameter-free polynomial is accepted.  A class with a term off the
+    classical staircase (tested against ``staircase_set`` of the classical
+    quotient) has its terms above the top degree dropped and the rest
+    reduced to the staircase by a normal form; staircase inputs skip both.
+    Each term of the resulting expansion over the classical basis then
+    brings its own basis correction, if it has one.
     """
     if f.variables != qp.variables:
         raise UsageError("class over a different variable set than the presentation")
     classical = classical_presentation(qp.params, qp.coords).quotient
-    if not set(f.terms) <= set(classical.staircase):
+    if not f.terms.keys() <= classical.staircase_set:
         f = classical.normal_form(_below_top(f, qp.params))
+    corrections = basis_corrections(qp)
     q2 = tuple(int(name == "q2") for name in qp.variables.names)
     out = dict(f.terms)
-    for mono, corr in basis_corrections(qp).items():
-        coeff = f.terms.get(mono)
-        if coeff:
+    for mono, coeff in f.terms.items():
+        corr = corrections.get(mono)
+        if corr is not None:
             for m, c in corr.terms.items():
                 _add_term(out, mono_mul(m, q2), coeff * c)
     return Polynomial._from_clean(qp.variables, out)
@@ -228,23 +239,20 @@ def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
 
 def _terms(f: Polynomial, qp: Presentation) -> list[Term]:
     """phi(f) = ``class_representative(f, qp)`` as (monomial, q2 exponent,
-    coefficient) terms; an integral coefficient is carried as an ``int``."""
-    return [
-        (t[:2] + (0, 0), t[3], c.numerator if c.denominator == 1 else c)
-        for t, c in class_representative(f, qp).terms.items()
-    ]
+    coefficient) terms."""
+    return [(t[:2] + (0, 0), t[3], c) for t, c in class_representative(f, qp).terms.items()]
 
 
 @lru_cache(maxsize=None)
-def _correction_vectors(qp: Presentation) -> dict[Mono, Vector]:
-    """The basis corrections as integer vectors at q2; a non-integral one is
-    refused."""
+def _correction_vectors(qp: Presentation) -> MappingProxyType[Mono, Vector]:
+    """The basis corrections as integer vectors at q2, read-only (the result
+    is cached and shared); a non-integral one is refused."""
     out: dict[Mono, Vector] = {}
     for s, corr in basis_corrections(qp).items():
         if not corr.is_integral():
             raise CheckFailure(f"non-integral basis correction {corr}")
-        out[s] = {(0, 1): {t: c.numerator for t, c in corr.terms.items()}}
-    return out
+        out[s] = MappingProxyType({(0, 1): MappingProxyType(dict(corr.terms))})
+    return MappingProxyType(out)
 
 
 def _product(
@@ -268,8 +276,31 @@ def _product(
     return {
         key: Polynomial._from_clean(qp.variables, clean)
         for key in sorted(naive)
-        if (clean := {t: Fraction(c) for t, c in naive[key].items() if c})
+        if (clean := {t: _canonical(c) for t, c in naive[key].items() if c})
     }
+
+
+def _piece(
+    qp: Presentation, x: list[Term], y: list[Term], key: tuple[int, int]
+) -> dict[Mono, Scalar]:
+    """The piece of phi(x) * phi(y) at key = (a, b) that :func:`_product`
+    returns, computed alone on the ring model: the naive piece at (a, b)
+    minus C times the naive piece at (a, b - 1).  Zero coefficients may
+    remain."""
+    model, corrections = qp.quotient.model, _correction_vectors(qp)
+    a, b = key
+    out: dict[Mono, Scalar] = {}
+    for u, ku, cu in x:
+        for v, kv, cv in y:
+            product = model.product(mono_mul(u, v))
+            scale = cu * cv
+            for t, c in product.get((a, b - ku - kv), {}).items():
+                out[t] = out.get(t, 0) + scale * c
+            for s, c in product.get((a, b - 1 - ku - kv), {}).items():
+                if s in corrections:
+                    for t, cc in corrections[s][(0, 1)].items():
+                        out[t] = out.get(t, 0) - scale * c * cc
+    return out
 
 
 def _contributions(
@@ -359,8 +390,12 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     coordinates, or with a class above the top degree return 0; blow-up
     queries are then translated to bundle coordinates.  Any class is reduced
     to the classical staircase before the basis corrections apply (see
-    :func:`class_representative`).  The result of an admissible integral
-    query is asserted to be an integer.
+    :func:`class_representative`).  Only the requested piece of the product
+    is computed, on the integer model of the deformed ring (:func:`_piece`),
+    and it is paired with gamma through the classical ring's model: each
+    product of a piece term with a gamma term integrates to its top
+    staircase coefficient.  The result of an admissible integral query is
+    asserted to be an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
@@ -374,16 +409,21 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
             raise UsageError("query classes must be nonzero and homogeneous")
     if query.curve.a < 0 or query.curve.b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
-    top = qp.params.top_degree
-    if not query.admissible or any(c.weighted_degree() > top for c in classes):
-        return Fraction(0)
+    params = qp.params
+    if not query.admissible or any(c.weighted_degree() > params.top_degree for c in classes):
+        return 0
     alpha, beta, gamma = classes
     if qp.coords == BLOWUP:
-        qp = quantum_presentation(qp.params, BUNDLE)
+        qp = quantum_presentation(params, BUNDLE)
         alpha, beta, gamma = (change_vars(c, BLOWUP_TO_BUNDLE) for c in classes)
-    key = (query.curve.a, query.curve.b)
-    piece = _contributions(alpha, beta, qp).get(key, Polynomial.zero(qp.variables))
-    value = integrate(piece * gamma, classical_presentation(qp.params, BUNDLE))
+    piece = _piece(qp, _terms(alpha, qp), _terms(beta, qp), (query.curve.a, query.curve.b))
+    classical = classical_presentation(params, BUNDLE).quotient.model
+    value = 0
+    for t, c in piece.items():
+        if c:
+            for g, cg in gamma.terms.items():
+                value += c * cg * _integral(classical, params, t, g, (0, 0))
+    value = _canonical(value)
     if alpha.is_integral() and beta.is_integral() and gamma.is_integral():
         if value.denominator != 1:
             raise CheckFailure(f"non-integral invariant {value} from integral classes")

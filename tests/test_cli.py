@@ -389,6 +389,27 @@ def test_verify_budget_env_variable(capsys, monkeypatch):
         assert "exceeds budget 3" in doc["payload"]["error"]
 
 
+@pytest.mark.parametrize("coords, classes", [
+    ("blowup", ("k", "eta", "eta^5")),
+    ("bundle", ("xi", "h", "h^5")),
+])
+def test_gw_builds_the_bundle_rings_under_the_budget(capsys, monkeypatch, coords, classes):
+    # The bundle rings at (6,4) need intermediate degrees up to 12; the
+    # deformed blow-up ring alone stays within 9.
+    alpha, beta, gamma = classes
+    argv = ("gw", "--m", "6", "--p", "4", "--coords", coords, "--class", "0,1",
+            "--alpha", alpha, "--beta", beta, "--gamma", gamma)
+    monkeypatch.setenv("QC_MAX_DEGREE", "9")
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["status"] == "check-failed"
+    assert doc["payload"]["error"] == "intermediate degree 10 exceeds budget 9"
+    monkeypatch.setenv("QC_MAX_DEGREE", "12")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["status"] == "ok"
+
+
 def test_verify_builds_each_presentation_once_without_a_budget(capsys, monkeypatch):
     from qcblowup.geometry import _presentation
 

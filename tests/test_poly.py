@@ -27,6 +27,11 @@ def poly(text, vs=BV):
     return Polynomial.parse(vs, text)
 
 
+def is_canonical(c):
+    """A stored coefficient is an int, or a Fraction only when it is not one."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 # -- strategies ----------------------------------------------------------------
 
 
@@ -99,7 +104,38 @@ def test_constructor_accepts_only_exact_coefficients():
             poly("xi + q1").substitute({"q1": bad})
     f = Polynomial(BV, {(1, 0, 0, 0): 2, (0, 1, 0, 0): Fraction(1, 3), (0, 0, 1, 0): 0})
     assert f.terms == {(1, 0, 0, 0): Fraction(2), (0, 1, 0, 0): Fraction(1, 3)}
-    assert all(type(c) is Fraction for c in f.terms.values())
+    assert all(is_canonical(c) for c in f.terms.values())
+
+
+def test_integral_coefficients_are_stored_as_int():
+    xi = (1, 0, 0, 0)
+    for f, c in (
+        (poly("4/2*xi"), 2),
+        (poly("1/2*xi") * 2, 1),
+        (4 * poly("1/2*xi"), 2),
+        (poly("3/2*xi") * Fraction(4, 3), 2),
+        (poly("1/2*xi") + poly("3/2*xi"), 2),
+        (poly("1/2*xi") * poly("2"), 1),
+    ):
+        assert f.terms == {xi: c}
+        assert type(f.terms[xi]) is int
+    assert type(poly("2/4*xi").terms[xi]) is Fraction
+    assert type(Polynomial.variable(BV, "xi").terms[xi]) is int
+    assert type(Polynomial.zero(BV).coefficient(xi)) is int
+
+
+def test_int_and_fraction_inputs_give_equal_polynomials():
+    h = (0, 1, 0, 0)
+    built = [
+        Polynomial(BV, {h: 2, (0, 0, 0, 0): Fraction(1, 2)}),
+        Polynomial(BV, {h: Fraction(4, 2), (0, 0, 0, 0): Fraction(2, 4)}),
+        poly("2*h + 1/2"),
+        poly("1/3*h") * 6 + Fraction(1, 2),
+    ]
+    for f in built:
+        assert f == built[0]
+        assert hash(f) == hash(built[0])
+        assert all(is_canonical(c) for c in f.terms.values())
 
 
 # Results of arithmetic skip the constructor's checks, so each is compared
@@ -123,7 +159,7 @@ def test_arithmetic_results_match_the_checking_constructor(f, g, c, e):
     ]
     for result in results:
         assert result.terms == Polynomial(result.variables, dict(result.terms)).terms
-        assert all(type(v) is Fraction and v for v in result.terms.values())
+        assert all(is_canonical(v) and v for v in result.terms.values())
 
 
 # -- the monomial order (graded-lex) ---------------------------------------------

@@ -32,6 +32,7 @@ from qcblowup import quantum
 from qcblowup.quantum import _contributions, _staircase_products
 
 from correction_oracle import polynomial_corrections
+from invariant_oracle import assembled_invariant
 from product_oracle import groebner_contributions
 
 
@@ -227,6 +228,28 @@ def test_basis_corrections_empty_when_formal():
     assert basis_corrections(qp) == {}
 
 
+@pytest.mark.parametrize("m, p", [(8, 1), (5, 1)])
+def test_cached_corrections_are_read_only(m, p):
+    # the cached results are shared by every caller, so none may change them
+    qp = quantum_presentation(derive_params(m, p), "bundle")
+    corrections, vectors = basis_corrections(qp), quantum._correction_vectors(qp)
+    before = dict(corrections)
+    mono = qp.quotient.staircase[-1]
+    for mapping in (corrections, vectors):
+        with pytest.raises(TypeError):
+            mapping[mono] = Polynomial.zero(qp.variables)
+    for vector in vectors.values():
+        with pytest.raises(TypeError):
+            vector[(0, 1)] = {}
+        with pytest.raises(TypeError):
+            vector[(0, 1)][mono] = 7
+    assert basis_corrections(qp) is corrections
+    assert dict(basis_corrections(qp)) == before
+    assert {s: dict(v[(0, 1)]) for s, v in quantum._correction_vectors(qp).items()} == {
+        s: corr.terms for s, corr in before.items()
+    }
+
+
 def test_class_representative_of_the_point_class():
     params = derive_params(4, 0)
     qp = quantum_presentation(params, "bundle")
@@ -329,6 +352,111 @@ def test_gw_query_validation():
         gw_invariant(GWQuery(CurveClass(0, 1), bp("q1", params), h, h), qp)
     with pytest.raises(UsageError):
         gw_invariant(GWQuery(CurveClass(0, 1), h + bp("h^2", params), h, h), qp)
+
+
+def _random_homogeneous(rng, vs, staircase, degree):
+    # one to three terms of one degree, on or off the staircase, some with
+    # rational coefficients
+    on_staircase = [s for s in staircase if sum(s) == degree]
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        if on_staircase and rng.random() < 0.5:
+            mono = rng.choice(on_staircase)
+        else:
+            a = rng.randint(0, degree)
+            mono = (a, degree - a, 0, 0)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        terms[mono] = Fraction(c, rng.choice([2, 3])) if rng.random() < 0.15 else c
+    return Polynomial(vs, terms)
+
+
+def _random_query(rng, params, vs, staircase):
+    # an admissible query: two class degrees, a curve class within the budget
+    # and a third class of the complementary degree
+    top, r, n = params.top_degree, params.r, params.n
+    da, db = rng.randint(0, top), rng.randint(0, top)
+    curves = [
+        (a, b) for a in range(3) for b in range(4) if 0 <= da + db - r * a - n * b <= top
+    ]
+    a, b = rng.choice(curves)
+    degrees = (da, db, top - (da + db - r * a - n * b))
+    classes = (_random_homogeneous(rng, vs, staircase, d) for d in degrees)
+    return GWQuery(CurveClass(a, b), *classes)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_gw_invariant_matches_the_groebner_oracle(m):
+    # the piece read off the ring model and paired through the classical
+    # model, against the whole Groebner product multiplied by gamma and
+    # integrated, on seeded queries over every (m, p) and both coordinates
+    rng = random.Random(1000 + m)
+    nonzero = 0
+    for p in range(m - 1):
+        params = derive_params(m, p)
+        for coords in ("bundle", "blowup"):
+            qp = quantum_presentation(params, coords)
+            staircase = classical_presentation(params, coords).quotient.staircase
+            for _ in range(12):
+                query = _random_query(rng, params, qp.variables, staircase)
+                assert query.admissible
+                expected = assembled_invariant(query, qp, groebner_contributions)
+                value = gw_invariant(query, qp)
+                assert value == expected, (m, p, coords, query)
+                assert type(value) is int or value.denominator > 1
+                nonzero += value != 0
+    assert nonzero >= 10
+
+
+def test_gw_invariant_matches_the_whole_product_assembly(grid_params):
+    # the same assembly on the ring-model product routine, over staircase triples
+    qp = quantum_presentation(grid_params, "bundle")
+    polys = qp.quotient.staircase_polynomials()
+    top, r, n = grid_params.top_degree, grid_params.r, grid_params.n
+    for i, x in enumerate(polys):
+        for y in polys[i:]:
+            for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                d = x.homogeneous_degree() + y.homogeneous_degree() - r * a - n * b
+                for z in polys:
+                    if 0 <= d <= top and z.homogeneous_degree() == top - d:
+                        query = GWQuery(CurveClass(a, b), x, y, z)
+                        assert gw_invariant(query, qp) == assembled_invariant(query, qp)
+
+
+def test_a_warm_staircase_query_reads_only_the_ring_models(monkeypatch):
+    # no polynomial product, normal form or integral once the models exist
+    from qcblowup import geometry, groebner
+
+    params = derive_params(16, 5)
+    qp = quantum_presentation(params, "bundle")
+    n, r = params.n, params.r
+    h, xi = bp("h", params), bp("xi", params)
+    queries = [  # the exceptional section count, and classes that carry corrections
+        (GWQuery(CurveClass(0, 1), h**n, h, h ** (n - 1) * xi ** (r - 1)), r - 1),
+        (GWQuery(CurveClass(0, 1), h**n * xi, h**2 * xi ** (r - 1), h ** (n - 4) * xi), 35),
+    ]
+    expected = [assembled_invariant(query, qp, groebner_contributions) for query, _ in queries]
+    assert [gw_invariant(query, qp) for query, _ in queries] == expected  # warms the models
+    assert expected == [value for _, value in queries]
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, name in (
+        (Polynomial, "__mul__"), (Polynomial, "__rmul__"), (groebner, "normal_form"),
+        (geometry, "integrate"), (quantum, "integrate"),
+    ):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    for query, _ in queries:
+        assert set(query.alpha.terms) <= qp.quotient.staircase_set
+    assert [gw_invariant(query, qp) for query, _ in queries] == expected
+    assert calls == []
+    # the spies do see the oracle's work
+    assembled_invariant(queries[1][0], qp)
+    assert {"__mul__", "normal_form"} <= set(calls)
 
 
 # -- verification suites --------------------------------------------------------------
