@@ -24,16 +24,16 @@ unique corrections are forced by the divisor and fundamental-class axioms
 of the three-point theory and are solved for exactly (see
 :func:`basis_corrections`).  All extraction goes through the corrected
 identification, which is what makes the extracted three-point function
-symmetric.  Every product is expanded by one routine
-(:func:`_contributions`) on the integer model of each bundle ring, its
-multiplication matrices (``quotient.model``); the rows of the correction
-solve are read from the same model, and the verification suites share a
-table of staircase products (:func:`_staircase_products`) built by the
-same routine.  A three-point invariant needs one piece of one product:
-:func:`gw_invariant` computes that piece alone on the same model and
-integrates it against the third class on the classical ring's model.  The
-tests check the products, the invariants and the solve against assemblies
-from Groebner normal forms.
+symmetric.  Everything runs on the integer model of each bundle ring, its
+multiplication matrices (``quotient.model``).  Whole products are expanded
+by one routine (:func:`_product`, behind :func:`_contributions`), which
+also builds the table of staircase products that the verification suites
+share (:func:`_staircase_products`).  A three-point invariant needs one
+piece of one product: :func:`gw_invariant` computes that piece alone
+(:func:`_piece`) and integrates it against the third class on the
+classical ring's model.  The rows of the correction solve are read from
+the same models.  The tests check the products, the invariants and the
+solve against assemblies from Groebner normal forms.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -93,30 +93,33 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
     """Exceptional-line corrections turning staircase monomials into the
     classical basis classes they are named after.
 
-    A staircase monomial of weighted degree d > n equals its classical class
-    plus q2 times a parameter-free class of degree d - n.  (Corrections at
-    fiber-line levels vanish: every pairing of a fiber-line multiple against
-    staircase classes with fiber exponents below the threshold is zero, and
-    the base divisor pairs trivially with the fiber line.)  The q2-level
-    corrections, together with the auxiliary two-point classes of each basis
-    element, satisfy an exact linear system expressing two facts:
+    A staircase monomial s of weighted degree d > n equals its classical
+    class plus q2 times a parameter-free class C_s of degree d - n.
+    (Corrections at fiber-line levels vanish: every pairing of a fiber-line
+    multiple against staircase classes with fiber exponents below the
+    threshold is zero, and the base divisor pairs trivially with the fiber
+    line.)  The corrections solve an exact linear system of two kinds of row:
 
-    * multiplying by a divisor class contributes at each curve class
-      proportionally to the divisor's degree on that class, with the same
-      two-point class for every divisor;
-    * three-point invariants with a fundamental-class insertion vanish.
+    * divisor axiom: for a divisor D and a basis class c, the q2-part of the
+      ring product D * repr(c) minus the correction expansion of the
+      classical product D.c is (D . exceptional line) times a two-point
+      class S_c that does not depend on D.  Both h and xi meet the line
+      once, so the difference of their rows is the row of xi - h, which has
+      degree 0 on the line, and S_c drops out.  The h-row kept beside it
+      would only fix S_c, which no other row involves, so the xi - h rows
+      give the same corrections as the two divisor routes with unknowns S;
+    * closure: three-point invariants with a fundamental-class insertion
+      vanish.
 
     Every row is read from the integer models (``quotient.model``) of the
-    deformed and the classical ring: the q2-part of D*c from the deformed
-    matrix of the divisor D, the classical D*mu and D*c from the classical
-    matrices, and each closure integral as the top-monomial coefficient of a
-    model product.  The system is 2-3% nonzero; it is eliminated sparsely
-    and exactly (:func:`qcblowup.linalg.eliminate`), must have a unique
-    solution, and every correction comes out integral.  Returns the nonzero
-    corrections keyed by staircase exponent tuple, as a read-only mapping
-    (the result is cached and shared).  Empty for blow-up coordinates
-    (extraction converts to bundle coordinates first) and for out-of-range
-    parameters, where results are formal and uncorrected.
+    deformed and the classical ring, each closure integral as the
+    top-monomial coefficient of a model product.  The sparse system is
+    eliminated exactly (:func:`qcblowup.linalg.eliminate`), must have a
+    unique solution, and every value of it must be an integer.  Returns the
+    nonzero corrections keyed by staircase exponent tuple, as a read-only
+    mapping (the result is cached and shared).  Empty for blow-up
+    coordinates (extraction converts to bundle coordinates first) and for
+    out-of-range parameters, where results are formal and uncorrected.
     """
     params = qp.params
     if qp.coords != BUNDLE or not params.in_range:
@@ -131,42 +134,45 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
     for mono in staircase:
         by_degree.setdefault(sum(mono), []).append(mono)
 
-    # Unknowns, in column order: corrections C_m for monomials of degree
-    # >= n (class of degree deg m - n), then two-point classes S_c for degree
-    # >= n-1 (degree deg c - n + 1), one per staircase component.
-    index: dict[tuple[str, Mono, Mono], int] = {}
-    for kind, low in (("C", n), ("S", n - 1)):
-        for d in range(low, top + 1):
-            for mono in by_degree.get(d, []):
-                for comp in by_degree.get(d - low, []):
-                    index[(kind, mono, comp)] = len(index)
+    # Unknowns, in column order: the components of the correction C_s of
+    # each monomial s of degree >= n, over the classes of degree deg s - n.
+    index: dict[tuple[Mono, Mono], int] = {}
+    for d in range(n, top + 1):
+        for mono in by_degree.get(d, []):
+            for comp in by_degree.get(d - n, []):
+                index[(mono, comp)] = len(index)
 
     # One row per equation, with its right-hand side in column ``ncols``.
     ncols = len(index)
     rows: list[dict[int, int]] = []
 
-    def bump(row: dict[int, int], key: tuple[str, Mono, Mono], val: int) -> None:
+    def bump(row: dict[int, int], key: tuple[Mono, Mono], val: int) -> None:
         if val:
             col = index[key]
             row[col] = row.get(col, 0) + val
 
-    # Divisor routes: for D in {h, xi} and basis class c, the q2-part of the
-    # ring product D * repr(c) equals the correction-expansion of the
-    # classical product D.c plus the two-point class of c (both divisors
-    # meet an exceptional line once).
-    for var in (1, 0):  # h, then xi
-        known = deformed.matrices[var]
-        cmat = {s: vec.get((0, 0), {}) for s, vec in classical.matrices[var].items()}
-        for cmono in staircase:
-            for comp in by_degree.get(sum(cmono) + 1 - n, []):
-                row = {ncols: -known[cmono].get((0, 1), {}).get(comp, 0)}
-                for mu in by_degree.get(sum(cmono) - n, []):
-                    bump(row, ("C", cmono, mu), cmat[mu].get(comp, 0))
-                for mu, coeff in cmat[cmono].items():
-                    if ("C", mu, comp) in index:
-                        bump(row, ("C", mu, comp), -coeff)
-                bump(row, ("S", cmono, comp), -1)
-                rows.append(row)
+    # Divisor rows: the q2-part of the ring product (xi - h) * repr(c) equals
+    # the correction expansion of the classical product (xi - h).c.
+    def times_xi_minus_h(model: _RingModel, key: tuple[int, int]) -> dict[Mono, dict[Mono, int]]:
+        """The piece at q-power ``key`` of (xi - h) * s, for each staircase s."""
+        out = {}
+        for s in staircase:
+            vec: Vector = {}
+            _add(vec, model.matrices[0][s], (0, 0), 1)
+            _add(vec, model.matrices[1][s], (0, 0), -1)
+            out[s] = vec.get(key, {})
+        return out
+
+    known, cmat = times_xi_minus_h(deformed, (0, 1)), times_xi_minus_h(classical, (0, 0))
+    for cmono in staircase:
+        for comp in by_degree.get(sum(cmono) + 1 - n, []):
+            row = {ncols: -known[cmono].get(comp, 0)}
+            for mu in by_degree.get(sum(cmono) - n, []):
+                bump(row, (cmono, mu), cmat[mu].get(comp, 0))
+            for mu, coeff in cmat[cmono].items():
+                if (mu, comp) in index:
+                    bump(row, (mu, comp), -coeff)
+            rows.append(row)
 
     # Fundamental-class closure: for complementary pairs the corrected
     # exceptional-line contribution of x * y integrates to zero.
@@ -180,9 +186,9 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
                     continue
                 row = {ncols: -_integral(deformed, params, x, y, (0, 1))}
                 for mu in by_degree.get(dy - n, []):
-                    bump(row, ("C", y, mu), _integral(classical, params, x, mu, (0, 0)))
+                    bump(row, (y, mu), _integral(classical, params, x, mu, (0, 0)))
                 for mu in by_degree.get(dx - n, []):
-                    bump(row, ("C", x, mu), _integral(classical, params, y, mu, (0, 0)))
+                    bump(row, (x, mu), _integral(classical, params, y, mu, (0, 0)))
                 rows.append(row)
 
     system = eliminate(rows, ncols)
@@ -190,15 +196,19 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
         raise CheckFailure("basis-identification system is underdetermined")
     if system.leftover:
         raise CheckFailure("basis-identification system is inconsistent")
-    terms: dict[Mono, dict[Mono, Scalar]] = {}
-    for (kind, key, comp), value in zip(index, system.solution()):
-        if kind == "C" and value:
-            terms.setdefault(key, {})[comp] = _canonical(value)
-    corrections = {key: Polynomial._from_clean(qp.variables, t) for key, t in terms.items()}
-    for value in corrections.values():
-        if not value.is_integral():
-            raise CheckFailure(f"non-integral basis correction {value}")
-    return MappingProxyType(corrections)
+    terms: dict[Mono, dict[Mono, int]] = {}
+    for (key, comp), value in zip(index, system.solution()):
+        if value.denominator != 1:
+            vs = qp.variables
+            raise CheckFailure(
+                f"non-integral basis correction {Polynomial.monomial(vs, comp, value)}"
+                f" for {Polynomial.monomial(vs, key)}"
+            )
+        if value:
+            terms.setdefault(key, {})[comp] = value.numerator
+    return MappingProxyType(
+        {key: Polynomial._from_clean(qp.variables, t) for key, t in terms.items()}
+    )
 
 
 def _below_top(f: Polynomial, params: GeometryParams) -> Polynomial:
@@ -243,18 +253,6 @@ def _terms(f: Polynomial, qp: Presentation) -> list[Term]:
     return [(t[:2] + (0, 0), t[3], c) for t, c in class_representative(f, qp).terms.items()]
 
 
-@lru_cache(maxsize=None)
-def _correction_vectors(qp: Presentation) -> MappingProxyType[Mono, Vector]:
-    """The basis corrections as integer vectors at q2, read-only (the result
-    is cached and shared); a non-integral one is refused."""
-    out: dict[Mono, Vector] = {}
-    for s, corr in basis_corrections(qp).items():
-        if not corr.is_integral():
-            raise CheckFailure(f"non-integral basis correction {corr}")
-        out[s] = MappingProxyType({(0, 1): MappingProxyType(dict(corr.terms))})
-    return MappingProxyType(out)
-
-
 def _product(
     qp: Presentation, x: list[Term], y: list[Term]
 ) -> dict[tuple[int, int], Polynomial]:
@@ -262,7 +260,7 @@ def _product(
     followed by the one correction step 1 - q2*C that turns the staircase
     monomials of each piece into the classical basis classes; the nonzero
     pieces in key order."""
-    model, corrections = qp.quotient.model, _correction_vectors(qp)
+    model, corrections = qp.quotient.model, basis_corrections(qp)
     naive: Vector = {}
     for u, ku, cu in x:
         for v, kv, cv in y:
@@ -272,7 +270,7 @@ def _product(
     for key in sorted(naive, reverse=True):
         for mono, coeff in naive[key].items():
             if coeff and mono in corrections:
-                _add(naive, corrections[mono], key, -coeff)
+                _add(naive, {(0, 1): corrections[mono].terms}, key, -coeff)
     return {
         key: Polynomial._from_clean(qp.variables, clean)
         for key in sorted(naive)
@@ -287,7 +285,7 @@ def _piece(
     returns, computed alone on the ring model: the naive piece at (a, b)
     minus C times the naive piece at (a, b - 1).  Zero coefficients may
     remain."""
-    model, corrections = qp.quotient.model, _correction_vectors(qp)
+    model, corrections = qp.quotient.model, basis_corrections(qp)
     a, b = key
     out: dict[Mono, Scalar] = {}
     for u, ku, cu in x:
@@ -298,7 +296,7 @@ def _piece(
                 out[t] = out.get(t, 0) + scale * c
             for s, c in product.get((a, b - 1 - ku - kv), {}).items():
                 if s in corrections:
-                    for t, cc in corrections[s][(0, 1)].items():
+                    for t, cc in corrections[s].terms.items():
                         out[t] = out.get(t, 0) - scale * c * cc
     return out
 
@@ -433,20 +431,21 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
 @lru_cache(maxsize=1)
 def _staircase_products(
     qp: Presentation,
-) -> dict[tuple[int, int], dict[tuple[int, int], Polynomial]]:
+) -> MappingProxyType[tuple[int, int], MappingProxyType[tuple[int, int], Polynomial]]:
     """Quantum products of all staircase basis pairs (i <= j), split by
     curve class: entry (i, j) is ``_contributions(b_i, b_j, qp)``, the same
     expansion run with each phi(b_s) read once.  The verification suites of
-    one instance share this table; only the latest is kept.
+    one instance share this table; only the latest is kept.  The table and
+    its entries are read-only, since every caller shares them.
     """
     if not qp.quantum or qp.coords != BUNDLE:
         raise UsageError("the product table is built on the deformed bundle ring")
     terms = [_terms(b, qp) for b in qp.quotient.staircase_polynomials()]
-    return {
-        (i, j): _product(qp, terms_i, terms[j])
+    return MappingProxyType({
+        (i, j): MappingProxyType(_product(qp, terms_i, terms[j]))
         for i, terms_i in enumerate(terms)
         for j in range(i, len(terms))
-    }
+    })
 
 
 def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:

@@ -1,10 +1,16 @@
-"""The basis-correction system assembled from Groebner products, kept as a
-test oracle for ``qcblowup.quantum.basis_corrections``, which reads every
-coefficient from the integer ring models instead.
+"""The basis-correction system in its original formulation, assembled from
+Groebner products, kept as a test oracle for
+``qcblowup.quantum.basis_corrections``.
 
-Each row is built from ``Polynomial`` products, deformed and classical
-normal forms and one ``integrate`` call per closure pairing; unknowns, row
-order and elimination are those of the package.
+The package reads every coefficient from the integer ring models and solves
+the reduced system: one row per (class, component) from the divisor
+xi - h, over the correction unknowns alone.  This oracle keeps both divisor
+routes, h and xi, each with the auxiliary two-point unknowns S of every
+basis class, and builds each row from ``Polynomial`` products, deformed and
+classical normal forms and one ``integrate`` call per closure pairing.
+Only the closure equations and the elimination routine are the package's;
+the divisor rows and the unknowns differ, so agreement checks the reduced
+system against the original one.
 """
 
 from fractions import Fraction

@@ -336,6 +336,9 @@ def test_a_reader_closing_the_pipe_early_is_not_a_failure():
 GOLDEN = [
     ("verify --grid-m 4..6 --grid-p 0..3 --json",
      "1cbc08512cad48ca6241e7c888a8d9a8294d6d988b50fe1ced6d9fb54be7b5bb"),
+    # the benchmark's verify grid, whose correction solves reach (10,3)
+    ("verify --grid-m 4..10 --grid-p 0..3 --json",
+     "3eb6397bd5064de28f9128796da51fb2bb33c5516f29cf48251a372c21ec9011"),
     ("gw --json --m 8 --p 1 --class 1,0 --alpha xi --beta xi^2 --gamma h^6*xi^2",
      "3165fb93161687b34c18c5d019a3a1dc47c379aa7df3310bcca553d797ba9777"),
     ("gw --json --m 6 --p 1 --coords blowup --class 1,0 --alpha k*eta^4 --beta k^3 --gamma k",

@@ -29,6 +29,7 @@ from qcblowup import (
     verify_s3_symmetry,
 )
 from qcblowup import quantum
+from qcblowup.linalg import eliminate
 from qcblowup.quantum import _contributions, _staircase_products
 
 from correction_oracle import polynomial_corrections
@@ -232,22 +233,44 @@ def test_basis_corrections_empty_when_formal():
 def test_cached_corrections_are_read_only(m, p):
     # the cached results are shared by every caller, so none may change them
     qp = quantum_presentation(derive_params(m, p), "bundle")
-    corrections, vectors = basis_corrections(qp), quantum._correction_vectors(qp)
+    corrections = basis_corrections(qp)
     before = dict(corrections)
-    mono = qp.quotient.staircase[-1]
-    for mapping in (corrections, vectors):
-        with pytest.raises(TypeError):
-            mapping[mono] = Polynomial.zero(qp.variables)
-    for vector in vectors.values():
-        with pytest.raises(TypeError):
-            vector[(0, 1)] = {}
-        with pytest.raises(TypeError):
-            vector[(0, 1)][mono] = 7
+    with pytest.raises(TypeError):
+        corrections[qp.quotient.staircase[-1]] = Polynomial.zero(qp.variables)
     assert basis_corrections(qp) is corrections
     assert dict(basis_corrections(qp)) == before
-    assert {s: dict(v[(0, 1)]) for s, v in quantum._correction_vectors(qp).items()} == {
-        s: corr.terms for s, corr in before.items()
-    }
+
+
+def test_basis_corrections_refuse_a_non_integral_solution(monkeypatch, params40):
+    # halving the right-hand side halves the correction -(xi - 2h) of h^3*xi
+    qp = quantum_presentation(params40, "bundle")
+
+    def halved(rows, ncols):
+        rows = [{c: Fraction(v, 2) if c == ncols else v for c, v in row.items()} for row in rows]
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(quantum, "eliminate", halved)
+    basis_corrections.cache_clear()
+    with pytest.raises(CheckFailure, match=r"non-integral basis correction -1/2\*xi for h\^3\*xi"):
+        basis_corrections(qp)
+    assert basis_corrections.cache_info().currsize == 0
+
+
+def test_the_solve_has_no_two_point_unknowns(monkeypatch):
+    # one row per (class, component) from the divisor xi - h, plus the
+    # closure rows, over the correction unknowns alone: at (16,5) the two
+    # divisor routes with their two-point unknowns took 280 rows x 202
+    shapes = []
+
+    def spy(rows, ncols):
+        rows = list(rows)
+        shapes.append((len(rows), ncols))
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(quantum, "eliminate", spy)
+    basis_corrections.cache_clear()
+    basis_corrections(quantum_presentation(derive_params(16, 5), "bundle"))
+    assert shapes == [(162, 84)]
 
 
 def test_class_representative_of_the_point_class():
@@ -620,12 +643,13 @@ def test_product_table_takes_two_normal_forms_per_basis_class():
         assert 0 < len(memo) <= 2 * qp.quotient.rank
 
 
-IN_RANGE_TO_16 = [(m, p) for m in range(4, 17) for p in range(m - 1) if 2 * p + 3 < m]
+IN_RANGE_TO_20 = [(m, p) for m in range(4, 21) for p in range(m - 1) if 2 * p + 3 < m]
 
 
-@pytest.mark.parametrize("m, p", IN_RANGE_TO_16, ids=[f"m{m}p{p}" for m, p in IN_RANGE_TO_16])
+@pytest.mark.parametrize("m, p", IN_RANGE_TO_20, ids=[f"m{m}p{p}" for m, p in IN_RANGE_TO_20])
 def test_basis_corrections_match_the_polynomial_assembly(m, p):
-    # rows read from the ring models against rows built from Groebner products
+    # the reduced system read from the ring models against both divisor
+    # routes with their two-point unknowns, built from Groebner products
     qp = quantum_presentation(derive_params(m, p), "bundle")
     expected = polynomial_corrections(qp)
     corrections = basis_corrections(qp)
@@ -667,14 +691,19 @@ def test_product_table_needs_the_deformed_bundle_ring(params40):
             _staircase_products(pres)
 
 
-def test_product_table_rejects_a_fractional_correction(monkeypatch, params40):
+def test_product_table_is_read_only(params40):
+    # the table is shared by the verification suites, so none may change it
     qp = quantum_presentation(params40, "bundle")
-    top = qp.quotient.staircase[-1]
-    half = Polynomial(qp.variables, {qp.quotient.staircase[0]: Fraction(1, 2)})
-    monkeypatch.setattr(quantum, "basis_corrections", lambda qp: {top: half})
-    quantum._correction_vectors.cache_clear()
-    with pytest.raises(CheckFailure):
-        _staircase_products.__wrapped__(qp)
+    table = _staircase_products(qp)
+    before = {pair: dict(pieces) for pair, pieces in table.items()}
+    with pytest.raises(TypeError):
+        table[(0, 0)] = {}
+    with pytest.raises(TypeError):
+        table[(0, 0)][(0, 0)] = Polynomial.zero(qp.variables)
+    _staircase_products.cache_clear()
+    again = _staircase_products(qp)
+    assert again is not table
+    assert {pair: dict(pieces) for pair, pieces in again.items()} == before
 
 
 def test_s3_symmetry_needs_the_classical_staircase(monkeypatch, params40):
