@@ -387,24 +387,32 @@ def pairing_matrix(presentation: Presentation) -> list[list[int]]:
     """Intersection pairing of the staircase basis with itself, read in the
     presentation's own quotient.  The top degree of a classical ring holds
     one staircase monomial t (h^n xi^(r-1), or eta^m in blow-up
-    coordinates), so each distinct top-degree product reduces to c*t and
-    pairs to c times the integral of t (one :func:`integrate` call); the
-    other products pair to 0 by homogeneity."""
+    coordinates), so each distinct product of complementary degrees reduces
+    to c*t and pairs to c times the integral of t (one :func:`integrate`
+    call); the other products pair to 0 by homogeneity and are not formed."""
     vs, quotient = presentation.variables, presentation.quotient
     staircase, top = quotient.staircase, presentation.params.top_degree
-    tops = [s for s in staircase if vs.weighted_degree(s) == top]
+    by_degree: dict[int, list[int]] = {}
+    for idx, s in enumerate(staircase):
+        by_degree.setdefault(vs.weighted_degree(s), []).append(idx)
+    tops = [staircase[idx] for idx in by_degree.get(top, ())]
     if len(tops) != 1:
         raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
     scale = integrate(Polynomial.monomial(vs, tops[0]), presentation)
+    matrix = [[0] * len(staircase) for _ in staircase]
     values: dict[tuple[int, ...], int] = {}
-    for mono in dict.fromkeys(mono_mul(mi, mj) for mi in staircase for mj in staircase):
-        value = 0
-        if vs.weighted_degree(mono) == top:
-            value = scale * quotient.normal_form(Polynomial.monomial(vs, mono)).coefficient(tops[0])
-        if value.denominator != 1:
-            raise CheckFailure(f"non-integral pairing value {value}")
-        values[mono] = int(value)
-    return [[values[mono_mul(mi, mj)] for mj in staircase] for mi in staircase]
+    for degree, rows in by_degree.items():
+        for i in rows:
+            for j in by_degree.get(top - degree, ()):
+                mono = mono_mul(staircase[i], staircase[j])
+                if mono not in values:
+                    nf = quotient.normal_form(Polynomial.monomial(vs, mono))
+                    value = scale * nf.coefficient(tops[0])
+                    if value.denominator != 1:
+                        raise CheckFailure(f"non-integral pairing value {value}")
+                    values[mono] = int(value)
+                matrix[i][j] = values[mono]
+    return matrix
 
 
 def fano_positivity_check(params: GeometryParams, grid_bound: int = 5) -> CheckReport:

@@ -1,10 +1,13 @@
 """Buchberger Groebner bases, normal forms and staircase quotient bases.
 
 The instances handled here are tiny (a handful of generators in four
-variables), so the implementation favours auditability: plain Buchberger
-with the coprime-leading-term criterion and normal pair selection, followed
-by minimalization and interreduction.  Computation is over the rationals;
-callers that need integral results check integrality downstream.
+variables), so the implementation favours auditability: Buchberger with
+normal pair selection and the two classical criteria that skip a pair whose
+S-polynomial reduces to zero (coprime leading terms, and the chain
+criterion of Buchberger 1979; Cox, Little and O'Shea, *Ideals, Varieties,
+and Algorithms*, ch. 2 Sec. 10), followed by minimalization and
+interreduction.  Computation is over the rationals; callers that need
+integral results check integrality downstream.
 
 A :class:`GroebnerBasis` is immutable once constructed and may be shared
 between threads.  Normal forms of single monomials are memoized on the basis
@@ -15,6 +18,7 @@ concurrent duplicate writes are harmless.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -106,7 +110,7 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return tf * f - tg * g
 
 
-def _reduce(f: Polynomial, reducers: tuple[tuple[Mono, Polynomial], ...]) -> Polynomial:
+def _reduce(f: Polynomial, reducers: Sequence[tuple[Mono, Polynomial]]) -> Polynomial:
     """Full remainder of f under division by monic reducers (lt, poly)."""
     variables = f.variables
     rest = dict(f.terms)
@@ -154,14 +158,25 @@ def buchberger(
                 f"generator degree {g.total_degree()} exceeds budget {degree_budget}"
             )
         basis.append(_monic(g))
+    lms = [p.leading_monomial() for p in basis]
+    reducers = list(zip(lms, basis))
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     treated = 0
 
     def pair_key(pair: tuple[int, int]):
         i, j = pair
-        lcm = mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
-        return (grlex_key(lcm), i, j)
+        return (grlex_key(mono_lcm(lms[i], lms[j])), i, j)
+
+    def chained(i: int, j: int, lcm: Mono) -> bool:
+        """Buchberger's second criterion: some other leading monomial divides
+        the lcm and neither of its pairs with i and j is still pending."""
+        return any(
+            k != i and k != j and mono_divides(lm, lcm)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k, lm in enumerate(lms)
+        )
 
     while pairs:
         i, j = min(pairs, key=pair_key)
@@ -169,11 +184,9 @@ def buchberger(
         treated += 1
         if treated > pair_budget:
             raise BudgetError(f"pair budget {pair_budget} exceeded")
-        lmi = basis[i].leading_monomial()
-        lmj = basis[j].leading_monomial()
-        if mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        reducers = tuple((p.leading_monomial(), p) for p in basis)
+        lcm = mono_lcm(lms[i], lms[j])
+        if lcm == mono_mul(lms[i], lms[j]) or chained(i, j, lcm):
+            continue  # the S-polynomial reduces to zero
         remainder = _reduce(spolynomial(basis[i], basis[j]), reducers)
         if remainder.is_zero:
             continue
@@ -182,26 +195,24 @@ def buchberger(
                 f"intermediate degree {remainder.total_degree()} exceeds budget {degree_budget}"
             )
         basis.append(_monic(remainder))
+        lms.append(remainder.leading_monomial())
+        reducers.append((lms[-1], basis[-1]))
         pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
 
     # Minimalize: drop elements whose leading term is divisible by another's.
-    basis.sort(key=lambda p: grlex_key(p.leading_monomial()))
-    minimal: list[Polynomial] = []
-    for p in basis:
-        lm = p.leading_monomial()
-        if not any(mono_divides(q.leading_monomial(), lm) for q in minimal):
-            minimal.append(p)
+    reducers.sort(key=lambda entry: grlex_key(entry[0]))
+    minimal: list[tuple[Mono, Polynomial]] = []
+    for lm, p in reducers:
+        if not any(mono_divides(other, lm) for other, _ in minimal):
+            minimal.append((lm, p))
 
-    # Interreduce: every element fully reduced against the others.
-    reduced: list[Polynomial] = []
-    for idx, p in enumerate(minimal):
-        others = tuple(
-            (q.leading_monomial(), q) for k, q in enumerate(minimal) if k != idx
-        )
-        rem = _reduce(p, others)
-        reduced.append(_monic(rem))
-    reduced.sort(key=lambda p: grlex_key(p.leading_monomial()))
-    return GroebnerBasis(ideal, tuple(reduced))
+    # Interreduce: every element fully reduced against the others.  The
+    # leading terms are untouched, so the order stays ascending.
+    reduced = tuple(
+        _monic(_reduce(p, minimal[:idx] + minimal[idx + 1:]))
+        for idx, (_, p) in enumerate(minimal)
+    )
+    return GroebnerBasis(ideal, reduced)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

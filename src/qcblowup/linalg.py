@@ -1,8 +1,10 @@
-"""Exact sparse Gaussian elimination over the rationals.
+"""Exact sparse Gaussian elimination over the integers and the rationals.
 
 Rows are maps ``{column: value}`` holding only nonzero entries, which keeps
-the few-percent-dense basis-correction systems cheap.  The correction solve
-and the pairing determinants both go through :func:`eliminate`.
+the few-percent-dense basis-correction systems cheap.  An entry stays an
+``int`` while every elimination step divides exactly; a step that does not
+goes through an exact ``Fraction``.  The correction solve and the pairing
+determinants both go through :func:`eliminate`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-Row = dict[int, Fraction]
+from .poly import Scalar, _canonical
+
+Row = dict[int, Scalar]
 
 
 @dataclass(frozen=True)
@@ -24,13 +28,13 @@ class Elimination:
     nonzero; their entries lie in columns without a pivot or at ``ncols``
     and beyond (a right-hand side).  ``determinant`` is the sign of the row
     permutation times the product of the pivots for a square system of full
-    rank, and 0 otherwise.
+    rank, and 0 otherwise; it is an ``int`` when it is integral.
     """
 
     ncols: int
     pivots: dict[int, Row]
     leftover: list[Row]
-    determinant: Fraction
+    determinant: Scalar
 
     def solution(self) -> list[Fraction]:
         """Back substitution for a system of full rank whose right-hand side
@@ -39,19 +43,20 @@ class Elimination:
         for col in reversed(range(self.ncols)):
             pivot = self.pivots[col]
             known = sum(v * x[c] for c, v in pivot.items() if col < c < self.ncols)
-            x[col] = (pivot.get(self.ncols, 0) - known) / pivot[col]
+            x[col] = Fraction(pivot.get(self.ncols, 0) - known) / pivot[col]
         return x
 
 
-def eliminate(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> Elimination:
+def eliminate(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> Elimination:
     """Forward elimination of columns ``0..ncols-1``.  Each column's pivot is
     the shortest remaining row with an entry there (the earlier row on ties),
-    which keeps fill-in low."""
-    active = {i: {c: Fraction(v) for c, v in row.items() if v} for i, row in enumerate(rows)}
+    which keeps fill-in low.  A row is reduced by ``a // b`` times the pivot
+    row when both entries are ``int`` and b divides a."""
+    active = {i: {c: v for c, v in row.items() if v} for i, row in enumerate(rows)}
     nrows = len(active)
     pivots: dict[int, Row] = {}
     order: list[int] = []
-    product = Fraction(1)
+    product: Scalar = 1
     for col in range(ncols):
         hits = [i for i, row in active.items() if col in row]
         if not hits:
@@ -59,25 +64,30 @@ def eliminate(rows: Iterable[Mapping[int, Fraction | int]], ncols: int) -> Elimi
         p = min(hits, key=lambda i: (len(active[i]), i))
         prow = pivots[col] = active.pop(p)
         order.append(p)
-        product *= prow[col]
+        pivot = prow[col]
+        product *= pivot
         for i in hits:
             if i == p:
                 continue
             row = active[i]
-            factor = row[col] / prow[col]
+            a = row[col]
+            if type(a) is int and type(pivot) is int and a % pivot == 0:
+                factor = a // pivot
+            else:
+                factor = _canonical(Fraction(a) / pivot)
             for c, v in prow.items():
                 value = row.get(c, 0) - factor * v
                 if value:
-                    row[c] = value
+                    row[c] = _canonical(value)
                 else:
                     del row[c]
-    determinant = Fraction(0)
+    determinant: Scalar = 0
     if len(order) == nrows == ncols:
         inversions = sum(a > b for a, b in combinations(order, 2))
-        determinant = -product if inversions % 2 else product
+        determinant = _canonical(-product if inversions % 2 else product)
     return Elimination(ncols, pivots, [row for row in active.values() if row], determinant)
 
 
-def determinant(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
+def determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     """Exact determinant of a square matrix given as a list of rows."""
     return eliminate([dict(enumerate(row)) for row in matrix], len(matrix)).determinant

@@ -359,6 +359,10 @@ GOLDEN = [
      "4dc75b7401783f4974b1b556e121d8e493212cb56dea7412c493673fe92be211"),
     ("verify --m 11 --p 3 --json",
      "decb6d5825f4d8234aa07f57bcee56cac51e3f9d1c0e97c8c57256839a71204d"),
+    # the largest blow-up basis of the benchmark ladder, recorded before the
+    # chain criterion and the integer-preserving elimination
+    ("basis --m 20 --p 4 --coords blowup --json",
+     "d553aa59593d32df4af146bdef7e248786f6b0f989891b59418aa0de1c3359e2"),
 ]
 
 

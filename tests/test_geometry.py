@@ -339,6 +339,31 @@ def test_pairing_matrix_matches_entrywise_integrals(grid_params):
         assert pairing_matrix(pres) == expected
 
 
+def test_pairing_matrix_forms_only_complementary_products(monkeypatch, grid_params):
+    # one product per pair of staircase degrees summing to the top degree
+    top = grid_params.top_degree
+    calls = _counting(monkeypatch, "mono_mul")
+    for coords in ("bundle", "blowup"):
+        pres = classical_presentation(grid_params, coords)
+        degrees = [pres.variables.weighted_degree(s) for s in pres.quotient.staircase]
+        calls.clear()
+        pairing_matrix(pres)
+        assert len(calls) == sum(degrees.count(top - d) for d in degrees)
+
+
+def test_pairing_matrix_needs_one_top_staircase_monomial(params40):
+    # the (4,0) staircase stops at degree 4, below the top degree of (5,0)
+    pres = replace(classical_presentation(params40, "bundle"), params=derive_params(5, 0))
+    with pytest.raises(CheckFailure, match="0 staircase monomials of top degree, expected 1"):
+        pairing_matrix(pres)
+
+
+def test_pairing_matrix_refuses_a_non_integral_value(monkeypatch, params40):
+    monkeypatch.setattr(geometry, "integrate", lambda f, pres: Fraction(1, 2))
+    with pytest.raises(CheckFailure, match="non-integral pairing value 1/2"):
+        pairing_matrix(classical_presentation(params40, "bundle"))
+
+
 def test_blowup_pairing_matrix_nondegenerate(params40):
     pres = classical_presentation(params40, "blowup")
     assert bareiss_determinant(pairing_matrix(pres)) in (1, -1)

@@ -14,11 +14,17 @@ from qcblowup import (
     VariableSet,
     buchberger,
     bundle_variables,
+    classical_relations,
+    derive_params,
     ideal_equal,
     normal_form,
     spolynomial,
+    quantum_relations,
     staircase_basis,
 )
+from qcblowup import groebner
+import buchberger_oracle
+from buchberger_oracle import oracle_buchberger
 
 BV = bundle_variables(2, 3)
 
@@ -243,3 +249,57 @@ def test_ideal_equal_requires_same_setting():
     k = Polynomial.variable(kv, "k")
     with pytest.raises(UsageError):
         ideal_equal(bundle_classical_ideal(), Ideal(kv, (k,)))
+
+
+# -- against the former loop ---------------------------------------------------
+
+ORACLE_INSTANCES = [(m, p) for m in range(2, 13) for p in range(m - 1)] + [(16, 5), (20, 4)]
+
+
+def presentation_ideal(m, p, coords, quantum):
+    relations = (quantum_relations if quantum else classical_relations)(derive_params(m, p), coords)
+    return Ideal(relations[0].variables, relations)
+
+
+@pytest.mark.parametrize("m, p", ORACLE_INSTANCES, ids=[f"m{m}p{p}" for m, p in ORACLE_INSTANCES])
+def test_reduced_bases_match_the_former_loop(m, p):
+    # the chain criterion and the cached leading monomials change no basis
+    for coords in ("bundle", "blowup"):
+        for quantum in (False, True):
+            ideal = presentation_ideal(m, p, coords, quantum)
+            assert buchberger(ideal).polys == oracle_buchberger(ideal).polys
+
+
+def _counting_spolynomials(monkeypatch, module):
+    calls = []
+    original = groebner.spolynomial
+
+    def counted(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(module, "spolynomial", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m, p, reduced, before", [(20, 4, 6, 20), (16, 5, 7, 27), (11, 3, 5, 14)])
+def test_chain_criterion_skips_dead_s_polynomials(monkeypatch, m, p, reduced, before):
+    # the deformed blow-up ideal: most S-polynomials of the former loop
+    # reduced to zero, and the chain criterion never forms them
+    ideal = presentation_ideal(m, p, "blowup", True)
+    calls = _counting_spolynomials(monkeypatch, groebner)
+    buchberger(ideal)
+    assert len(calls) == reduced
+    oracle_calls = _counting_spolynomials(monkeypatch, buchberger_oracle)
+    oracle_buchberger(ideal)
+    assert len(oracle_calls) == before
+
+
+@pytest.mark.parametrize("m, p, needed", [(20, 4, 21), (11, 3, 15)])
+def test_pair_budget_counts_skipped_pairs(m, p, needed):
+    # every popped pair counts, skipped or reduced, as in the former loop
+    ideal = presentation_ideal(m, p, "blowup", True)
+    for build in (buchberger, oracle_buchberger):
+        assert build(ideal, max_pairs=needed).polys
+        with pytest.raises(BudgetError, match=f"pair budget {needed - 1} exceeded"):
+            build(ideal, max_pairs=needed - 1)

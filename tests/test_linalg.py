@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from bareiss import bareiss_determinant
+from hypothesis import given, settings, strategies as st
 
 from qcblowup import classical_presentation, pairing_matrix
 from qcblowup.linalg import determinant, eliminate
@@ -52,3 +53,44 @@ def test_determinant_matches_bareiss_on_pairing_matrices(grid_params, coords):
     value = determinant(matrix)
     assert value.denominator == 1
     assert value == bareiss_determinant(matrix)
+
+
+def test_unit_pivots_keep_every_entry_an_int():
+    # a unimodular system: every pivot is +-1, so every step divides exactly
+    rows = [{0: 1, 1: 2, 2: 3, 3: 6}, {0: 2, 1: 5, 2: 7, 3: 14}, {0: 1, 1: 3, 2: 5, 3: 9}]
+    system = eliminate(rows, 3)
+    assert all(type(v) is int for row in system.pivots.values() for v in row.values())
+    assert system.determinant == 1 and type(system.determinant) is int
+    assert system.solution() == [1, 1, 1]
+    assert type(determinant([[1, 2, 3], [2, 5, 7], [1, 3, 5]])) is int
+
+
+def test_non_unit_pivots_give_exact_fractions():
+    system = eliminate([{0: 2, 1: 1, 2: 1}, {0: 1, 1: 3, 2: 0}], 2)
+    assert system.pivots[1] == {1: -5, 2: 1}
+    assert all(type(x) is Fraction for x in system.solution())
+    assert system.determinant == 5 and type(system.determinant) is int
+    # 3 is not a multiple of the pivot 2, so the second row turns rational
+    system = eliminate([{0: 2, 1: 1}, {0: 3, 1: 1}], 2)
+    assert system.pivots[1] == {1: Fraction(-1, 2)}
+    assert system.determinant == -1 and type(system.determinant) is int
+    assert determinant([[2, 0], [0, Fraction(1, 2)]]) == 1
+    assert type(determinant([[2, 0], [0, Fraction(1, 4)]])) is Fraction
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.integers(1, 3), min_size=n, max_size=n),
+        )
+    )
+)
+def test_determinant_matches_bareiss_with_non_unit_pivots(data):
+    # rows scaled by 2 or 3 make pivots that are not units
+    matrix, scales = data
+    matrix = [[scale * v for v in row] for row, scale in zip(matrix, scales)]
+    value = determinant(matrix)
+    assert value == bareiss_determinant(matrix)
+    assert type(value) is int
