@@ -42,6 +42,7 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, mul, sub
 from typing import Union
 
 from .errors import ParseError, UsageError
@@ -104,10 +105,10 @@ class VariableSet:
         return range(self.divisor_count, len(self.names))
 
     def weighted_degree(self, mono: Mono) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return sum(map(mul, mono, self.weights))
 
     def is_parameter_free(self, mono: Mono) -> bool:
-        return all(mono[i] == 0 for i in self.parameter_indices)
+        return not any(mono[self.divisor_count:])
 
 
 def bundle_variables(r: int, n: int) -> VariableSet:
@@ -129,20 +130,24 @@ def blowup_variables(r: int, n: int) -> VariableSet:
     return VariableSet(("k", "eta", "q1", "q2"), (1, 1, r, n), divisor_count=2)
 
 
+# The monomial kernels are the innermost calls of every product and
+# reduction, so they loop in C: ``map`` over ``operator`` functions.
+
+
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
     """Quotient a / b; requires b | a."""
-    if not mono_divides(b, a):
+    if not all(map(le, b, a)):
         raise UsageError(f"{b} does not divide {a}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _canonical(c: ScalarLike) -> Scalar:
@@ -166,7 +171,7 @@ def _add_term(terms: dict[Mono, Scalar], mono: Mono, coeff: ScalarLike) -> None:
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grlex_key(mono: Mono) -> tuple[int, Mono]:

@@ -88,6 +88,12 @@ def _integral(
     return model.product(mono_mul(x, y)).get(key, {}).get((params.r - 1, params.n, 0, 0), 0)
 
 
+def _model_piece(model: _RingModel, x: Mono, y: Mono, key: tuple[int, int]) -> dict[Mono, int]:
+    """The nonzero terms of the piece at q-power ``key`` of x * y in a ring
+    model."""
+    return {t: c for t, c in model.product(mono_mul(x, y)).get(key, {}).items() if c}
+
+
 @lru_cache(maxsize=None)
 def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
     """Exceptional-line corrections turning staircase monomials into the
@@ -229,28 +235,33 @@ def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     quotient) has its terms above the top degree dropped and the rest
     reduced to the staircase by a normal form; staircase inputs skip both.
     Each term of the resulting expansion over the classical basis then
-    brings its own basis correction, if it has one.
+    brings its own basis correction, if it has one (see :func:`_terms`).
     """
-    if f.variables != qp.variables:
-        raise UsageError("class over a different variable set than the presentation")
-    classical = classical_presentation(qp.params, qp.coords).quotient
-    if not f.terms.keys() <= classical.staircase_set:
-        f = classical.normal_form(_below_top(f, qp.params))
-    corrections = basis_corrections(qp)
-    q2 = tuple(int(name == "q2") for name in qp.variables.names)
-    out = dict(f.terms)
-    for mono, coeff in f.terms.items():
-        corr = corrections.get(mono)
-        if corr is not None:
-            for m, c in corr.terms.items():
-                _add_term(out, mono_mul(m, q2), coeff * c)
+    out: dict[Mono, Scalar] = {}
+    for mono, k, c in _terms(qp, f)[0]:
+        _add_term(out, mono[:3] + (k,), c)
     return Polynomial._from_clean(qp.variables, out)
 
 
-def _terms(f: Polynomial, qp: Presentation) -> list[Term]:
-    """phi(f) = ``class_representative(f, qp)`` as (monomial, q2 exponent,
-    coefficient) terms."""
-    return [(t[:2] + (0, 0), t[3], c) for t, c in class_representative(f, qp).terms.items()]
+def _terms(qp: Presentation, *classes: Polynomial) -> list[list[Term]]:
+    """phi = :func:`class_representative` of each class as (monomial, q2
+    exponent, coefficient) terms: the staircase terms of the class, then q2
+    times the sum of their basis corrections."""
+    classical = classical_presentation(qp.params, qp.coords).quotient
+    corrections = basis_corrections(qp)
+    out = []
+    for f in classes:
+        if f.variables != qp.variables:
+            raise UsageError("class over a different variable set than the presentation")
+        if not f.terms.keys() <= classical.staircase_set:
+            f = classical.normal_form(_below_top(f, qp.params))
+        terms = {(mono, 0): coeff for mono, coeff in f.terms.items()}
+        for mono, coeff in f.terms.items():
+            if mono in corrections:
+                for m, c in corrections[mono].terms.items():
+                    terms[m, 1] = terms.get((m, 1), 0) + coeff * c
+        out.append([(m, k, c) for (m, k), c in terms.items() if c])
+    return out
 
 
 def _product(
@@ -318,7 +329,7 @@ def _contributions(
             quantum_presentation(qp.params, BUNDLE),
         )
         return {key: change_vars(piece, BUNDLE_TO_BLOWUP) for key, piece in pieces.items()}
-    return _product(qp, _terms(x, qp), _terms(y, qp))
+    return _product(qp, *_terms(qp, x, y))
 
 
 def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomial:
@@ -384,37 +395,47 @@ class GWQuery:
 def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     """Evaluate a three-point invariant from the deformed presentation.
 
-    Queries that fail the degree bookkeeping, checked in their own
-    coordinates, or with a class above the top degree return 0; blow-up
-    queries are then translated to bundle coordinates.  Any class is reduced
-    to the classical staircase before the basis corrections apply (see
-    :func:`class_representative`).  Only the requested piece of the product
-    is computed, on the integer model of the deformed ring (:func:`_piece`),
-    and it is paired with gamma through the classical ring's model: each
-    product of a piece term with a gamma term integrates to its top
-    staircase coefficient.  The result of an admissible integral query is
-    asserted to be an integer.
+    One pass over the terms of each class checks that it is parameter-free
+    and homogeneous and reads its degree, which then serves the degree
+    bookkeeping of :attr:`GWQuery.admissible` (in the query's own
+    coordinates) and the test against the top degree: a query failing
+    either returns 0.  Blow-up queries are then translated to bundle
+    coordinates.  Any class is reduced to the classical staircase before
+    the basis corrections apply (see :func:`class_representative`).  Only
+    the requested piece of the product is computed, on the integer model of
+    the deformed ring (:func:`_piece`), and it is paired with gamma through
+    the classical ring's model: each product of a piece term with a gamma
+    term integrates to its top staircase coefficient.  The result of an
+    admissible integral query is asserted to be an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
+    vs, params = qp.variables, qp.params
     classes = (query.alpha, query.beta, query.gamma)
+    degrees = []
     for c in classes:
-        if c.variables != qp.variables:
+        if c.variables != vs:
             raise UsageError("query class over a different variable set")
-        if not c.is_parameter_free():
-            raise UsageError("query classes must be parameter-free")
-        if c.is_zero or not c.is_homogeneous():
+        found = set()
+        for mono in c.terms:
+            if not vs.is_parameter_free(mono):
+                raise UsageError("query classes must be parameter-free")
+            found.add(vs.weighted_degree(mono))
+        if len(found) != 1:
             raise UsageError("query classes must be nonzero and homogeneous")
-    if query.curve.a < 0 or query.curve.b < 0:
+        degrees.append(found.pop())
+    a, b = query.curve.a, query.curve.b
+    if a < 0 or b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
-    params = qp.params
-    if not query.admissible or any(c.weighted_degree() > params.top_degree for c in classes):
+    top = params.top_degree
+    budget = degrees[0] + degrees[1] - (params.r * a + params.n * b)
+    if budget < 0 or degrees[2] != top - budget or max(degrees) > top:
         return 0
     alpha, beta, gamma = classes
     if qp.coords == BLOWUP:
         qp = quantum_presentation(params, BUNDLE)
         alpha, beta, gamma = (change_vars(c, BLOWUP_TO_BUNDLE) for c in classes)
-    piece = _piece(qp, _terms(alpha, qp), _terms(beta, qp), (query.curve.a, query.curve.b))
+    piece = _piece(qp, *_terms(qp, alpha, beta), (a, b))
     classical = classical_presentation(params, BUNDLE).quotient.model
     value = 0
     for t, c in piece.items():
@@ -422,9 +443,8 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
             for g, cg in gamma.terms.items():
                 value += c * cg * _integral(classical, params, t, g, (0, 0))
     value = _canonical(value)
-    if alpha.is_integral() and beta.is_integral() and gamma.is_integral():
-        if value.denominator != 1:
-            raise CheckFailure(f"non-integral invariant {value} from integral classes")
+    if value.denominator != 1 and all(c.is_integral() for c in (alpha, beta, gamma)):
+        raise CheckFailure(f"non-integral invariant {value} from integral classes")
     return value
 
 
@@ -440,7 +460,7 @@ def _staircase_products(
     """
     if not qp.quantum or qp.coords != BUNDLE:
         raise UsageError("the product table is built on the deformed bundle ring")
-    terms = [_terms(b, qp) for b in qp.quotient.staircase_polynomials()]
+    terms = _terms(qp, *qp.quotient.staircase_polynomials())
     return MappingProxyType({
         (i, j): MappingProxyType(_product(qp, terms_i, terms[j]))
         for i, terms_i in enumerate(terms)
@@ -505,10 +525,11 @@ def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
         )
 
     # Multiple-fiber-class vanishing: the (b, 0) contribution of a product of
-    # basis classes dies whenever the fiber degrees sum below b*r.
+    # basis classes dies whenever the fiber degrees sum below b*r.  phi and
+    # the correction step only add q2 powers, so that piece of the product
+    # table is the deformed model's product of the two staircase monomials.
     staircase = qp.quotient.staircase
     polys = qp.quotient.staircase_polynomials()
-    products = _staircase_products(qp)
     for b in range(1, b_max + 1):
         offenders = []
         checked = 0
@@ -518,8 +539,8 @@ def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
                 if xi_sum >= b * r:
                     continue
                 checked += 1
-                piece = products[(i, j)].get((b, 0))
-                if piece is not None and not piece.is_zero:
+                if terms := _model_piece(qp.quotient.model, staircase[i], staircase[j], (b, 0)):
+                    piece = Polynomial._from_clean(vs, terms)
                     offenders.append(f"{polys[i]} * {polys[j]} -> {piece}")
         report.add(
             f"fiber_multiple_vanishing[b={b}]",
@@ -529,16 +550,9 @@ def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
 
     # The deformed ring relations the counts above assemble into.
     nf = qp.quotient.normal_form
-    report.add(
-        "deformed_base_relation",
-        nf(h ** (n + 1)) == (xi - 2 * h) * q2,
-        f"h^{n + 1} -> {nf(h ** (n + 1))}",
-    )
-    report.add(
-        "deformed_fiber_relation",
-        nf((xi - h) ** (r - 1) * (xi - 2 * h)) == q1,
-        f"-> {nf((xi - h) ** (r - 1) * (xi - 2 * h))}",
-    )
+    base, fiber = nf(h ** (n + 1)), nf((xi - h) ** (r - 1) * (xi - 2 * h))
+    report.add("deformed_base_relation", base == (xi - 2 * h) * q2, f"h^{n + 1} -> {base}")
+    report.add("deformed_fiber_relation", fiber == q1, f"-> {fiber}")
     return report
 
 
@@ -589,17 +603,17 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
         report.add(f"classical_specialization_{coords}", specialized == classical)
 
     # Products specialize too: the classical-class piece of the deformed
-    # product is the classical product on every basis pair.
-    classical_ring = classical_presentation(params, BUNDLE).quotient.model
+    # product is the classical product on every basis pair.  That piece of
+    # the product table is the deformed model's product (phi and the
+    # correction step only add q2 powers).
+    rings = (qpf.quotient.model, classical_presentation(params, BUNDLE).quotient.model)
     staircase = qpf.quotient.staircase
     polys = qpf.quotient.staircase_polynomials()
-    products = _staircase_products(qpf)
     mismatches = []
     for i, si in enumerate(staircase):
         for j in range(i, len(staircase)):
-            piece = products[(i, j)].get((0, 0))
-            expected = classical_ring.product(mono_mul(si, staircase[j])).get((0, 0), {})
-            if (piece.terms if piece else {}) != {t: c for t, c in expected.items() if c}:
+            piece, expected = (_model_piece(ring, si, staircase[j], (0, 0)) for ring in rings)
+            if piece != expected:
                 mismatches.append(f"{polys[i]} * {polys[j]}")
     report.add(
         "product_specialization",

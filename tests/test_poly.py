@@ -15,7 +15,7 @@ from qcblowup import (
     derive_params,
     quantum_presentation,
 )
-from qcblowup.poly import grlex_key
+from qcblowup.poly import grlex_key, mono_div, mono_divides, mono_lcm, mono_mul
 
 from product_oracle import decompose_contributions
 
@@ -190,6 +190,29 @@ def test_order_is_multiplicative_with_minimal_unit(a, b, c):
     shifted = compare(tuple(x + z for x, z in zip(a, c)), tuple(y + z for y, z in zip(b, c)))
     assert cmp_ab == shifted
     assert compare(a, (0, 0, 0, 0)) >= 0
+
+
+MONOS = st.tuples(*[st.integers(0, 6)] * 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(MONOS, MONOS, st.sampled_from([BV, KV, bundle_variables(5, 16)]))
+def test_monomial_kernels_match_the_comprehension_forms(a, b, vs):
+    # the map/operator kernels against the generator expressions they replaced
+    assert mono_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    divides = all(x <= y for x, y in zip(a, b))
+    assert mono_divides(a, b) is divides
+    if divides:
+        assert mono_div(b, a) == tuple(y - x for x, y in zip(a, b))
+    else:
+        with pytest.raises(UsageError, match="does not divide"):
+            mono_div(b, a)
+    for mono in (a, b):
+        assert type(vs.weighted_degree(mono)) is int
+        assert vs.weighted_degree(mono) == sum(e * w for e, w in zip(mono, vs.weights))
+        assert vs.is_parameter_free(mono) is all(mono[i] == 0 for i in vs.parameter_indices)
+    assert type(mono_mul(a, b)) is tuple and type(mono_lcm(a, b)) is tuple
 
 
 # -- ring axioms ---------------------------------------------------------------

@@ -365,6 +365,93 @@ def test_string_axiom_on_corrected_classes():
         assert integrate(piece * one, cp) == 0
 
 
+def _bad_query(case):
+    # a query at (4,0) in bundle coordinates that fails validation or the
+    # degree bookkeeping, keyed by what is wrong with it
+    params = derive_params(4, 0)
+    h, xi = bp("h", params), bp("xi", params)
+    point = bp("h^3*xi", params)
+    from qcblowup import blowup_variables
+
+    k = Polynomial.variable(blowup_variables(params.r, params.n), "k")
+    return {
+        "other_variable_set": GWQuery(CurveClass(1, 0), xi, k, point),
+        "q_term": GWQuery(CurveClass(0, 1), h, h + bp("q1", params), h),
+        "zero_class": GWQuery(CurveClass(1, 0), xi, xi, bp("0", params)),
+        "inhomogeneous": GWQuery(CurveClass(0, 1), h + bp("h^2", params), h, h),
+        "negative_curve": GWQuery(CurveClass(-1, 0), h, h, h),
+        "inadmissible": GWQuery(CurveClass(2, 0), h, h, h),
+        "above_top": GWQuery(CurveClass(1, 0), xi**5, Polynomial.one(h.variables), xi),
+        # the first failing class decides, and within a class a parameter
+        # is reported before inhomogeneity; classes before the curve
+        "inhomogeneous_before_q_term": GWQuery(CurveClass(0, 1), h + xi**2, bp("q2", params), h),
+        "q_term_before_inhomogeneous": GWQuery(CurveClass(0, 1), h + bp("q2", params), h, h),
+        "class_before_curve": GWQuery(CurveClass(-1, 0), bp("0", params), h, h),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("other_variable_set", "query class over a different variable set"),
+        ("q_term", "query classes must be parameter-free"),
+        ("zero_class", "query classes must be nonzero and homogeneous"),
+        ("inhomogeneous", "query classes must be nonzero and homogeneous"),
+        ("negative_curve", "curve-class coefficients must be non-negative"),
+        ("inadmissible", 0),
+        ("above_top", 0),
+        ("inhomogeneous_before_q_term", "query classes must be nonzero and homogeneous"),
+        ("q_term_before_inhomogeneous", "query classes must be parameter-free"),
+        ("class_before_curve", "query classes must be nonzero and homogeneous"),
+    ],
+)
+def test_bad_queries_keep_their_errors_and_values(case, expected):
+    query = _bad_query(case)
+    qp = quantum_presentation(derive_params(4, 0), "bundle")
+    if isinstance(expected, str):
+        with pytest.raises(UsageError) as info:
+            gw_invariant(query, qp)
+        assert str(info.value) == expected
+    else:
+        assert not query.admissible or max(
+            c.weighted_degree() for c in (query.alpha, query.beta, query.gamma)
+        ) > qp.params.top_degree
+        assert gw_invariant(query, qp) == expected
+
+
+def test_a_warm_query_reads_each_weighted_degree_once(monkeypatch):
+    # one validation pass per class: the degree of each class term is
+    # computed at most once, none of it again for the bookkeeping
+    from collections import Counter
+
+    from qcblowup import VariableSet
+
+    params = derive_params(16, 5)
+    qp = quantum_presentation(params, "bundle")
+    n, r = params.n, params.r
+    h, xi = bp("h", params), bp("xi", params)
+    combo = h ** (n - 1) * xi ** (r - 1) + (1 - r) * h**n * xi ** (r - 2)
+    queries = [
+        GWQuery(CurveClass(0, 1), h**n + h ** (n - 1) * xi, h, combo),
+        GWQuery(CurveClass(0, 1), h**n * xi, h**2 * xi ** (r - 1), h ** (n - 4) * xi),
+    ]
+    expected = [gw_invariant(query, qp) for query in queries]  # warms the models
+    calls = []
+    original = VariableSet.weighted_degree
+
+    def spy(self, mono):
+        calls.append(mono)
+        return original(self, mono)
+
+    monkeypatch.setattr(VariableSet, "weighted_degree", spy)
+    for query, value in zip(queries, expected):
+        calls.clear()
+        classes = (query.alpha, query.beta, query.gamma)
+        assert all(set(c.terms) <= qp.quotient.staircase_set for c in classes)
+        assert gw_invariant(query, qp) == value
+        assert calls and Counter(calls) <= Counter(t for c in classes for t in c.terms)
+
+
 def test_gw_query_validation():
     params = derive_params(4, 0)
     qp = quantum_presentation(params, "bundle")
@@ -545,19 +632,36 @@ def test_quantum_presentation_suite(grid_params):
     assert report.ok, [e.name for e in report.failures()]
 
 
-def test_verify_suites_share_one_product_table():
+def test_only_the_symmetry_sweep_builds_the_product_table():
+    # the gw identities and the specialization check read the ring models;
+    # the symmetry sweep builds the table, and a second sweep shares it
     _staircase_products.cache_clear()
     params = derive_params(8, 1)
     assert verify_gw_identities(params).ok
-    info = _staircase_products.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
     assert verify_quantum_presentation(params).ok
+    info = _staircase_products.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
+    assert verify_s3_symmetry(params).ok
     assert verify_s3_symmetry(params).ok
     info = _staircase_products.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    assert verify_gw_identities(derive_params(6, 1)).ok
+    assert (info.misses, info.hits) == (1, 1)
+    assert verify_s3_symmetry(derive_params(6, 1)).ok
     info = _staircase_products.cache_info()
     assert (info.misses, info.currsize) == (2, 1)
+
+
+def test_table_pieces_without_q2_are_the_model_products(grid_params):
+    # the product table is the oracle of the verify suites' model reads: its
+    # (b, 0) pieces are the deformed model's products of the staircase pairs
+    qp = quantum_presentation(grid_params, "bundle")
+    staircase, model = qp.quotient.staircase, qp.quotient.model
+    for (i, j), pieces in _staircase_products(qp).items():
+        product = model.product(tuple(x + y for x, y in zip(staircase[i], staircase[j])))
+        for b in range(3):
+            expected = {t: c for t, c in product.get((b, 0), {}).items() if c}
+            piece = pieces.get((b, 0))
+            assert (piece.terms if piece else {}) == expected, (i, j, b)
+            assert quantum._model_piece(model, staircase[i], staircase[j], (b, 0)) == expected
 
 
 def _assert_table_matches_oracle(qp):
