@@ -31,7 +31,7 @@ from functools import lru_cache
 from .errors import CheckFailure, UsageError
 from .groebner import Ideal, QuotientRing, buchberger, staircase_basis
 from .linalg import determinant
-from .poly import Polynomial, Scalar, VariableSet, _add_term, mono_mul
+from .poly import Polynomial, Scalar, VariableSet, _canonical_terms, mono_mul
 from .poly import blowup_variables, bundle_variables
 from .report import CheckReport
 
@@ -223,14 +223,17 @@ def classical_presentation(
     return _presentation(params, coords, False, max_degree)
 
 
-def _binary_form(a: int, b: int, images: tuple[tuple[int, int], ...]) -> list[int]:
+@lru_cache(maxsize=1024)
+def _binary_form(a: int, b: int, images: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Coefficients of (u1 s + v1 t)^a (u2 s + v2 t)^b for images
-    ((u1, v1), (u2, v2)), indexed by the power of t."""
+    ((u1, v1), (u2, v2)), indexed by the power of t.  Memoised and
+    shared, hence a tuple; the bound holds every (a, b) with a + b <= 30 in
+    both directions."""
     row = [1]
     for (u, v), e in zip(images, (a, b)):
         for _ in range(e):
             row = [u * x + v * y for x, y in zip(row + [0], [0] + row)]
-    return row
+    return tuple(row)
 
 
 def change_vars(f: Polynomial, direction: str) -> Polynomial:
@@ -240,8 +243,9 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
     Inverse (bundle to blow-up): h -> k - eta, xi -> 2k - eta.
     The deformation parameters pass through unchanged.  Each monomial
     x^a y^b q1^s q2^t goes to an integer binary form of degree a + b in the
-    two target divisors (:func:`_binary_form`), so no polynomial power or
-    product is formed.
+    two target divisors (:func:`_binary_form`, memoised), so no polynomial
+    power or product is formed; the terms are summed into a plain dict and
+    cleaned once (:func:`qcblowup.poly._canonical_terms`).
     """
     vs = f.variables
     if direction == BLOWUP_TO_BUNDLE:
@@ -259,11 +263,13 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
             f"direction must be {BLOWUP_TO_BUNDLE!r} or {BUNDLE_TO_BLOWUP!r}, got {direction!r}"
         )
     out: dict[tuple[int, ...], Scalar] = {}
+    get = out.get
     for (a, b, s, t), coeff in f.terms.items():
+        d = a + b
         for j, c in enumerate(_binary_form(a, b, images)):
-            if c:
-                _add_term(out, (a + b - j, j, s, t), coeff * c)
-    return Polynomial._from_clean(target, out)
+            mono = (d - j, j, s, t)
+            out[mono] = get(mono, 0) + coeff * c
+    return Polynomial._from_clean(target, _canonical_terms(out))
 
 
 def _carries_ideal(source: Presentation, target: Presentation) -> bool:

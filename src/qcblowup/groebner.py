@@ -30,6 +30,7 @@ from .poly import (
     Scalar,
     VariableSet,
     _add_term,
+    _canonical_terms,
     grlex_key,
     mono_div,
     mono_divides,
@@ -217,14 +218,17 @@ def buchberger(
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of f modulo the basis: no term divisible by any
-    leading term; linear in f and idempotent."""
+    leading term; linear in f and idempotent.  The memoised normal forms of
+    its monomials are summed into a plain dict and cleaned once
+    (:func:`qcblowup.poly._canonical_terms`)."""
     if f.variables != gb.variables:
         raise UsageError("polynomial over a different variable set than the basis")
     out: dict[Mono, Scalar] = {}
+    get = out.get
     for mono, coeff in f.terms.items():
         for m, c in _normal_form_monomial(gb, mono).terms.items():
-            _add_term(out, m, coeff * c)
-    return Polynomial._from_clean(f.variables, out)
+            out[m] = get(m, 0) + coeff * c
+    return Polynomial._from_clean(f.variables, _canonical_terms(out))
 
 
 def _normal_form_monomial(gb: GroebnerBasis, mono: Mono) -> Polynomial:
@@ -252,12 +256,14 @@ class _RingModel:
     algebra: it is a free Z[q1, q2]-module on the staircase, so
     multiplication is given by integer matrices (Auzinger-Stetter 1988; Cox,
     Little and O'Shea, *Using Algebraic Geometry*, ch. 2).  ``matrices``
-    sends each staircase monomial s to its products with the two variables
-    (2*rank normal forms); :meth:`product` applies them to give the normal
-    form of any parameter-free monomial, memoised.  Where q1 or q2 leads a
-    basis element (n = 1) the matrices do not compose, ``matrices`` is None
-    and :meth:`product` reads the ring's own normal forms.  A rational
-    normal form (classical blow-up rings with p >= 1) is refused."""
+    sends each staircase monomial s to its products with the two variables:
+    a product that is itself a staircase monomial t is its own normal form,
+    the unit row t, and only the others are read off normal forms (at most
+    2*rank); :meth:`product` applies them to give the normal form of any
+    parameter-free monomial, memoised.  Where q1 or q2 leads a basis
+    element (n = 1) the matrices do not compose, ``matrices`` is None and
+    :meth:`product` reads the ring's own normal forms.  A rational normal
+    form (classical blow-up rings with p >= 1) is refused."""
 
     units = ((1, 0, 0, 0), (0, 1, 0, 0))  # the two divisor variables
 
@@ -267,11 +273,17 @@ class _RingModel:
         self._on_staircase = quotient.staircase_set
         free = all(map(self._vs.is_parameter_free, quotient.basis.leading_monomials()))
         self.matrices = tuple(
-            {s: self._read(mono_mul(s, unit)) for s in staircase} for unit in self.units
+            {s: self._row(mono_mul(s, unit)) for s in staircase} for unit in self.units
         ) if free else None
         self._products: dict[Mono, Vector] = {s: {(0, 0): {s: 1}} for s in staircase}
         for unit, rows in zip(self.units, self.matrices or ()):
             self._products.update((mono_mul(s, unit), row) for s, row in rows.items())
+
+    def _row(self, mono: Mono) -> Vector:
+        """The matrix row of a staircase monomial times a variable.  With
+        parameter-free leading monomials a staircase monomial is a normal
+        form, so it is its own row."""
+        return {(0, 0): {mono: 1}} if mono in self._on_staircase else self._read(mono)
 
     def _read(self, mono: Mono) -> Vector:
         """The normal form of a parameter-free monomial, split by q-power."""

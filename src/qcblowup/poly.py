@@ -27,7 +27,8 @@ checks every exponent tuple, accepts only ``int`` and ``Fraction``
 coefficients, brings them to canonical form and adds up repeated monomials.
 Arithmetic on valid polynomials produces terms that already satisfy those
 invariants (sums of terms go through :func:`_add_term`, which keeps the
-canonical form), so its results are wrapped as they are
+canonical form, or are accumulated in a plain dict and cleaned once by
+:func:`_canonical_terms`), so its results are wrapped as they are
 (:meth:`Polynomial._from_clean`).
 
 Canonical text format (also consumed by the command line): terms sorted in
@@ -42,6 +43,7 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, le, mul, sub
 from typing import Union
 
@@ -91,6 +93,17 @@ class VariableSet:
         if sorted(self.display) != sorted(self.names):
             raise UsageError("display must be a permutation of the variable names")
 
+    def __eq__(self, other: object) -> bool:
+        # equal sets are most often the same interned preset; the dataclass
+        # still derives the hash from the fields
+        if self is other:
+            return True
+        if type(other) is not VariableSet:
+            return NotImplemented
+        return (self.names, self.weights, self.divisor_count, self.display) == (
+            other.names, other.weights, other.divisor_count, other.display
+        )
+
     def __len__(self) -> int:
         return len(self.names)
 
@@ -111,11 +124,14 @@ class VariableSet:
         return not any(mono[self.divisor_count:])
 
 
+@lru_cache(maxsize=128)
 def bundle_variables(r: int, n: int) -> VariableSet:
     """Projective-bundle coordinates (xi, h, q1, q2) with weights (1,1,r,n).
 
     Comparison precedence is xi > h > q1 > q2; terms display as h-power
     times xi-power, the customary way to write the basis monomials.
+    Interned: one shared instance per (r, n), and the bound holds a long
+    grid, so the classes and rings of an instance carry the same object.
     """
     return VariableSet(
         ("xi", "h", "q1", "q2"),
@@ -125,8 +141,10 @@ def bundle_variables(r: int, n: int) -> VariableSet:
     )
 
 
+@lru_cache(maxsize=128)
 def blowup_variables(r: int, n: int) -> VariableSet:
-    """Blow-up coordinates (k, eta, q1, q2) with weights (1,1,r,n)."""
+    """Blow-up coordinates (k, eta, q1, q2) with weights (1,1,r,n).
+    Interned like :func:`bundle_variables`."""
     return VariableSet(("k", "eta", "q1", "q2"), (1, 1, r, n), divisor_count=2)
 
 
@@ -168,6 +186,13 @@ def _add_term(terms: dict[Mono, Scalar], mono: Mono, coeff: ScalarLike) -> None:
             del terms[mono]
             return
     terms[mono] = coeff if type(coeff) is int else _canonical(coeff)
+
+
+def _canonical_terms(terms: dict[Mono, ScalarLike]) -> dict[Mono, Scalar]:
+    """The terms of a sum accumulated without :func:`_add_term`: cancelled
+    terms dropped, every coefficient in canonical form.  One pass at the end
+    of a long accumulation costs less than a check on every addition."""
+    return {m: c if type(c) is int else _canonical(c) for m, c in terms.items() if c}
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
@@ -367,15 +392,21 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise UsageError(f"exponent must be a non-negative integer, got {exponent!r}")
-        result = Polynomial.one(self.variables)
-        base = self
-        e = exponent
+        if not exponent:
+            return Polynomial.one(self.variables)
+        # Square up to the lowest set bit and start from that power, so
+        # e >= 1 takes bit_length(e) + popcount(e) - 2 products.
+        base, e = self, exponent
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
             e >>= 1
-            if e:
-                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

@@ -294,18 +294,22 @@ def _piece(
 ) -> dict[Mono, Scalar]:
     """The piece of phi(x) * phi(y) at key = (a, b) that :func:`_product`
     returns, computed alone on the ring model: the naive piece at (a, b)
-    minus C times the naive piece at (a, b - 1).  Zero coefficients may
-    remain."""
+    minus C times the naive piece at (a, b - 1).  A term pair whose q2
+    exponents sum above b cannot reach the key and is skipped before its
+    product is looked up.  Zero coefficients may remain."""
     model, corrections = qp.quotient.model, basis_corrections(qp)
     a, b = key
     out: dict[Mono, Scalar] = {}
     for u, ku, cu in x:
         for v, kv, cv in y:
+            k = ku + kv
+            if k > b:
+                continue
             product = model.product(mono_mul(u, v))
             scale = cu * cv
-            for t, c in product.get((a, b - ku - kv), {}).items():
+            for t, c in product.get((a, b - k), {}).items():
                 out[t] = out.get(t, 0) + scale * c
-            for s, c in product.get((a, b - 1 - ku - kv), {}).items():
+            for s, c in product.get((a, b - 1 - k), {}).items():
                 if s in corrections:
                     for t, cc in corrections[s].terms.items():
                         out[t] = out.get(t, 0) - scale * c * cc
@@ -400,13 +404,15 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     bookkeeping of :attr:`GWQuery.admissible` (in the query's own
     coordinates) and the test against the top degree: a query failing
     either returns 0.  Blow-up queries are then translated to bundle
-    coordinates.  Any class is reduced to the classical staircase before
-    the basis corrections apply (see :func:`class_representative`).  Only
-    the requested piece of the product is computed, on the integer model of
-    the deformed ring (:func:`_piece`), and it is paired with gamma through
-    the classical ring's model: each product of a piece term with a gamma
-    term integrates to its top staircase coefficient.  The result of an
-    admissible integral query is asserted to be an integer.
+    coordinates, and their first two classes, already checked, go straight
+    to their classical normal forms.  Any class is reduced to the classical
+    staircase before the basis corrections apply (see
+    :func:`class_representative`).  Only the requested piece of the product
+    is computed, on the integer model of the deformed ring (:func:`_piece`),
+    and it is paired with gamma through the classical ring's model: each
+    product of a piece term with a gamma term integrates to its top
+    staircase coefficient.  The result of an admissible integral query is
+    asserted to be an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
@@ -432,18 +438,25 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     if budget < 0 or degrees[2] != top - budget or max(degrees) > top:
         return 0
     alpha, beta, gamma = classes
+    classical = classical_presentation(params, BUNDLE).quotient
     if qp.coords == BLOWUP:
+        # Parameter-free with nothing above the top degree, as checked
+        # above: _terms would only re-check that before the normal form.
         qp = quantum_presentation(params, BUNDLE)
-        alpha, beta, gamma = (change_vars(c, BLOWUP_TO_BUNDLE) for c in classes)
+        nf = classical.normal_form
+        alpha, beta = (nf(change_vars(c, BLOWUP_TO_BUNDLE)) for c in (alpha, beta))
+        gamma = change_vars(gamma, BLOWUP_TO_BUNDLE)
     piece = _piece(qp, *_terms(qp, alpha, beta), (a, b))
-    classical = classical_presentation(params, BUNDLE).quotient.model
+    model = classical.model
     value = 0
     for t, c in piece.items():
         if c:
             for g, cg in gamma.terms.items():
-                value += c * cg * _integral(classical, params, t, g, (0, 0))
+                value += c * cg * _integral(model, params, t, g, (0, 0))
     value = _canonical(value)
-    if value.denominator != 1 and all(c.is_integral() for c in (alpha, beta, gamma)):
+    # The coordinate change is integral both ways, so the query's own
+    # classes decide integrality.
+    if value.denominator != 1 and all(c.is_integral() for c in classes):
         raise CheckFailure(f"non-integral invariant {value} from integral classes")
     return value
 

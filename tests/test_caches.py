@@ -1,0 +1,68 @@
+"""Every ``functools.lru_cache`` in the package, with its key and its bound.
+
+A memo holds its arguments and results for the life of the process unless
+it is bounded.  The package's memos are listed below against the ones the
+modules define, so a new memo, or a changed key or bound, fails here until
+the list is updated; an unbounded one also needs its reason written down.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import qcblowup
+
+# qualified name -> (key parameters, maxsize or None for unbounded, reason)
+ALLOWED = {
+    "qcblowup.poly.bundle_variables": (
+        ("r", "n"), 128, "one interned preset per (r, n); four short tuples each"),
+    "qcblowup.poly.blowup_variables": (
+        ("r", "n"), 128, "one interned preset per (r, n); four short tuples each"),
+    "qcblowup.geometry._binary_form": (
+        ("a", "b", "images"), 1024,
+        "one integer row per exponent pair and direction; every pair of degree <= 30 fits"),
+    "qcblowup.geometry._presentation": (
+        ("params", "coords", "quantum", "max_degree"), None,
+        "unbounded: one ring per instance, coordinate system and budget; the suites of a"
+        " grid instance share it, and its quotient holds the ring model"),
+    "qcblowup.quantum.basis_corrections": (
+        ("qp",), None,
+        "unbounded: one read-only solve per deformed bundle ring, which every product and"
+        " invariant of the instance reads"),
+    "qcblowup.quantum._staircase_products": (
+        ("qp",), 1, "the product table of the latest instance only"),
+}
+
+
+def package_caches():
+    """The lru_cache wrappers defined in qcblowup, at module level or on a
+    class, keyed by qualified name."""
+    names = [qcblowup.__name__] + [
+        info.name for info in pkgutil.iter_modules(qcblowup.__path__, "qcblowup.")
+    ]
+    found = {}
+    for name in names:
+        module = importlib.import_module(name)
+        owners = [module] + [
+            cls for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == name
+        ]
+        for owner in owners:
+            for obj in vars(owner).values():
+                obj = getattr(obj, "__func__", obj)  # staticmethod, classmethod
+                if hasattr(obj, "cache_parameters") and obj.__module__ == name:
+                    found[f"{name}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_every_memo_is_on_the_allow_list():
+    found = package_caches()
+    assert sorted(found) == sorted(ALLOWED)
+
+
+def test_each_memo_has_its_listed_key_and_bound():
+    for name, cache in package_caches().items():
+        key, bound, reason = ALLOWED[name]
+        assert tuple(inspect.signature(cache.__wrapped__).parameters) == key, name
+        assert cache.cache_parameters()["maxsize"] == bound, name
+        assert reason.startswith("unbounded: ") == (bound is None), name

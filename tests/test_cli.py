@@ -363,6 +363,15 @@ GOLDEN = [
     # chain criterion and the integer-preserving elimination
     ("basis --m 20 --p 4 --coords blowup --json",
      "d553aa59593d32df4af146bdef7e248786f6b0f989891b59418aa0de1c3359e2"),
+    # dense blow-up queries on the two largest rungs of the ladder, whose
+    # classes go through the coordinate change and a classical normal form;
+    # recorded before the memoised binary forms and the one-pass sums
+    ("gw --json --m 16 --p 5 --coords blowup --class 0,1 --alpha k^3-2*k*eta^2"
+     " --beta k^6*eta^3+3*eta^9-k^9 --gamma k^7*eta^7-eta^14",
+     "e87694c6853cf3493caa56073d308f828ad77ebc39397fa26ffeb36c9340a9cf"),
+    ("gw --json --m 20 --p 4 --coords blowup --class 1,1 --alpha k^2*eta^8+eta^10"
+     " --beta k^5*eta^10-2*k^15+eta^15 --gamma k^8*eta^8-eta^16",
+     "3ff1eb9ac59f12245402b5036d33e942950372b0041f695df2d8204a5e6ef1f4"),
 ]
 
 

@@ -529,3 +529,28 @@ def test_change_vars_forms_no_polynomial_product(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert image == expected and back == f
+
+
+def test_change_vars_lands_on_the_interned_presets():
+    # parsed classes, translated classes and presentations share one
+    # instance per (r, n)
+    params = derive_params(16, 5)
+    kv, bv = (geometry.variables_for(params, coords) for coords in ("blowup", "bundle"))
+    assert kv is blowup_variables(params.r, params.n) is geometry.variables_for(params, "blowup")
+    assert bv is bundle_variables(params.r, params.n) is geometry.variables_for(params, "bundle")
+    assert classical_presentation(params, "bundle").variables is bv
+    f = Polynomial.parse(kv, "k^3 - 2*k*eta^2 + eta*q2")
+    image = change_vars(f, BLOWUP_TO_BUNDLE)
+    assert image.variables is bv
+    assert change_vars(image, BUNDLE_TO_BLOWUP).variables is kv
+
+
+def test_binary_forms_are_shared_tuples_behind_a_bounded_cache():
+    images = ((1, -1), (1, -2))
+    row = geometry._binary_form(3, 2, images)
+    assert type(row) is tuple
+    assert geometry._binary_form(3, 2, images) is row
+    # (s - t)^3 (s - 2t)^2, by the power of t
+    assert row == (1, -7, 19, -25, 16, -4)
+    assert geometry._binary_form(0, 0, images) == (1,)
+    assert geometry._binary_form.cache_info().maxsize is not None

@@ -1,5 +1,6 @@
 """Buchberger bases, normal forms, staircases and ideal equality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcblowup import (
     BudgetError,
+    CheckFailure,
     Ideal,
     Polynomial,
     StructuralError,
@@ -14,15 +16,18 @@ from qcblowup import (
     VariableSet,
     buchberger,
     bundle_variables,
+    classical_presentation,
     classical_relations,
     derive_params,
     ideal_equal,
     normal_form,
     spolynomial,
+    quantum_presentation,
     quantum_relations,
     staircase_basis,
 )
 from qcblowup import groebner
+from qcblowup.poly import mono_mul
 import buchberger_oracle
 from buchberger_oracle import oracle_buchberger
 
@@ -166,6 +171,72 @@ def test_integral_inputs_have_integral_normal_forms(terms):
     f = Polynomial(BV, terms)
     gb = buchberger(bundle_deformed_ideal())
     assert normal_form(f, gb).is_integral()
+
+
+def test_normal_form_matches_the_whole_remainder():
+    # the sum of memoised monomial normal forms against one division of the
+    # whole polynomial, on rational inputs and on combinations that cancel
+    rng = random.Random(2024)
+    for pres in (
+        quantum_presentation(derive_params(8, 1), "bundle"),
+        classical_presentation(derive_params(11, 3), "bundle"),
+    ):
+        gb, vs = pres.quotient.basis, pres.variables
+        relation = pres.relations[0]
+        inputs = [
+            relation,  # reduces to zero across its terms
+            Fraction(1, 2) * relation + Polynomial.monomial(vs, (1, 0, 0, 0)),
+            Polynomial(vs, {(0, 4, 0, 0): Fraction(1, 3), (1, 0, 0, 0): Fraction(2, 3)}),
+        ]
+        for _ in range(12):
+            terms = {}
+            for _ in range(rng.randint(1, 7)):
+                mono = (rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 2), rng.randint(0, 2))
+                terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            inputs.append(Polynomial(vs, terms))
+        for f in inputs:
+            nf = normal_form(f, gb)
+            assert nf == groebner._reduce(f, gb._reducers)
+            assert all(c and (type(c) is int or c.denominator > 1) for c in nf.terms.values())
+        assert normal_form(relation, gb).is_zero
+
+
+def test_ring_model_reads_only_the_rows_off_the_staircase(monkeypatch, grid_params):
+    # a product xi*s or h*s that is itself a staircase monomial is its own
+    # row; only the others are read off normal forms
+    reads = []
+    original = groebner._RingModel._read
+
+    def spy(self, mono):
+        reads.append(mono)
+        return original(self, mono)
+
+    for pres in (
+        quantum_presentation(grid_params, "bundle"),
+        classical_presentation(grid_params, "bundle"),
+    ):
+        quotient = pres.quotient
+        products = [
+            mono_mul(s, unit) for unit in groebner._RingModel.units for s in quotient.staircase
+        ]
+        off = [mono for mono in products if mono not in quotient.staircase_set]
+        reads.clear()
+        monkeypatch.setattr(groebner._RingModel, "_read", spy)
+        model = groebner._RingModel(quotient)
+        monkeypatch.undo()
+        assert reads == off
+        assert 0 < len(off) < len(products)
+        assert model.matrices == tuple(
+            {s: model._read(mono_mul(s, unit)) for s in quotient.staircase}
+            for unit in model.units
+        )
+
+
+def test_ring_model_refuses_a_rational_row():
+    # classical blow-up rings with p >= 1 have rational normal forms
+    quotient = classical_presentation(derive_params(8, 1), "blowup").quotient
+    with pytest.raises(CheckFailure, match="is not an integral vector over the staircase"):
+        groebner._RingModel(quotient)
 
 
 # -- staircases ----------------------------------------------------------------

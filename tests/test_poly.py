@@ -237,6 +237,29 @@ def test_power_matches_repeated_product(f, e):
     assert f**e == expected
 
 
+def test_power_starts_from_its_base(monkeypatch):
+    # no product with the one polynomial: e >= 1 takes one squaring per bit
+    # after the first and one product per further set bit
+    x = poly("xi - 2*h + q1")
+    powers = [Polynomial.one(BV)]
+    for _ in range(9):
+        powers.append(powers[-1] * x)
+    products = []
+    original = Polynomial.__mul__
+
+    def spy(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", spy)
+    for e, power in enumerate(powers):
+        products.clear()
+        assert x**e == power
+        assert len(products) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+    with pytest.raises(UsageError, match="exponent must be a non-negative integer, got -1"):
+        x ** -1
+
+
 # -- grading -------------------------------------------------------------------
 
 
@@ -329,6 +352,22 @@ def test_parse_rejects_a_zero_denominator():
 @given(polynomials())
 def test_parse_render_round_trip(f):
     assert Polynomial.parse(BV, f.render()) == f
+
+
+def test_presets_are_interned():
+    # one shared instance per (r, n); an equal set built apart still equals
+    # it and hashes alike
+    for preset in (bundle_variables, blowup_variables):
+        vs = preset(7, 10)
+        assert preset(7, 10) is vs
+        assert preset(7, 9) is not vs and preset(7, 9) != vs
+        twin = VariableSet(vs.names, vs.weights, vs.divisor_count, vs.display)
+        assert twin is not vs and twin == vs and hash(twin) == hash(vs)
+        assert {vs: 1}[twin] == 1
+    assert bundle_variables(7, 10) != blowup_variables(7, 10)
+    assert BV != "xi"
+    with pytest.raises(UsageError):
+        bundle_variables(0, 3)
 
 
 def test_variable_set_validation():

@@ -569,6 +569,33 @@ def test_a_warm_staircase_query_reads_only_the_ring_models(monkeypatch):
     assert {"__mul__", "normal_form"} <= set(calls)
 
 
+@pytest.mark.parametrize("key", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
+    # a term pair whose q2 exponents sum above b cannot reach (a, b), so its
+    # model product is never looked up; the piece equals the whole product's
+    params = derive_params(16, 5)
+    qp = quantum_presentation(params, "bundle")
+    alpha = bp("h^9*xi^3 + 2*h^10*xi^2", params)
+    beta = bp("h^8*xi^4 - h^5*xi^6", params)
+    x, y = quantum._terms(qp, alpha, beta)
+    live = [(u, v) for u, ku, _ in x for v, kv, _ in y if ku + kv <= key[1]]
+    assert len(live) < len(x) * len(y)
+    model = qp.quotient.model
+    looked_up = []
+    original = model.product
+
+    def spy(mono):
+        looked_up.append(mono)
+        return original(mono)
+
+    monkeypatch.setattr(model, "product", spy)
+    piece = quantum._piece(qp, x, y, key)
+    monkeypatch.undo()
+    assert looked_up == [tuple(a + b for a, b in zip(u, v)) for u, v in live]
+    expected = quantum._product(qp, x, y).get(key, Polynomial.zero(qp.variables))
+    assert Polynomial(qp.variables, piece) == expected
+
+
 # -- verification suites --------------------------------------------------------------
 
 
