@@ -163,13 +163,13 @@ def cmd_gw(args) -> tuple[dict, str, str]:
         "d": d,
         "admissible": admissible,
         "reason": None if admissible else "degree",
-        "certified": params.in_range,
+        "certified": qp.certified,
     }
     text = (
         f"I_({curve.a},{curve.b})({alpha}, {beta}, {gamma}) = {value}"
         f"   [d = {d}"
         + ("" if admissible else ", inadmissible degrees: value 0")
-        + ("]" if params.in_range else "; formal: 2p+3 < m fails]")
+        + ("]" if qp.certified else "; formal: 2p+3 < m fails]")
     )
     return payload, STATUS_OK, text
 

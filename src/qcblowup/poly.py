@@ -382,10 +382,12 @@ class Polynomial:
             return NotImplemented
         self._check_same_variables(other)
         out: dict[Mono, Scalar] = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                _add_term(out, mono_mul(m1, m2), c1 * c2)
-        return Polynomial._from_clean(self.variables, out)
+                m = mono_mul(m1, m2)
+                out[m] = get(m, 0) + c1 * c2
+        return Polynomial._from_clean(self.variables, _canonical_terms(out))
 
     __rmul__ = __mul__
 
@@ -394,6 +396,10 @@ class Polynomial:
             raise UsageError(f"exponent must be a non-negative integer, got {exponent!r}")
         if not exponent:
             return Polynomial.one(self.variables)
+        if len(self.terms) == 1:  # (c m)^e = c^e m^e, with no product formed
+            ((mono, c),) = self.terms.items()
+            power = {tuple(exponent * x for x in mono): _canonical(c**exponent)}
+            return Polynomial._from_clean(self.variables, power)
         # Square up to the lowest set bit and start from that power, so
         # e >= 1 takes bit_length(e) + popcount(e) - 2 products.
         base, e = self, exponent

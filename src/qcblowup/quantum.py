@@ -25,15 +25,12 @@ of the three-point theory and are solved for exactly (see
 :func:`basis_corrections`).  All extraction goes through the corrected
 identification, which is what makes the extracted three-point function
 symmetric.  Everything runs on the integer model of each bundle ring, its
-multiplication matrices (``quotient.model``).  Whole products are expanded
-by one routine (:func:`_product`, behind :func:`_contributions`), which
-also builds the table of staircase products that the verification suites
-share (:func:`_staircase_products`).  A three-point invariant needs one
-piece of one product: :func:`gw_invariant` computes that piece alone
-(:func:`_piece`) and integrates it against the third class on the
-classical ring's model.  The rows of the correction solve are read from
-the same models.  The tests check the products, the invariants and the
-solve against assemblies from Groebner normal forms.
+multiplication matrices (``quotient.model``).  Every class enters by one
+route (:func:`_terms`, which translates blow-up classes); :func:`_phi` adds
+the corrections of a factor.  :func:`_product` expands whole products, and
+:func:`_piece` the one piece an invariant or a contribution needs.  The
+correction solve reads the same models.  The tests check products,
+pieces and the solve against assemblies from Groebner normal forms.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -49,7 +46,6 @@ from types import MappingProxyType
 from .errors import CheckFailure, UsageError
 from .geometry import (
     BLOWUP,
-    BLOWUP_TO_BUNDLE,
     BUNDLE,
     BUNDLE_TO_BLOWUP,
     CurveClass,
@@ -57,15 +53,15 @@ from .geometry import (
     Presentation,
     _carries_ideal,
     _presentation,
+    _to_bundle,
     change_vars,
     classical_presentation,
     integrate,  # noqa: F401  (kept importable from this module)
     pairing_matrix,
-    quantum_relations,  # noqa: F401  (kept importable from this module)
 )
 from .groebner import Vector, _add, _RingModel
 from .linalg import eliminate
-from .poly import Mono, Polynomial, Scalar, _add_term, _canonical, mono_mul
+from .poly import Mono, Polynomial, Scalar, _canonical, _canonical_terms, mono_mul
 from .report import CheckReport
 
 
@@ -217,51 +213,71 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
     )
 
 
-def _below_top(f: Polynomial, params: GeometryParams) -> Polynomial:
-    """A parameter-free class without its terms above the top degree, which
-    are zero in cohomology."""
-    if not f.is_parameter_free():
-        raise UsageError("classical classes must be parameter-free")
-    degree, top = f.variables.weighted_degree, params.top_degree
-    terms = {mono: c for mono, c in f.terms.items() if degree(mono) <= top}
-    return Polynomial._from_clean(f.variables, terms)
-
-
 def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     """The element of the deformed quotient representing a classical class.
 
-    Any parameter-free polynomial is accepted.  A class with a term off the
-    classical staircase (tested against ``staircase_set`` of the classical
-    quotient) has its terms above the top degree dropped and the rest
-    reduced to the staircase by a normal form; staircase inputs skip both.
-    Each term of the resulting expansion over the classical basis then
-    brings its own basis correction, if it has one (see :func:`_terms`).
+    Any parameter-free class enters as a factor does (:func:`_terms`,
+    :func:`_phi`); a blow-up class then takes the blow-up normal form of the
+    element translated back, so both coordinate systems multiply alike.
     """
-    out: dict[Mono, Scalar] = {}
-    for mono, k, c in _terms(qp, f)[0]:
-        _add_term(out, mono[:3] + (k,), c)
-    return Polynomial._from_clean(qp.variables, out)
+    bundle, terms = _terms(qp, f)
+    rep = _canonical_terms({mono[:3] + (k,): c for mono, k, c in _phi(bundle, *terms)[0]})
+    return qp.quotient.normal_form(_in_coords(Polynomial._from_clean(bundle.variables, rep), qp))
 
 
-def _terms(qp: Presentation, *classes: Polynomial) -> list[list[Term]]:
-    """phi = :func:`class_representative` of each class as (monomial, q2
-    exponent, coefficient) terms: the staircase terms of the class, then q2
-    times the sum of their basis corrections."""
-    classical = classical_presentation(qp.params, qp.coords).quotient
-    corrections = basis_corrections(qp)
+def _terms(
+    qp: Presentation, *classes: Polynomial, checked: bool = False
+) -> tuple[Presentation, list[dict[Mono, Scalar]]]:
+    """The one route of classes into the product: the deformed bundle
+    presentation, and the terms of each class over the classical bundle
+    staircase.  A blow-up class or an off-staircase one is cut above the top
+    degree, where it is zero in cohomology (unless ``checked`` by the
+    caller); a blow-up class is translated, and a class off the staircase
+    takes one normal form."""
+    if not qp.quantum:
+        raise UsageError("quantum products need the deformed presentation")
+    params, blowup = qp.params, qp.coords == BLOWUP
+    bundle = quantum_presentation(params, BUNDLE) if blowup else qp
+    classical = classical_presentation(params, BUNDLE).quotient
     out = []
     for f in classes:
-        if f.variables != qp.variables:
-            raise UsageError("class over a different variable set than the presentation")
+        if not checked:
+            if f.variables != qp.variables:
+                raise UsageError("class over a different variable set than the presentation")
+            if blowup or not f.terms.keys() <= classical.staircase_set:
+                if not f.is_parameter_free():
+                    raise UsageError("classical classes must be parameter-free")
+                degree, top = f.variables.weighted_degree, params.top_degree
+                cut = {mono: c for mono, c in f.terms.items() if degree(mono) <= top}
+                f = Polynomial._from_clean(f.variables, cut)
+        if blowup:
+            f = _to_bundle(f)
         if not f.terms.keys() <= classical.staircase_set:
-            f = classical.normal_form(_below_top(f, qp.params))
-        terms = {(mono, 0): coeff for mono, coeff in f.terms.items()}
-        for mono, coeff in f.terms.items():
+            f = classical.normal_form(f)
+        out.append(f.terms)
+    return bundle, out
+
+
+def _phi(qp: Presentation, *classes: dict[Mono, Scalar]) -> list[list[Term]]:
+    """phi = :func:`class_representative` of classes given by their terms on
+    the staircase of the deformed bundle ring ``qp``, as (monomial, q2
+    exponent, coefficient) terms: the class, then q2 times its corrections."""
+    corrections = basis_corrections(qp)
+    out = []
+    for terms in classes:
+        shift: dict[Mono, Scalar] = {}
+        for mono, coeff in terms.items():
             if mono in corrections:
                 for m, c in corrections[mono].terms.items():
-                    terms[m, 1] = terms.get((m, 1), 0) + coeff * c
-        out.append([(m, k, c) for (m, k), c in terms.items() if c])
+                    shift[m] = shift.get(m, 0) + coeff * c
+        phi = [(mono, 0, coeff) for mono, coeff in terms.items()]
+        out.append(phi + [(m, 1, c) for m, c in shift.items() if c])
     return out
+
+
+def _in_coords(f: Polynomial, qp: Presentation) -> Polynomial:
+    """A bundle class in the coordinates of ``qp``."""
+    return change_vars(f, BUNDLE_TO_BLOWUP) if qp.coords == BLOWUP else f
 
 
 def _product(
@@ -322,39 +338,32 @@ def _contributions(
     """The quantum product of two classical classes split by curve class: the
     nonzero class over the classical basis multiplying q1^a q2^b, keyed by
     (a, b).  The one product routine, for every deformed ring (n = 1
-    included); blow-up pieces are computed in bundle coordinates and
-    translated back, after terms above the top degree are dropped."""
-    if not qp.quantum:
-        raise UsageError("quantum products need the deformed presentation")
-    if qp.coords == BLOWUP:
-        pieces = _contributions(
-            change_vars(_below_top(x, qp.params), BLOWUP_TO_BUNDLE),
-            change_vars(_below_top(y, qp.params), BLOWUP_TO_BUNDLE),
-            quantum_presentation(qp.params, BUNDLE),
-        )
-        return {key: change_vars(piece, BUNDLE_TO_BLOWUP) for key, piece in pieces.items()}
-    return _product(qp, *_terms(qp, x, y))
+    included); blow-up classes are multiplied in bundle coordinates (see
+    :func:`_terms`) and the pieces translated back."""
+    bundle, terms = _terms(qp, x, y)
+    return {key: _in_coords(p, qp) for key, p in _product(bundle, *_phi(bundle, *terms)).items()}
 
 
 def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomial:
     """Quantum product of two classical classes, expanded over the classical
     basis: the result is a sum of q1^a q2^b times parameter-free classes,
     one term per contributing curve class."""
-    vs = qp.variables
-    out = Polynomial.zero(vs)
-    for (a, b), piece in _contributions(x, y, qp).items():
-        out = out + piece * Polynomial.monomial(vs, (0, 0, a, b))
-    return out
+    pieces = _contributions(x, y, qp).items()
+    out = {mono[:2] + key: c for key, piece in pieces for mono, c in piece.terms.items()}
+    return Polynomial._from_clean(qp.variables, out)
 
 
 def contribution_by_class(
     x: Polynomial, y: Polynomial, a: int, b: int, qp: Presentation
 ) -> Polynomial:
     """The class multiplying q1^a q2^b in the quantum product of x and y;
-    zero whenever the degree budget deg x + deg y - (r a + n b) is negative."""
+    zero whenever the degree budget deg x + deg y - (r a + n b) is negative
+    (computed alone, by :func:`_piece`)."""
     if a < 0 or b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
-    return _contributions(x, y, qp).get((a, b), Polynomial.zero(qp.variables))
+    bundle, terms = _terms(qp, x, y)
+    piece = _canonical_terms(_piece(bundle, *_phi(bundle, *terms), (a, b)))
+    return _in_coords(Polynomial._from_clean(bundle.variables, piece), qp)
 
 
 @dataclass(frozen=True)
@@ -400,19 +409,14 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     """Evaluate a three-point invariant from the deformed presentation.
 
     One pass over the terms of each class checks that it is parameter-free
-    and homogeneous and reads its degree, which then serves the degree
-    bookkeeping of :attr:`GWQuery.admissible` (in the query's own
-    coordinates) and the test against the top degree: a query failing
-    either returns 0.  Blow-up queries are then translated to bundle
-    coordinates, and their first two classes, already checked, go straight
-    to their classical normal forms.  Any class is reduced to the classical
-    staircase before the basis corrections apply (see
-    :func:`class_representative`).  Only the requested piece of the product
-    is computed, on the integer model of the deformed ring (:func:`_piece`),
-    and it is paired with gamma through the classical ring's model: each
-    product of a piece term with a gamma term integrates to its top
-    staircase coefficient.  The result of an admissible integral query is
-    asserted to be an integer.
+    and homogeneous and reads its degree.  A query failing the degree
+    bookkeeping of :attr:`GWQuery.admissible`, or with a class above the top
+    degree, returns 0.  The checked classes enter as every class does
+    (:func:`_terms`); only the requested piece of the product of the first
+    two is computed (:func:`_piece`) and paired with gamma on the classical
+    ring's model, where each product of a piece term with a gamma term
+    integrates to its top staircase coefficient.  An admissible integral
+    query must give an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
@@ -437,21 +441,13 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     budget = degrees[0] + degrees[1] - (params.r * a + params.n * b)
     if budget < 0 or degrees[2] != top - budget or max(degrees) > top:
         return 0
-    alpha, beta, gamma = classes
-    classical = classical_presentation(params, BUNDLE).quotient
-    if qp.coords == BLOWUP:
-        # Parameter-free with nothing above the top degree, as checked
-        # above: _terms would only re-check that before the normal form.
-        qp = quantum_presentation(params, BUNDLE)
-        nf = classical.normal_form
-        alpha, beta = (nf(change_vars(c, BLOWUP_TO_BUNDLE)) for c in (alpha, beta))
-        gamma = change_vars(gamma, BLOWUP_TO_BUNDLE)
-    piece = _piece(qp, *_terms(qp, alpha, beta), (a, b))
-    model = classical.model
+    bundle, (alpha, beta, gamma) = _terms(qp, *classes, checked=True)
+    piece = _piece(bundle, *_phi(bundle, alpha, beta), (a, b))
+    model = classical_presentation(params, BUNDLE).quotient.model
     value = 0
     for t, c in piece.items():
         if c:
-            for g, cg in gamma.terms.items():
+            for g, cg in gamma.items():
                 value += c * cg * _integral(model, params, t, g, (0, 0))
     value = _canonical(value)
     # The coordinate change is integral both ways, so the query's own
@@ -467,13 +463,13 @@ def _staircase_products(
 ) -> MappingProxyType[tuple[int, int], MappingProxyType[tuple[int, int], Polynomial]]:
     """Quantum products of all staircase basis pairs (i <= j), split by
     curve class: entry (i, j) is ``_contributions(b_i, b_j, qp)``, the same
-    expansion run with each phi(b_s) read once.  The verification suites of
-    one instance share this table; only the latest is kept.  The table and
+    expansion run with each phi(b_s) read once.  Only the symmetry sweep and
+    the tests read this table, and only the latest is kept.  The table and
     its entries are read-only, since every caller shares them.
     """
     if not qp.quantum or qp.coords != BUNDLE:
         raise UsageError("the product table is built on the deformed bundle ring")
-    terms = _terms(qp, *qp.quotient.staircase_polynomials())
+    terms = _phi(qp, *_terms(qp, *qp.quotient.staircase_polynomials())[1])
     return MappingProxyType({
         (i, j): MappingProxyType(_product(qp, terms_i, terms[j]))
         for i, terms_i in enumerate(terms)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -26,11 +26,8 @@ class CheckReport:
     def skip(self, name: str, detail: str = "") -> None:
         self.entries.append(CheckEntry(name, True, detail, skipped=True))
 
-    def merge(self, other: CheckReport, prefix: str = "") -> None:
-        for e in other.entries:
-            self.entries.append(
-                CheckEntry(prefix + e.name, e.passed, e.detail, e.skipped)
-            )
+    def merge(self, other: CheckReport) -> None:
+        self.entries.extend(replace(e) for e in other.entries)
 
     @property
     def ok(self) -> bool:

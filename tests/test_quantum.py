@@ -296,6 +296,33 @@ def test_class_representative_adds_q2_times_the_corrections(grid_params):
     assert rep.terms == Polynomial(vs, dict(rep.terms)).terms
 
 
+@pytest.mark.parametrize("coords", ["bundle", "blowup"])
+def test_class_representative_is_a_ring_homomorphism(grid_params, coords):
+    # nf(rep(x) * rep(y)) = sum over curve classes of q^key * rep(piece_key)
+    # for every pair of classical staircase classes, in either coordinate system
+    qp = quantum_presentation(grid_params, coords)
+    vs = qp.variables
+    basis = classical_presentation(grid_params, coords).quotient.staircase_polynomials()
+    reps = [class_representative(x, qp) for x in basis]
+    for i, x in enumerate(basis):
+        for j in range(i, len(basis)):
+            expected = Polynomial.zero(vs)
+            for (a, b), piece in _contributions(x, basis[j], qp).items():
+                q = Polynomial.monomial(vs, (0, 0, a, b))
+                expected = expected + q * class_representative(piece, qp)
+            assert qp.quotient.normal_form(reps[i] * reps[j]) == expected, (str(x), str(basis[j]))
+
+
+def test_blowup_representatives_carry_the_bundle_corrections():
+    # eta^3 at (8,1) stands for eta^3 - q1 in the product; its blow-up
+    # normal form alone would be eta^3
+    qp = quantum_presentation(derive_params(8, 1), "blowup")
+    vs = qp.variables
+    eta3 = Polynomial.parse(vs, "eta^3")
+    assert qp.quotient.normal_form(eta3) == eta3
+    assert class_representative(eta3, qp) == Polynomial.parse(vs, "eta^3 - q1")
+
+
 # -- invariant extraction -----------------------------------------------------------
 
 
@@ -577,7 +604,7 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     qp = quantum_presentation(params, "bundle")
     alpha = bp("h^9*xi^3 + 2*h^10*xi^2", params)
     beta = bp("h^8*xi^4 - h^5*xi^6", params)
-    x, y = quantum._terms(qp, alpha, beta)
+    x, y = quantum._phi(qp, *quantum._terms(qp, alpha, beta)[1])
     live = [(u, v) for u, ku, _ in x for v, kv, _ in y if ku + kv <= key[1]]
     assert len(live) < len(x) * len(y)
     model = qp.quotient.model
@@ -937,7 +964,7 @@ def test_zero_class_gives_zero():
 @pytest.mark.parametrize("coords", ["bundle", "blowup"])
 def test_classes_above_the_top_degree_are_never_reduced(monkeypatch, coords):
     # xi^200 (k^200) is zero in cohomology: nothing reduces or translates it
-    from qcblowup import groebner
+    from qcblowup import geometry, groebner
 
     params = derive_params(4, 0)
     qp = quantum_presentation(params, coords)
@@ -946,7 +973,8 @@ def test_classes_above_the_top_degree_are_never_reduced(monkeypatch, coords):
     one, point = Polynomial.one(vs), x * y**3
     gw_invariant(GWQuery(CurveClass(1, 0), x, x, point), qp)  # builds the models
     seen = []
-    for module, name in ((groebner, "normal_form"), (quantum, "change_vars")):
+    # a blow-up class reaches bundle coordinates through geometry._to_bundle
+    for module, name in ((groebner, "normal_form"), (geometry, "change_vars")):
         original = getattr(module, name)
 
         def spy(f, *args, original=original):
@@ -960,9 +988,13 @@ def test_classes_above_the_top_degree_are_never_reduced(monkeypatch, coords):
     assert contribution_by_class(high + x, y, 1, 0, qp) == contribution_by_class(x, y, 1, 0, qp)
     assert class_representative(high + point, qp) == class_representative(point, qp)
     assert max(seen, default=0) <= params.top_degree
-    # the spy does see a reduction of such a class
+    # the spies do see a reduction and a translation of such a class
     assert classical_presentation(params, coords).quotient.normal_form(high).is_zero
     assert seen[-1] == 200
+    if coords == "blowup":
+        seen.clear()
+        geometry._to_bundle(high)
+        assert seen == [200]
 
 
 def test_presentations_are_built_once_per_key():
