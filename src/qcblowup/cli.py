@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import geometry, quantum
+from . import geometry
 from .errors import BudgetError, CheckFailure, StructuralError, UsageError
 from .geometry import CurveClass, derive_params
 from .poly import Polynomial
@@ -56,6 +56,15 @@ def _parse_curve(text: str) -> CurveClass:
         raise UsageError(f"curve class must be two integers, got {text!r}") from None
 
 
+def _parse_class(vs, text: str, budget: int | None) -> Polynomial:
+    """A class given on the command line; under a budget its total degree is
+    bounded as the degrees of a basis computation are."""
+    cls = Polynomial.parse(vs, text)
+    if budget is not None and cls.total_degree() > budget:
+        raise BudgetError(f"class degree {cls.total_degree()} exceeds budget {budget}")
+    return cls
+
+
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
@@ -90,13 +99,22 @@ def _emit(doc: dict, as_json: bool, text: str) -> None:
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _ring(params, coords: str, deformed: bool, budget: int | None):
+    """The classical or deformed ring; ``quantum`` is imported only for the
+    deformed one."""
+    if not deformed:
+        return geometry.classical_presentation(params, coords, max_degree=budget)
+    from . import quantum
+
+    return quantum.quantum_presentation(params, coords, max_degree=budget)
+
+
 def cmd_present(args) -> tuple[dict, str, str]:
     params = derive_params(args.m, args.p)
     budget = _max_degree()
     if args.at_q_one and not args.quantum:
         raise UsageError("--at-q-one requires --quantum")
-    build = quantum.quantum_presentation if args.quantum else geometry.classical_presentation
-    pres = build(params, args.coords, max_degree=budget)
+    pres = _ring(params, args.coords, args.quantum, budget)
     relations = pres.relations
     if args.at_q_one:
         relations = tuple(g.substitute({"q1": 1, "q2": 1}) for g in relations)
@@ -137,13 +155,15 @@ def cmd_present(args) -> tuple[dict, str, str]:
 
 
 def cmd_gw(args) -> tuple[dict, str, str]:
+    from . import quantum
+
     params = derive_params(args.m, args.p)
     budget = _max_degree()
     vs = geometry.variables_for(params, args.coords)
     curve = _parse_curve(args.curve_class)
-    alpha = Polynomial.parse(vs, args.alpha)
-    beta = Polynomial.parse(vs, args.beta)
-    gamma = Polynomial.parse(vs, args.gamma)
+    alpha, beta, gamma = (
+        _parse_class(vs, text, budget) for text in (args.alpha, args.beta, args.gamma)
+    )
     # The invariant is read off the bundle rings in either coordinate
     # system; building them under the budget first lets an exceeded budget
     # fail the command.
@@ -178,7 +198,7 @@ def cmd_integrate(args) -> tuple[dict, str, str]:
     params = derive_params(args.m, args.p)
     budget = _max_degree()
     vs = geometry.variables_for(params, args.coords)
-    cls = Polynomial.parse(vs, args.cls)
+    cls = _parse_class(vs, args.cls, budget)
     pres = geometry.classical_presentation(params, geometry.BUNDLE, max_degree=budget)
     groebner_value = geometry.integrate(cls, pres)
     oracle_value = geometry.oracle_integrate(cls, params)
@@ -196,8 +216,7 @@ def cmd_integrate(args) -> tuple[dict, str, str]:
 
 def cmd_basis(args) -> tuple[dict, str, str]:
     params = derive_params(args.m, args.p)
-    build = quantum.quantum_presentation if args.quantum else geometry.classical_presentation
-    pres = build(params, args.coords, max_degree=_max_degree())
+    pres = _ring(params, args.coords, args.quantum, _max_degree())
     quotient = pres.quotient
     matrix = None if pres.quantum else geometry.pairing_matrix(pres)
     payload = {
@@ -238,6 +257,8 @@ def _verify_instance(
         report = CheckReport()
         report.skip("parameters_valid", str(exc))
         return False, report
+    from . import quantum
+
     for coords in (geometry.BUNDLE, geometry.BLOWUP):
         geometry.classical_presentation(params, coords, max_degree=budget)
         if params.in_range:

@@ -24,15 +24,15 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CheckFailure, UsageError
+from .errors import BudgetError, CheckFailure, UsageError
 from .groebner import Ideal, QuotientRing, buchberger, staircase_basis
 from .linalg import determinant
 from .poly import Polynomial, Scalar, VariableSet, _canonical_terms, mono_mul
 from .poly import blowup_variables, bundle_variables
+from .records import Frozen
 from .report import CheckReport
 
 BUNDLE = "bundle"
@@ -41,20 +41,28 @@ BLOWUP_TO_BUNDLE = "blowup_to_bundle"
 BUNDLE_TO_BLOWUP = "bundle_to_blowup"
 
 
-@dataclass(frozen=True)
-class GeometryParams:
+class GeometryParams(Frozen):
     """The pair (m, p) with its derived invariants.
 
     ``in_range`` records the hypothesis 2p+3 < m (equivalently r < n) under
     which the deformed presentation is certified; classical constructions
-    work for every admissible (m, p).
+    work for every admissible (m, p).  The hash, part of every presentation
+    cache key, is computed once.
     """
 
-    m: int
-    p: int
-    n: int
-    r: int
-    in_range: bool
+    __slots__ = ("m", "p", "n", "r", "in_range", "_hash")
+    _fields = __slots__[:5]
+
+    def __init__(self, m: int, p: int, n: int, r: int, in_range: bool) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "in_range", in_range)
+        object.__setattr__(self, "_hash", hash((m, p, n, r, in_range)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def top_degree(self) -> int:
@@ -76,12 +84,14 @@ def derive_params(m: int, p: int) -> GeometryParams:
     return GeometryParams(m=m, p=p, n=m - p - 1, r=p + 2, in_range=2 * p + 3 < m)
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Frozen):
     """Coefficients c_0..c_r of the total Chern class of O(1)^(r-1) + O(2),
     i.e. of the product (1+t)^(r-1) (1+2t)."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = _fields = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def rank(self) -> int:
@@ -106,14 +116,16 @@ def chern_coefficients(params: GeometryParams) -> ChernVector:
     return vec
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Frozen):
     """An integer homology class a*A1 + b*A2, where A1 is the class of a line
     in a fiber of P(V) -> P^n and A2 the class of a line along the
     exceptional locus."""
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def is_effective(self) -> bool:
@@ -125,20 +137,34 @@ FIBER_LINE = CurveClass(1, 0)
 EXCEPTIONAL_LINE = CurveClass(0, 1)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """Two relations, classical or deformed (``quantum``; q1 = q2 = 0 gives
     back the classical ones), plus the processed quotient.
 
     The relations and the quotient follow from (coords, params, quantum), so
-    the hash reads only those three; the caches keyed on a presentation stay
-    cheap to query."""
+    the hash reads only those three, computed once; the caches keyed on a
+    presentation stay cheap to query."""
 
-    coords: str
-    params: GeometryParams
-    quantum: bool
-    relations: tuple[Polynomial, Polynomial] = field(hash=False)
-    quotient: QuotientRing = field(hash=False)
+    __slots__ = ("coords", "params", "quantum", "relations", "quotient", "_hash")
+    _fields = __slots__[:5]
+
+    def __init__(
+        self,
+        coords: str,
+        params: GeometryParams,
+        quantum: bool,
+        relations: tuple[Polynomial, Polynomial],
+        quotient: QuotientRing,
+    ) -> None:
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "quantum", quantum)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "_hash", hash((coords, params, quantum)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def variables(self) -> VariableSet:
@@ -206,9 +232,8 @@ def quantum_relations(
     return deformed
 
 
-@lru_cache(maxsize=None)
-def _presentation(
-    params: GeometryParams, coords: str, quantum: bool, max_degree: int | None
+def _build(
+    params: GeometryParams, coords: str, quantum: bool, max_degree: int | None = None
 ) -> Presentation:
     relations = (quantum_relations if quantum else classical_relations)(params, coords)
     ideal = Ideal(relations[0].variables, relations)
@@ -216,11 +241,36 @@ def _presentation(
     return Presentation(coords, params, quantum, relations, quotient)
 
 
+@lru_cache(maxsize=None)
+def _presentation(params: GeometryParams, coords: str, quantum: bool) -> Presentation:
+    """The ring built under the default degree budget, once per instance."""
+    return _build(params, coords, quantum)
+
+
+def _budgeted(
+    params: GeometryParams, coords: str, quantum: bool, max_degree: int
+) -> Presentation:
+    """The cached ring when its Buchberger run stayed within ``max_degree``
+    (its basis's ``peak_degree``).  Otherwise Buchberger runs again under the
+    budget, uncached: that raises the :class:`BudgetError` an exceeded budget
+    gives, or builds a ring that only a budget above the default one admits."""
+    try:
+        pres = _presentation(params, coords, quantum)
+    except BudgetError:
+        return _build(params, coords, quantum, max_degree)
+    if pres.quotient.basis.peak_degree <= max_degree:
+        return pres
+    return _build(params, coords, quantum, max_degree)
+
+
 def classical_presentation(
     params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
 ) -> Presentation:
-    """Build the classical presentation and its quotient ring (cached)."""
-    return _presentation(params, coords, False, max_degree)
+    """Build the classical presentation and its quotient ring (cached; a
+    degree budget is checked against the cached ring's Buchberger run)."""
+    if max_degree is None:
+        return _presentation(params, coords, False)
+    return _budgeted(params, coords, False, max_degree)
 
 
 @lru_cache(maxsize=1024)

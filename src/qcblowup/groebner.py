@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -37,40 +36,47 @@ from .poly import (
     mono_lcm,
     mono_mul,
 )
+from .records import Frozen
 
 #: Default safety budgets; generous for every instance this package builds.
 DEFAULT_MAX_DEGREE = 200
 DEFAULT_MAX_PAIRS = 100_000
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Frozen):
     """A finitely generated ideal."""
 
-    variables: VariableSet
-    generators: tuple[Polynomial, ...]
+    __slots__ = _fields = ("variables", "generators")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if not self.generators:
+    def __init__(self, variables: VariableSet, generators: Sequence[Polynomial]) -> None:
+        generators = tuple(generators)
+        if not generators:
             raise UsageError("an ideal needs at least one generator")
-        for g in self.generators:
-            if g.variables != self.variables:
+        for g in generators:
+            if g.variables != variables:
                 raise UsageError("generator over a different variable set")
             if g.is_zero:
                 raise UsageError("zero generator")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "generators", generators)
 
 
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements, no term of any element
     divisible by the leading term of another, sorted by ascending leading
-    monomial."""
+    monomial.  ``peak_degree`` is the largest total degree among the
+    generators and the S-pair remainders of the :func:`buchberger` run that
+    produced the basis, so that run passes every degree budget at least that
+    large (None for a basis built otherwise)."""
 
-    __slots__ = ("ideal", "polys", "_reducers", "_nf_memo")
+    __slots__ = ("ideal", "polys", "peak_degree", "_reducers", "_nf_memo")
 
-    def __init__(self, ideal: Ideal, polys: tuple[Polynomial, ...]) -> None:
+    def __init__(
+        self, ideal: Ideal, polys: tuple[Polynomial, ...], peak_degree: int | None = None
+    ) -> None:
         self.ideal = ideal
         self.polys = polys
+        self.peak_degree = peak_degree
         self._reducers = tuple((p.leading_monomial(), p) for p in polys)
         self._nf_memo: dict[Mono, Polynomial] = {}
 
@@ -153,11 +159,12 @@ def buchberger(
     pair_budget = DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
 
     basis: list[Polynomial] = []
+    peak = -1
     for g in ideal.generators:
-        if g.total_degree() > degree_budget:
-            raise BudgetError(
-                f"generator degree {g.total_degree()} exceeds budget {degree_budget}"
-            )
+        degree = g.total_degree()
+        peak = max(peak, degree)
+        if degree > degree_budget:
+            raise BudgetError(f"generator degree {degree} exceeds budget {degree_budget}")
         basis.append(_monic(g))
     lms = [p.leading_monomial() for p in basis]
     reducers = list(zip(lms, basis))
@@ -191,10 +198,10 @@ def buchberger(
         remainder = _reduce(spolynomial(basis[i], basis[j]), reducers)
         if remainder.is_zero:
             continue
-        if remainder.total_degree() > degree_budget:
-            raise BudgetError(
-                f"intermediate degree {remainder.total_degree()} exceeds budget {degree_budget}"
-            )
+        degree = remainder.total_degree()
+        peak = max(peak, degree)
+        if degree > degree_budget:
+            raise BudgetError(f"intermediate degree {degree} exceeds budget {degree_budget}")
         basis.append(_monic(remainder))
         lms.append(remainder.leading_monomial())
         reducers.append((lms[-1], basis[-1]))
@@ -213,7 +220,7 @@ def buchberger(
         _monic(_reduce(p, minimal[:idx] + minimal[idx + 1:]))
         for idx, (_, p) in enumerate(minimal)
     )
-    return GroebnerBasis(ideal, reduced)
+    return GroebnerBasis(ideal, reduced, peak)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -310,8 +317,7 @@ class _RingModel:
         return self._products[mono]
 
 
-@dataclass(frozen=True)
-class QuotientRing:
+class QuotientRing(Frozen):
     """A quotient by a Groebner basis together with its staircase.
 
     The staircase lists, in ascending graded-lex order, the monomials in the
@@ -319,11 +325,14 @@ class QuotientRing:
     parameters are excluded from the listing, so for deformed ideals the
     quotient is a parameter-module on these monomials.  Its integer
     :attr:`model` and :attr:`staircase_set` are built on first use and kept
-    outside equality and hashing.
+    outside equality and hashing, in the instance ``__dict__``.
     """
 
-    basis: GroebnerBasis
-    staircase: tuple[Mono, ...]
+    _fields = ("basis", "staircase")
+
+    def __init__(self, basis: GroebnerBasis, staircase: tuple[Mono, ...]) -> None:
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "staircase", staircase)
 
     @property
     def rank(self) -> int:

@@ -9,18 +9,17 @@ determinants both go through :func:`eliminate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .poly import Scalar, _canonical
+from .records import Frozen
 
 Row = dict[int, Scalar]
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(Frozen):
     """Columns ``0..ncols-1`` of a system after forward elimination.
 
     ``pivots`` maps each eliminated column to its pivot row, which has no
@@ -31,10 +30,15 @@ class Elimination:
     rank, and 0 otherwise; it is an ``int`` when it is integral.
     """
 
-    ncols: int
-    pivots: dict[int, Row]
-    leftover: list[Row]
-    determinant: Scalar
+    __slots__ = _fields = ("ncols", "pivots", "leftover", "determinant")
+
+    def __init__(
+        self, ncols: int, pivots: dict[int, Row], leftover: list[Row], determinant: Scalar
+    ) -> None:
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "leftover", leftover)
+        object.__setattr__(self, "determinant", determinant)
 
     def solution(self) -> list[Fraction]:
         """Back substitution for a system of full rank whose right-hand side

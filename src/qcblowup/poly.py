@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, mul, sub
 from typing import Union
 
 from .errors import ParseError, UsageError
+from .records import Frozen
 
 # A scalar is an exact rational number in canonical form: an int when it is
 # integral, else a Fraction (gcd-reduced, denominator > 1).
@@ -60,8 +60,7 @@ Mono = tuple[int, ...]
 ScalarLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class VariableSet:
+class VariableSet(Frozen):
     """An ordered list of named variables with integer degree weights.
 
     The listing order is the comparison precedence (most significant first).
@@ -72,30 +71,36 @@ class VariableSet:
     parameters.
     """
 
-    names: tuple[str, ...]
-    weights: tuple[int, ...]
-    divisor_count: int = -1
-    display: tuple[str, ...] = ()
+    __slots__ = _fields = ("names", "weights", "divisor_count", "display")
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise UsageError(f"duplicate variable names in {self.names}")
-        if len(self.weights) != len(self.names):
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        weights: tuple[int, ...],
+        divisor_count: int = -1,
+        display: tuple[str, ...] = (),
+    ) -> None:
+        if len(set(names)) != len(names):
+            raise UsageError(f"duplicate variable names in {names}")
+        if len(weights) != len(names):
             raise UsageError("one weight per variable required")
-        if any(w <= 0 for w in self.weights):
-            raise UsageError(f"weights must be positive, got {self.weights}")
-        if self.divisor_count == -1:
-            object.__setattr__(self, "divisor_count", len(self.names))
-        if not 0 <= self.divisor_count <= len(self.names):
+        if any(w <= 0 for w in weights):
+            raise UsageError(f"weights must be positive, got {weights}")
+        if divisor_count == -1:
+            divisor_count = len(names)
+        if not 0 <= divisor_count <= len(names):
             raise UsageError("divisor_count out of range")
-        if not self.display:
-            object.__setattr__(self, "display", self.names)
-        if sorted(self.display) != sorted(self.names):
+        if not display:
+            display = names
+        if sorted(display) != sorted(names):
             raise UsageError("display must be a permutation of the variable names")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "divisor_count", divisor_count)
+        object.__setattr__(self, "display", display)
 
     def __eq__(self, other: object) -> bool:
-        # equal sets are most often the same interned preset; the dataclass
-        # still derives the hash from the fields
+        # equal sets are most often the same interned preset
         if self is other:
             return True
         if type(other) is not VariableSet:
@@ -103,6 +108,9 @@ class VariableSet:
         return (self.names, self.weights, self.divisor_count, self.display) == (
             other.names, other.weights, other.divisor_count, other.display
         )
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.weights, self.divisor_count, self.display))
 
     def __len__(self) -> int:
         return len(self.names)

@@ -39,7 +39,6 @@ use the uncorrected identification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -51,6 +50,7 @@ from .geometry import (
     CurveClass,
     GeometryParams,
     Presentation,
+    _budgeted,
     _carries_ideal,
     _presentation,
     _to_bundle,
@@ -62,14 +62,18 @@ from .geometry import (
 from .groebner import Vector, _add, _RingModel
 from .linalg import eliminate
 from .poly import Mono, Polynomial, Scalar, _canonical, _canonical_terms, mono_mul
+from .records import Frozen
 from .report import CheckReport
 
 
 def quantum_presentation(
     params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
 ) -> Presentation:
-    """Build the deformed presentation and its quotient ring (cached)."""
-    return _presentation(params, coords, True, max_degree)
+    """Build the deformed presentation and its quotient ring (cached; a
+    degree budget is checked against the cached ring's Buchberger run)."""
+    if max_degree is None:
+        return _presentation(params, coords, True)
+    return _budgeted(params, coords, True, max_degree)
 
 
 Term = tuple[Mono, int, Scalar]  # parameter-free monomial, q2 exponent, coefficient
@@ -366,16 +370,20 @@ def contribution_by_class(
     return _in_coords(Polynomial._from_clean(bundle.variables, piece), qp)
 
 
-@dataclass(frozen=True)
-class GWQuery:
+class GWQuery(Frozen):
     """A three-point invariant request: a curve class and three parameter-free
     homogeneous classes, in either coordinate system (both give the same
     degree bookkeeping)."""
 
-    curve: CurveClass
-    alpha: Polynomial
-    beta: Polynomial
-    gamma: Polynomial
+    __slots__ = _fields = ("curve", "alpha", "beta", "gamma")
+
+    def __init__(
+        self, curve: CurveClass, alpha: Polynomial, beta: Polynomial, gamma: Polynomial
+    ) -> None:
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
     def _weights(self) -> tuple[int, int]:
         vs = self.alpha.variables

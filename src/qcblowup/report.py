@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from .records import Record
 
 
-@dataclass
-class CheckEntry:
-    name: str
-    passed: bool
-    detail: str = ""
-    skipped: bool = False
+class CheckEntry(Record):
+    __slots__ = _fields = ("name", "passed", "detail", "skipped")
+
+    def __init__(self, name: str, passed: bool, detail: str = "", skipped: bool = False) -> None:
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.skipped = skipped
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """An ordered list of named checks; a report is ok when nothing failed
     (skipped entries do not count as failures)."""
 
-    entries: list[CheckEntry] = field(default_factory=list)
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: list[CheckEntry] | None = None) -> None:
+        self.entries = [] if entries is None else entries
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.entries.append(CheckEntry(name, passed, detail))
@@ -27,7 +31,9 @@ class CheckReport:
         self.entries.append(CheckEntry(name, True, detail, skipped=True))
 
     def merge(self, other: CheckReport) -> None:
-        self.entries.extend(replace(e) for e in other.entries)
+        self.entries.extend(
+            CheckEntry(e.name, e.passed, e.detail, e.skipped) for e in other.entries
+        )
 
     @property
     def ok(self) -> bool:

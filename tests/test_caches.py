@@ -22,9 +22,10 @@ ALLOWED = {
         ("a", "b", "images"), 1024,
         "one integer row per exponent pair and direction; every pair of degree <= 30 fits"),
     "qcblowup.geometry._presentation": (
-        ("params", "coords", "quantum", "max_degree"), None,
-        "unbounded: one ring per instance, coordinate system and budget; the suites of a"
-        " grid instance share it, and its quotient holds the ring model"),
+        ("params", "coords", "quantum"), None,
+        "unbounded: one ring per instance and coordinate system, whatever the budget (a"
+        " budget is checked against the run's peak degree); the suites of a grid instance"
+        " share it, and its quotient holds the ring model"),
     "qcblowup.quantum.basis_corrections": (
         ("qp",), None,
         "unbounded: one read-only solve per deformed bundle ring, which every product and"

@@ -440,5 +440,85 @@ def test_verify_builds_each_presentation_once_without_a_budget(capsys, monkeypat
     assert doc["payload"]["ok"]
 
 
+@pytest.mark.parametrize("argv, runs", [
+    (("verify", "--m", "8", "--p", "1"), 7),
+    (("gw", "--m", "8", "--p", "1", "--coords", "blowup", "--class", "1,0",
+      "--alpha", "k", "--beta", "k^2", "--gamma", "k^5*eta^3"), 3),
+    (("gw", "--m", "8", "--p", "1", "--class", "1,0",
+      "--alpha", "xi", "--beta", "xi^2", "--gamma", "h^6*xi^2"), 2),
+])
+def test_a_budget_builds_no_second_ring(capsys, monkeypatch, argv, runs):
+    # A budgeted request reads the cached ring when that ring's Buchberger
+    # run stayed within the budget, so the budget adds no run.
+    from qcblowup import geometry
+
+    calls = []
+    buchberger = geometry.buchberger
+    monkeypatch.setattr(
+        geometry, "buchberger", lambda *a, **k: calls.append(1) or buchberger(*a, **k)
+    )
+    for budget in (None, "40"):
+        if budget is None:
+            monkeypatch.delenv("QC_MAX_DEGREE", raising=False)
+        else:
+            monkeypatch.setenv("QC_MAX_DEGREE", budget)
+        geometry._presentation.cache_clear()
+        calls.clear()
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == runs, budget
+
+
+def test_an_exceeded_budget_fails_on_a_cached_ring(capsys, monkeypatch):
+    # the blow-up rings at (8,1) reach intermediate degree 9
+    monkeypatch.delenv("QC_MAX_DEGREE", raising=False)
+    code, _ = run(capsys, "verify", "--m", "8", "--p", "1")
+    assert code == 0
+    for budget, error in (("8", "intermediate degree 9 exceeds budget 8"),
+                          ("6", "generator degree 7 exceeds budget 6")):
+        monkeypatch.setenv("QC_MAX_DEGREE", budget)
+        code, doc = run_json(capsys, "verify", "--m", "8", "--p", "1")
+        assert code == 1
+        assert doc["status"] == "check-failed"
+        assert doc["payload"]["error"] == error
+    monkeypatch.setenv("QC_MAX_DEGREE", "9")
+    code, doc = run_json(capsys, "verify", "--m", "8", "--p", "1")
+    assert code == 0 and doc["payload"]["ok"]
+
+
+def test_a_budget_above_the_default_builds_what_the_default_refuses(capsys, monkeypatch):
+    # (k - eta)^202 is over the default budget of 200; the cached build fails
+    # and the budgeted request builds the ring under its own budget
+    argv = ("present", "--m", "202", "--p", "0")
+    monkeypatch.delenv("QC_MAX_DEGREE", raising=False)
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["payload"]["error"] == "generator degree 202 exceeds budget 200"
+    monkeypatch.setenv("QC_MAX_DEGREE", "210")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["payload"]["rank"] == 404
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("integrate", "--m", "4", "--p", "0", "--class", "xi^12800"),
+     "class degree 12800 exceeds budget 40"),
+    (("gw", "--m", "4", "--p", "0", "--class", "100000,0", "--alpha", "xi^200000",
+      "--beta", "1", "--gamma", "h^3*xi"), "class degree 200000 exceeds budget 40"),
+    (("gw", "--m", "4", "--p", "0", "--coords", "blowup", "--class", "0,1",
+      "--alpha", "k", "--beta", "k", "--gamma", "k^2*eta^39+eta^41"),
+     "class degree 41 exceeds budget 40"),
+])
+def test_a_budget_bounds_the_parsed_classes(capsys, monkeypatch, argv, error):
+    monkeypatch.setenv("QC_MAX_DEGREE", "40")
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["status"] == "check-failed"
+    assert doc["payload"]["error"] == error
+    monkeypatch.delenv("QC_MAX_DEGREE")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+
+
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2

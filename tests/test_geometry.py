@@ -1,7 +1,6 @@
 """Parameters, Chern data, presentations, integration, pairings."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -15,6 +14,8 @@ from qcblowup import (
     EXCEPTIONAL_LINE,
     FIBER_LINE,
     Polynomial,
+    Presentation,
+    QuotientRing,
     UsageError,
     VariableSet,
     anticanonical_class,
@@ -351,9 +352,12 @@ def test_pairing_matrix_forms_only_complementary_products(monkeypatch, grid_para
         assert len(calls) == sum(degrees.count(top - d) for d in degrees)
 
 
-def test_pairing_matrix_needs_one_top_staircase_monomial(params40):
+def test_pairing_matrix_needs_the_top_degree_of_its_params(params40):
     # the (4,0) staircase stops at degree 4, below the top degree of (5,0)
-    pres = replace(classical_presentation(params40, "bundle"), params=derive_params(5, 0))
+    ring = classical_presentation(params40, "bundle")
+    pres = Presentation(
+        ring.coords, derive_params(5, 0), ring.quantum, ring.relations, ring.quotient
+    )
     with pytest.raises(CheckFailure, match="0 staircase monomials of top degree, expected 1"):
         pairing_matrix(pres)
 
@@ -392,7 +396,8 @@ def test_top_blowup_class_integrates_to_the_exceptional_self_intersection(m, p):
 def test_pairing_matrix_needs_one_top_staircase_monomial(params40):
     for coords in ("bundle", "blowup"):
         pres = classical_presentation(params40, coords)
-        short = replace(pres, quotient=replace(pres.quotient, staircase=pres.quotient.staircase[:-1]))
+        quotient = QuotientRing(pres.quotient.basis, pres.quotient.staircase[:-1])
+        short = Presentation(pres.coords, pres.params, pres.quantum, pres.relations, quotient)
         with pytest.raises(CheckFailure, match="0 staircase monomials of top degree"):
             pairing_matrix(short)
 
