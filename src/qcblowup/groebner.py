@@ -278,11 +278,15 @@ class _RingModel:
         self._vs, self._nf = quotient.variables, quotient.normal_form
         staircase = quotient.staircase
         self._on_staircase = quotient.staircase_set
+        self.by_degree: dict[int, list[Mono]] = {}  # the staircase by weighted degree
+        for s in staircase:
+            self.by_degree.setdefault(self._vs.weighted_degree(s), []).append(s)
         free = all(map(self._vs.is_parameter_free, quotient.basis.leading_monomials()))
         self.matrices = tuple(
             {s: self._row(mono_mul(s, unit)) for s in staircase} for unit in self.units
         ) if free else None
         self._products: dict[Mono, Vector] = {s: {(0, 0): {s: 1}} for s in staircase}
+        self._gram: dict[Mono, tuple[tuple[Mono, int], ...]] = {}
         for unit, rows in zip(self.units, self.matrices or ()):
             self._products.update((mono_mul(s, unit), row) for s, row in rows.items())
 
@@ -315,6 +319,21 @@ class _RingModel:
                         _add(out, self.matrices[var][s], key, c)
             self._products[mono] = out
         return self._products[mono]
+
+    def gram_row(self, g: Mono) -> tuple[tuple[Mono, int], ...]:
+        """The nonzero entries (t, c) of the Gram row of a staircase monomial
+        g, over t of the complementary degree: c is the coefficient of the
+        single top-degree staircase monomial in t * g (the integral of t * g
+        in the classical bundle ring).  Memoised, a tuple per monomial."""
+        if g not in self._gram:
+            degree, by_degree = self._vs.weighted_degree, self.by_degree
+            if len(tops := by_degree[max(by_degree)]) != 1:
+                raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
+            self._gram[g] = tuple(
+                (t, c) for t in by_degree.get(degree(tops[0]) - degree(g), ())
+                if (c := self.product(mono_mul(t, g)).get((0, 0), {}).get(tops[0], 0))
+            )
+        return self._gram[g]
 
 
 class QuotientRing(Frozen):

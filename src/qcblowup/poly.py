@@ -121,10 +121,6 @@ class VariableSet(Frozen):
         except ValueError:
             raise UsageError(f"unknown variable {name!r} (have {self.names})") from None
 
-    @property
-    def parameter_indices(self) -> range:
-        return range(self.divisor_count, len(self.names))
-
     def weighted_degree(self, mono: Mono) -> int:
         return sum(map(mul, mono, self.weights))
 

@@ -57,7 +57,6 @@ from .geometry import (
     change_vars,
     classical_presentation,
     integrate,  # noqa: F401  (kept importable from this module)
-    pairing_matrix,
 )
 from .groebner import Vector, _add, _RingModel
 from .linalg import eliminate
@@ -76,7 +75,7 @@ def quantum_presentation(
     return _budgeted(params, coords, True, max_degree)
 
 
-Term = tuple[Mono, int, Scalar]  # parameter-free monomial, q2 exponent, coefficient
+Level = tuple[int, dict[Mono, Scalar]]  # q2 exponent, parameter-free terms
 
 
 def _integral(
@@ -135,10 +134,7 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
     if cp.quotient.staircase != staircase:
         raise CheckFailure("deformed and classical staircases differ")
     deformed, classical = qp.quotient.model, cp.quotient.model
-    n, top = params.n, params.top_degree
-    by_degree: dict[int, list[Mono]] = {}
-    for mono in staircase:
-        by_degree.setdefault(sum(mono), []).append(mono)
+    n, top, by_degree = params.n, params.top_degree, classical.by_degree
 
     # Unknowns, in column order: the components of the correction C_s of
     # each monomial s of degree >= n, over the classes of degree deg s - n.
@@ -225,7 +221,8 @@ def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     element translated back, so both coordinate systems multiply alike.
     """
     bundle, terms = _terms(qp, f)
-    rep = _canonical_terms({mono[:3] + (k,): c for mono, k, c in _phi(bundle, *terms)[0]})
+    phi = _phi(bundle, *terms)[0]
+    rep = _canonical_terms({mono[:3] + (k,): c for k, part in phi for mono, c in part.items()})
     return qp.quotient.normal_form(_in_coords(Polynomial._from_clean(bundle.variables, rep), qp))
 
 
@@ -262,10 +259,13 @@ def _terms(
     return bundle, out
 
 
-def _phi(qp: Presentation, *classes: dict[Mono, Scalar]) -> list[list[Term]]:
+def _phi(qp: Presentation, *classes: dict[Mono, Scalar], level: int = 1) -> list[list[Level]]:
     """phi = :func:`class_representative` of classes given by their terms on
-    the staircase of the deformed bundle ring ``qp``, as (monomial, q2
-    exponent, coefficient) terms: the class, then q2 times its corrections."""
+    the staircase of the deformed bundle ring ``qp``, by q2 exponent: the
+    class, then (if nonzero) its corrections at q2^1, which a piece at q2
+    exponent ``level`` = 0 never reads and so are left out."""
+    if not level:
+        return [[(0, terms)] for terms in classes]
     corrections = basis_corrections(qp)
     out = []
     for terms in classes:
@@ -274,8 +274,8 @@ def _phi(qp: Presentation, *classes: dict[Mono, Scalar]) -> list[list[Term]]:
             if mono in corrections:
                 for m, c in corrections[mono].terms.items():
                     shift[m] = shift.get(m, 0) + coeff * c
-        phi = [(mono, 0, coeff) for mono, coeff in terms.items()]
-        out.append(phi + [(m, 1, c) for m, c in shift.items() if c])
+        shift = {m: c for m, c in shift.items() if c}
+        out.append([(0, terms), (1, shift)] if shift else [(0, terms)])
     return out
 
 
@@ -285,7 +285,7 @@ def _in_coords(f: Polynomial, qp: Presentation) -> Polynomial:
 
 
 def _product(
-    qp: Presentation, x: list[Term], y: list[Term]
+    qp: Presentation, x: list[Level], y: list[Level]
 ) -> dict[tuple[int, int], Polynomial]:
     """phi(x) * phi(y) expanded on the ring model (``qp.quotient.model``),
     followed by the one correction step 1 - q2*C that turns the staircase
@@ -293,9 +293,11 @@ def _product(
     pieces in key order."""
     model, corrections = qp.quotient.model, basis_corrections(qp)
     naive: Vector = {}
-    for u, ku, cu in x:
-        for v, kv, cv in y:
-            _add(naive, model.product(mono_mul(u, v)), (0, ku + kv), cu * cv)
+    for ku, xs in x:
+        for kv, ys in y:
+            for u, cu in xs.items():
+                for v, cv in ys.items():
+                    _add(naive, model.product(mono_mul(u, v)), (0, ku + kv), cu * cv)
     # In descending order each naive piece is read before the step writes
     # into it.
     for key in sorted(naive, reverse=True):
@@ -310,29 +312,39 @@ def _product(
 
 
 def _piece(
-    qp: Presentation, x: list[Term], y: list[Term], key: tuple[int, int]
+    qp: Presentation, x: list[Level], y: list[Level], key: tuple[int, int]
 ) -> dict[Mono, Scalar]:
     """The piece of phi(x) * phi(y) at key = (a, b) that :func:`_product`
     returns, computed alone on the ring model: the naive piece at (a, b)
-    minus C times the naive piece at (a, b - 1).  A term pair whose q2
-    exponents sum above b cannot reach the key and is skipped before its
-    product is looked up.  Zero coefficients may remain."""
-    model, corrections = qp.quotient.model, basis_corrections(qp)
+    minus C times the naive piece at (a, b - 1).  The term pairs are summed
+    by product monomial (parameter-free, in the two divisor variables) and
+    q2 exponent k first, without those with k > b, which cannot reach the
+    key; each distinct monomial's model product is then read once.  Zero
+    coefficients may remain."""
     a, b = key
+    grouped: dict[Mono, dict[int, Scalar]] = {}
+    for ku, xs in x:
+        for kv, ys in y:
+            if (k := ku + kv) <= b:
+                for u, cu in xs.items():
+                    for v, cv in ys.items():
+                        levels = grouped.setdefault((u[0] + v[0], u[1] + v[1], 0, 0), {})
+                        levels[k] = levels.get(k, 0) + cu * cv
+    product = qp.quotient.model.product
     out: dict[Mono, Scalar] = {}
-    for u, ku, cu in x:
-        for v, kv, cv in y:
-            k = ku + kv
-            if k > b:
-                continue
-            product = model.product(mono_mul(u, v))
-            scale = cu * cv
-            for t, c in product.get((a, b - k), {}).items():
+    below: dict[Mono, Scalar] = {}  # the naive piece at (a, b - 1)
+    for mono, levels in grouped.items():
+        vec = product(mono)
+        for k, scale in levels.items():
+            for t, c in vec.get((a, b - k), {}).items():
                 out[t] = out.get(t, 0) + scale * c
-            for s, c in product.get((a, b - 1 - k), {}).items():
-                if s in corrections:
-                    for t, cc in corrections[s].terms.items():
-                        out[t] = out.get(t, 0) - scale * c * cc
+            for s, c in vec.get((a, b - 1 - k), {}).items() if k < b else ():
+                below[s] = below.get(s, 0) + scale * c
+    corrections = basis_corrections(qp) if below else {}
+    for s, c in below.items():
+        if c and s in corrections:
+            for t, cc in corrections[s].terms.items():
+                out[t] = out.get(t, 0) - c * cc
     return out
 
 
@@ -366,7 +378,7 @@ def contribution_by_class(
     if a < 0 or b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
     bundle, terms = _terms(qp, x, y)
-    piece = _canonical_terms(_piece(bundle, *_phi(bundle, *terms), (a, b)))
+    piece = _canonical_terms(_piece(bundle, *_phi(bundle, *terms, level=b), (a, b)))
     return _in_coords(Polynomial._from_clean(bundle.variables, piece), qp)
 
 
@@ -421,10 +433,10 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     bookkeeping of :attr:`GWQuery.admissible`, or with a class above the top
     degree, returns 0.  The checked classes enter as every class does
     (:func:`_terms`); only the requested piece of the product of the first
-    two is computed (:func:`_piece`) and paired with gamma on the classical
-    ring's model, where each product of a piece term with a gamma term
-    integrates to its top staircase coefficient.  An admissible integral
-    query must give an integer.
+    two is computed (:func:`_piece`, from phi up to the key's q2 exponent),
+    and it is paired with gamma through the memoised Gram rows of the
+    classical ring's model, one dot product per gamma term.  An admissible
+    integral query must give an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
@@ -450,13 +462,12 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     if budget < 0 or degrees[2] != top - budget or max(degrees) > top:
         return 0
     bundle, (alpha, beta, gamma) = _terms(qp, *classes, checked=True)
-    piece = _piece(bundle, *_phi(bundle, alpha, beta), (a, b))
-    model = classical_presentation(params, BUNDLE).quotient.model
+    piece = _piece(bundle, *_phi(bundle, alpha, beta, level=b), (a, b))
+    row = classical_presentation(params, BUNDLE).quotient.model.gram_row
     value = 0
-    for t, c in piece.items():
-        if c:
-            for g, cg in gamma.items():
-                value += c * cg * _integral(model, params, t, g, (0, 0))
+    for g, cg in gamma.items():
+        for t, c in row(g):
+            value += cg * c * piece.get(t, 0)
     value = _canonical(value)
     # The coordinate change is integral both ways, so the query's own
     # classes decide integrality.
@@ -508,10 +519,7 @@ def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
     n, r = params.n, params.r
     qp = quantum_presentation(params, BUNDLE)
     vs = qp.variables
-    xi = Polynomial.variable(vs, "xi")
-    h = Polynomial.variable(vs, "h")
-    q1 = Polynomial.variable(vs, "q1")
-    q2 = Polynomial.variable(vs, "q2")
+    xi, h, q1, q2 = (Polynomial.variable(vs, name) for name in ("xi", "h", "q1", "q2"))
     report = CheckReport()
 
     # Fiber-line count: one line in the fiber through a point, meeting one
@@ -586,8 +594,7 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
 
     # (k - eta)^(m-p) - eta and k^(p+1) eta - 1 at unit parameters.
     bvs = qpb.variables
-    k = Polynomial.variable(bvs, "k")
-    eta = Polynomial.variable(bvs, "eta")
+    k, eta = (Polynomial.variable(bvs, name) for name in ("k", "eta"))
     expected = (
         (k - eta) ** (params.m - params.p) - eta,
         k ** (params.p + 1) * eta - 1,
@@ -648,33 +655,28 @@ def verify_s3_symmetry(params: GeometryParams) -> CheckReport:
     Every piece of the product table is a class over the classical
     staircase, which the deformed staircase equals (the correction solve
     checks this), so its pairing with a basis class is a dot product with
-    the Gram matrix G = ``pairing_matrix(cp)``: each piece's coefficient
-    vector is multiplied by G once, and each pairing of the sweep is a
-    lookup.  Also asserts integrality of every extracted value along the
-    sweep.
+    the Gram matrix G (the Gram rows of the classical model, which
+    ``gw_invariant`` reads too): each piece's coefficient vector is
+    multiplied by G once, and each pairing of the sweep is a lookup.  Also
+    asserts integrality of every extracted value along the sweep.
     """
     if not params.in_range:
         raise UsageError("symmetry sweep requires 2p+3 < m")
     qp = quantum_presentation(params, BUNDLE)
     cp = classical_presentation(params, BUNDLE)
-    staircase = cp.quotient.staircase
     polys = qp.quotient.staircase_polynomials()
     products = _staircase_products(qp)
     report = CheckReport()
 
-    # The nonzero entries of G, row by row, keyed by staircase monomial.
-    gram = {
-        s: [(k, g) for k, g in enumerate(row) if g]
-        for s, row in zip(staircase, pairing_matrix(cp))
-    }
-    # paired[(i, j), key][k]: the piece of b_i * b_j at key paired with b_k.
-    paired: dict[tuple[tuple[int, int], tuple[int, int]], dict[int, Scalar]] = {}
+    # paired[(i, j), key][t]: the piece of b_i * b_j at key paired with t.
+    staircase, gram_row = cp.quotient.staircase, cp.quotient.model.gram_row
+    paired: dict[tuple[tuple[int, int], tuple[int, int]], dict[Mono, Scalar]] = {}
     for pair, pieces in products.items():
         for key, piece in pieces.items():
             row = paired[pair, key] = {}
             for s, c in piece.terms.items():
-                for k, g in gram[s]:
-                    row[k] = row.get(k, 0) + c * g
+                for t, g in gram_row(s):
+                    row[t] = row.get(t, 0) + c * g
 
     failures: list[str] = []
     fractional: list[str] = []
@@ -686,7 +688,8 @@ def verify_s3_symmetry(params: GeometryParams) -> CheckReport:
                 groupings = (((i, j), k), ((i, k), j), ((j, k), i))
                 for key in sorted({key for pair, _ in groupings for key in products[pair]}):
                     v1, v2, v3 = values = [
-                        paired.get((pair, key), {}).get(third, 0) for pair, third in groupings
+                        paired.get((pair, key), {}).get(staircase[third], 0)
+                        for pair, third in groupings
                     ]
                     checked += 1
                     if not (v1 == v2 == v3):

@@ -23,9 +23,10 @@ def decompose_contributions(f):
     """Split a polynomial by parameter powers: the piece at key (a, b) is the
     parameter-free class multiplying q1^a q2^b."""
     vs = f.variables
-    if len(vs.parameter_indices) != 2:
+    parameters = range(vs.divisor_count, len(vs))
+    if len(parameters) != 2:
         raise UsageError("expected a variable set with two deformation parameters")
-    i1, i2 = vs.parameter_indices
+    i1, i2 = parameters
     pieces = {}
     for mono, coeff in f.terms.items():
         key = (mono[i1], mono[i2])

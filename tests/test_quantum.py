@@ -35,7 +35,7 @@ from qcblowup.linalg import eliminate
 from qcblowup.quantum import _contributions, _staircase_products
 
 from correction_oracle import polynomial_corrections
-from invariant_oracle import assembled_invariant
+from invariant_oracle import assembled_invariant, piecewise_invariant
 from product_oracle import groebner_contributions
 
 
@@ -546,6 +546,129 @@ def test_gw_invariant_matches_the_groebner_oracle(m):
     assert nonzero >= 10
 
 
+LADDER = [(8, 1), (11, 3), (16, 5), (20, 4)]
+
+
+def _ladder_class(rng, vs, degree, terms):
+    # distinct monomials of one degree, on and off the staircase
+    monos = [(i, degree - i, 0, 0) for i in range(degree + 1)]
+    chosen = rng.sample(monos, min(terms, len(monos)))
+    return Polynomial(vs, {mono: rng.choice([-3, -2, -1, 1, 2, 3]) for mono in chosen})
+
+
+def _ladder_queries(rng, params, vs, count):
+    # queries at b = 0, 1, 2 in turn, with classes of one to six terms; every
+    # third query carries one Fraction coefficient, and every fourth is made
+    # inadmissible by moving gamma off the complementary degree
+    top, r, n = params.top_degree, params.r, params.n
+    queries = []
+    for i in range(count):
+        a, b = rng.randint(0, 1), i % 3
+        degrees = [
+            (da, db) for da in range(top + 1) for db in range(top + 1)
+            if 0 <= da + db - r * a - n * b <= top
+        ]
+        da, db = rng.choice(degrees)
+        dg = top - (da + db - r * a - n * b)
+        if i % 4 == 3:
+            dg = dg + 1 if dg < top else dg - 1
+        classes = [_ladder_class(rng, vs, d, rng.randint(1, 6)) for d in (da, db, dg)]
+        if i % 3 == 1:
+            slot = rng.randrange(3)
+            terms = dict(classes[slot].terms)
+            mono = rng.choice(sorted(terms))
+            terms[mono] = Fraction(terms[mono], 2)
+            classes[slot] = Polynomial(vs, terms)
+        queries.append(GWQuery(CurveClass(a, b), *classes))
+    return queries
+
+
+@pytest.mark.parametrize("m, p", LADDER, ids=[f"m{m}p{p}" for m, p in LADDER])
+def test_gw_invariant_matches_the_piecewise_kernel(m, p):
+    # the grouped kernel against the pairwise one with its integral pairing
+    # and against the whole-product assembly, on seeded ladder queries in
+    # both coordinate systems; contribution_by_class against _product's
+    # piece on the same pairs
+    params = derive_params(m, p)
+    rng = random.Random(31 * m + p)
+    seen = {"b": set(), "fraction": 0, "inadmissible": 0, "nonzero": 0}
+    for coords in ("bundle", "blowup"):
+        qp = quantum_presentation(params, coords)
+        zero = Polynomial.zero(qp.variables)
+        for query in _ladder_queries(rng, params, qp.variables, 18):
+            a, b = query.curve.a, query.curve.b
+            value = gw_invariant(query, qp)
+            assert value == piecewise_invariant(query, qp) == assembled_invariant(query, qp), (
+                coords, query
+            )
+            assert type(value) is int or value.denominator > 1
+            alpha, beta = query.alpha, query.beta
+            piece = _contributions(alpha, beta, qp).get((a, b), zero)
+            assert contribution_by_class(alpha, beta, a, b, qp) == piece, (coords, query)
+            seen["b"].add(b)
+            seen["inadmissible"] += not query.admissible
+            seen["nonzero"] += value != 0
+            classes = (alpha, beta, query.gamma)
+            seen["fraction"] += any(type(c) is Fraction for x in classes for c in x.terms.values())
+    assert seen["b"] == {0, 1, 2}
+    assert seen["fraction"] and seen["inadmissible"] and seen["nonzero"] >= 4
+
+
+def test_shared_memos_survive_callers_that_change_their_results():
+    # the model product memos and the Gram rows are shared by every query: a
+    # seeded batch whose every returned polynomial is changed in place leaves
+    # them as they were, and the batch gives the same values again
+    import copy
+
+    rng = random.Random(2718)
+    batch, models = [], []
+    for m, p in [(11, 3), (16, 5)]:
+        params = derive_params(m, p)
+        for build in (quantum_presentation, classical_presentation):
+            models.append(build(params, "bundle").quotient.model)
+        for coords in ("bundle", "blowup"):
+            qp = quantum_presentation(params, coords)
+            batch += [(query, qp) for query in _ladder_queries(rng, params, qp.variables, 12)]
+            # single basis monomials, whose pieces are single model products
+            polys = classical_presentation(params, coords).quotient.staircase_polynomials()
+            by_degree = {}
+            for poly in polys:
+                by_degree.setdefault(poly.homogeneous_degree(), []).append(poly)
+            top, r, n = params.top_degree, params.r, params.n
+            for a, b in [(0, 0), (1, 0), (0, 1)] * 4:
+                x, y = rng.choice(polys), rng.choice(polys)
+                d = x.homogeneous_degree() + y.homogeneous_degree() - r * a - n * b
+                if 0 <= d <= top:
+                    gamma = rng.choice(by_degree[top - d])
+                    batch.append((GWQuery(CurveClass(a, b), x, y, gamma), qp))
+
+    def run(mutate):
+        values = []
+        for query, qp in batch:
+            alpha, beta = query.alpha, query.beta
+            results = [
+                contribution_by_class(alpha, beta, query.curve.a, query.curve.b, qp),
+                quantum_product(alpha, beta, qp),
+                class_representative(alpha, qp),
+                class_representative(query.gamma, qp),
+            ]
+            values.append((gw_invariant(query, qp), *(dict(r.terms) for r in results)))
+            if mutate:
+                for result in results:
+                    for mono in list(result.terms):
+                        result.terms[mono] = 12345
+                    result.terms[(7, 7, 7, 7)] = 1
+        return values
+
+    expected = run(False)  # warms the memos
+    assert any(value for value, *_ in expected)
+    before = copy.deepcopy([(model._products, model._gram) for model in models])
+    assert all(gram for _, gram in before[1::2])  # the classical models' rows
+    assert run(True) == expected
+    assert [(model._products, model._gram) for model in models] == before
+    assert run(False) == expected
+
+
 def test_gw_invariant_matches_the_whole_product_assembly(grid_params):
     # the same assembly on the ring-model product routine, over staircase triples
     qp = quantum_presentation(grid_params, "bundle")
@@ -601,14 +724,16 @@ def test_a_warm_staircase_query_reads_only_the_ring_models(monkeypatch):
 @pytest.mark.parametrize("key", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     # a term pair whose q2 exponents sum above b cannot reach (a, b), so its
-    # model product is never looked up; the piece equals the whole product's
+    # model product is never looked up, and the live pairs are summed by
+    # product monomial first: one lookup per distinct monomial; the piece
+    # equals the whole product's
     params = derive_params(16, 5)
     qp = quantum_presentation(params, "bundle")
     alpha = bp("h^9*xi^3 + 2*h^10*xi^2", params)
     beta = bp("h^8*xi^4 - h^5*xi^6", params)
     x, y = quantum._phi(qp, *quantum._terms(qp, alpha, beta)[1])
-    live = [(u, v) for u, ku, _ in x for v, kv, _ in y if ku + kv <= key[1]]
-    assert len(live) < len(x) * len(y)
+    live = [(u, v) for ku, xs in x for u in xs for kv, ys in y for v in ys if ku + kv <= key[1]]
+    assert len(live) < sum(map(len, dict(x).values())) * sum(map(len, dict(y).values()))
     model = qp.quotient.model
     looked_up = []
     original = model.product
@@ -620,9 +745,93 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     monkeypatch.setattr(model, "product", spy)
     piece = quantum._piece(qp, x, y, key)
     monkeypatch.undo()
-    assert looked_up == [tuple(a + b for a, b in zip(u, v)) for u, v in live]
+    monos = [tuple(a + b for a, b in zip(u, v)) for u, v in live]
+    assert sorted(looked_up) == sorted(set(monos))
+    assert len(set(monos)) < len(monos) or key[1] == 0  # pairs do share monomials
     expected = quantum._product(qp, x, y).get(key, Polynomial.zero(qp.variables))
     assert Polynomial(qp.variables, piece) == expected
+
+
+def _spied_calls(monkeypatch, owner, name):
+    # record the arguments of every call of owner.name
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _warm_queries(params):
+    # staircase queries at b = 0 and b = 1 whose classes carry corrections
+    qp = quantum_presentation(params, "bundle")
+    n, r = params.n, params.r
+    h, xi = bp("h", params), bp("xi", params)
+    b0 = [
+        GWQuery(CurveClass(1, 0), h ** (n - 1) * xi**2, xi ** (r - 1), xi ** (r - 1)),
+        GWQuery(CurveClass(1, 0), h**n * xi + h ** (n - 2) * xi**3, xi ** (r - 1), xi ** (r - 1)),
+        GWQuery(CurveClass(0, 0), h ** (n - 1) * xi**2, h, xi ** (r - 3)),
+    ]
+    b1 = [GWQuery(CurveClass(0, 1), h**n * xi, h**2 * xi ** (r - 1), h ** (n - 4) * xi)]
+    for query in b0 + b1:
+        assert query.admissible
+        assert any(t in basis_corrections(qp) for t in query.alpha.terms)
+    return qp, b0, b1
+
+
+def test_a_warm_b0_query_reads_no_basis_correction(monkeypatch):
+    # no q2 correction reaches a key with b = 0, so neither phi nor the
+    # correction step reads them; a b = 1 query does
+    qp, b0, b1 = _warm_queries(derive_params(16, 5))
+    expected = [assembled_invariant(query, qp, groebner_contributions) for query in b0 + b1]
+    assert [gw_invariant(query, qp) for query in b0 + b1] == expected  # warms the models
+    assert any(expected)
+    calls = _spied_calls(monkeypatch, quantum, "basis_corrections")
+    assert [gw_invariant(query, qp) for query in b0] == expected[: len(b0)]
+    assert calls == []
+    assert [gw_invariant(query, qp) for query in b1] == expected[len(b0):]
+    assert calls
+
+
+def test_a_warm_query_makes_no_integral_call(monkeypatch):
+    # gamma is paired through the memoised Gram rows, not one integral per
+    # (piece term, gamma term)
+    qp, b0, b1 = _warm_queries(derive_params(16, 5))
+    queries = b0 + b1
+    expected = [gw_invariant(query, qp) for query in queries]  # warms the models
+    calls = _spied_calls(monkeypatch, quantum, "_integral")
+    assert [gw_invariant(query, qp) for query in queries] == expected
+    assert calls == []
+    # the spy does see the correction solve's integrals
+    basis_corrections.cache_clear()
+    basis_corrections(qp)
+    assert calls
+
+
+def test_gram_rows_match_the_pairing_matrix(grid_params):
+    # each row lists the nonzero entries of the staircase monomial's row of
+    # pairing_matrix, once per monomial, as a tuple
+    cp = classical_presentation(grid_params, "bundle")
+    model, staircase = cp.quotient.model, cp.quotient.staircase
+    for g, entries in zip(staircase, pairing_matrix(cp)):
+        row = model.gram_row(g)
+        assert isinstance(row, tuple) and all(isinstance(e, tuple) for e in row)
+        assert dict(row) == {t: c for t, c in zip(staircase, entries) if c}
+        assert model.gram_row(g) is row
+    assert len(model._gram) == cp.quotient.rank
+
+
+def test_gram_rows_need_one_top_staircase_monomial(params40):
+    from qcblowup.groebner import _RingModel
+
+    cp = classical_presentation(params40, "bundle")
+    short = _RingModel(cp.quotient)
+    short.by_degree[params40.top_degree - 1] += short.by_degree.pop(params40.top_degree)
+    with pytest.raises(CheckFailure, match="3 staircase monomials of top degree, expected 1"):
+        short.gram_row(cp.quotient.staircase[0])
 
 
 # -- verification suites --------------------------------------------------------------
