@@ -99,19 +99,6 @@ class VariableSet(Frozen):
         object.__setattr__(self, "divisor_count", divisor_count)
         object.__setattr__(self, "display", display)
 
-    def __eq__(self, other: object) -> bool:
-        # equal sets are most often the same interned preset
-        if self is other:
-            return True
-        if type(other) is not VariableSet:
-            return NotImplemented
-        return (self.names, self.weights, self.divisor_count, self.display) == (
-            other.names, other.weights, other.divisor_count, other.display
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.weights, self.divisor_count, self.display))
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -225,7 +212,7 @@ class Polynomial:
     :meth:`_from_clean`).
     """
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms")
 
     def __init__(
         self,
@@ -247,7 +234,6 @@ class Polynomial:
                 _add_term(clean, mono, coeff)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _from_clean(cls, variables: VariableSet, terms: dict[Mono, Scalar]) -> Polynomial:
@@ -258,7 +244,6 @@ class Polynomial:
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "terms", terms)
-        object.__setattr__(poly, "_hash", None)
         return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -427,11 +412,7 @@ class Polynomial:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.variables, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.variables, frozenset(self.terms.items())))
 
     # -- substitution --------------------------------------------------------
 

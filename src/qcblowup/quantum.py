@@ -29,8 +29,9 @@ multiplication matrices (``quotient.model``).  Every class enters by one
 route (:func:`_terms`, which translates blow-up classes); :func:`_phi` adds
 the corrections of a factor.  :func:`_product` expands whole products, and
 :func:`_piece` the one piece an invariant or a contribution needs.  The
-correction solve reads the same models.  The tests check products,
-pieces and the solve against assemblies from Groebner normal forms.
+correction solve reads the same models (its closure integrals are classical
+Gram rows).  The tests check products, pieces and the solve against
+assemblies from Groebner normal forms.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -78,15 +79,6 @@ def quantum_presentation(
 Level = tuple[int, dict[Mono, Scalar]]  # q2 exponent, parameter-free terms
 
 
-def _integral(
-    model: _RingModel, params: GeometryParams, x: Mono, y: Mono, key: tuple[int, int]
-) -> int:
-    """The integral of the piece at q-power ``key`` of x * y in a bundle ring
-    whose staircase is the classical one: the coefficient of the top
-    staircase monomial h^n xi^(r-1) in the model product."""
-    return model.product(mono_mul(x, y)).get(key, {}).get((params.r - 1, params.n, 0, 0), 0)
-
-
 def _model_piece(model: _RingModel, x: Mono, y: Mono, key: tuple[int, int]) -> dict[Mono, int]:
     """The nonzero terms of the piece at q-power ``key`` of x * y in a ring
     model."""
@@ -117,12 +109,13 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
       vanish.
 
     Every row is read from the integer models (``quotient.model``) of the
-    deformed and the classical ring, each closure integral as the
-    top-monomial coefficient of a model product.  The sparse system is
-    eliminated exactly (:func:`qcblowup.linalg.eliminate`), must have a
-    unique solution, and every value of it must be an integer.  Returns the
-    nonzero corrections keyed by staircase exponent tuple, as a read-only
-    mapping (the result is cached and shared).  Empty for blow-up
+    deformed and the classical ring: the classical closure integrals are
+    the Gram rows of the classical model (which invariants read later), the
+    deformed one the top-monomial coefficient of a model product.  The
+    sparse system is eliminated exactly (:func:`qcblowup.linalg.eliminate`),
+    must have a unique solution, and every value of it must be an integer.
+    Returns the nonzero corrections keyed by staircase exponent tuple, as a
+    read-only mapping (the result is cached and shared).  Empty for blow-up
     coordinates (extraction converts to bundle coordinates first) and for
     out-of-range parameters, where results are formal and uncorrected.
     """
@@ -177,7 +170,10 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
             rows.append(row)
 
     # Fundamental-class closure: for complementary pairs the corrected
-    # exceptional-line contribution of x * y integrates to zero.
+    # exceptional-line contribution of x * y integrates to zero; the Gram
+    # row of x pairs it with the components of C_y (of degree top - deg x).
+    if len(tops := by_degree.get(top, [])) != 1:
+        raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
     for dx in range(n, top + 1):
         dy = top + n - dx
         if dy < n or dy > top or dy < dx:
@@ -186,11 +182,11 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
             for y in by_degree.get(dy, []):
                 if dy == dx and y < x:
                     continue
-                row = {ncols: -_integral(deformed, params, x, y, (0, 1))}
-                for mu in by_degree.get(dy - n, []):
-                    bump(row, (y, mu), _integral(classical, params, x, mu, (0, 0)))
-                for mu in by_degree.get(dx - n, []):
-                    bump(row, (x, mu), _integral(classical, params, y, mu, (0, 0)))
+                row = {ncols: -_model_piece(deformed, x, y, (0, 1)).get(tops[0], 0)}
+                for mu, c in classical.gram_row(x):
+                    bump(row, (y, mu), c)
+                for mu, c in classical.gram_row(y):
+                    bump(row, (x, mu), c)
                 rows.append(row)
 
     system = eliminate(rows, ncols)
@@ -476,26 +472,6 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     return value
 
 
-@lru_cache(maxsize=1)
-def _staircase_products(
-    qp: Presentation,
-) -> MappingProxyType[tuple[int, int], MappingProxyType[tuple[int, int], Polynomial]]:
-    """Quantum products of all staircase basis pairs (i <= j), split by
-    curve class: entry (i, j) is ``_contributions(b_i, b_j, qp)``, the same
-    expansion run with each phi(b_s) read once.  Only the symmetry sweep and
-    the tests read this table, and only the latest is kept.  The table and
-    its entries are read-only, since every caller shares them.
-    """
-    if not qp.quantum or qp.coords != BUNDLE:
-        raise UsageError("the product table is built on the deformed bundle ring")
-    terms = _phi(qp, *_terms(qp, *qp.quotient.staircase_polynomials())[1])
-    return MappingProxyType({
-        (i, j): MappingProxyType(_product(qp, terms_i, terms[j]))
-        for i, terms_i in enumerate(terms)
-        for j in range(i, len(terms))
-    })
-
-
 def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
     """Check the three families of three-point identities plus the deformed
     ring relations they imply.
@@ -551,8 +527,8 @@ def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
 
     # Multiple-fiber-class vanishing: the (b, 0) contribution of a product of
     # basis classes dies whenever the fiber degrees sum below b*r.  phi and
-    # the correction step only add q2 powers, so that piece of the product
-    # table is the deformed model's product of the two staircase monomials.
+    # the correction step only add q2 powers, so that piece of the quantum
+    # product is the deformed model's product of the two staircase monomials.
     staircase = qp.quotient.staircase
     polys = qp.quotient.staircase_polynomials()
     for b in range(1, b_max + 1):
@@ -628,7 +604,7 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
 
     # Products specialize too: the classical-class piece of the deformed
     # product is the classical product on every basis pair.  That piece of
-    # the product table is the deformed model's product (phi and the
+    # the quantum product is the deformed model's product (phi and the
     # correction step only add q2 powers).
     rings = (qpf.quotient.model, classical_presentation(params, BUNDLE).quotient.model)
     staircase = qpf.quotient.staircase
@@ -652,10 +628,12 @@ def verify_s3_symmetry(params: GeometryParams) -> CheckReport:
     curve class within the degree budget, pairing the contribution of one
     pair against the third class is independent of the grouping.
 
-    Every piece of the product table is a class over the classical
-    staircase, which the deformed staircase equals (the correction solve
-    checks this), so its pairing with a basis class is a dot product with
-    the Gram matrix G (the Gram rows of the classical model, which
+    The sweep expands the product of every basis pair i <= j once
+    (:func:`_product`, with phi of each basis class read once) and keeps
+    these products only while it runs.  Every piece is a class over the
+    classical staircase, which the deformed staircase equals (the correction
+    solve checks this), so its pairing with a basis class is a dot product
+    with the Gram matrix G (the Gram rows of the classical model, which
     ``gw_invariant`` reads too): each piece's coefficient vector is
     multiplied by G once, and each pairing of the sweep is a lookup.  Also
     asserts integrality of every extracted value along the sweep.
@@ -665,7 +643,12 @@ def verify_s3_symmetry(params: GeometryParams) -> CheckReport:
     qp = quantum_presentation(params, BUNDLE)
     cp = classical_presentation(params, BUNDLE)
     polys = qp.quotient.staircase_polynomials()
-    products = _staircase_products(qp)
+    phi = _phi(qp, *_terms(qp, *polys)[1])
+    products = {
+        (i, j): _product(qp, phi_i, phi[j])
+        for i, phi_i in enumerate(phi)
+        for j in range(i, len(phi))
+    }
     report = CheckReport()
 
     # paired[(i, j), key][t]: the piece of b_i * b_j at key paired with t.

@@ -1,13 +1,13 @@
 """Bases of the package's record types.
 
 A record lists its fields in ``_fields``, in constructor order, and stores
-them in ``__init__``; equality compares the fields of two records of the
-same type and the repr names each field, as ``Name(field=value, ...)``.  A
-:class:`Frozen` record is immutable once built (fields are stored with
-``object.__setattr__``), hashes as the tuple of its fields and is copied
-through its constructor; a plain :class:`Record` is mutable and
-unhashable.  Record types whose equality or hash is on a hot path write
-those members out themselves.
+them in ``__init__``; a record equals itself at once, and otherwise
+equality compares the fields of two records of the same type; the repr
+names each field, as ``Name(field=value, ...)``.  A :class:`Frozen` record
+is immutable once built (fields are stored with ``object.__setattr__``),
+hashes as the tuple of its fields and is copied through its constructor; a
+plain :class:`Record` is mutable and unhashable.  Record types whose hash
+is on a hot path write it out themselves.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ class Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._astuple() == other._astuple()

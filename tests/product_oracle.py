@@ -7,7 +7,13 @@ takes one normal form in the deformed quotient, the normal form is split by
 parameter powers, and the one correction step 1 - q2*C is applied with
 ``Polynomial`` arithmetic.  Blow-up classes are multiplied in bundle
 coordinates and translated back.
+
+Beside it, :func:`staircase_products` builds the table of model products of
+all staircase basis pairs that the tests compare with the oracle and with
+the verification suites' model reads.
 """
+
+from functools import lru_cache
 
 from qcblowup import (
     Polynomial,
@@ -17,6 +23,7 @@ from qcblowup import (
     class_representative,
     quantum_presentation,
 )
+from qcblowup.quantum import _phi, _product, _terms
 
 
 def decompose_contributions(f):
@@ -58,3 +65,17 @@ def groebner_contributions(x, y, qp):
             if coeff:
                 out[(a, b + 1)] = out.get((a, b + 1), zero) - coeff * corr
     return {key: val for key, val in sorted(out.items()) if not val.is_zero}
+
+
+@lru_cache(maxsize=None)
+def staircase_products(qp):
+    """Quantum products of all staircase basis pairs (i <= j) of a deformed
+    bundle ring, split by curve class: entry (i, j) is
+    ``_contributions(b_i, b_j, qp)``, expanded on the ring model with each
+    phi(b_s) read once, as the symmetry sweep expands them."""
+    terms = _phi(qp, *_terms(qp, *qp.quotient.staircase_polynomials())[1])
+    return {
+        (i, j): _product(qp, terms_i, terms[j])
+        for i, terms_i in enumerate(terms)
+        for j in range(i, len(terms))
+    }

@@ -30,8 +30,6 @@ ALLOWED = {
         ("qp",), None,
         "unbounded: one read-only solve per deformed bundle ring, which every product and"
         " invariant of the instance reads"),
-    "qcblowup.quantum._staircase_products": (
-        ("qp",), 1, "the product table of the latest instance only"),
 }
 
 

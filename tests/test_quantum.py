@@ -32,11 +32,11 @@ from qcblowup import (
 from qcblowup import quantum
 from qcblowup.geometry import _build
 from qcblowup.linalg import eliminate
-from qcblowup.quantum import _contributions, _staircase_products
+from qcblowup.quantum import _contributions
 
 from correction_oracle import polynomial_corrections
 from invariant_oracle import assembled_invariant, piecewise_invariant
-from product_oracle import groebner_contributions
+from product_oracle import groebner_contributions, staircase_products
 
 
 def bp(text, params):
@@ -796,19 +796,23 @@ def test_a_warm_b0_query_reads_no_basis_correction(monkeypatch):
     assert calls
 
 
-def test_a_warm_query_makes_no_integral_call(monkeypatch):
-    # gamma is paired through the memoised Gram rows, not one integral per
-    # (piece term, gamma term)
-    qp, b0, b1 = _warm_queries(derive_params(16, 5))
-    queries = b0 + b1
-    expected = [gw_invariant(query, qp) for query in queries]  # warms the models
-    calls = _spied_calls(monkeypatch, quantum, "_integral")
-    assert [gw_invariant(query, qp) for query in queries] == expected
-    assert calls == []
-    # the spy does see the correction solve's integrals
+def test_the_correction_solve_reads_the_gram_rows():
+    # the closure rows read the classical integrals off the Gram rows: a
+    # solve from cold leaves a row for each staircase monomial of degree
+    # n..top, the rows the instance's invariants read later
+    params = derive_params(16, 5)
+    qp = quantum_presentation(params, "bundle")
+    model = classical_presentation(params, "bundle").quotient.model
     basis_corrections.cache_clear()
-    basis_corrections(qp)
-    assert calls
+    model._gram.clear()
+    corrections = basis_corrections(qp)
+    assert set(model._gram) == {
+        mono
+        for d, monos in model.by_degree.items()
+        if params.n <= d <= params.top_degree
+        for mono in monos
+    }
+    assert corrections == polynomial_corrections(qp)
 
 
 def test_gram_rows_match_the_pairing_matrix(grid_params):
@@ -897,22 +901,21 @@ def test_quantum_presentation_suite(grid_params):
     assert report.ok, [e.name for e in report.failures()]
 
 
-def test_only_the_symmetry_sweep_builds_the_product_table():
+def test_only_the_symmetry_sweep_builds_the_product_table(monkeypatch):
     # the gw identities and the specialization check read the ring models;
-    # the symmetry sweep builds the table, and a second sweep shares it
-    _staircase_products.cache_clear()
+    # each symmetry sweep expands every basis pair i <= j once, from one
+    # phi per basis class, and keeps no table for the next sweep
     params = derive_params(8, 1)
+    products = _spied_calls(monkeypatch, quantum, "_product")
     assert verify_gw_identities(params).ok
     assert verify_quantum_presentation(params).ok
-    info = _staircase_products.cache_info()
-    assert (info.misses, info.hits) == (0, 0)
-    assert verify_s3_symmetry(params).ok
-    assert verify_s3_symmetry(params).ok
-    info = _staircase_products.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert verify_s3_symmetry(derive_params(6, 1)).ok
-    info = _staircase_products.cache_info()
-    assert (info.misses, info.currsize) == (2, 1)
+    assert products == []
+    phis = _spied_calls(monkeypatch, quantum, "_phi")
+    for sweep in (params, params, derive_params(6, 1)):
+        del products[:], phis[:]
+        assert verify_s3_symmetry(sweep).ok
+        rank = quantum_presentation(sweep, "bundle").quotient.rank
+        assert (len(products), len(phis)) == (rank * (rank + 1) // 2, 1)
 
 
 def test_table_pieces_without_q2_are_the_model_products(grid_params):
@@ -920,7 +923,7 @@ def test_table_pieces_without_q2_are_the_model_products(grid_params):
     # (b, 0) pieces are the deformed model's products of the staircase pairs
     qp = quantum_presentation(grid_params, "bundle")
     staircase, model = qp.quotient.staircase, qp.quotient.model
-    for (i, j), pieces in _staircase_products(qp).items():
+    for (i, j), pieces in staircase_products(qp).items():
         product = model.product(tuple(x + y for x, y in zip(staircase[i], staircase[j])))
         for b in range(3):
             expected = {t: c for t, c in product.get((b, 0), {}).items() if c}
@@ -931,7 +934,7 @@ def test_table_pieces_without_q2_are_the_model_products(grid_params):
 
 def _assert_table_matches_oracle(qp):
     polys = qp.quotient.staircase_polynomials()
-    table = _staircase_products(qp)
+    table = staircase_products(qp)
     pairs = [(i, j) for i in range(len(polys)) for j in range(i, len(polys))]
     assert list(table) == pairs
     for i, j in pairs:
@@ -988,17 +991,16 @@ def test_product_specialization_matches_classical_normal_forms(grid_params):
     cp = classical_presentation(grid_params, "bundle")
     polys = qp.quotient.staircase_polynomials()
     zero = Polynomial.zero(qp.variables)
-    for (i, j), pieces in _staircase_products(qp).items():
+    for (i, j), pieces in staircase_products(qp).items():
         assert pieces.get((0, 0), zero) == cp.quotient.normal_form(polys[i] * polys[j])
 
 
 def test_product_table_takes_two_normal_forms_per_basis_class():
-    # the solve and the table read one integer model per ring; only xi*s and
+    # the solve and the sweep read one integer model per ring; only xi*s and
     # h*s are normal-formed, in the deformed and in the classical ring
     qp = quantum_presentation(derive_params(11, 3), "bundle")
     cp = classical_presentation(qp.params, "bundle")
-    for cache in (basis_corrections, _staircase_products):
-        cache.cache_clear()
+    basis_corrections.cache_clear()
     for pres in (qp, cp):
         vars(pres.quotient).pop("model", None)
     memos = [pres.quotient.basis._nf_memo for pres in (qp, cp)]
@@ -1006,7 +1008,7 @@ def test_product_table_takes_two_normal_forms_per_basis_class():
         memo.clear()
     basis_corrections(qp)
     models = [pres.quotient.model for pres in (qp, cp)]
-    _staircase_products(qp)
+    assert verify_s3_symmetry(qp.params).ok
     assert [pres.quotient.model for pres in (qp, cp)] == models
     for memo in memos:
         assert 0 < len(memo) <= 2 * qp.quotient.rank
@@ -1051,30 +1053,6 @@ def test_ring_model_reads_normal_forms_where_a_parameter_leads(m, p):
     _assert_table_matches_oracle(qp)
 
 
-def test_product_table_needs_the_deformed_bundle_ring(params40):
-    for pres in (
-        classical_presentation(params40, "bundle"),
-        quantum_presentation(params40, "blowup"),
-    ):
-        with pytest.raises(UsageError):
-            _staircase_products(pres)
-
-
-def test_product_table_is_read_only(params40):
-    # the table is shared by the verification suites, so none may change it
-    qp = quantum_presentation(params40, "bundle")
-    table = _staircase_products(qp)
-    before = {pair: dict(pieces) for pair, pieces in table.items()}
-    with pytest.raises(TypeError):
-        table[(0, 0)] = {}
-    with pytest.raises(TypeError):
-        table[(0, 0)][(0, 0)] = Polynomial.zero(qp.variables)
-    _staircase_products.cache_clear()
-    again = _staircase_products(qp)
-    assert again is not table
-    assert {pair: dict(pieces) for pair, pieces in again.items()} == before
-
-
 def test_s3_symmetry_needs_the_classical_staircase(monkeypatch, params40):
     qp = quantum_presentation(params40, "bundle")
     quotient = QuotientRing(qp.quotient.basis, qp.quotient.staircase[:-1])
@@ -1092,7 +1070,7 @@ def test_gram_pairings_match_integrals(grid_params):
     polys = cp.quotient.staircase_polynomials()
     gram = dict(zip(staircase, pairing_matrix(cp)))
     top = grid_params.top_degree
-    for pieces in _staircase_products(qp).values():
+    for pieces in staircase_products(qp).values():
         for piece in pieces.values():
             paired = [0] * len(polys)
             for s, c in piece.terms.items():
