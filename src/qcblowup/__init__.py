@@ -34,7 +34,7 @@ _SOURCES = {
     "quantum": (
         "GWQuery", "basis_corrections", "class_representative", "contribution_by_class",
         "gw_invariant", "quantum_presentation", "quantum_product", "verify_gw_identities",
-        "verify_quantum_presentation", "verify_s3_symmetry",
+        "verify_quantum_presentation",
     ),
     "report": ("CheckEntry", "CheckReport"),
 }

@@ -27,11 +27,14 @@ identification, which is what makes the extracted three-point function
 symmetric.  Everything runs on the integer model of each bundle ring, its
 multiplication matrices (``quotient.model``).  Every class enters by one
 route (:func:`_terms`, which translates blow-up classes); :func:`_phi` adds
-the corrections of a factor.  :func:`_product` expands whole products, and
-:func:`_piece` the one piece an invariant or a contribution needs.  The
-correction solve reads the same models (its closure integrals are classical
-Gram rows).  The tests check products, pieces and the solve against
-assemblies from Groebner normal forms.
+the corrections of a factor.  One kernel, :func:`_piece`, computes the piece
+of a product at one curve class and applies the correction step:
+:func:`quantum_product` reads it for every curve class within the degree
+budget, :func:`contribution_by_class` and :func:`gw_invariant` for the one
+they need.  The correction solve reads the same models (its closure
+integrals are classical Gram rows).  The tests check products, pieces and
+the solve against assemblies from Groebner normal forms, and the symmetry
+of the extracted invariants with a sweep over basis triples.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -91,7 +94,8 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
     classical basis classes they are named after.
 
     A staircase monomial s of weighted degree d > n equals its classical
-    class plus q2 times a parameter-free class C_s of degree d - n.
+    class minus q2 times a parameter-free class C_s of degree d - n, so the
+    classical class is represented by s + q2 C_s (:func:`_phi`).
     (Corrections at fiber-line levels vanish: every pairing of a fiber-line
     multiple against staircase classes with fiber exponents below the
     threshold is zero, and the base divisor pairs trivially with the fiber
@@ -280,43 +284,17 @@ def _in_coords(f: Polynomial, qp: Presentation) -> Polynomial:
     return change_vars(f, BUNDLE_TO_BLOWUP) if qp.coords == BLOWUP else f
 
 
-def _product(
-    qp: Presentation, x: list[Level], y: list[Level]
-) -> dict[tuple[int, int], Polynomial]:
-    """phi(x) * phi(y) expanded on the ring model (``qp.quotient.model``),
-    followed by the one correction step 1 - q2*C that turns the staircase
-    monomials of each piece into the classical basis classes; the nonzero
-    pieces in key order."""
-    model, corrections = qp.quotient.model, basis_corrections(qp)
-    naive: Vector = {}
-    for ku, xs in x:
-        for kv, ys in y:
-            for u, cu in xs.items():
-                for v, cv in ys.items():
-                    _add(naive, model.product(mono_mul(u, v)), (0, ku + kv), cu * cv)
-    # In descending order each naive piece is read before the step writes
-    # into it.
-    for key in sorted(naive, reverse=True):
-        for mono, coeff in naive[key].items():
-            if coeff and mono in corrections:
-                _add(naive, {(0, 1): corrections[mono].terms}, key, -coeff)
-    return {
-        key: Polynomial._from_clean(qp.variables, clean)
-        for key in sorted(naive)
-        if (clean := {t: _canonical(c) for t, c in naive[key].items() if c})
-    }
-
-
 def _piece(
     qp: Presentation, x: list[Level], y: list[Level], key: tuple[int, int]
 ) -> dict[Mono, Scalar]:
-    """The piece of phi(x) * phi(y) at key = (a, b) that :func:`_product`
-    returns, computed alone on the ring model: the naive piece at (a, b)
-    minus C times the naive piece at (a, b - 1).  The term pairs are summed
-    by product monomial (parameter-free, in the two divisor variables) and
-    q2 exponent k first, without those with k > b, which cannot reach the
-    key; each distinct monomial's model product is then read once.  Zero
-    coefficients may remain."""
+    """The piece of phi(x) * phi(y) at key = (a, b), computed alone on the
+    ring model and given the one correction step 1 - q2*C that turns the
+    staircase monomials of the product into the classical basis classes:
+    the naive piece at (a, b) minus C times the naive piece at (a, b - 1).
+    The term pairs are summed by product monomial (parameter-free, in the
+    two divisor variables) and q2 exponent k first, without those with
+    k > b, which cannot reach the key; each distinct monomial's model
+    product is then read once.  Zero coefficients may remain."""
     a, b = key
     grouped: dict[Mono, dict[int, Scalar]] = {}
     for ku, xs in x:
@@ -344,25 +322,22 @@ def _piece(
     return out
 
 
-def _contributions(
-    x: Polynomial, y: Polynomial, qp: Presentation
-) -> dict[tuple[int, int], Polynomial]:
-    """The quantum product of two classical classes split by curve class: the
-    nonzero class over the classical basis multiplying q1^a q2^b, keyed by
-    (a, b).  The one product routine, for every deformed ring (n = 1
-    included); blow-up classes are multiplied in bundle coordinates (see
-    :func:`_terms`) and the pieces translated back."""
-    bundle, terms = _terms(qp, x, y)
-    return {key: _in_coords(p, qp) for key, p in _product(bundle, *_phi(bundle, *terms)).items()}
-
-
 def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomial:
     """Quantum product of two classical classes, expanded over the classical
     basis: the result is a sum of q1^a q2^b times parameter-free classes,
-    one term per contributing curve class."""
-    pieces = _contributions(x, y, qp).items()
-    out = {mono[:2] + key: c for key, piece in pieces for mono, c in piece.terms.items()}
-    return Polynomial._from_clean(qp.variables, out)
+    one term per contributing curve class.  Each piece is computed alone
+    (:func:`_piece`, from one phi of each factor) at every key (a, b) with
+    r a + n b at most the sum of the two factors' largest degrees, which
+    every nonzero piece has; a blow-up product is translated back."""
+    bundle, terms = _terms(qp, x, y)
+    phi = _phi(bundle, *terms)
+    degree, r, n = bundle.variables.weighted_degree, qp.params.r, qp.params.n
+    budget = sum(max(map(degree, t), default=0) for t in terms)
+    out: dict[Mono, Scalar] = {}
+    for a in range(budget // r + 1):
+        for b in range((budget - r * a) // n + 1):
+            out.update((mono[:2] + (a, b), c) for mono, c in _piece(bundle, *phi, (a, b)).items())
+    return _in_coords(Polynomial._from_clean(bundle.variables, _canonical_terms(out)), qp)
 
 
 def contribution_by_class(
@@ -619,78 +594,5 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
         "product_specialization",
         not mismatches,
         "; ".join(mismatches) if mismatches else f"{len(polys)} basis classes",
-    )
-    return report
-
-
-def verify_s3_symmetry(params: GeometryParams) -> CheckReport:
-    """Frobenius symmetry of extraction: for every staircase triple and every
-    curve class within the degree budget, pairing the contribution of one
-    pair against the third class is independent of the grouping.
-
-    The sweep expands the product of every basis pair i <= j once
-    (:func:`_product`, with phi of each basis class read once) and keeps
-    these products only while it runs.  Every piece is a class over the
-    classical staircase, which the deformed staircase equals (the correction
-    solve checks this), so its pairing with a basis class is a dot product
-    with the Gram matrix G (the Gram rows of the classical model, which
-    ``gw_invariant`` reads too): each piece's coefficient vector is
-    multiplied by G once, and each pairing of the sweep is a lookup.  Also
-    asserts integrality of every extracted value along the sweep.
-    """
-    if not params.in_range:
-        raise UsageError("symmetry sweep requires 2p+3 < m")
-    qp = quantum_presentation(params, BUNDLE)
-    cp = classical_presentation(params, BUNDLE)
-    polys = qp.quotient.staircase_polynomials()
-    phi = _phi(qp, *_terms(qp, *polys)[1])
-    products = {
-        (i, j): _product(qp, phi_i, phi[j])
-        for i, phi_i in enumerate(phi)
-        for j in range(i, len(phi))
-    }
-    report = CheckReport()
-
-    # paired[(i, j), key][t]: the piece of b_i * b_j at key paired with t.
-    staircase, gram_row = cp.quotient.staircase, cp.quotient.model.gram_row
-    paired: dict[tuple[tuple[int, int], tuple[int, int]], dict[Mono, Scalar]] = {}
-    for pair, pieces in products.items():
-        for key, piece in pieces.items():
-            row = paired[pair, key] = {}
-            for s, c in piece.terms.items():
-                for t, g in gram_row(s):
-                    row[t] = row.get(t, 0) + c * g
-
-    failures: list[str] = []
-    fractional: list[str] = []
-    checked = 0
-    size = len(polys)
-    for i in range(size):
-        for j in range(i, size):
-            for k in range(j, size):
-                groupings = (((i, j), k), ((i, k), j), ((j, k), i))
-                for key in sorted({key for pair, _ in groupings for key in products[pair]}):
-                    v1, v2, v3 = values = [
-                        paired.get((pair, key), {}).get(staircase[third], 0)
-                        for pair, third in groupings
-                    ]
-                    checked += 1
-                    if not (v1 == v2 == v3):
-                        failures.append(
-                            f"({polys[i]}, {polys[j]}, {polys[k]}) at q1^{key[0]} q2^{key[1]}:"
-                            f" {v1}, {v2}, {v3}"
-                        )
-                    for v in values:
-                        if v.denominator != 1:
-                            fractional.append(f"({polys[i]}, {polys[j]}, {polys[k]}) -> {v}")
-    report.add(
-        "s3_symmetry",
-        not failures,
-        "; ".join(failures[:5]) if failures else f"{checked} triple/class pairings",
-    )
-    report.add(
-        "extraction_integrality",
-        not fractional,
-        "; ".join(fractional[:5]) if fractional else "all values integral",
     )
     return report

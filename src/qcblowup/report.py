@@ -37,7 +37,7 @@ class CheckReport(Record):
 
     @property
     def ok(self) -> bool:
-        return all(e.passed for e in self.entries)
+        return not self.failures()
 
     def failures(self) -> list[CheckEntry]:
         return [e for e in self.entries if not e.passed]

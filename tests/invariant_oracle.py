@@ -4,8 +4,9 @@ product monomial, builds phi only up to the key's q2 power and pairs the
 piece with gamma through the Gram rows of the classical ring's model.
 
 * :func:`assembled_invariant` splits alpha * beta by curve class with a
-  whole-product routine (``_contributions`` by default; the tests also pass
-  the Groebner assembly of ``product_oracle``), multiplies the piece at the
+  whole-product routine (the public ``quantum_product``, split by
+  ``product_oracle.contributions``, by default; the tests also pass the
+  Groebner assembly of ``product_oracle``), multiplies the piece at the
   query's class by gamma as polynomials and integrates the product through
   a Groebner normal form.
 * :func:`piecewise_invariant` is the kernel as it was before the pairs were
@@ -26,7 +27,8 @@ from qcblowup import (
     quantum_presentation,
 )
 from qcblowup.poly import mono_mul
-from qcblowup.quantum import _contributions
+
+from product_oracle import contributions as product_contributions
 
 
 def _bundle_query(query, qp):
@@ -38,7 +40,7 @@ def _bundle_query(query, qp):
     return qp, classes
 
 
-def assembled_invariant(query, qp, contributions=_contributions):
+def assembled_invariant(query, qp, contributions=product_contributions):
     """The invariant of an admissible query whose classes lie within the top
     degree; 0 for an inadmissible one."""
     if not query.admissible:

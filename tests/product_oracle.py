@@ -1,6 +1,6 @@
 """The quantum product assembled from Groebner normal forms, kept as a test
-oracle for ``qcblowup.quantum._contributions``, which expands the product on
-the integer ring models instead.
+oracle for ``qcblowup.quantum_product``, which computes each piece on the
+integer ring models instead.
 
 The two class representatives are multiplied as polynomials, the product
 takes one normal form in the deformed quotient, the normal form is split by
@@ -8,9 +8,10 @@ parameter powers, and the one correction step 1 - q2*C is applied with
 ``Polynomial`` arithmetic.  Blow-up classes are multiplied in bundle
 coordinates and translated back.
 
-Beside it, :func:`staircase_products` builds the table of model products of
-all staircase basis pairs that the tests compare with the oracle and with
-the verification suites' model reads.
+Beside it, :func:`contributions` splits the public product by curve class,
+and :func:`basis_products` splits the products of all staircase basis pairs
+(:func:`staircase_products` keeps that table per ring), which the tests
+compare with the oracle and with the verification suites' model reads.
 """
 
 from functools import lru_cache
@@ -22,8 +23,8 @@ from qcblowup import (
     change_vars,
     class_representative,
     quantum_presentation,
+    quantum_product,
 )
-from qcblowup.quantum import _phi, _product, _terms
 
 
 def decompose_contributions(f):
@@ -46,7 +47,7 @@ def decompose_contributions(f):
 
 def groebner_contributions(x, y, qp):
     """The nonzero pieces of the quantum product of x and y by curve class
-    (a, b), in key order, as ``_contributions`` returns them."""
+    (a, b), in key order, as :func:`contributions` returns them."""
     if qp.coords == "blowup":
         pieces = groebner_contributions(
             change_vars(x, "blowup_to_bundle"),
@@ -67,15 +68,22 @@ def groebner_contributions(x, y, qp):
     return {key: val for key, val in sorted(out.items()) if not val.is_zero}
 
 
-@lru_cache(maxsize=None)
-def staircase_products(qp):
+def contributions(x, y, qp):
+    """The nonzero pieces of ``quantum_product(x, y, qp)`` by curve class
+    (a, b), in key order."""
+    return decompose_contributions(quantum_product(x, y, qp))
+
+
+def basis_products(qp):
     """Quantum products of all staircase basis pairs (i <= j) of a deformed
     bundle ring, split by curve class: entry (i, j) is
-    ``_contributions(b_i, b_j, qp)``, expanded on the ring model with each
-    phi(b_s) read once, as the symmetry sweep expands them."""
-    terms = _phi(qp, *_terms(qp, *qp.quotient.staircase_polynomials())[1])
+    ``contributions(b_i, b_j, qp)``."""
+    polys = qp.quotient.staircase_polynomials()
     return {
-        (i, j): _product(qp, terms_i, terms[j])
-        for i, terms_i in enumerate(terms)
-        for j in range(i, len(terms))
+        (i, j): contributions(x, polys[j], qp)
+        for i, x in enumerate(polys)
+        for j in range(i, len(polys))
     }
+
+
+staircase_products = lru_cache(maxsize=None)(basis_products)

@@ -1,0 +1,83 @@
+"""The Frobenius symmetry of extraction, kept as a test oracle of the basis
+corrections: for every staircase triple and every curve class, pairing the
+contribution of one pair against the third class does not depend on the
+grouping (Kontsevich-Manin).  A wrong correction breaks it, where the
+checks that ``verify`` runs do not notice.
+
+The sweep is built on the public product: each basis pair i <= j is
+multiplied once (``quantum_product``, split by curve class), and the
+products are dropped when the sweep returns.  Every piece is a class over
+the classical staircase, which the deformed staircase equals (the
+correction solve checks this), so its pairing with a basis class is a dot
+product with a Gram row of the classical model: each piece is multiplied by
+the Gram rows once, and each pairing of the sweep is a lookup.  The piece
+of b_i * b_j at (a, b) has degree deg i + deg j - (r a + n b), so it pairs
+with b_k to a nonzero value only where r a + n b = deg i + deg j + deg k -
+top; the sweep reads only those keys.  It costs O(rank^3), so no command
+runs it.
+"""
+
+from qcblowup import CheckReport, UsageError, classical_presentation, quantum_presentation
+
+from product_oracle import basis_products
+
+
+def verify_s3_symmetry(params):
+    """The ``s3_symmetry`` and ``extraction_integrality`` checks of one
+    in-range instance, as a report."""
+    if not params.in_range:
+        raise UsageError("symmetry sweep requires 2p+3 < m")
+    qp = quantum_presentation(params, "bundle")
+    gram_row = classical_presentation(params, "bundle").quotient.model.gram_row
+    staircase, polys = qp.quotient.staircase, qp.quotient.staircase_polynomials()
+
+    # paired[(i, j), key][t]: the piece of b_i * b_j at key paired with t.
+    paired = {}
+    for pair, pieces in basis_products(qp).items():
+        for key, piece in pieces.items():
+            row = paired[pair, key] = {}
+            for s, c in piece.terms.items():
+                for t, g in gram_row(s):
+                    row[t] = row.get(t, 0) + c * g
+
+    # classes[d]: the curve classes (a, b) with r a + n b = d, for d up to
+    # 2 top, the most that three basis degrees can exceed the top by.
+    r, n, top = params.r, params.n, params.top_degree
+    classes = {}
+    for a in range(2 * top // r + 1):
+        for b in range((2 * top - r * a) // n + 1):
+            classes.setdefault(r * a + n * b, []).append((a, b))
+    degrees = [qp.variables.weighted_degree(s) for s in staircase]
+    failures, fractional = [], []
+    checked = 0
+    size = len(staircase)
+    for i in range(size):
+        for j in range(i, size):
+            for k in range(j, size):
+                groupings = (((i, j), k), ((i, k), j), ((j, k), i))
+                for a, b in classes.get(degrees[i] + degrees[j] + degrees[k] - top, ()):
+                    v1, v2, v3 = values = [
+                        paired.get((pair, (a, b)), {}).get(staircase[third], 0)
+                        for pair, third in groupings
+                    ]
+                    checked += 1
+                    if not (v1 == v2 == v3):
+                        failures.append(
+                            f"({polys[i]}, {polys[j]}, {polys[k]}) at q1^{a} q2^{b}:"
+                            f" {v1}, {v2}, {v3}"
+                        )
+                    for v in values:
+                        if v.denominator != 1:
+                            fractional.append(f"({polys[i]}, {polys[j]}, {polys[k]}) -> {v}")
+    report = CheckReport()
+    report.add(
+        "s3_symmetry",
+        not failures,
+        "; ".join(failures[:5]) if failures else f"{checked} triple/class pairings",
+    )
+    report.add(
+        "extraction_integrality",
+        not fractional,
+        "; ".join(fractional[:5]) if fractional else "all values integral",
+    )
+    return report

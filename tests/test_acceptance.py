@@ -37,11 +37,11 @@ from qcblowup import (
     segre_integral_oracle,
     verify_gw_identities,
     verify_quantum_presentation,
-    verify_s3_symmetry,
     virtual_dimension,
 )
 from qcblowup.cli import main
 from bareiss import bareiss_determinant
+from symmetry_oracle import verify_s3_symmetry
 
 GRID = [(4, 0), (6, 1), (8, 1), (9, 2), (11, 3)]
 

@@ -36,7 +36,7 @@ EXPORTS = [
     "quantum_presentation", "quantum_product", "quantum_relations",
     "segre_integral_oracle", "spolynomial", "staircase_basis", "variables_for",
     "verify_classical_geometry", "verify_gw_identities",
-    "verify_quantum_presentation", "verify_s3_symmetry", "virtual_dimension",
+    "verify_quantum_presentation", "virtual_dimension",
 ]
 
 # Runs in a fresh interpreter: import the CLI, optionally run one command

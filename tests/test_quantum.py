@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import pytest
 
@@ -27,16 +29,17 @@ from qcblowup import (
     quantum_relations,
     verify_gw_identities,
     verify_quantum_presentation,
-    verify_s3_symmetry,
 )
 from qcblowup import quantum
 from qcblowup.geometry import _build
 from qcblowup.linalg import eliminate
-from qcblowup.quantum import _contributions
 
+import product_oracle
+import symmetry_oracle
 from correction_oracle import polynomial_corrections
 from invariant_oracle import assembled_invariant, piecewise_invariant
-from product_oracle import groebner_contributions, staircase_products
+from product_oracle import contributions, groebner_contributions, staircase_products
+from symmetry_oracle import verify_s3_symmetry
 
 
 def bp(text, params):
@@ -309,7 +312,7 @@ def test_class_representative_is_a_ring_homomorphism(grid_params, coords):
     for i, x in enumerate(basis):
         for j in range(i, len(basis)):
             expected = Polynomial.zero(vs)
-            for (a, b), piece in _contributions(x, basis[j], qp).items():
+            for (a, b), piece in contributions(x, basis[j], qp).items():
                 q = Polynomial.monomial(vs, (0, 0, a, b))
                 expected = expected + q * class_representative(piece, qp)
             assert qp.quotient.normal_form(reps[i] * reps[j]) == expected, (str(x), str(basis[j]))
@@ -587,8 +590,8 @@ def _ladder_queries(rng, params, vs, count):
 def test_gw_invariant_matches_the_piecewise_kernel(m, p):
     # the grouped kernel against the pairwise one with its integral pairing
     # and against the whole-product assembly, on seeded ladder queries in
-    # both coordinate systems; contribution_by_class against _product's
-    # piece on the same pairs
+    # both coordinate systems; contribution_by_class against the piece of
+    # the public product on the same pairs
     params = derive_params(m, p)
     rng = random.Random(31 * m + p)
     seen = {"b": set(), "fraction": 0, "inadmissible": 0, "nonzero": 0}
@@ -603,7 +606,7 @@ def test_gw_invariant_matches_the_piecewise_kernel(m, p):
             )
             assert type(value) is int or value.denominator > 1
             alpha, beta = query.alpha, query.beta
-            piece = _contributions(alpha, beta, qp).get((a, b), zero)
+            piece = contributions(alpha, beta, qp).get((a, b), zero)
             assert contribution_by_class(alpha, beta, a, b, qp) == piece, (coords, query)
             seen["b"].add(b)
             seen["inadmissible"] += not query.admissible
@@ -670,10 +673,12 @@ def test_shared_memos_survive_callers_that_change_their_results():
 
 
 def test_gw_invariant_matches_the_whole_product_assembly(grid_params):
-    # the same assembly on the ring-model product routine, over staircase triples
+    # the same assembly on the public product, over staircase triples; each
+    # pair's product is formed once and read for every curve class and z
     qp = quantum_presentation(grid_params, "bundle")
     polys = qp.quotient.staircase_polynomials()
     top, r, n = grid_params.top_degree, grid_params.r, grid_params.n
+    products = lru_cache(maxsize=None)(contributions)
     for i, x in enumerate(polys):
         for y in polys[i:]:
             for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
@@ -681,7 +686,7 @@ def test_gw_invariant_matches_the_whole_product_assembly(grid_params):
                 for z in polys:
                     if 0 <= d <= top and z.homogeneous_degree() == top - d:
                         query = GWQuery(CurveClass(a, b), x, y, z)
-                        assert gw_invariant(query, qp) == assembled_invariant(query, qp)
+                        assert gw_invariant(query, qp) == assembled_invariant(query, qp, products)
 
 
 def test_a_warm_staircase_query_reads_only_the_ring_models(monkeypatch):
@@ -726,7 +731,7 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     # a term pair whose q2 exponents sum above b cannot reach (a, b), so its
     # model product is never looked up, and the live pairs are summed by
     # product monomial first: one lookup per distinct monomial; the piece
-    # equals the whole product's
+    # equals the Groebner product's
     params = derive_params(16, 5)
     qp = quantum_presentation(params, "bundle")
     alpha = bp("h^9*xi^3 + 2*h^10*xi^2", params)
@@ -748,7 +753,7 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     monos = [tuple(a + b for a, b in zip(u, v)) for u, v in live]
     assert sorted(looked_up) == sorted(set(monos))
     assert len(set(monos)) < len(monos) or key[1] == 0  # pairs do share monomials
-    expected = quantum._product(qp, x, y).get(key, Polynomial.zero(qp.variables))
+    expected = groebner_contributions(alpha, beta, qp).get(key, Polynomial.zero(qp.variables))
     assert Polynomial(qp.variables, piece) == expected
 
 
@@ -902,20 +907,21 @@ def test_quantum_presentation_suite(grid_params):
 
 
 def test_only_the_symmetry_sweep_builds_the_product_table(monkeypatch):
-    # the gw identities and the specialization check read the ring models;
-    # each symmetry sweep expands every basis pair i <= j once, from one
-    # phi per basis class, and keeps no table for the next sweep
+    # the gw identities and the specialization check read the ring models
+    # and single pieces, never a whole product; each symmetry sweep (a test
+    # oracle) multiplies every basis pair i <= j once through the public
+    # product, and keeps no table for the next sweep
     params = derive_params(8, 1)
-    products = _spied_calls(monkeypatch, quantum, "_product")
+    products = _spied_calls(monkeypatch, quantum, "quantum_product")
     assert verify_gw_identities(params).ok
     assert verify_quantum_presentation(params).ok
     assert products == []
-    phis = _spied_calls(monkeypatch, quantum, "_phi")
+    products = _spied_calls(monkeypatch, product_oracle, "quantum_product")
     for sweep in (params, params, derive_params(6, 1)):
-        del products[:], phis[:]
+        del products[:]
         assert verify_s3_symmetry(sweep).ok
         rank = quantum_presentation(sweep, "bundle").quotient.rank
-        assert (len(products), len(phis)) == (rank * (rank + 1) // 2, 1)
+        assert len(products) == rank * (rank + 1) // 2
 
 
 def test_table_pieces_without_q2_are_the_model_products(grid_params):
@@ -945,7 +951,7 @@ def _assert_table_matches_oracle(qp):
 
 
 def test_product_table_matches_contributions(grid_params):
-    # the table built on the ring model against one Groebner product per basis pair
+    # the public product of every basis pair against its Groebner product
     _assert_table_matches_oracle(quantum_presentation(grid_params, "bundle"))
 
 
@@ -979,7 +985,7 @@ def test_contributions_match_the_groebner_product(m):
                     for _ in range(2)
                 )
                 expected = groebner_contributions(x, y, qp)
-                got = _contributions(x, y, qp)
+                got = contributions(x, y, qp)
                 assert list(got) == list(expected), (m, p, coords, x, y)
                 assert got == expected, (m, p, coords, x, y)
 
@@ -1057,7 +1063,7 @@ def test_s3_symmetry_needs_the_classical_staircase(monkeypatch, params40):
     qp = quantum_presentation(params40, "bundle")
     quotient = QuotientRing(qp.quotient.basis, qp.quotient.staircase[:-1])
     short = Presentation(qp.coords, qp.params, qp.quantum, qp.relations, quotient)
-    monkeypatch.setattr(quantum, "quantum_presentation", lambda params, coords: short)
+    monkeypatch.setattr(symmetry_oracle, "quantum_presentation", lambda params, coords: short)
     with pytest.raises(CheckFailure):
         verify_s3_symmetry(params40)
 
@@ -1110,6 +1116,25 @@ def test_quantum_presentation_suite_refuses_out_of_range():
 def test_s3_symmetry_40(params40):
     report = verify_s3_symmetry(params40)
     assert report.ok, [e.detail for e in report.failures()]
+
+
+DOUBLED = [(6, 0, 1), (8, 1, 3), (11, 3, 10)]
+
+
+@pytest.mark.parametrize("m, p, count", DOUBLED, ids=[f"m{m}p{p}" for m, p, _ in DOUBLED])
+def test_the_sweep_fails_when_one_basis_correction_is_doubled(monkeypatch, m, p, count):
+    # every product reads the corrections of its factors, so doubling any
+    # one of them breaks the symmetry of the extracted invariants
+    params = derive_params(m, p)
+    corrections = basis_corrections(quantum_presentation(params, "bundle"))
+    assert len(corrections) == count
+    for mono, correction in corrections.items():
+        doubled = MappingProxyType({**corrections, mono: 2 * correction})
+        monkeypatch.setattr(quantum, "basis_corrections", lambda qp: doubled)
+        report = verify_s3_symmetry(params)
+        assert [e.name for e in report.failures()] == ["s3_symmetry"], mono
+    monkeypatch.undo()
+    assert verify_s3_symmetry(params).ok
 
 
 # -- classes outside the staircase ------------------------------------------------------

@@ -23,4 +23,4 @@ def test_readme_example_values():
             checked.append(value)
         else:
             exec(code, namespace)
-    assert checked == ["3*h*xi - 2*h^2 + q1", "1", "0", "True", "True", "True", "True"]
+    assert checked == ["3*h*xi - 2*h^2 + q1", "1", "0", "True", "True", "True"]
