@@ -22,9 +22,9 @@ _SOURCES = {
         "anticanonical_class", "change_vars", "chern_coefficients",
         "classical_presentation", "classical_relations", "curve_dual", "derive_params",
         "fano_positivity_check", "integrate", "moduli_dimension_identities",
-        "oracle_integrate", "pair_divisor_curve", "pairing_matrix", "quantum_relations",
-        "segre_integral_oracle", "variables_for", "verify_classical_geometry",
-        "virtual_dimension",
+        "oracle_integrate", "pair_divisor_curve", "pairing_matrix", "quantum_presentation",
+        "quantum_relations", "segre_integral_oracle", "variables_for",
+        "verify_classical_geometry", "virtual_dimension",
     ),
     "groebner": (
         "GroebnerBasis", "Ideal", "QuotientRing", "buchberger", "ideal_equal",
@@ -33,8 +33,7 @@ _SOURCES = {
     "poly": ("Polynomial", "Scalar", "VariableSet", "blowup_variables", "bundle_variables"),
     "quantum": (
         "GWQuery", "basis_corrections", "class_representative", "contribution_by_class",
-        "gw_invariant", "quantum_presentation", "quantum_product", "verify_gw_identities",
-        "verify_quantum_presentation",
+        "gw_invariant", "quantum_product", "verify_gw_identities", "verify_quantum_presentation",
     ),
     "report": ("CheckEntry", "CheckReport"),
 }

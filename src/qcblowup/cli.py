@@ -99,22 +99,13 @@ def _emit(doc: dict, as_json: bool, text: str) -> None:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _ring(params, coords: str, deformed: bool, budget: int | None):
-    """The classical or deformed ring; ``quantum`` is imported only for the
-    deformed one."""
-    if not deformed:
-        return geometry.classical_presentation(params, coords, max_degree=budget)
-    from . import quantum
-
-    return quantum.quantum_presentation(params, coords, max_degree=budget)
-
-
 def cmd_present(args) -> tuple[dict, str, str]:
     params = derive_params(args.m, args.p)
     budget = _max_degree()
     if args.at_q_one and not args.quantum:
         raise UsageError("--at-q-one requires --quantum")
-    pres = _ring(params, args.coords, args.quantum, budget)
+    build = geometry.quantum_presentation if args.quantum else geometry.classical_presentation
+    pres = build(params, args.coords, max_degree=budget)
     relations = pres.relations
     if args.at_q_one:
         relations = tuple(g.substitute({"q1": 1, "q2": 1}) for g in relations)
@@ -168,8 +159,8 @@ def cmd_gw(args) -> tuple[dict, str, str]:
     # system; building them under the budget first lets an exceeded budget
     # fail the command.
     geometry.classical_presentation(params, geometry.BUNDLE, max_degree=budget)
-    quantum.quantum_presentation(params, geometry.BUNDLE, max_degree=budget)
-    qp = quantum.quantum_presentation(params, args.coords, max_degree=budget)
+    geometry.quantum_presentation(params, geometry.BUNDLE, max_degree=budget)
+    qp = geometry.quantum_presentation(params, args.coords, max_degree=budget)
     query = quantum.GWQuery(curve, alpha, beta, gamma)
     value = quantum.gw_invariant(query, qp)
     d = query.degree_budget
@@ -216,7 +207,8 @@ def cmd_integrate(args) -> tuple[dict, str, str]:
 
 def cmd_basis(args) -> tuple[dict, str, str]:
     params = derive_params(args.m, args.p)
-    pres = _ring(params, args.coords, args.quantum, _max_degree())
+    build = geometry.quantum_presentation if args.quantum else geometry.classical_presentation
+    pres = build(params, args.coords, max_degree=_max_degree())
     quotient = pres.quotient
     matrix = None if pres.quantum else geometry.pairing_matrix(pres)
     payload = {
@@ -262,7 +254,7 @@ def _verify_instance(
     for coords in (geometry.BUNDLE, geometry.BLOWUP):
         geometry.classical_presentation(params, coords, max_degree=budget)
         if params.in_range:
-            quantum.quantum_presentation(params, coords, max_degree=budget)
+            geometry.quantum_presentation(params, coords, max_degree=budget)
     report = geometry.verify_classical_geometry(params, grid_bound)
     if params.in_range:
         report.merge(quantum.verify_gw_identities(params, b_max))
@@ -396,15 +388,10 @@ def main(argv=None) -> int:
     try:
         payload, status, text = args.handler(args)
     except UsageError as exc:
-        doc = _document(args.command, _request_echo(args), {"error": str(exc)}, STATUS_USAGE_ERROR)
-        _emit(doc, args.json, f"error: {exc}")
-        return EXIT_FOR_STATUS[STATUS_USAGE_ERROR]
+        payload, status, text = {"error": str(exc)}, STATUS_USAGE_ERROR, f"error: {exc}"
     except (CheckFailure, StructuralError, BudgetError) as exc:
-        doc = _document(args.command, _request_echo(args), {"error": str(exc)}, STATUS_CHECK_FAILED)
-        _emit(doc, args.json, f"check failed: {exc}")
-        return EXIT_FOR_STATUS[STATUS_CHECK_FAILED]
-    doc = _document(args.command, _request_echo(args), payload, status)
-    _emit(doc, args.json, text)
+        payload, status, text = {"error": str(exc)}, STATUS_CHECK_FAILED, f"check failed: {exc}"
+    _emit(_document(args.command, _request_echo(args), payload, status), args.json, text)
     return EXIT_FOR_STATUS[status]
 
 

@@ -248,18 +248,19 @@ def _presentation(params: GeometryParams, coords: str, quantum: bool) -> Present
 
 
 def _budgeted(
-    params: GeometryParams, coords: str, quantum: bool, max_degree: int
+    params: GeometryParams, coords: str, quantum: bool, max_degree: int | None = None
 ) -> Presentation:
-    """The cached ring when its Buchberger run stayed within ``max_degree``
-    (its basis's ``peak_degree``).  Otherwise Buchberger runs again under the
-    budget, uncached: that raises the :class:`BudgetError` an exceeded budget
-    gives, or builds a ring that only a budget above the default one admits."""
+    """The cached ring, unless its Buchberger run went above a given budget
+    ``max_degree`` (its basis's ``peak_degree``): then Buchberger runs again
+    under the budget, uncached, which raises the :class:`BudgetError` of an
+    exceeded budget or builds a ring only a budget above the default admits."""
     try:
         pres = _presentation(params, coords, quantum)
+        if max_degree is None or pres.quotient.basis.peak_degree <= max_degree:
+            return pres
     except BudgetError:
-        return _build(params, coords, quantum, max_degree)
-    if pres.quotient.basis.peak_degree <= max_degree:
-        return pres
+        if max_degree is None:
+            raise
     return _build(params, coords, quantum, max_degree)
 
 
@@ -268,9 +269,15 @@ def classical_presentation(
 ) -> Presentation:
     """Build the classical presentation and its quotient ring (cached; a
     degree budget is checked against the cached ring's Buchberger run)."""
-    if max_degree is None:
-        return _presentation(params, coords, False)
     return _budgeted(params, coords, False, max_degree)
+
+
+def quantum_presentation(
+    params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
+) -> Presentation:
+    """Build the deformed presentation and its quotient ring (cached; a
+    degree budget is checked against the cached ring's Buchberger run)."""
+    return _budgeted(params, coords, True, max_degree)
 
 
 @lru_cache(maxsize=1024)

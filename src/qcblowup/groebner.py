@@ -28,7 +28,7 @@ from .poly import (
     Polynomial,
     Scalar,
     VariableSet,
-    _add_term,
+    _canonical,
     _canonical_terms,
     grlex_key,
     mono_div,
@@ -121,6 +121,7 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple[Mono, Polynomial]]) -> Polyn
     """Full remainder of f under division by monic reducers (lt, poly)."""
     variables = f.variables
     rest = dict(f.terms)
+    get = rest.get
     out: dict[Mono, Scalar] = {}
     while rest:
         mono = max(rest, key=grlex_key)
@@ -131,10 +132,14 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple[Mono, Polynomial]]) -> Polyn
                 factor = -coeff
                 for m2, c2 in g.terms.items():
                     if m2 != lt:
-                        _add_term(rest, mono_mul(m2, t), factor * c2)
+                        m = mono_mul(m2, t)
+                        if c := get(m, 0) + factor * c2:
+                            rest[m] = c
+                        else:
+                            del rest[m]  # cancelled
                 break
         else:
-            out[mono] = coeff
+            out[mono] = _canonical(coeff)
     return Polynomial._from_clean(variables, out)
 
 

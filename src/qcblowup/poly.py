@@ -25,11 +25,10 @@ Outside input (user-supplied term maps, :meth:`Polynomial.parse`,
 :meth:`Polynomial.monomial`) goes through the public constructor, which
 checks every exponent tuple, accepts only ``int`` and ``Fraction``
 coefficients, brings them to canonical form and adds up repeated monomials.
-Arithmetic on valid polynomials produces terms that already satisfy those
-invariants (sums of terms go through :func:`_add_term`, which keeps the
-canonical form, or are accumulated in a plain dict and cleaned once by
-:func:`_canonical_terms`), so its results are wrapped as they are
-(:meth:`Polynomial._from_clean`).
+Every sum of terms here, in the constructor and in arithmetic alike, is
+accumulated in a plain dict and cleaned once by :func:`_canonical_terms`,
+so the results of arithmetic on valid polynomials already satisfy those
+invariants and are wrapped as they are (:meth:`Polynomial._from_clean`).
 
 Canonical text format (also consumed by the command line): terms sorted in
 descending graded-lex order, each term
@@ -167,22 +166,10 @@ def _canonical(c: ScalarLike) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def _add_term(terms: dict[Mono, Scalar], mono: Mono, coeff: ScalarLike) -> None:
-    """``terms[mono] += coeff`` for a nonzero coeff, dropping a term that
-    cancels, so that ``terms`` never holds a zero coefficient, and keeping
-    every coefficient in canonical form (:func:`_canonical`)."""
-    if mono in terms:
-        coeff = terms[mono] + coeff
-        if not coeff:
-            del terms[mono]
-            return
-    terms[mono] = coeff if type(coeff) is int else _canonical(coeff)
-
-
 def _canonical_terms(terms: dict[Mono, ScalarLike]) -> dict[Mono, Scalar]:
-    """The terms of a sum accumulated without :func:`_add_term`: cancelled
-    terms dropped, every coefficient in canonical form.  One pass at the end
-    of a long accumulation costs less than a check on every addition."""
+    """The terms of a sum accumulated in a plain dict: cancelled terms
+    dropped, every coefficient in canonical form.  One pass at the end of
+    an accumulation costs less than a check on every addition."""
     return {m: c if type(c) is int else _canonical(c) for m, c in terms.items() if c}
 
 
@@ -221,7 +208,7 @@ class Polynomial:
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
         nvars = len(variables)
-        clean: dict[Mono, Scalar] = {}
+        clean: dict[Mono, ScalarLike] = {}
         for mono, coeff in items:
             mono = tuple(mono)
             if len(mono) != nvars:
@@ -230,10 +217,9 @@ class Polynomial:
                 raise UsageError(f"exponents must be non-negative integers: {mono}")
             if not isinstance(coeff, (int, Fraction)):
                 raise UsageError(f"coefficients must be int or Fraction, got {coeff!r}")
-            if coeff:
-                _add_term(clean, mono, coeff)
+            clean[mono] = clean.get(mono, 0) + coeff
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _canonical_terms(clean))
 
     @classmethod
     def _from_clean(cls, variables: VariableSet, terms: dict[Mono, Scalar]) -> Polynomial:
@@ -340,8 +326,8 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for m, c in rhs.terms.items():
-            _add_term(out, m, c)
-        return Polynomial._from_clean(self.variables, out)
+            out[m] = out.get(m, 0) + c
+        return Polynomial._from_clean(self.variables, _canonical_terms(out))
 
     __radd__ = __add__
 
@@ -454,8 +440,8 @@ class Polynomial:
                         power = powers[(idx, e)] = by_index[idx] ** e
                     factor = power if factor is one else factor * power
             for m, c in factor.terms.items():
-                _add_term(out, m, coeff * c)
-        return Polynomial._from_clean(target, out)
+                out[m] = out.get(m, 0) + coeff * c
+        return Polynomial._from_clean(target, _canonical_terms(out))
 
     # -- text format ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Deformed (small quantum) presentations and Gromov-Witten extraction.
+"""Small quantum products and Gromov-Witten extraction in deformed rings.
 
 The classical relations deform by the two extremal curve classes.  With
 formal parameters q1 (degree r, the anticanonical degree of a fiber line)
@@ -9,12 +9,13 @@ and q2 (degree n, that of an exceptional line) the relations become
 * blow-up coordinates: (k - eta)^(m-p) - eta q2  and  k^(p+1) eta - q1.
 
 Setting q1 = q2 = 0 recovers the classical ring; setting q1 = q2 = 1 gives
-the undeformed quantum relations.  The grading makes every relation
-homogeneous, so products in the deformed quotient split uniquely into
-contributions q1^a q2^b times a class of the complementary degree, and the
-three-point invariant of classes alpha, beta, gamma in the class
-a*A1 + b*A2 is the classical integral of the (a, b)-contribution of
-alpha * beta against gamma.
+the undeformed quantum relations (:mod:`qcblowup.geometry` builds both
+rings; :func:`quantum_presentation` stays importable here).  The grading
+makes every relation homogeneous, so products in the deformed quotient
+split uniquely into contributions q1^a q2^b times a class of the
+complementary degree, and the three-point invariant of classes alpha,
+beta, gamma in the class a*A1 + b*A2 is the classical integral of the
+(a, b)-contribution of alpha * beta against gamma.
 
 One subtlety: a staircase monomial of the presented ring stands for the
 iterated ring product of the generators, which coincides with the
@@ -54,29 +55,18 @@ from .geometry import (
     CurveClass,
     GeometryParams,
     Presentation,
-    _budgeted,
     _carries_ideal,
-    _presentation,
     _to_bundle,
     change_vars,
     classical_presentation,
     integrate,  # noqa: F401  (kept importable from this module)
+    quantum_presentation,
 )
 from .groebner import Vector, _add, _RingModel
 from .linalg import eliminate
 from .poly import Mono, Polynomial, Scalar, _canonical, _canonical_terms, mono_mul
 from .records import Frozen
 from .report import CheckReport
-
-
-def quantum_presentation(
-    params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
-) -> Presentation:
-    """Build the deformed presentation and its quotient ring (cached; a
-    degree budget is checked against the cached ring's Buchberger run)."""
-    if max_degree is None:
-        return _presentation(params, coords, True)
-    return _budgeted(params, coords, True, max_degree)
 
 
 Level = tuple[int, dict[Mono, Scalar]]  # q2 exponent, parameter-free terms
@@ -227,14 +217,14 @@ def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
 
 
 def _terms(
-    qp: Presentation, *classes: Polynomial, checked: bool = False
+    qp: Presentation, *classes: Polynomial
 ) -> tuple[Presentation, list[dict[Mono, Scalar]]]:
     """The one route of classes into the product: the deformed bundle
     presentation, and the terms of each class over the classical bundle
-    staircase.  A blow-up class or an off-staircase one is cut above the top
-    degree, where it is zero in cohomology (unless ``checked`` by the
-    caller); a blow-up class is translated, and a class off the staircase
-    takes one normal form."""
+    staircase.  A class on it enters after one membership test; a blow-up or
+    off-staircase class must be parameter-free, is cut above the top degree
+    (zero in cohomology), translated if blow-up, and normal-formed if still
+    off the staircase."""
     if not qp.quantum:
         raise UsageError("quantum products need the deformed presentation")
     params, blowup = qp.params, qp.coords == BLOWUP
@@ -242,19 +232,18 @@ def _terms(
     classical = classical_presentation(params, BUNDLE).quotient
     out = []
     for f in classes:
-        if not checked:
-            if f.variables != qp.variables:
-                raise UsageError("class over a different variable set than the presentation")
-            if blowup or not f.terms.keys() <= classical.staircase_set:
-                if not f.is_parameter_free():
-                    raise UsageError("classical classes must be parameter-free")
-                degree, top = f.variables.weighted_degree, params.top_degree
-                cut = {mono: c for mono, c in f.terms.items() if degree(mono) <= top}
-                f = Polynomial._from_clean(f.variables, cut)
-        if blowup:
-            f = _to_bundle(f)
-        if not f.terms.keys() <= classical.staircase_set:
-            f = classical.normal_form(f)
+        if f.variables != qp.variables:
+            raise UsageError("class over a different variable set than the presentation")
+        if blowup or not f.terms.keys() <= classical.staircase_set:
+            if not f.is_parameter_free():
+                raise UsageError("classical classes must be parameter-free")
+            degree, top = f.variables.weighted_degree, params.top_degree
+            cut = {mono: c for mono, c in f.terms.items() if degree(mono) <= top}
+            f = Polynomial._from_clean(f.variables, cut)
+            if blowup:
+                f = _to_bundle(f)
+            if not f.terms.keys() <= classical.staircase_set:
+                f = classical.normal_form(f)
         out.append(f.terms)
     return bundle, out
 
@@ -328,7 +317,9 @@ def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomia
     one term per contributing curve class.  Each piece is computed alone
     (:func:`_piece`, from one phi of each factor) at every key (a, b) with
     r a + n b at most the sum of the two factors' largest degrees, which
-    every nonzero piece has; a blow-up product is translated back."""
+    every nonzero piece has; a blow-up product is translated back.  With
+    m = p + 2 the pieces lie over the deformed staircase (rank 6 against 4 at
+    (2, 0)) and can hold classes above the top degree: such results are formal."""
     bundle, terms = _terms(qp, x, y)
     phi = _phi(bundle, *terms)
     degree, r, n = bundle.variables.weighted_degree, qp.params.r, qp.params.n
@@ -432,7 +423,7 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     budget = degrees[0] + degrees[1] - (params.r * a + params.n * b)
     if budget < 0 or degrees[2] != top - budget or max(degrees) > top:
         return 0
-    bundle, (alpha, beta, gamma) = _terms(qp, *classes, checked=True)
+    bundle, (alpha, beta, gamma) = _terms(qp, *classes)
     piece = _piece(bundle, *_phi(bundle, alpha, beta, level=b), (a, b))
     row = classical_presentation(params, BUNDLE).quotient.model.gram_row
     value = 0

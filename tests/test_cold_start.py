@@ -4,7 +4,8 @@ Every command runs in a fresh interpreter, and without cached bytecode each
 module is compiled again on every start, so the package keeps the import of
 ``qcblowup.cli`` free of ``dataclasses`` (which pulls in ``inspect``, ``ast``
 and ``dis``) and loads ``qcblowup.quantum`` only in the commands that
-multiply in the deformed ring.
+multiply in the deformed ring.  Both presentations are built in
+``qcblowup.geometry``, so showing the deformed ring multiplies nothing.
 """
 
 import json
@@ -54,15 +55,20 @@ print(json.dumps({"imported": sorted(imported), "after": sorted(sys.modules), "c
 """
 
 
-def probe(*argv):
+def run_python(code, *argv):
+    """The standard output of ``code`` run in a fresh interpreter on this
+    checkout's ``src``, without a degree budget."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("QC_MAX_DEGREE", None)
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, check=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, check=True,
+        text=True, timeout=120,
     ).stdout
-    return json.loads(out)
+
+
+def probe(*argv):
+    return json.loads(run_python(PROBE, *argv))
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_quantum():
@@ -77,8 +83,8 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_quantum():
     ("present --m 6 --p 1 --coords bundle", False),
     ("integrate --m 6 --p 1 --class h^4*xi^2", False),
     ("basis --m 6 --p 1", False),
-    ("present --m 6 --p 1 --quantum", True),
-    ("basis --m 6 --p 1 --quantum", True),
+    ("present --m 6 --p 1 --quantum", False),
+    ("basis --m 6 --p 1 --quantum", False),
     ("gw --m 6 --p 1 --class 1,0 --alpha xi --beta xi --gamma h^4*xi", True),
     ("verify --m 6 --p 1", True),
 ])
@@ -87,6 +93,15 @@ def test_commands_load_quantum_only_when_they_use_it(command, loads_quantum):
     assert result["code"] == 0
     assert ("qcblowup.quantum" in result["after"]) == loads_quantum
     assert "dataclasses" not in result["after"]
+
+
+def test_the_deformed_presentation_loads_no_quantum_module():
+    out = run_python(
+        "import sys\n"
+        "from qcblowup import quantum_presentation\n"
+        "print(quantum_presentation.__module__, 'qcblowup.quantum' in sys.modules)\n"
+    )
+    assert out.split() == ["qcblowup.geometry", "False"]
 
 
 def test_the_package_exports_the_recorded_names():

@@ -1059,6 +1059,18 @@ def test_ring_model_reads_normal_forms_where_a_parameter_leads(m, p):
     _assert_table_matches_oracle(qp)
 
 
+def test_an_n_one_product_is_formal_and_reaches_above_the_top_degree():
+    # m = p + 2: the deformed staircase is not the classical one, and the
+    # product's pieces lie over it, as the quantum_product docstring says
+    params = derive_params(2, 0)
+    qp = quantum_presentation(params, "bundle")
+    assert (qp.quotient.rank, classical_presentation(params, "bundle").quotient.rank) == (6, 4)
+    product = quantum_product(bp("-2*xi^2", params), bp("3*xi^2 + xi", params), qp)
+    assert product.coefficient((0, 3, 0, 0)) == -6  # -6*h^3, above the top degree 2
+    assert params.top_degree == 2
+    assert not qp.certified
+
+
 def test_s3_symmetry_needs_the_classical_staircase(monkeypatch, params40):
     qp = quantum_presentation(params40, "bundle")
     quotient = QuotientRing(qp.quotient.basis, qp.quotient.staircase[:-1])
