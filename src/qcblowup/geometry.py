@@ -461,7 +461,7 @@ def pairing_matrix(presentation: Presentation) -> list[list[int]]:
     tops = [staircase[idx] for idx in by_degree.get(top, ())]
     if len(tops) != 1:
         raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
-    scale = integrate(Polynomial.monomial(vs, tops[0]), presentation)
+    scale = integrate(Polynomial._from_clean(vs, {tops[0]: 1}), presentation)
     matrix = [[0] * len(staircase) for _ in staircase]
     values: dict[tuple[int, ...], int] = {}
     for degree, rows in by_degree.items():
@@ -469,7 +469,7 @@ def pairing_matrix(presentation: Presentation) -> list[list[int]]:
             for j in by_degree.get(top - degree, ()):
                 mono = mono_mul(staircase[i], staircase[j])
                 if mono not in values:
-                    nf = quotient.normal_form(Polynomial.monomial(vs, mono))
+                    nf = quotient.normal_form(Polynomial._from_clean(vs, {mono: 1}))
                     value = scale * nf.coefficient(tops[0])
                     if value.denominator != 1:
                         raise CheckFailure(f"non-integral pairing value {value}")

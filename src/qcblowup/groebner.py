@@ -112,8 +112,8 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lmf, lcf = f.leading_term()
     lmg, lcg = g.leading_term()
     lcm = mono_lcm(lmf, lmg)
-    tf = Polynomial.monomial(f.variables, mono_div(lcm, lmf), Fraction(1, 1) / lcf)
-    tg = Polynomial.monomial(g.variables, mono_div(lcm, lmg), Fraction(1, 1) / lcg)
+    tf = Polynomial._from_clean(f.variables, {mono_div(lcm, lmf): _canonical(Fraction(1, 1) / lcf)})
+    tg = Polynomial._from_clean(g.variables, {mono_div(lcm, lmg): _canonical(Fraction(1, 1) / lcg)})
     return tf * f - tg * g
 
 
@@ -247,7 +247,7 @@ def _normal_form_monomial(gb: GroebnerBasis, mono: Mono) -> Polynomial:
     memo = gb._nf_memo
     cached = memo.get(mono)
     if cached is None:
-        cached = _reduce(Polynomial.monomial(gb.variables, mono), gb._reducers)
+        cached = _reduce(Polynomial._from_clean(gb.variables, {mono: 1}), gb._reducers)
         memo[mono] = cached
     return cached
 
@@ -303,7 +303,7 @@ class _RingModel:
 
     def _read(self, mono: Mono) -> Vector:
         """The normal form of a parameter-free monomial, split by q-power."""
-        f = self._nf(Polynomial.monomial(self._vs, mono))
+        f = self._nf(Polynomial._from_clean(self._vs, {mono: 1}))
         out: Vector = {}
         for t, c in f.terms.items():
             s = t[:2] + (0, 0)
@@ -370,7 +370,7 @@ class QuotientRing(Frozen):
         return normal_form(f, self.basis)
 
     def staircase_polynomials(self) -> tuple[Polynomial, ...]:
-        return tuple(Polynomial.monomial(self.variables, m) for m in self.staircase)
+        return tuple(Polynomial._from_clean(self.variables, {m: 1}) for m in self.staircase)
 
     def staircase_strings(self) -> tuple[str, ...]:
         return tuple(str(p) for p in self.staircase_polynomials())

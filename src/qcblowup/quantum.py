@@ -25,17 +25,17 @@ unique corrections are forced by the divisor and fundamental-class axioms
 of the three-point theory and are solved for exactly (see
 :func:`basis_corrections`).  All extraction goes through the corrected
 identification, which is what makes the extracted three-point function
-symmetric.  Everything runs on the integer model of each bundle ring, its
-multiplication matrices (``quotient.model``).  Every class enters by one
-route (:func:`_terms`, which translates blow-up classes); :func:`_phi` adds
-the corrections of a factor.  One kernel, :func:`_piece`, computes the piece
-of a product at one curve class and applies the correction step:
-:func:`quantum_product` reads it for every curve class within the degree
-budget, :func:`contribution_by_class` and :func:`gw_invariant` for the one
-they need.  The correction solve reads the same models (its closure
-integrals are classical Gram rows).  The tests check products, pieces and
-the solve against assemblies from Groebner normal forms, and the symmetry
-of the extracted invariants with a sweep over basis triples.
+symmetric.  Everything runs on the integer models of the bundle rings
+(``quotient.model``), read through one query kernel per deformed ring
+(:class:`_Kernel`, shared by both coordinate systems).  A class enters by
+one route (:func:`_terms`); :func:`_phi` adds its corrections, and
+:func:`_grouped` sums the term pairs of a product by q2 exponent and
+product monomial w.  The kernel memoises the corrected piece of each w at
+each curve class and its pairing with the classical Gram rows:
+:func:`_piece` sums the former (for :func:`quantum_product` and
+:func:`contribution_by_class`), :func:`gw_invariant` dots the latter with
+gamma.  The tests check it all against Groebner assemblies, and the
+invariants' symmetry with a sweep over basis triples.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -44,7 +44,7 @@ use the uncorrected identification.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .errors import CheckFailure, UsageError
@@ -70,9 +70,11 @@ from .report import CheckReport
 
 
 Level = tuple[int, dict[Mono, Scalar]]  # q2 exponent, parameter-free terms
+Key = tuple[int, int]  # the exponents (a, b) of q1^a q2^b
+Grouped = dict[int, dict[Mono, Scalar]]  # :func:`_grouped`
 
 
-def _model_piece(model: _RingModel, x: Mono, y: Mono, key: tuple[int, int]) -> dict[Mono, int]:
+def _model_piece(model: _RingModel, x: Mono, y: Mono, key: Key) -> dict[Mono, int]:
     """The nonzero terms of the piece at q-power ``key`` of x * y in a ring
     model."""
     return {t: c for t, c in model.product(mono_mul(x, y)).get(key, {}).items() if c}
@@ -142,7 +144,7 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
 
     # Divisor rows: the q2-part of the ring product (xi - h) * repr(c) equals
     # the correction expansion of the classical product (xi - h).c.
-    def times_xi_minus_h(model: _RingModel, key: tuple[int, int]) -> dict[Mono, dict[Mono, int]]:
+    def times_xi_minus_h(model: _RingModel, key: Key) -> dict[Mono, dict[Mono, int]]:
         """The piece at q-power ``key`` of (xi - h) * s, for each staircase s."""
         out = {}
         for s in staircase:
@@ -203,6 +205,56 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
     )
 
 
+class _Kernel:
+    """What the products and invariants of one deformed bundle ring read,
+    resolved once (:func:`_kernel`), with memos of the model product of
+    each product monomial w and of its corrected and paired rows by (w, key)."""
+
+    def __init__(self, qp: Presentation) -> None:
+        self.qp, self.classical = qp, classical_presentation(qp.params, BUNDLE).quotient
+        # a parameter-free monomial has one degree in both coordinate systems
+        self.degree = {s: qp.variables.weighted_degree(s) for s in self.classical.staircase}
+        self.vectors: dict[Mono, Vector] = {}
+        self.corrected_rows: dict[tuple[Mono, Key], dict[Mono, int]] = {}
+        self.paired_rows: dict[tuple[Mono, Key], dict[Mono, int]] = {}
+
+    @cached_property
+    def corrections(self) -> dict[Mono, dict[Mono, int]]:
+        return {s: dict(c.terms) for s, c in basis_corrections(self.qp).items()}
+
+    def corrected(self, w: Mono, key: Key) -> dict[Mono, int]:
+        """The piece of w at key = (a, c) after the one correction step
+        1 - q2*C that turns staircase monomials into the classical basis
+        classes: the naive piece at (a, c) minus C times that at (a, c - 1)."""
+        if (row := self.corrected_rows.get((w, key))) is None:
+            if (vec := self.vectors.get(w)) is None:
+                vec = self.vectors[w] = self.qp.quotient.model.product(w)
+            row = dict(vec.get(key, {}))
+            for s, cs in vec.get((key[0], key[1] - 1), {}).items() if key[1] else ():
+                for t, ct in self.corrections.get(s, {}).items():
+                    row[t] = row.get(t, 0) - cs * ct
+            row = self.corrected_rows[w, key] = {t: v for t, v in row.items() if v}
+        return row
+
+    def paired(self, w: Mono, key: Key) -> dict[Mono, int]:
+        """The corrected piece's integral against each staircase monomial g
+        of the complementary degree, through the Gram rows (nonzero only);
+        terms off the classical staircase (formal n = 1 rings) pair to 0."""
+        if (row := self.paired_rows.get((w, key))) is None:
+            row, classical = {}, self.classical
+            for t, c in self.corrected(w, key).items():
+                for g, cg in classical.model.gram_row(t) if t in classical.staircase_set else ():
+                    row[g] = row.get(g, 0) + c * cg
+            row = self.paired_rows[w, key] = {g: v for g, v in row.items() if v}
+        return row
+
+
+@lru_cache(maxsize=None)
+def _kernel(qp: Presentation) -> _Kernel:
+    """The kernel of a deformed presentation; blow-up shares the bundle one."""
+    return _Kernel(qp) if qp.coords == BUNDLE else _kernel(quantum_presentation(qp.params, BUNDLE))
+
+
 def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     """The element of the deformed quotient representing a classical class.
 
@@ -210,59 +262,54 @@ def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     :func:`_phi`); a blow-up class then takes the blow-up normal form of the
     element translated back, so both coordinate systems multiply alike.
     """
-    bundle, terms = _terms(qp, f)
-    phi = _phi(bundle, *terms)[0]
+    kernel, terms = _terms(qp, f)
+    vs, phi = kernel.qp.variables, _phi(kernel, *terms)[0]
     rep = _canonical_terms({mono[:3] + (k,): c for k, part in phi for mono, c in part.items()})
-    return qp.quotient.normal_form(_in_coords(Polynomial._from_clean(bundle.variables, rep), qp))
+    return qp.quotient.normal_form(_in_coords(Polynomial._from_clean(vs, rep), qp))
 
 
-def _terms(
-    qp: Presentation, *classes: Polynomial
-) -> tuple[Presentation, list[dict[Mono, Scalar]]]:
-    """The one route of classes into the product: the deformed bundle
-    presentation, and the terms of each class over the classical bundle
-    staircase.  A class on it enters after one membership test; a blow-up or
-    off-staircase class must be parameter-free, is cut above the top degree
-    (zero in cohomology), translated if blow-up, and normal-formed if still
-    off the staircase."""
+def _terms(qp: Presentation, *classes: Polynomial) -> tuple[_Kernel, list[dict[Mono, Scalar]]]:
+    """The one route of classes into the product: the kernel, and the terms
+    of each class over the classical bundle staircase.  A class on it enters
+    after one membership test; a blow-up or off-staircase class must be
+    parameter-free, is cut above the top degree (zero in cohomology),
+    translated if blow-up, and normal-formed if still off the staircase."""
     if not qp.quantum:
         raise UsageError("quantum products need the deformed presentation")
-    params, blowup = qp.params, qp.coords == BLOWUP
-    bundle = quantum_presentation(params, BUNDLE) if blowup else qp
-    classical = classical_presentation(params, BUNDLE).quotient
+    kernel, blowup = _kernel(qp), qp.coords == BLOWUP
+    staircase = kernel.classical.staircase_set
     out = []
     for f in classes:
         if f.variables != qp.variables:
             raise UsageError("class over a different variable set than the presentation")
-        if blowup or not f.terms.keys() <= classical.staircase_set:
+        if blowup or not f.terms.keys() <= staircase:
             if not f.is_parameter_free():
                 raise UsageError("classical classes must be parameter-free")
-            degree, top = f.variables.weighted_degree, params.top_degree
+            degree, top = f.variables.weighted_degree, qp.params.top_degree
             cut = {mono: c for mono, c in f.terms.items() if degree(mono) <= top}
             f = Polynomial._from_clean(f.variables, cut)
             if blowup:
                 f = _to_bundle(f)
-            if not f.terms.keys() <= classical.staircase_set:
-                f = classical.normal_form(f)
+            if not f.terms.keys() <= staircase:
+                f = kernel.classical.normal_form(f)
         out.append(f.terms)
-    return bundle, out
+    return kernel, out
 
 
-def _phi(qp: Presentation, *classes: dict[Mono, Scalar], level: int = 1) -> list[list[Level]]:
+def _phi(kernel: _Kernel, *classes: dict[Mono, Scalar], level: int = 1) -> list[list[Level]]:
     """phi = :func:`class_representative` of classes given by their terms on
-    the staircase of the deformed bundle ring ``qp``, by q2 exponent: the
-    class, then (if nonzero) its corrections at q2^1, which a piece at q2
-    exponent ``level`` = 0 never reads and so are left out."""
+    the staircase of the deformed bundle ring, by q2 exponent: the class,
+    then (if nonzero) its corrections at q2^1, which a piece at q2 exponent
+    ``level`` = 0 never reads and so are left out."""
     if not level:
         return [[(0, terms)] for terms in classes]
-    corrections = basis_corrections(qp)
+    corrections = kernel.corrections
     out = []
     for terms in classes:
         shift: dict[Mono, Scalar] = {}
         for mono, coeff in terms.items():
-            if mono in corrections:
-                for m, c in corrections[mono].terms.items():
-                    shift[m] = shift.get(m, 0) + coeff * c
+            for m, c in corrections[mono].items() if mono in corrections else ():
+                shift[m] = shift.get(m, 0) + coeff * c
         shift = {m: c for m, c in shift.items() if c}
         out.append([(0, terms), (1, shift)] if shift else [(0, terms)])
     return out
@@ -273,62 +320,51 @@ def _in_coords(f: Polynomial, qp: Presentation) -> Polynomial:
     return change_vars(f, BUNDLE_TO_BLOWUP) if qp.coords == BLOWUP else f
 
 
-def _piece(
-    qp: Presentation, x: list[Level], y: list[Level], key: tuple[int, int]
-) -> dict[Mono, Scalar]:
-    """The piece of phi(x) * phi(y) at key = (a, b), computed alone on the
-    ring model and given the one correction step 1 - q2*C that turns the
-    staircase monomials of the product into the classical basis classes:
-    the naive piece at (a, b) minus C times the naive piece at (a, b - 1).
-    The term pairs are summed by product monomial (parameter-free, in the
-    two divisor variables) and q2 exponent k first, without those with
-    k > b, which cannot reach the key; each distinct monomial's model
-    product is then read once.  Zero coefficients may remain."""
-    a, b = key
-    grouped: dict[Mono, dict[int, Scalar]] = {}
+def _grouped(x: list[Level], y: list[Level], b: int) -> Grouped:
+    """The term pairs of phi(x) * phi(y) summed by q2 exponent k <= b and
+    product monomial w (parameter-free, in the two divisor variables)."""
+    grouped: Grouped = {}
     for ku, xs in x:
         for kv, ys in y:
             if (k := ku + kv) <= b:
+                monos = grouped.setdefault(k, {})
                 for u, cu in xs.items():
                     for v, cv in ys.items():
-                        levels = grouped.setdefault((u[0] + v[0], u[1] + v[1], 0, 0), {})
-                        levels[k] = levels.get(k, 0) + cu * cv
-    product = qp.quotient.model.product
+                        w = (u[0] + v[0], u[1] + v[1], 0, 0)
+                        monos[w] = monos.get(w, 0) + cu * cv
+    return grouped
+
+
+def _piece(kernel: _Kernel, grouped: Grouped, key: Key) -> dict[Mono, Scalar]:
+    """The piece at key = (a, b) of a product grouped by :func:`_grouped`:
+    the sum of scale times the corrected piece of w at (a, b - k)."""
+    a, b = key
     out: dict[Mono, Scalar] = {}
-    below: dict[Mono, Scalar] = {}  # the naive piece at (a, b - 1)
-    for mono, levels in grouped.items():
-        vec = product(mono)
-        for k, scale in levels.items():
-            for t, c in vec.get((a, b - k), {}).items():
+    for k, monos in grouped.items():
+        for w, scale in monos.items() if k <= b else ():
+            for t, c in kernel.corrected(w, (a, b - k)).items():
                 out[t] = out.get(t, 0) + scale * c
-            for s, c in vec.get((a, b - 1 - k), {}).items() if k < b else ():
-                below[s] = below.get(s, 0) + scale * c
-    corrections = basis_corrections(qp) if below else {}
-    for s, c in below.items():
-        if c and s in corrections:
-            for t, cc in corrections[s].terms.items():
-                out[t] = out.get(t, 0) - c * cc
     return out
 
 
 def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomial:
     """Quantum product of two classical classes, expanded over the classical
     basis: the result is a sum of q1^a q2^b times parameter-free classes,
-    one term per contributing curve class.  Each piece is computed alone
-    (:func:`_piece`, from one phi of each factor) at every key (a, b) with
-    r a + n b at most the sum of the two factors' largest degrees, which
-    every nonzero piece has; a blow-up product is translated back.  With
-    m = p + 2 the pieces lie over the deformed staircase (rank 6 against 4 at
-    (2, 0)) and can hold classes above the top degree: such results are formal."""
-    bundle, terms = _terms(qp, x, y)
-    phi = _phi(bundle, *terms)
-    degree, r, n = bundle.variables.weighted_degree, qp.params.r, qp.params.n
+    one term per contributing curve class.  The term pairs are grouped once
+    and read (:func:`_piece`) at every key (a, b) with r a + n b at most the
+    sum of the factors' largest degrees, which every nonzero piece has; a
+    blow-up product is translated back.  With m = p + 2 the pieces lie over
+    the deformed staircase (rank 6 against 4 at (2, 0)) and can hold classes
+    above the top degree: such results are formal."""
+    kernel, terms = _terms(qp, x, y)
+    degree, r, n = kernel.qp.variables.weighted_degree, qp.params.r, qp.params.n
     budget = sum(max(map(degree, t), default=0) for t in terms)
+    pairs = _grouped(*_phi(kernel, *terms), budget // n)
     out: dict[Mono, Scalar] = {}
     for a in range(budget // r + 1):
         for b in range((budget - r * a) // n + 1):
-            out.update((mono[:2] + (a, b), c) for mono, c in _piece(bundle, *phi, (a, b)).items())
-    return _in_coords(Polynomial._from_clean(bundle.variables, _canonical_terms(out)), qp)
+            out.update((mono[:2] + (a, b), c) for mono, c in _piece(kernel, pairs, (a, b)).items())
+    return _in_coords(Polynomial._from_clean(kernel.qp.variables, _canonical_terms(out)), qp)
 
 
 def contribution_by_class(
@@ -339,9 +375,9 @@ def contribution_by_class(
     (computed alone, by :func:`_piece`)."""
     if a < 0 or b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
-    bundle, terms = _terms(qp, x, y)
-    piece = _canonical_terms(_piece(bundle, *_phi(bundle, *terms, level=b), (a, b)))
-    return _in_coords(Polynomial._from_clean(bundle.variables, piece), qp)
+    kernel, terms = _terms(qp, x, y)
+    piece = _piece(kernel, _grouped(*_phi(kernel, *terms, level=b), b), (a, b))
+    return _in_coords(Polynomial._from_clean(kernel.qp.variables, _canonical_terms(piece)), qp)
 
 
 class GWQuery(Frozen):
@@ -391,28 +427,29 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     """Evaluate a three-point invariant from the deformed presentation.
 
     One pass over the terms of each class checks that it is parameter-free
-    and homogeneous and reads its degree.  A query failing the degree
-    bookkeeping of :attr:`GWQuery.admissible`, or with a class above the top
-    degree, returns 0.  The checked classes enter as every class does
-    (:func:`_terms`); only the requested piece of the product of the first
-    two is computed (:func:`_piece`, from phi up to the key's q2 exponent),
-    and it is paired with gamma through the memoised Gram rows of the
-    classical ring's model, one dot product per gamma term.  An admissible
-    integral query must give an integer.
+    and homogeneous and reads its degree (a staircase term's from the
+    kernel).  A query failing the degree bookkeeping of
+    :attr:`GWQuery.admissible`, or with a class above the top degree,
+    returns 0.  The checked classes enter as every class does, and the value
+    sums scale * sum_g c_g * paired(w, (a, b - k))[g] over the grouped term
+    pairs of alpha and beta (:func:`_grouped`, phi up to the q2 exponent b).
+    An admissible integral query must give an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
     vs, params = qp.variables, qp.params
     classes = (query.alpha, query.beta, query.gamma)
-    degrees = []
+    degrees, staircase_degree = [], _kernel(qp).degree
     for c in classes:
         if c.variables != vs:
             raise UsageError("query class over a different variable set")
         found = set()
         for mono in c.terms:
-            if not vs.is_parameter_free(mono):
-                raise UsageError("query classes must be parameter-free")
-            found.add(vs.weighted_degree(mono))
+            if (d := staircase_degree.get(mono)) is None:
+                if not vs.is_parameter_free(mono):
+                    raise UsageError("query classes must be parameter-free")
+                d = vs.weighted_degree(mono)
+            found.add(d)
         if len(found) != 1:
             raise UsageError("query classes must be nonzero and homogeneous")
         degrees.append(found.pop())
@@ -423,13 +460,16 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     budget = degrees[0] + degrees[1] - (params.r * a + params.n * b)
     if budget < 0 or degrees[2] != top - budget or max(degrees) > top:
         return 0
-    bundle, (alpha, beta, gamma) = _terms(qp, *classes)
-    piece = _piece(bundle, *_phi(bundle, alpha, beta, level=b), (a, b))
-    row = classical_presentation(params, BUNDLE).quotient.model.gram_row
-    value = 0
-    for g, cg in gamma.items():
-        for t, c in row(g):
-            value += cg * c * piece.get(t, 0)
+    kernel, (alpha, beta, gamma) = _terms(qp, *classes)
+    value, rows = 0, kernel.paired_rows
+    for k, monos in _grouped(*_phi(kernel, alpha, beta, level=b), b).items():
+        key = (a, b - k)
+        for w, scale in monos.items():
+            if (row := rows.get((w, key))) is None:
+                row = kernel.paired(w, key)
+            for g, cg in gamma.items():
+                if pairing := row.get(g):
+                    value += scale * cg * pairing
     value = _canonical(value)
     # The coordinate change is integral both ways, so the query's own
     # classes decide integrality.

@@ -30,6 +30,11 @@ ALLOWED = {
         ("qp",), None,
         "unbounded: one read-only solve per deformed bundle ring, which every product and"
         " invariant of the instance reads"),
+    "qcblowup.quantum._kernel": (
+        ("qp",), None,
+        "unbounded: like the rings it reads, one query kernel per deformed bundle ring,"
+        " which the blow-up presentation's entry shares; its memos hold a row per"
+        " product monomial and key read"),
 }
 
 

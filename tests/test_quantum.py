@@ -37,7 +37,7 @@ from qcblowup.linalg import eliminate
 import product_oracle
 import symmetry_oracle
 from correction_oracle import polynomial_corrections
-from invariant_oracle import assembled_invariant, piecewise_invariant
+from invariant_oracle import assembled_invariant, pairwise_piece, piecewise_invariant
 from product_oracle import contributions, groebner_contributions, staircase_products
 from symmetry_oracle import verify_s3_symmetry
 
@@ -451,9 +451,29 @@ def test_bad_queries_keep_their_errors_and_values(case, expected):
         assert gw_invariant(query, qp) == expected
 
 
+class _ReadSpy(dict):
+    # a dict that records the keys read from it
+    def __init__(self, data):
+        super().__init__(data)
+        self.reads = []
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+
 def test_a_warm_query_reads_each_weighted_degree_once(monkeypatch):
-    # one validation pass per class: the degree of each class term is
-    # computed at most once, none of it again for the bookkeeping
+    # one validation pass per class: the degree of each class term is read
+    # at most once (from the kernel's staircase degrees, or computed off the
+    # staircase), none of it again for the bookkeeping
     from collections import Counter
 
     from qcblowup import VariableSet
@@ -476,12 +496,16 @@ def test_a_warm_query_reads_each_weighted_degree_once(monkeypatch):
         return original(self, mono)
 
     monkeypatch.setattr(VariableSet, "weighted_degree", spy)
+    degrees = _ReadSpy(quantum._kernel(qp).degree)
+    monkeypatch.setattr(quantum._kernel(qp), "degree", degrees)
     for query, value in zip(queries, expected):
         calls.clear()
+        degrees.reads.clear()
         classes = (query.alpha, query.beta, query.gamma)
         assert all(set(c.terms) <= qp.quotient.staircase_set for c in classes)
         assert gw_invariant(query, qp) == value
-        assert calls and Counter(calls) <= Counter(t for c in classes for t in c.terms)
+        reads = Counter(calls) + Counter(degrees.reads)
+        assert reads == Counter(t for c in classes for t in c.terms)
 
 
 def test_gw_query_validation():
@@ -615,12 +639,36 @@ def test_gw_invariant_matches_the_piecewise_kernel(m, p):
             seen["fraction"] += any(type(c) is Fraction for x in classes for c in x.terms.values())
     assert seen["b"] == {0, 1, 2}
     assert seen["fraction"] and seen["inadmissible"] and seen["nonzero"] >= 4
+    _check_kernel_rows(quantum_presentation(params, "bundle"))
+
+
+def _check_kernel_rows(qp):
+    # every memoised row of the ring's query kernel (both coordinate systems
+    # share it): the corrected piece of w at a key is the pairwise piece of
+    # w * 1, and its paired row holds the pairing_matrix pairings with the
+    # staircase monomials of the complementary degree
+    kernel = quantum._kernel(qp)
+    assert quantum._kernel(quantum_presentation(qp.params, "blowup")) is kernel
+    cp = classical_presentation(qp.params, "bundle")
+    staircase = cp.quotient.staircase
+    gram = dict(zip(staircase, pairing_matrix(cp)))
+    one = [((0, 0, 0, 0), 0, 1)]
+    for (w, key), row in kernel.corrected_rows.items():
+        expected = {t: c for t, c in pairwise_piece(qp, [(w, 0, 1)], one, key).items() if c}
+        assert row == expected, (w, key)
+        paired = {
+            g: v for k, g in enumerate(staircase)
+            if (v := sum(c * gram[t][k] for t, c in row.items() if t in gram))
+        }
+        assert kernel.paired_rows.get((w, key), paired) == paired, (w, key)
+    assert kernel.corrected_rows and kernel.paired_rows.keys() <= kernel.corrected_rows.keys()
 
 
 def test_shared_memos_survive_callers_that_change_their_results():
-    # the model product memos and the Gram rows are shared by every query: a
-    # seeded batch whose every returned polynomial is changed in place leaves
-    # them as they were, and the batch gives the same values again
+    # the model product memos, the Gram rows and the kernels' corrected and
+    # paired rows are shared by every query: a seeded batch whose every
+    # returned polynomial is changed in place leaves them as they were, and
+    # the batch gives the same values again
     import copy
 
     rng = random.Random(2718)
@@ -663,13 +711,115 @@ def test_shared_memos_survive_callers_that_change_their_results():
                     result.terms[(7, 7, 7, 7)] = 1
         return values
 
+    def memos():
+        rows = [(model._products, model._gram) for model in models]
+        for m, p in [(11, 3), (16, 5)]:
+            kernel = quantum._kernel(quantum_presentation(derive_params(m, p), "bundle"))
+            rows += [kernel.vectors, kernel.corrected_rows, kernel.paired_rows]
+        return rows
+
     expected = run(False)  # warms the memos
     assert any(value for value, *_ in expected)
-    before = copy.deepcopy([(model._products, model._gram) for model in models])
-    assert all(gram for _, gram in before[1::2])  # the classical models' rows
+    before = copy.deepcopy(memos())
+    assert all(gram for _, gram in before[1:4:2])  # the classical models' rows
+    assert all(any(rows.values()) for rows in before[4:])  # the kernels' rows
     assert run(True) == expected
-    assert [(model._products, model._gram) for model in models] == before
+    assert memos() == before
     assert run(False) == expected
+
+
+def test_a_warm_query_builds_and_looks_up_no_ring(monkeypatch):
+    # a query reads its ring through the kernel of its presentation: once
+    # the kernel exists, queries in both coordinate systems at b = 0, 1 and 2
+    # call no presentation builder and read no basis correction
+    from qcblowup import geometry
+
+    params = derive_params(11, 3)
+    rng = random.Random(1103)
+    batch = []
+    for coords in ("bundle", "blowup"):
+        qp = quantum_presentation(params, coords)
+        batch += [(query, qp) for query in _ladder_queries(rng, params, qp.variables, 12)]
+    assert {query.curve.b for query, _ in batch} == {0, 1, 2}
+    expected = [gw_invariant(query, qp) for query, qp in batch]  # builds the kernel
+    calls = {
+        (module.__name__, name): _spied_calls(monkeypatch, module, name)
+        for module in (quantum, geometry)
+        for name in ("classical_presentation", "quantum_presentation", "basis_corrections")
+        if hasattr(module, name)
+    }
+    assert [gw_invariant(query, qp) for query, qp in batch] == expected
+    assert not any(calls.values())
+    # the spies do see what a new kernel reads
+    monkeypatch.setattr(quantum, "_kernel", quantum._Kernel)
+    query, qp = next(
+        (query, qp) for query, qp in batch
+        if query.curve.b and query.admissible and qp.coords == "bundle"
+    )
+    gw_invariant(query, qp)
+    assert calls["qcblowup.quantum", "classical_presentation"]
+    assert calls["qcblowup.quantum", "basis_corrections"]
+
+
+def _session_stream(seed):
+    # the gw-session benchmark's query stream (warm-up and timed passes) at
+    # a seed, as (query, presentation) pairs
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    inputs = gen.session_inputs(seed)
+    stream = []
+    for q in inputs["warmup"] + [q for block in inputs["passes"] for q in block]:
+        qp = quantum_presentation(derive_params(q["m"], q["p"]), q["coords"])
+        classes = [Polynomial.parse(qp.variables, q[slot]) for slot in ("alpha", "beta", "gamma")]
+        stream.append((GWQuery(CurveClass(*q["curve"]), *classes), qp))
+    return stream
+
+
+def test_the_kernel_memos_stay_within_the_rows_the_stream_reads(monkeypatch):
+    # on fresh kernels, the seed-1 gw-session stream leaves in each memo only
+    # rows its term pairs reach: (w, (a, b - k)) for a pair of phi terms of
+    # alpha and beta whose q2 exponents sum to k <= b and whose product
+    # monomial is w, so at most (distinct w) x (distinct keys) rows, with a
+    # paired row per corrected row and one model product lookup per w
+    kernels = {}
+
+    def fresh(qp):
+        bundle = quantum_presentation(qp.params, "bundle")
+        if bundle not in kernels:
+            kernels[bundle] = quantum._Kernel(bundle)
+        return kernels[bundle]
+
+    monkeypatch.setattr(quantum, "_kernel", fresh)
+    stream, reached = _session_stream(1), {}
+    for query, qp in stream:
+        if query.admissible:
+            kernel, (alpha, beta, _) = quantum._terms(qp, query.alpha, query.beta, query.gamma)
+            (a, b), (x, y) = (query.curve.a, query.curve.b), quantum._phi(kernel, alpha, beta)
+            reached.setdefault(kernel.qp, set()).update(
+                ((u[0] + v[0], u[1] + v[1], 0, 0), (a, b - ku - kv))
+                for ku, xs in x for kv, ys in y if ku + kv <= b for u in xs for v in ys
+            )
+    expected = [gw_invariant(query, qp) for query, qp in stream]  # warms the ring models
+    assert any(expected) and len(reached) == 4
+    kernels.clear()
+    lookups = {qp: _spied_calls(monkeypatch, qp.quotient.model, "product") for qp in reached}
+    assert [gw_invariant(query, qp) for query, qp in stream] == expected
+    assert kernels.keys() == reached.keys()
+    total = 0
+    for bundle, kernel in kernels.items():
+        rows = reached[bundle]
+        monos, keys = {w for w, _ in rows}, {key for _, key in rows}
+        assert kernel.corrected_rows.keys() <= rows
+        assert len(kernel.corrected_rows) <= len(monos) * len(keys)
+        assert kernel.paired_rows.keys() == kernel.corrected_rows.keys()
+        assert sorted(w for w, in lookups[bundle]) == sorted({w for w, _ in kernel.corrected_rows})
+        total += len(kernel.corrected_rows)
+    assert 0 < total <= 4000  # about 3,000 rows over the four ladder rings
 
 
 def test_gw_invariant_matches_the_whole_product_assembly(grid_params):
@@ -730,15 +880,18 @@ def test_a_warm_staircase_query_reads_only_the_ring_models(monkeypatch):
 def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     # a term pair whose q2 exponents sum above b cannot reach (a, b), so its
     # model product is never looked up, and the live pairs are summed by
-    # product monomial first: one lookup per distinct monomial; the piece
-    # equals the Groebner product's
+    # product monomial first: on a kernel with cold memos, one lookup per
+    # distinct monomial; the piece equals the Groebner product's
     params = derive_params(16, 5)
     qp = quantum_presentation(params, "bundle")
     alpha = bp("h^9*xi^3 + 2*h^10*xi^2", params)
     beta = bp("h^8*xi^4 - h^5*xi^6", params)
-    x, y = quantum._phi(qp, *quantum._terms(qp, alpha, beta)[1])
+    kernel = quantum._Kernel(qp)
+    x, y = quantum._phi(kernel, *quantum._terms(qp, alpha, beta)[1])
     live = [(u, v) for ku, xs in x for u in xs for kv, ys in y for v in ys if ku + kv <= key[1]]
     assert len(live) < sum(map(len, dict(x).values())) * sum(map(len, dict(y).values()))
+    grouped = quantum._grouped(x, y, key[1])
+    quantum._piece(quantum._Kernel(qp), grouped, key)  # warms the model, which recurses when cold
     model = qp.quotient.model
     looked_up = []
     original = model.product
@@ -748,7 +901,7 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
         return original(mono)
 
     monkeypatch.setattr(model, "product", spy)
-    piece = quantum._piece(qp, x, y, key)
+    piece = quantum._piece(kernel, grouped, key)
     monkeypatch.undo()
     monos = [tuple(a + b for a, b in zip(u, v)) for u, v in live]
     assert sorted(looked_up) == sorted(set(monos))
@@ -789,16 +942,21 @@ def _warm_queries(params):
 
 def test_a_warm_b0_query_reads_no_basis_correction(monkeypatch):
     # no q2 correction reaches a key with b = 0, so neither phi nor the
-    # correction step reads them; a b = 1 query does
+    # correction step reads the kernel's corrections, even with cold memos
+    # (the model products are warm); a b = 1 query does
     qp, b0, b1 = _warm_queries(derive_params(16, 5))
     expected = [assembled_invariant(query, qp, groebner_contributions) for query in b0 + b1]
     assert [gw_invariant(query, qp) for query in b0 + b1] == expected  # warms the models
     assert any(expected)
+    kernel = quantum._Kernel(qp)
+    corrections = _ReadSpy(quantum._kernel(qp).corrections)
+    kernel.corrections = corrections
+    monkeypatch.setattr(quantum, "_kernel", lambda qp: kernel)
     calls = _spied_calls(monkeypatch, quantum, "basis_corrections")
     assert [gw_invariant(query, qp) for query in b0] == expected[: len(b0)]
-    assert calls == []
+    assert corrections.reads == []
     assert [gw_invariant(query, qp) for query in b1] == expected[len(b0):]
-    assert calls
+    assert corrections.reads and calls == []
 
 
 def test_the_correction_solve_reads_the_gram_rows():
@@ -1007,6 +1165,7 @@ def test_product_table_takes_two_normal_forms_per_basis_class():
     qp = quantum_presentation(derive_params(11, 3), "bundle")
     cp = classical_presentation(qp.params, "bundle")
     basis_corrections.cache_clear()
+    quantum._kernel.cache_clear()  # a kernel keeps the model products it read
     for pres in (qp, cp):
         vars(pres.quotient).pop("model", None)
     memos = [pres.quotient.basis._nf_memo for pres in (qp, cp)]
@@ -1143,9 +1302,11 @@ def test_the_sweep_fails_when_one_basis_correction_is_doubled(monkeypatch, m, p,
     for mono, correction in corrections.items():
         doubled = MappingProxyType({**corrections, mono: 2 * correction})
         monkeypatch.setattr(quantum, "basis_corrections", lambda qp: doubled)
+        quantum._kernel.cache_clear()  # a new kernel reads the doubled correction
         report = verify_s3_symmetry(params)
         assert [e.name for e in report.failures()] == ["s3_symmetry"], mono
     monkeypatch.undo()
+    quantum._kernel.cache_clear()
     assert verify_s3_symmetry(params).ok
 
 
