@@ -28,14 +28,15 @@ identification, which is what makes the extracted three-point function
 symmetric.  Everything runs on the integer models of the bundle rings
 (``quotient.model``), read through one query kernel per deformed ring
 (:class:`_Kernel`, shared by both coordinate systems).  A class enters by
-one route (:func:`_terms`); :func:`_phi` adds its corrections, and
-:func:`_grouped` sums the term pairs of a product by q2 exponent and
-product monomial w.  The kernel memoises the corrected piece of each w at
-each curve class and its pairing with the classical Gram rows:
-:func:`_piece` sums the former (for :func:`quantum_product` and
-:func:`contribution_by_class`), :func:`gw_invariant` dots the latter with
-gamma.  The tests check it all against Groebner assemblies, and the
-invariants' symmetry with a sweep over basis triples.
+one route (:func:`_terms`); an invariant's bundle staircase classes enter
+in its validating scan.  :func:`_grouped` sums a product's term pairs by
+q2 exponent and product monomial w (phi, :func:`_phi`, only at b >= 1).
+The kernel memoises the corrected piece of each w at each curve class and
+its pairing with the classical Gram rows: :func:`_piece` sums the former
+(for :func:`quantum_product` and :func:`contribution_by_class`), and
+:func:`gw_invariant` walks the latter's rows, looking gamma up.  The tests
+check it all against Groebner assemblies, and the invariants' symmetry
+with a sweep over basis triples.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -258,61 +259,57 @@ def _kernel(qp: Presentation) -> _Kernel:
 def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     """The element of the deformed quotient representing a classical class.
 
-    Any parameter-free class enters as a factor does (:func:`_terms`,
+    Any parameter-free class enters as a factor does (:func:`_factors`,
     :func:`_phi`); a blow-up class then takes the blow-up normal form of the
     element translated back, so both coordinate systems multiply alike.
     """
-    kernel, terms = _terms(qp, f)
-    vs, phi = kernel.qp.variables, _phi(kernel, *terms)[0]
+    kernel, (terms,) = _factors(qp, f)
+    vs, phi = kernel.qp.variables, _phi(kernel, terms)
     rep = _canonical_terms({mono[:3] + (k,): c for k, part in phi for mono, c in part.items()})
     return qp.quotient.normal_form(_in_coords(Polynomial._from_clean(vs, rep), qp))
 
 
-def _terms(qp: Presentation, *classes: Polynomial) -> tuple[_Kernel, list[dict[Mono, Scalar]]]:
-    """The one route of classes into the product: the kernel, and the terms
-    of each class over the classical bundle staircase.  A class on it enters
-    after one membership test; a blow-up or off-staircase class must be
-    parameter-free, is cut above the top degree (zero in cohomology),
-    translated if blow-up, and normal-formed if still off the staircase."""
+def _factors(qp: Presentation, *classes: Polynomial) -> tuple[_Kernel, list[dict[Mono, Scalar]]]:
+    """The kernel of a deformed presentation and the terms (:func:`_terms`)
+    of product factors, each checked to lie over the presentation's variables."""
     if not qp.quantum:
         raise UsageError("quantum products need the deformed presentation")
-    kernel, blowup = _kernel(qp), qp.coords == BLOWUP
-    staircase = kernel.classical.staircase_set
-    out = []
+    kernel, vs, out = _kernel(qp), qp.variables, []
     for f in classes:
-        if f.variables != qp.variables:
+        if f.variables is not vs and f.variables != vs:
             raise UsageError("class over a different variable set than the presentation")
-        if blowup or not f.terms.keys() <= staircase:
-            if not f.is_parameter_free():
-                raise UsageError("classical classes must be parameter-free")
-            degree, top = f.variables.weighted_degree, qp.params.top_degree
-            cut = {mono: c for mono, c in f.terms.items() if degree(mono) <= top}
-            f = Polynomial._from_clean(f.variables, cut)
-            if blowup:
-                f = _to_bundle(f)
-            if not f.terms.keys() <= staircase:
-                f = kernel.classical.normal_form(f)
-        out.append(f.terms)
+        out.append(_terms(kernel, qp, f))
     return kernel, out
 
 
-def _phi(kernel: _Kernel, *classes: dict[Mono, Scalar], level: int = 1) -> list[list[Level]]:
-    """phi = :func:`class_representative` of classes given by their terms on
+def _terms(kernel: _Kernel, qp: Presentation, f: Polynomial) -> dict[Mono, Scalar]:
+    """The one route of a class over the variables of ``qp`` into products:
+    its terms over the classical bundle staircase.  A bundle class on it
+    enters as it is; any other must be parameter-free, is cut above the top
+    degree (zero in cohomology), translated if blow-up, and normal-formed if
+    still off the staircase."""
+    staircase = kernel.classical.staircase_set
+    if qp.coords == BUNDLE and f.terms.keys() <= staircase:
+        return f.terms
+    if not f.is_parameter_free():
+        raise UsageError("classical classes must be parameter-free")
+    degree, top = f.variables.weighted_degree, qp.params.top_degree
+    f = Polynomial._from_clean(f.variables, {m: c for m, c in f.terms.items() if degree(m) <= top})
+    if qp.coords == BLOWUP:
+        f = _to_bundle(f)
+    return f.terms if f.terms.keys() <= staircase else kernel.classical.normal_form(f).terms
+
+
+def _phi(kernel: _Kernel, terms: dict[Mono, Scalar]) -> list[Level]:
+    """phi = :func:`class_representative` of a class given by its terms on
     the staircase of the deformed bundle ring, by q2 exponent: the class,
-    then (if nonzero) its corrections at q2^1, which a piece at q2 exponent
-    ``level`` = 0 never reads and so are left out."""
-    if not level:
-        return [[(0, terms)] for terms in classes]
-    corrections = kernel.corrections
-    out = []
-    for terms in classes:
-        shift: dict[Mono, Scalar] = {}
-        for mono, coeff in terms.items():
-            for m, c in corrections[mono].items() if mono in corrections else ():
-                shift[m] = shift.get(m, 0) + coeff * c
-        shift = {m: c for m, c in shift.items() if c}
-        out.append([(0, terms), (1, shift)] if shift else [(0, terms)])
-    return out
+    then (if nonzero) its corrections at q2^1."""
+    shift, corrections = {}, kernel.corrections
+    for mono, coeff in terms.items():
+        for m, c in corrections[mono].items() if mono in corrections else ():
+            shift[m] = shift.get(m, 0) + coeff * c
+    shift = {m: c for m, c in shift.items() if c}
+    return [(0, terms), (1, shift)] if shift else [(0, terms)]
 
 
 def _in_coords(f: Polynomial, qp: Presentation) -> Polynomial:
@@ -320,19 +317,28 @@ def _in_coords(f: Polynomial, qp: Presentation) -> Polynomial:
     return change_vars(f, BUNDLE_TO_BLOWUP) if qp.coords == BLOWUP else f
 
 
-def _grouped(x: list[Level], y: list[Level], b: int) -> Grouped:
+def _grouped(kernel: _Kernel, x: dict[Mono, Scalar], y: dict[Mono, Scalar], b: int) -> Grouped:
     """The term pairs of phi(x) * phi(y) summed by q2 exponent k <= b and
-    product monomial w (parameter-free, in the two divisor variables)."""
+    product monomial w (parameter-free, in the two divisor variables); phi
+    adds only q2 powers, so at b = 0 they are the pairs of x and y."""
+    if not b:
+        return {0: _summed(x, y, {})}
     grouped: Grouped = {}
-    for ku, xs in x:
-        for kv, ys in y:
+    xs, ys = _phi(kernel, x), _phi(kernel, y)
+    for ku, xk in xs:
+        for kv, yk in ys:
             if (k := ku + kv) <= b:
-                monos = grouped.setdefault(k, {})
-                for u, cu in xs.items():
-                    for v, cv in ys.items():
-                        w = (u[0] + v[0], u[1] + v[1], 0, 0)
-                        monos[w] = monos.get(w, 0) + cu * cv
+                _summed(xk, yk, grouped.setdefault(k, {}))
     return grouped
+
+
+def _summed(x: dict[Mono, Scalar], y: dict[Mono, Scalar], monos: dict[Mono, Scalar]) -> dict:
+    """monos plus the term pairs of x * y, summed by product monomial."""
+    for u, cu in x.items():
+        for v, cv in y.items():
+            w = (u[0] + v[0], u[1] + v[1], 0, 0)
+            monos[w] = monos.get(w, 0) + cu * cv
+    return monos
 
 
 def _piece(kernel: _Kernel, grouped: Grouped, key: Key) -> dict[Mono, Scalar]:
@@ -356,10 +362,10 @@ def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomia
     blow-up product is translated back.  With m = p + 2 the pieces lie over
     the deformed staircase (rank 6 against 4 at (2, 0)) and can hold classes
     above the top degree: such results are formal."""
-    kernel, terms = _terms(qp, x, y)
+    kernel, terms = _factors(qp, x, y)
     degree, r, n = kernel.qp.variables.weighted_degree, qp.params.r, qp.params.n
     budget = sum(max(map(degree, t), default=0) for t in terms)
-    pairs = _grouped(*_phi(kernel, *terms), budget // n)
+    pairs = _grouped(kernel, *terms, budget // n)
     out: dict[Mono, Scalar] = {}
     for a in range(budget // r + 1):
         for b in range((budget - r * a) // n + 1):
@@ -375,8 +381,8 @@ def contribution_by_class(
     (computed alone, by :func:`_piece`)."""
     if a < 0 or b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
-    kernel, terms = _terms(qp, x, y)
-    piece = _piece(kernel, _grouped(*_phi(kernel, *terms, level=b), b), (a, b))
+    kernel, terms = _factors(qp, x, y)
+    piece = _piece(kernel, _grouped(kernel, *terms, b), (a, b))
     return _in_coords(Polynomial._from_clean(kernel.qp.variables, _canonical_terms(piece)), qp)
 
 
@@ -426,33 +432,35 @@ class GWQuery(Frozen):
 def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     """Evaluate a three-point invariant from the deformed presentation.
 
-    One pass over the terms of each class checks that it is parameter-free
-    and homogeneous and reads its degree (a staircase term's from the
-    kernel).  A query failing the degree bookkeeping of
-    :attr:`GWQuery.admissible`, or with a class above the top degree,
-    returns 0.  The checked classes enter as every class does, and the value
-    sums scale * sum_g c_g * paired(w, (a, b - k))[g] over the grouped term
-    pairs of alpha and beta (:func:`_grouped`, phi up to the q2 exponent b).
-    An admissible integral query must give an integer.
+    One pass over each class's terms validates and enters it: the variable
+    set (by identity first: variable sets are interned), no parameter, one
+    degree (a staircase term's read from the kernel), and whether a bundle
+    class lies on the classical staircase, where it enters as it is; only
+    blow-up and off-staircase classes go through :func:`_terms`.  A query
+    failing :attr:`GWQuery.admissible`'s bookkeeping, or with a class above
+    the top degree, returns 0.  The value sums scale * paired(w, (a, b - k))
+    . gamma over the pairs of :func:`_grouped`, walking each memoised paired
+    row and looking gamma up.  An admissible integral query gives an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
-    vs, params = qp.variables, qp.params
-    classes = (query.alpha, query.beta, query.gamma)
-    degrees, staircase_degree = [], _kernel(qp).degree
+    vs, params, kernel = qp.variables, qp.params, _kernel(qp)
+    classes, staircase_degree = (query.alpha, query.beta, query.gamma), kernel.degree
+    degrees, entered, bundle = [], [], qp.coords == BUNDLE
     for c in classes:
-        if c.variables != vs:
+        if c.variables is not vs and c.variables != vs:
             raise UsageError("query class over a different variable set")
-        found = set()
+        found, terms = set(), c.terms if bundle else None
         for mono in c.terms:
             if (d := staircase_degree.get(mono)) is None:
                 if not vs.is_parameter_free(mono):
                     raise UsageError("query classes must be parameter-free")
-                d = vs.weighted_degree(mono)
+                d, terms = vs.weighted_degree(mono), None
             found.add(d)
         if len(found) != 1:
             raise UsageError("query classes must be nonzero and homogeneous")
         degrees.append(found.pop())
+        entered.append(terms)
     a, b = query.curve.a, query.curve.b
     if a < 0 or b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
@@ -460,15 +468,17 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     budget = degrees[0] + degrees[1] - (params.r * a + params.n * b)
     if budget < 0 or degrees[2] != top - budget or max(degrees) > top:
         return 0
-    kernel, (alpha, beta, gamma) = _terms(qp, *classes)
+    if None in entered:  # a blow-up or off-staircase class
+        entered = [_terms(kernel, qp, c) if t is None else t for c, t in zip(classes, entered)]
+    alpha, beta, gamma = entered
     value, rows = 0, kernel.paired_rows
-    for k, monos in _grouped(*_phi(kernel, alpha, beta, level=b), b).items():
+    for k, monos in _grouped(kernel, alpha, beta, b).items():
         key = (a, b - k)
         for w, scale in monos.items():
             if (row := rows.get((w, key))) is None:
                 row = kernel.paired(w, key)
-            for g, cg in gamma.items():
-                if pairing := row.get(g):
+            for g, pairing in row.items():
+                if cg := gamma.get(g):
                     value += scale * cg * pairing
     value = _canonical(value)
     # The coordinate change is integral both ways, so the query's own

@@ -642,6 +642,109 @@ def test_gw_invariant_matches_the_piecewise_kernel(m, p):
     _check_kernel_rows(quantum_presentation(params, "bundle"))
 
 
+def _staircase_ladder_queries(rng, params, vs, count):
+    # admissible queries at b = 0, 1, 2 in turn whose classes are one to
+    # three staircase monomials of the classical bundle ring; every third
+    # query carries one Fraction coefficient
+    top, r, n = params.top_degree, params.r, params.n
+    by_degree = {}
+    for mono in classical_presentation(params, "bundle").quotient.staircase:
+        by_degree.setdefault(sum(mono), []).append(mono)
+    queries = []
+    for i in range(count):
+        b = i % 3
+        a = rng.randint(0, 1)
+        degrees = [
+            (da, db, top - (da + db - r * a - n * b))
+            for da in range(top + 1) for db in range(top + 1)
+            if 0 <= da + db - r * a - n * b <= top
+        ]
+        classes = []
+        for d in rng.choice(degrees):
+            monos = rng.sample(by_degree[d], min(rng.randint(1, 3), len(by_degree[d])))
+            classes.append({mono: rng.choice([-3, -2, -1, 1, 2, 3]) for mono in monos})
+        if i % 3 == 1:
+            terms = classes[rng.randrange(3)]
+            mono = rng.choice(sorted(terms))
+            terms[mono] = Fraction(terms[mono], 2)
+        queries.append(GWQuery(CurveClass(a, b), *(Polynomial(vs, t) for t in classes)))
+    return queries
+
+
+def _off_staircase(query, params, coeff):
+    # the query with its highest-degree class shifted off the staircase by
+    # coeff * xi^(d-n-1) * h^(n+1), which is zero classically (None when no
+    # class has degree above n)
+    classes = [query.alpha, query.beta, query.gamma]
+    slot = max(range(3), key=lambda i: classes[i].homogeneous_degree())
+    d, n = classes[slot].homogeneous_degree(), params.n
+    if d <= n:
+        return None
+    shift = Polynomial(classes[slot].variables, {(d - n - 1, n + 1, 0, 0): coeff})
+    classes[slot] = classes[slot] + shift
+    return GWQuery(query.curve, *classes)
+
+
+def _in_blowup(query):
+    from qcblowup import BUNDLE_TO_BLOWUP, change_vars
+
+    classes = (query.alpha, query.beta, query.gamma)
+    return GWQuery(query.curve, *(change_vars(c, BUNDLE_TO_BLOWUP) for c in classes))
+
+
+def test_a_warm_staircase_query_enters_its_classes_in_its_own_scan(monkeypatch):
+    # a bundle query whose classes lie on the staircase validates and enters
+    # them in one scan: no record comparison (variable sets are compared by
+    # identity first) and no call of the general entry route; a blow-up
+    # query and an off-staircase bundle query still take that route
+    from qcblowup.records import Record
+
+    params = derive_params(11, 3)
+    qp, qpb = (quantum_presentation(params, coords) for coords in ("bundle", "blowup"))
+    queries = _staircase_ladder_queries(random.Random(1104), params, qp.variables, 6)
+    # an earlier test may have rebuilt the rings, leaving the kernel cache
+    # keyed by an equal, older presentation, which a lookup would compare
+    quantum._kernel.cache_clear()
+    expected = [gw_invariant(query, qp) for query in queries]  # warms the kernel
+    eq_calls = _spied_calls(monkeypatch, Record, "__eq__")
+    terms_calls = _spied_calls(monkeypatch, quantum, "_terms")
+    assert [gw_invariant(query, qp) for query in queries] == expected
+    assert eq_calls == [] and terms_calls == []
+    query, value = next(
+        (q, v) for q, v in zip(queries, expected) if v and _off_staircase(q, params, 1)
+    )
+    assert gw_invariant(_in_blowup(query), qpb) == value
+    assert len(terms_calls) == 3
+    terms_calls.clear()
+    assert gw_invariant(_off_staircase(query, params, 1), qp) == value
+    assert len(terms_calls) == 1
+
+
+@pytest.mark.parametrize("m, p", LADDER, ids=[f"m{m}p{p}" for m, p in LADDER])
+def test_every_entry_route_gives_the_staircase_value(m, p):
+    # seeded staircase queries at b = 0, 1, 2 (some with a Fraction
+    # coefficient) give one value on the staircase, with a class shifted off
+    # it by a degree-matched multiple of h^(n+1), and carried to blow-up
+    # coordinates, shifted or not
+    params = derive_params(m, p)
+    qp, qpb = (quantum_presentation(params, coords) for coords in ("bundle", "blowup"))
+    rng = random.Random(97 * m + p)
+    seen = {"b": set(), "fraction": 0, "nonzero": 0, "shifted": 0}
+    for query in _staircase_ladder_queries(rng, params, qp.variables, 12):
+        value = gw_invariant(query, qp)
+        assert gw_invariant(_in_blowup(query), qpb) == value, query
+        if shifted := _off_staircase(query, params, Fraction(rng.choice([-2, 1, 3]), 3)):
+            assert gw_invariant(shifted, qp) == value, shifted
+            assert gw_invariant(_in_blowup(shifted), qpb) == value, shifted
+            seen["shifted"] += 1
+        classes = (query.alpha, query.beta, query.gamma)
+        seen["b"].add(query.curve.b)
+        seen["fraction"] += any(type(c) is Fraction for x in classes for c in x.terms.values())
+        seen["nonzero"] += value != 0
+    assert seen["b"] == {0, 1, 2}
+    assert seen["fraction"] and seen["nonzero"] >= 3 and seen["shifted"] >= 6
+
+
 def _check_kernel_rows(qp):
     # every memoised row of the ring's query kernel (both coordinate systems
     # share it): the corrected piece of w at a key is the pairwise piece of
@@ -798,8 +901,9 @@ def test_the_kernel_memos_stay_within_the_rows_the_stream_reads(monkeypatch):
     stream, reached = _session_stream(1), {}
     for query, qp in stream:
         if query.admissible:
-            kernel, (alpha, beta, _) = quantum._terms(qp, query.alpha, query.beta, query.gamma)
-            (a, b), (x, y) = (query.curve.a, query.curve.b), quantum._phi(kernel, alpha, beta)
+            kernel, (alpha, beta, _) = quantum._factors(qp, query.alpha, query.beta, query.gamma)
+            a, b = query.curve.a, query.curve.b
+            x, y = quantum._phi(kernel, alpha), quantum._phi(kernel, beta)
             reached.setdefault(kernel.qp, set()).update(
                 ((u[0] + v[0], u[1] + v[1], 0, 0), (a, b - ku - kv))
                 for ku, xs in x for kv, ys in y if ku + kv <= b for u in xs for v in ys
@@ -886,11 +990,11 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     qp = quantum_presentation(params, "bundle")
     alpha = bp("h^9*xi^3 + 2*h^10*xi^2", params)
     beta = bp("h^8*xi^4 - h^5*xi^6", params)
-    kernel = quantum._Kernel(qp)
-    x, y = quantum._phi(kernel, *quantum._terms(qp, alpha, beta)[1])
+    kernel, terms = quantum._Kernel(qp), quantum._factors(qp, alpha, beta)[1]
+    x, y = (quantum._phi(kernel, t) for t in terms)
     live = [(u, v) for ku, xs in x for u in xs for kv, ys in y for v in ys if ku + kv <= key[1]]
     assert len(live) < sum(map(len, dict(x).values())) * sum(map(len, dict(y).values()))
-    grouped = quantum._grouped(x, y, key[1])
+    grouped = quantum._grouped(kernel, *terms, key[1])
     quantum._piece(quantum._Kernel(qp), grouped, key)  # warms the model, which recurses when cold
     model = qp.quotient.model
     looked_up = []
