@@ -30,11 +30,11 @@ symmetric.  Everything runs on the integer models of the bundle rings
 (:class:`_Kernel`, shared by both coordinate systems).  A class enters by
 one route (:func:`_terms`); an invariant's bundle staircase classes enter
 in its validating scan.  :func:`_grouped` sums a product's term pairs by
-q2 exponent and product monomial w (phi, :func:`_phi`, only at b >= 1).
-The kernel memoises the corrected piece of each w at each curve class and
-its pairing with the classical Gram rows: :func:`_piece` sums the former
-(for :func:`quantum_product` and :func:`contribution_by_class`), and
-:func:`gw_invariant` walks the latter's rows, looking gamma up.  The tests
+q2 exponent and product monomial w (:func:`_shift` only at b >= 1).  The
+kernel builds the rows of each w once, from one model product: its
+corrected piece at every curve class and the piece's Gram pairing.
+:func:`quantum_product` walks the former by key, :func:`_piece` reads one
+key, and :func:`gw_invariant` walks the latter, looking gamma up.  The tests
 check it all against Groebner assemblies, and the invariants' symmetry
 with a sweep over basis triples.
 
@@ -70,9 +70,9 @@ from .records import Frozen
 from .report import CheckReport
 
 
-Level = tuple[int, dict[Mono, Scalar]]  # q2 exponent, parameter-free terms
 Key = tuple[int, int]  # the exponents (a, b) of q1^a q2^b
 Grouped = dict[int, dict[Mono, Scalar]]  # :func:`_grouped`
+_EMPTY: dict[Mono, int] = {}  # the row of a key a product monomial does not reach
 
 
 def _model_piece(model: _RingModel, x: Mono, y: Mono, key: Key) -> dict[Mono, int]:
@@ -88,7 +88,7 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
 
     A staircase monomial s of weighted degree d > n equals its classical
     class minus q2 times a parameter-free class C_s of degree d - n, so the
-    classical class is represented by s + q2 C_s (:func:`_phi`).
+    classical class is represented by s + q2 C_s (:func:`_shift`).
     (Corrections at fiber-line levels vanish: every pairing of a fiber-line
     multiple against staircase classes with fiber exponents below the
     threshold is zero, and the base divisor pairs trivially with the fiber
@@ -208,46 +208,45 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
 
 class _Kernel:
     """What the products and invariants of one deformed bundle ring read,
-    resolved once (:func:`_kernel`), with memos of the model product of
-    each product monomial w and of its corrected and paired rows by (w, key)."""
+    resolved once (:func:`_kernel`), and the rows of each product monomial
+    w by curve class, built on its first read (:meth:`rows`)."""
 
     def __init__(self, qp: Presentation) -> None:
         self.qp, self.classical = qp, classical_presentation(qp.params, BUNDLE).quotient
         # a parameter-free monomial has one degree in both coordinate systems
         self.degree = {s: qp.variables.weighted_degree(s) for s in self.classical.staircase}
-        self.vectors: dict[Mono, Vector] = {}
-        self.corrected_rows: dict[tuple[Mono, Key], dict[Mono, int]] = {}
-        self.paired_rows: dict[tuple[Mono, Key], dict[Mono, int]] = {}
+        self.corrected_rows: dict[Mono, dict[Key, dict[Mono, int]]] = {}
+        self.paired_rows: dict[Mono, dict[Key, dict[Mono, int]]] = {}
 
     @cached_property
     def corrections(self) -> dict[Mono, dict[Mono, int]]:
         return {s: dict(c.terms) for s, c in basis_corrections(self.qp).items()}
 
-    def corrected(self, w: Mono, key: Key) -> dict[Mono, int]:
-        """The piece of w at key = (a, c) after the one correction step
-        1 - q2*C that turns staircase monomials into the classical basis
-        classes: the naive piece at (a, c) minus C times that at (a, c - 1)."""
-        if (row := self.corrected_rows.get((w, key))) is None:
-            if (vec := self.vectors.get(w)) is None:
-                vec = self.vectors[w] = self.qp.quotient.model.product(w)
-            row = dict(vec.get(key, {}))
-            for s, cs in vec.get((key[0], key[1] - 1), {}).items() if key[1] else ():
-                for t, ct in self.corrections.get(s, {}).items():
+    def rows(self, w: Mono) -> tuple[dict[Key, dict[Mono, int]], dict[Key, dict[Mono, int]]]:
+        """Build and store the rows of w from one model product, at each key
+        (a, c) it reaches: the piece after the correction step 1 - q2*C (the
+        naive piece at (a, c) minus C times that at (a, c - 1)) and its Gram
+        pairing with each staircase monomial of the complementary degree
+        (terms off the classical staircase, in formal n = 1 rings, pair to
+        0).  Only nonzero rows and entries are kept."""
+        vec, corrections = self.qp.quotient.model.product(w), self.corrections
+        pieces = {key: dict(piece) for key, piece in vec.items()}
+        for (a, c), piece in vec.items():
+            row = pieces.setdefault((a, c + 1), {})
+            for s, cs in piece.items():
+                for t, ct in corrections.get(s, _EMPTY).items():
                     row[t] = row.get(t, 0) - cs * ct
-            row = self.corrected_rows[w, key] = {t: v for t, v in row.items() if v}
-        return row
-
-    def paired(self, w: Mono, key: Key) -> dict[Mono, int]:
-        """The corrected piece's integral against each staircase monomial g
-        of the complementary degree, through the Gram rows (nonzero only);
-        terms off the classical staircase (formal n = 1 rings) pair to 0."""
-        if (row := self.paired_rows.get((w, key))) is None:
-            row, classical = {}, self.classical
-            for t, c in self.corrected(w, key).items():
-                for g, cg in classical.model.gram_row(t) if t in classical.staircase_set else ():
+        pairs, staircase, model = {}, self.classical.staircase_set, self.classical.model
+        for key, piece in pieces.items():
+            row = pairs[key] = {}
+            for t, c in piece.items():
+                for g, cg in model.gram_row(t) if c and t in staircase else ():
                     row[g] = row.get(g, 0) + c * cg
-            row = self.paired_rows[w, key] = {g: v for g, v in row.items() if v}
-        return row
+        self.corrected_rows[w], self.paired_rows[w] = out = tuple(
+            {key: row for key, terms in rows.items() if (row := _canonical_terms(terms))}
+            for rows in (pieces, pairs)
+        )
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -260,12 +259,12 @@ def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     """The element of the deformed quotient representing a classical class.
 
     Any parameter-free class enters as a factor does (:func:`_factors`,
-    :func:`_phi`); a blow-up class then takes the blow-up normal form of the
-    element translated back, so both coordinate systems multiply alike.
+    :func:`_shift`); a blow-up class then takes the blow-up normal form of
+    the element translated back, so both coordinate systems multiply alike.
     """
     kernel, (terms,) = _factors(qp, f)
-    vs, phi = kernel.qp.variables, _phi(kernel, terms)
-    rep = _canonical_terms({mono[:3] + (k,): c for k, part in phi for mono, c in part.items()})
+    vs, shift = kernel.qp.variables, _shift(kernel, terms)
+    rep = _canonical_terms({**terms, **{mono[:3] + (1,): c for mono, c in shift.items()}})
     return qp.quotient.normal_form(_in_coords(Polynomial._from_clean(vs, rep), qp))
 
 
@@ -300,16 +299,15 @@ def _terms(kernel: _Kernel, qp: Presentation, f: Polynomial) -> dict[Mono, Scala
     return f.terms if f.terms.keys() <= staircase else kernel.classical.normal_form(f).terms
 
 
-def _phi(kernel: _Kernel, terms: dict[Mono, Scalar]) -> list[Level]:
-    """phi = :func:`class_representative` of a class given by its terms on
-    the staircase of the deformed bundle ring, by q2 exponent: the class,
-    then (if nonzero) its corrections at q2^1."""
+def _shift(kernel: _Kernel, terms: dict[Mono, Scalar]) -> dict[Mono, Scalar]:
+    """The q2^1 part of phi = :func:`class_representative` of a class given
+    by its terms on the staircase of the deformed bundle ring: the sum of
+    their corrections (nonzero terms only).  phi has no other q2 power."""
     shift, corrections = {}, kernel.corrections
     for mono, coeff in terms.items():
         for m, c in corrections[mono].items() if mono in corrections else ():
             shift[m] = shift.get(m, 0) + coeff * c
-    shift = {m: c for m, c in shift.items() if c}
-    return [(0, terms), (1, shift)] if shift else [(0, terms)]
+    return {m: c for m, c in shift.items() if c}
 
 
 def _in_coords(f: Polynomial, qp: Presentation) -> Polynomial:
@@ -321,14 +319,12 @@ def _grouped(kernel: _Kernel, x: dict[Mono, Scalar], y: dict[Mono, Scalar], b: i
     """The term pairs of phi(x) * phi(y) summed by q2 exponent k <= b and
     product monomial w (parameter-free, in the two divisor variables); phi
     adds only q2 powers, so at b = 0 they are the pairs of x and y."""
-    if not b:
-        return {0: _summed(x, y, {})}
-    grouped: Grouped = {}
-    xs, ys = _phi(kernel, x), _phi(kernel, y)
-    for ku, xk in xs:
-        for kv, yk in ys:
-            if (k := ku + kv) <= b:
-                _summed(xk, yk, grouped.setdefault(k, {}))
+    grouped: Grouped = {0: _summed(x, y, {})}
+    if b:
+        xs, ys = _shift(kernel, x), _shift(kernel, y)
+        grouped[1] = _summed(xs, y, _summed(x, ys, {}))
+        if b > 1 and xs and ys:
+            grouped[2] = _summed(xs, ys, {})
     return grouped
 
 
@@ -343,12 +339,13 @@ def _summed(x: dict[Mono, Scalar], y: dict[Mono, Scalar], monos: dict[Mono, Scal
 
 def _piece(kernel: _Kernel, grouped: Grouped, key: Key) -> dict[Mono, Scalar]:
     """The piece at key = (a, b) of a product grouped by :func:`_grouped`:
-    the sum of scale times the corrected piece of w at (a, b - k)."""
-    a, b = key
-    out: dict[Mono, Scalar] = {}
+    the sum of scale times the corrected row of w at (a, b - k)."""
+    (a, b), rows, out = key, kernel.corrected_rows, {}
     for k, monos in grouped.items():
         for w, scale in monos.items() if k <= b else ():
-            for t, c in kernel.corrected(w, (a, b - k)).items():
+            if (wrows := rows.get(w)) is None:
+                wrows = kernel.rows(w)[0]
+            for t, c in wrows.get((a, b - k), _EMPTY).items():
                 out[t] = out.get(t, 0) + scale * c
     return out
 
@@ -357,19 +354,21 @@ def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomia
     """Quantum product of two classical classes, expanded over the classical
     basis: the result is a sum of q1^a q2^b times parameter-free classes,
     one term per contributing curve class.  The term pairs are grouped once
-    and read (:func:`_piece`) at every key (a, b) with r a + n b at most the
-    sum of the factors' largest degrees, which every nonzero piece has; a
+    (phi reaches q2^2 at most) and each w at q2 exponent k adds its
+    corrected rows, the row at (a, c) to the class of q1^a q2^(c + k); a
     blow-up product is translated back.  With m = p + 2 the pieces lie over
     the deformed staircase (rank 6 against 4 at (2, 0)) and can hold classes
     above the top degree: such results are formal."""
     kernel, terms = _factors(qp, x, y)
-    degree, r, n = kernel.qp.variables.weighted_degree, qp.params.r, qp.params.n
-    budget = sum(max(map(degree, t), default=0) for t in terms)
-    pairs = _grouped(kernel, *terms, budget // n)
-    out: dict[Mono, Scalar] = {}
-    for a in range(budget // r + 1):
-        for b in range((budget - r * a) // n + 1):
-            out.update((mono[:2] + (a, b), c) for mono, c in _piece(kernel, pairs, (a, b)).items())
+    rows, out = kernel.corrected_rows, {}
+    for k, monos in _grouped(kernel, *terms, 2).items():
+        for w, scale in monos.items():
+            if (wrows := rows.get(w)) is None:
+                wrows = kernel.rows(w)[0]
+            for (a, c), row in wrows.items():
+                for t, ct in row.items():
+                    mono = (t[0], t[1], a, c + k)
+                    out[mono] = out.get(mono, 0) + scale * ct
     return _in_coords(Polynomial._from_clean(kernel.qp.variables, _canonical_terms(out)), qp)
 
 
@@ -438,9 +437,10 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     class lies on the classical staircase, where it enters as it is; only
     blow-up and off-staircase classes go through :func:`_terms`.  A query
     failing :attr:`GWQuery.admissible`'s bookkeeping, or with a class above
-    the top degree, returns 0.  The value sums scale * paired(w, (a, b - k))
-    . gamma over the pairs of :func:`_grouped`, walking each memoised paired
-    row and looking gamma up.  An admissible integral query gives an integer.
+    the top degree, returns 0.  The value sums scale * (paired row of w at
+    (a, b - k)) . gamma over the pairs of :func:`_grouped`, walking each row
+    (built with all of w's rows on w's first read) and looking gamma up.
+    An admissible integral query gives an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
@@ -475,9 +475,9 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     for k, monos in _grouped(kernel, alpha, beta, b).items():
         key = (a, b - k)
         for w, scale in monos.items():
-            if (row := rows.get((w, key))) is None:
-                row = kernel.paired(w, key)
-            for g, pairing in row.items():
+            if (wrows := rows.get(w)) is None:
+                wrows = kernel.rows(w)[1]
+            for g, pairing in wrows.get(key, _EMPTY).items():
                 if cg := gamma.get(g):
                     value += scale * cg * pairing
     value = _canonical(value)

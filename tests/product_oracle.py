@@ -8,7 +8,11 @@ parameter powers, and the one correction step 1 - q2*C is applied with
 ``Polynomial`` arithmetic.  Blow-up classes are multiplied in bundle
 coordinates and translated back.
 
-Beside it, :func:`contributions` splits the public product by curve class,
+:func:`budget_product` is the product as the library read it before each
+product monomial's rows were walked by key: one piece per curve class in
+the degree budget.
+
+Beside them, :func:`contributions` splits the public product by curve class,
 and :func:`basis_products` splits the products of all staircase basis pairs
 (:func:`staircase_products` keeps that table per ring), which the tests
 compare with the oracle and with the verification suites' model reads.
@@ -18,6 +22,7 @@ from functools import lru_cache
 
 from qcblowup import (
     Polynomial,
+    quantum,
     UsageError,
     basis_corrections,
     change_vars,
@@ -25,6 +30,7 @@ from qcblowup import (
     quantum_presentation,
     quantum_product,
 )
+from qcblowup.poly import _canonical_terms
 
 
 def decompose_contributions(f):
@@ -66,6 +72,24 @@ def groebner_contributions(x, y, qp):
             if coeff:
                 out[(a, b + 1)] = out.get((a, b + 1), zero) - coeff * corr
     return {key: val for key, val in sorted(out.items()) if not val.is_zero}
+
+
+def budget_product(x, y, qp):
+    """The quantum product of x and y read piece by piece: the term pairs
+    grouped once and ``quantum._piece`` read at every key (a, b) with
+    r a + n b at most the sum of the factors' largest degrees, which every
+    nonzero piece has; a blow-up product is translated back."""
+    kernel, terms = quantum._factors(qp, x, y)
+    degree, r, n = kernel.qp.variables.weighted_degree, qp.params.r, qp.params.n
+    budget = sum(max(map(degree, t), default=0) for t in terms)
+    pairs = quantum._grouped(kernel, *terms, budget // n)
+    out = {}
+    for a in range(budget // r + 1):
+        for b in range((budget - r * a) // n + 1):
+            piece = quantum._piece(kernel, pairs, (a, b))
+            out.update((mono[:2] + (a, b), c) for mono, c in piece.items())
+    product = Polynomial._from_clean(kernel.qp.variables, _canonical_terms(out))
+    return quantum._in_coords(product, qp)
 
 
 def contributions(x, y, qp):

@@ -746,25 +746,32 @@ def test_every_entry_route_gives_the_staircase_value(m, p):
 
 
 def _check_kernel_rows(qp):
-    # every memoised row of the ring's query kernel (both coordinate systems
-    # share it): the corrected piece of w at a key is the pairwise piece of
-    # w * 1, and its paired row holds the pairing_matrix pairings with the
-    # staircase monomials of the complementary degree
+    # every memoised w of the ring's query kernel (both coordinate systems
+    # share it) holds exactly the nonzero pieces of w * 1 in its degree
+    # budget (keys (a, b) with r a + n b <= deg w), each equal to the
+    # pairwise piece, and beside each its nonzero pairing_matrix pairings
+    # with the staircase monomials of the complementary degree
     kernel = quantum._kernel(qp)
     assert quantum._kernel(quantum_presentation(qp.params, "blowup")) is kernel
     cp = classical_presentation(qp.params, "bundle")
     staircase = cp.quotient.staircase
     gram = dict(zip(staircase, pairing_matrix(cp)))
-    one = [((0, 0, 0, 0), 0, 1)]
-    for (w, key), row in kernel.corrected_rows.items():
-        expected = {t: c for t, c in pairwise_piece(qp, [(w, 0, 1)], one, key).items() if c}
-        assert row == expected, (w, key)
-        paired = {
-            g: v for k, g in enumerate(staircase)
-            if (v := sum(c * gram[t][k] for t, c in row.items() if t in gram))
-        }
-        assert kernel.paired_rows.get((w, key), paired) == paired, (w, key)
-    assert kernel.corrected_rows and kernel.paired_rows.keys() <= kernel.corrected_rows.keys()
+    r, n, one = qp.params.r, qp.params.n, [((0, 0, 0, 0), 0, 1)]
+    assert kernel.corrected_rows and kernel.paired_rows.keys() == kernel.corrected_rows.keys()
+    for w, rows in kernel.corrected_rows.items():
+        d, expected, paired = qp.variables.weighted_degree(w), {}, {}
+        for key in ((a, b) for a in range(d // r + 1) for b in range((d - r * a) // n + 1)):
+            piece = {t: c for t, c in pairwise_piece(qp, [(w, 0, 1)], one, key).items() if c}
+            if piece:
+                expected[key] = piece
+                pairs = {
+                    g: v for k, g in enumerate(staircase)
+                    if (v := sum(c * gram[t][k] for t, c in piece.items() if t in gram))
+                }
+                if pairs:
+                    paired[key] = pairs
+        assert rows == expected, w
+        assert kernel.paired_rows[w] == paired, w
 
 
 def test_shared_memos_survive_callers_that_change_their_results():
@@ -818,7 +825,7 @@ def test_shared_memos_survive_callers_that_change_their_results():
         rows = [(model._products, model._gram) for model in models]
         for m, p in [(11, 3), (16, 5)]:
             kernel = quantum._kernel(quantum_presentation(derive_params(m, p), "bundle"))
-            rows += [kernel.vectors, kernel.corrected_rows, kernel.paired_rows]
+            rows += [kernel.corrected_rows, kernel.paired_rows]
         return rows
 
     expected = run(False)  # warms the memos
@@ -884,11 +891,10 @@ def _session_stream(seed):
 
 
 def test_the_kernel_memos_stay_within_the_rows_the_stream_reads(monkeypatch):
-    # on fresh kernels, the seed-1 gw-session stream leaves in each memo only
-    # rows its term pairs reach: (w, (a, b - k)) for a pair of phi terms of
-    # alpha and beta whose q2 exponents sum to k <= b and whose product
-    # monomial is w, so at most (distinct w) x (distinct keys) rows, with a
-    # paired row per corrected row and one model product lookup per w
+    # on fresh kernels, the seed-1 gw-session stream leaves in the memos
+    # exactly the product monomials its term pairs reach: w = u * v for a
+    # pair of phi terms of alpha and beta whose q2 exponents sum to at most
+    # b, with one model product lookup per w and only the nonzero rows
     kernels = {}
 
     def fresh(qp):
@@ -902,10 +908,11 @@ def test_the_kernel_memos_stay_within_the_rows_the_stream_reads(monkeypatch):
     for query, qp in stream:
         if query.admissible:
             kernel, (alpha, beta, _) = quantum._factors(qp, query.alpha, query.beta, query.gamma)
-            a, b = query.curve.a, query.curve.b
-            x, y = quantum._phi(kernel, alpha), quantum._phi(kernel, beta)
+            b = query.curve.b
+            x = [(0, alpha), (1, quantum._shift(kernel, alpha))]
+            y = [(0, beta), (1, quantum._shift(kernel, beta))]
             reached.setdefault(kernel.qp, set()).update(
-                ((u[0] + v[0], u[1] + v[1], 0, 0), (a, b - ku - kv))
+                (u[0] + v[0], u[1] + v[1], 0, 0)
                 for ku, xs in x for kv, ys in y if ku + kv <= b for u in xs for v in ys
             )
     expected = [gw_invariant(query, qp) for query, qp in stream]  # warms the ring models
@@ -916,14 +923,38 @@ def test_the_kernel_memos_stay_within_the_rows_the_stream_reads(monkeypatch):
     assert kernels.keys() == reached.keys()
     total = 0
     for bundle, kernel in kernels.items():
-        rows = reached[bundle]
-        monos, keys = {w for w, _ in rows}, {key for _, key in rows}
-        assert kernel.corrected_rows.keys() <= rows
-        assert len(kernel.corrected_rows) <= len(monos) * len(keys)
-        assert kernel.paired_rows.keys() == kernel.corrected_rows.keys()
-        assert sorted(w for w, in lookups[bundle]) == sorted({w for w, _ in kernel.corrected_rows})
-        total += len(kernel.corrected_rows)
-    assert 0 < total <= 4000  # about 3,000 rows over the four ladder rings
+        assert kernel.corrected_rows.keys() == reached[bundle]
+        assert kernel.paired_rows.keys() == reached[bundle]
+        assert sorted(w for w, in lookups[bundle]) == sorted(reached[bundle])
+        memos = (kernel.corrected_rows, kernel.paired_rows)
+        assert all(row for rows in memos for wrows in rows.values() for row in wrows.values())
+        total += sum(map(len, kernel.corrected_rows.values()))
+    assert 1400 < total <= 1700  # 1,551 rows over the four ladder rings
+
+
+def test_each_product_monomial_is_built_once(monkeypatch):
+    # over the seed-1 gw-session stream on fresh kernels, the row builder
+    # runs once per distinct product monomial of each ring, whatever curve
+    # classes later queries ask of it, and a second pass builds none
+    kernels = {}
+
+    def fresh(qp):
+        bundle = quantum_presentation(qp.params, "bundle")
+        if bundle not in kernels:
+            kernels[bundle] = quantum._Kernel(bundle)
+        return kernels[bundle]
+
+    monkeypatch.setattr(quantum, "_kernel", fresh)
+    builds = _spied_calls(monkeypatch, quantum._Kernel, "rows")
+    stream = _session_stream(1)
+    expected = [gw_invariant(query, qp) for query, qp in stream]
+    built = [(kernel.qp, w) for kernel, w in builds]
+    assert len(built) == len(set(built)) == sum(len(k.corrected_rows) for k in kernels.values())
+    rows = sum(len(wrows) for k in kernels.values() for wrows in k.corrected_rows.values())
+    assert rows > 1.5 * len(built)  # a build serves several curve classes
+    builds.clear()
+    assert [gw_invariant(query, qp) for query, qp in stream] == expected
+    assert builds == []
 
 
 def test_gw_invariant_matches_the_whole_product_assembly(grid_params):
@@ -991,7 +1022,7 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     alpha = bp("h^9*xi^3 + 2*h^10*xi^2", params)
     beta = bp("h^8*xi^4 - h^5*xi^6", params)
     kernel, terms = quantum._Kernel(qp), quantum._factors(qp, alpha, beta)[1]
-    x, y = (quantum._phi(kernel, t) for t in terms)
+    x, y = ([(0, t), (1, quantum._shift(kernel, t))] for t in terms)
     live = [(u, v) for ku, xs in x for u in xs for kv, ys in y for v in ys if ku + kv <= key[1]]
     assert len(live) < sum(map(len, dict(x).values())) * sum(map(len, dict(y).values()))
     grouped = quantum._grouped(kernel, *terms, key[1])
@@ -1045,17 +1076,23 @@ def _warm_queries(params):
 
 
 def test_a_warm_b0_query_reads_no_basis_correction(monkeypatch):
-    # no q2 correction reaches a key with b = 0, so neither phi nor the
-    # correction step reads the kernel's corrections, even with cold memos
-    # (the model products are warm); a b = 1 query does
+    # no q2 correction reaches a key with b = 0, so once the rows of its
+    # product monomials are built a b = 0 query reads none of the kernel's
+    # corrections (a row build reads them, for the rows one q2 level up);
+    # a b = 1 query's phi does
     qp, b0, b1 = _warm_queries(derive_params(16, 5))
     expected = [assembled_invariant(query, qp, groebner_contributions) for query in b0 + b1]
-    assert [gw_invariant(query, qp) for query in b0 + b1] == expected  # warms the models
+    cold = quantum._Kernel(qp)
+    cold.corrections = _ReadSpy(quantum._kernel(qp).corrections)
+    monkeypatch.setattr(quantum, "_kernel", lambda qp: cold)
+    assert [gw_invariant(query, qp) for query in b0] == expected[: len(b0)]
+    assert cold.corrections.reads  # the row builds
+    monkeypatch.undo()
+    assert [gw_invariant(query, qp) for query in b0 + b1] == expected  # builds the rows
     assert any(expected)
-    kernel = quantum._Kernel(qp)
-    corrections = _ReadSpy(quantum._kernel(qp).corrections)
-    kernel.corrections = corrections
-    monkeypatch.setattr(quantum, "_kernel", lambda qp: kernel)
+    kernel = quantum._kernel(qp)
+    corrections = _ReadSpy(kernel.corrections)
+    monkeypatch.setattr(kernel, "corrections", corrections)
     calls = _spied_calls(monkeypatch, quantum, "basis_corrections")
     assert [gw_invariant(query, qp) for query in b0] == expected[: len(b0)]
     assert corrections.reads == []
@@ -1250,6 +1287,34 @@ def test_contributions_match_the_groebner_product(m):
                 got = contributions(x, y, qp)
                 assert list(got) == list(expected), (m, p, coords, x, y)
                 assert got == expected, (m, p, coords, x, y)
+
+
+PRODUCT_INSTANCES = [(2, 0), (3, 1), (4, 0), (5, 2), (6, 1), (8, 1), (9, 2), (11, 3), (16, 5)]
+
+
+def test_quantum_product_matches_the_budget_oracle():
+    # the row walk against one piece per curve class in the degree budget,
+    # on 1,080 seeded pairs in both coordinate systems, n = 1 rings included
+    rng = random.Random(2025)
+    seen = {"pairs": 0, "fraction": 0, "q2": 0, "formal": 0}
+    for m, p in PRODUCT_INSTANCES:
+        params = derive_params(m, p)
+        for coords in ("bundle", "blowup"):
+            qp = quantum_presentation(params, coords)
+            staircase = classical_presentation(params, coords).quotient.staircase
+            for _ in range(60):
+                x, y = (
+                    _random_class(rng, qp.variables, staircase, params.top_degree)
+                    for _ in range(2)
+                )
+                product = quantum_product(x, y, qp)
+                assert str(product) == str(product_oracle.budget_product(x, y, qp)), (x, y)
+                seen["pairs"] += 1
+                seen["fraction"] += any(type(c) is Fraction for c in product.terms.values())
+                seen["q2"] += any(mono[3] for mono in product.terms)
+                seen["formal"] += params.n == 1
+    assert seen["pairs"] == 1080 and seen["formal"] == 240
+    assert seen["fraction"] > 100 and seen["q2"] > 100
 
 
 def test_product_specialization_matches_classical_normal_forms(grid_params):
