@@ -1,10 +1,11 @@
 """Exact sparse Gaussian elimination over the integers and the rationals.
 
-Rows are maps ``{column: value}`` holding only nonzero entries, which keeps
-the few-percent-dense basis-correction systems cheap.  An entry stays an
-``int`` while every elimination step divides exactly; a step that does not
-goes through an exact ``Fraction``.  The correction solve and the pairing
-determinants both go through :func:`eliminate`.
+Rows are maps ``{column: value}`` holding only nonzero entries.  An entry
+stays an ``int`` while every elimination step divides exactly; a step that
+does not goes through an exact ``Fraction``.  In the package
+:func:`eliminate` serves only the pairing determinants
+(:func:`determinant`); the basis corrections have a closed form, and the
+tests solve their linear systems with it as oracles.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ class Elimination(Frozen):
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "leftover", leftover)
         object.__setattr__(self, "determinant", determinant)
-
-    def solution(self) -> list[Fraction]:
-        """Back substitution for a system of full rank whose right-hand side
-        is column ``ncols``."""
-        x = [Fraction(0)] * self.ncols
-        for col in reversed(range(self.ncols)):
-            pivot = self.pivots[col]
-            known = sum(v * x[c] for c, v in pivot.items() if col < c < self.ncols)
-            x[col] = Fraction(pivot.get(self.ncols, 0) - known) / pivot[col]
-        return x
 
 
 def eliminate(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> Elimination:

@@ -21,10 +21,10 @@ precedence (:func:`grlex_key`), for every Groebner basis, staircase listing
 and rendering.
 
 Outside input (user-supplied term maps, :meth:`Polynomial.parse`,
-:meth:`Polynomial.constant`, :meth:`Polynomial.variable`,
-:meth:`Polynomial.monomial`) goes through the public constructor, which
-checks every exponent tuple, accepts only ``int`` and ``Fraction``
-coefficients, brings them to canonical form and adds up repeated monomials.
+:meth:`Polynomial.constant`, :meth:`Polynomial.variable`) goes through the
+public constructor, which checks every exponent tuple, accepts only ``int``
+and ``Fraction`` coefficients, brings them to canonical form and adds up
+repeated monomials.
 Every sum of terms here, in the constructor and in arithmetic alike, is
 accumulated in a plain dict and cleaned once by :func:`_canonical_terms`,
 so the results of arithmetic on valid polynomials already satisfy those
@@ -254,10 +254,6 @@ class Polynomial:
         mono = [0] * len(variables)
         mono[variables.index(name)] = 1
         return cls(variables, {tuple(mono): 1})
-
-    @classmethod
-    def monomial(cls, variables: VariableSet, mono: Mono, coeff: ScalarLike = 1) -> Polynomial:
-        return cls(variables, {tuple(mono): coeff})
 
     # -- basic queries -------------------------------------------------------
 

@@ -18,25 +18,24 @@ beta, gamma in the class a*A1 + b*A2 is the classical integral of the
 (a, b)-contribution of alpha * beta against gamma.
 
 One subtlety: a staircase monomial of the presented ring stands for the
-iterated ring product of the generators, which coincides with the
-classical basis class of the same name only up to weighted degree n.
-Above that degree the two differ by exceptional-line contributions; the
-unique corrections are forced by the divisor and fundamental-class axioms
-of the three-point theory and are solved for exactly (see
-:func:`basis_corrections`).  All extraction goes through the corrected
+iterated ring product of the generators, which coincides with the classical
+basis class of the same name only up to weighted degree n.  Above that
+degree the two differ by exceptional-line contributions, which the divisor
+axiom and the two-point classes of exceptional lines give in closed form
+(see :func:`basis_corrections`).  All extraction goes through the corrected
 identification, which is what makes the extracted three-point function
-symmetric.  Everything runs on the integer models of the bundle rings
+symmetric.  Products run on the integer models of the bundle rings
 (``quotient.model``), read through one query kernel per deformed ring
 (:class:`_Kernel`, shared by both coordinate systems).  A class enters by
 one route (:func:`_terms`); an invariant's bundle staircase classes enter
-in its validating scan.  :func:`_grouped` sums a product's term pairs by
-q2 exponent and product monomial w (:func:`_shift` only at b >= 1).  The
+in its validating scan.  :func:`_grouped` sums a product's term pairs by q2
+exponent and product monomial w (:func:`_shift` only at b >= 1).  The
 kernel builds the rows of each w once, from one model product: its
 corrected piece at every curve class and the piece's Gram pairing.
 :func:`quantum_product` walks the former by key, :func:`_piece` reads one
-key, and :func:`gw_invariant` walks the latter, looking gamma up.  The tests
-check it all against Groebner assemblies, and the invariants' symmetry
-with a sweep over basis triples.
+key, and :func:`gw_invariant` walks the latter, looking gamma up.  The
+tests check it all against Groebner assemblies, and the invariants'
+symmetry with a sweep over basis triples.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -46,6 +45,7 @@ use the uncorrected identification.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import comb
 from types import MappingProxyType
 
 from .errors import CheckFailure, UsageError
@@ -63,8 +63,7 @@ from .geometry import (
     integrate,  # noqa: F401  (kept importable from this module)
     quantum_presentation,
 )
-from .groebner import Vector, _add, _RingModel
-from .linalg import eliminate
+from .groebner import _RingModel
 from .poly import Mono, Polynomial, Scalar, _canonical, _canonical_terms, mono_mul
 from .records import Frozen
 from .report import CheckReport
@@ -84,126 +83,65 @@ def _model_piece(model: _RingModel, x: Mono, y: Mono, key: Key) -> dict[Mono, in
 @lru_cache(maxsize=None)
 def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
     """Exceptional-line corrections turning staircase monomials into the
-    classical basis classes they are named after.
+    classical basis classes they are named after, in closed form.
 
-    A staircase monomial s of weighted degree d > n equals its classical
-    class minus q2 times a parameter-free class C_s of degree d - n, so the
-    classical class is represented by s + q2 C_s (:func:`_shift`).
-    (Corrections at fiber-line levels vanish: every pairing of a fiber-line
-    multiple against staircase classes with fiber exponents below the
-    threshold is zero, and the base divisor pairs trivially with the fiber
-    line.)  The corrections solve an exact linear system of two kinds of row:
+    A staircase monomial s = h^a xi^b of weighted degree n + e with e >= 1
+    equals its classical class minus q2 times a parameter-free class C_s of
+    degree e, so the classical class is represented by s + q2 C_s
+    (:func:`_shift`).  With E = xi - 2h (the exceptional divisor) and
+    k = xi - h (the hyperplane class of P^m),
 
-    * divisor axiom: for a divisor D and a basis class c, the q2-part of the
-      ring product D * repr(c) minus the correction expansion of the
-      classical product D.c is (D . exceptional line) times a two-point
-      class S_c that does not depend on D.  Both h and xi meet the line
-      once, so the difference of their rows is the row of xi - h, which has
-      degree 0 on the line, and S_c drops out.  The h-row kept beside it
-      would only fix S_c, which no other row involves, so the xi - h rows
-      give the same corrections as the two divisor routes with unknowns S;
-    * closure: three-point invariants with a fundamental-class insertion
-      vanish.
+        C_s = -E P_{e,b},  P_{e,b} = sum_{i<e} C(b-e+i, i) k^i xi^(e-1-i),
 
-    Every row is read from the integer models (``quotient.model``) of the
-    deformed and the classical ring: the classical closure integrals are
-    the Gram rows of the classical model (which invariants read later), the
-    deformed one the top-monomial coefficient of a model product.  The
-    sparse system is eliminated exactly (:func:`qcblowup.linalg.eliminate`),
-    must have a unique solution, and every value of it must be an integer.
-    Returns the nonzero corrections keyed by staircase exponent tuple, as a
-    read-only mapping (the result is cached and shared).  Empty for blow-up
-    coordinates (extraction converts to bundle coordinates first) and for
-    out-of-range parameters, where results are formal and uncorrected.
+    so P_{1,b} = 1 and P_{2,b} = b xi - (b-1) h.  Derivation: build s as
+    h^a, then times xi, b times.  By the divisor axiom (Kontsevich-Manin)
+    the part of alpha * D at a curve class beta is (D . beta) times the
+    two-point class of alpha at beta.
+
+    * Exceptional lines A2 (h.A2 = xi.A2 = 1) are the lines in the P^n
+      fibers of E = P^p x P^n, with normal bundle O(1)^(n-1) + O^p + O(-1)
+      (no H^1), and two points of one fiber lie on one line.  So the
+      two-point class of alpha is psi(alpha) = sum_i (int alpha E k^(p-i))
+      E k^i.  On E, h restricts to v and xi to u + v (u, v the hyperplanes
+      of P^p and P^n), so int h^a xi^j E k^(p-i) is C(j, n-a) at
+      i = a + j - n and 0 otherwise; psi(h^a) = 0 for a <= n.
+    * Fiber lines A1 and their multiples d A1 lie in the fibers P^(r-1) of
+      the bundle over P^n, so h^a comes out of their two-point classes,
+      and that of xi^j has degree j + 1 - d r < 0 for j <= r - 2, which
+      every xi step on the staircase multiplies; h.A1 = 0.
+    * Any other class in reach (q1 q2, q2^2) has degree above the top
+      n + r - 1, as r < n; so does q2 times a quantum term of C_x * xi.
+
+    Hence C vanishes on h^a, and an xi step on x = h^a xi^j gives
+    C_(x xi) = C_x xi - psi(x) = C_x xi - C(j, n-a) E k^(a+j-n); the sum
+    over j, with i = a + j - n, is the formula.  No q1 term arises, so the
+    fiber-line corrections vanish.  The terms of C_s have degree
+    e <= r - 1 < n and lie on the staircase as they stand.
+
+    Returns the nonzero corrections keyed by staircase exponent tuple, in
+    staircase order, as a read-only mapping (cached and shared); empty for
+    blow-up coordinates (extraction converts to bundle coordinates first)
+    and out of range, where results are formal and uncorrected.  The tests
+    check the formula against exact linear solves of the same axioms.
     """
     params = qp.params
     if qp.coords != BUNDLE or not params.in_range:
         return MappingProxyType({})
-    cp = classical_presentation(params, BUNDLE)
     staircase = qp.quotient.staircase
-    if cp.quotient.staircase != staircase:
+    if classical_presentation(params, BUNDLE).quotient.staircase != staircase:
         raise CheckFailure("deformed and classical staircases differ")
-    deformed, classical = qp.quotient.model, cp.quotient.model
-    n, top, by_degree = params.n, params.top_degree, classical.by_degree
-
-    # Unknowns, in column order: the components of the correction C_s of
-    # each monomial s of degree >= n, over the classes of degree deg s - n.
-    index: dict[tuple[Mono, Mono], int] = {}
-    for d in range(n, top + 1):
-        for mono in by_degree.get(d, []):
-            for comp in by_degree.get(d - n, []):
-                index[(mono, comp)] = len(index)
-
-    # One row per equation, with its right-hand side in column ``ncols``.
-    ncols = len(index)
-    rows: list[dict[int, int]] = []
-
-    def bump(row: dict[int, int], key: tuple[Mono, Mono], val: int) -> None:
-        if val:
-            col = index[key]
-            row[col] = row.get(col, 0) + val
-
-    # Divisor rows: the q2-part of the ring product (xi - h) * repr(c) equals
-    # the correction expansion of the classical product (xi - h).c.
-    def times_xi_minus_h(model: _RingModel, key: Key) -> dict[Mono, dict[Mono, int]]:
-        """The piece at q-power ``key`` of (xi - h) * s, for each staircase s."""
-        out = {}
-        for s in staircase:
-            vec: Vector = {}
-            _add(vec, model.matrices[0][s], (0, 0), 1)
-            _add(vec, model.matrices[1][s], (0, 0), -1)
-            out[s] = vec.get(key, {})
-        return out
-
-    known, cmat = times_xi_minus_h(deformed, (0, 1)), times_xi_minus_h(classical, (0, 0))
-    for cmono in staircase:
-        for comp in by_degree.get(sum(cmono) + 1 - n, []):
-            row = {ncols: -known[cmono].get(comp, 0)}
-            for mu in by_degree.get(sum(cmono) - n, []):
-                bump(row, (cmono, mu), cmat[mu].get(comp, 0))
-            for mu, coeff in cmat[cmono].items():
-                if (mu, comp) in index:
-                    bump(row, (mu, comp), -coeff)
-            rows.append(row)
-
-    # Fundamental-class closure: for complementary pairs the corrected
-    # exceptional-line contribution of x * y integrates to zero; the Gram
-    # row of x pairs it with the components of C_y (of degree top - deg x).
-    if len(tops := by_degree.get(top, [])) != 1:
-        raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
-    for dx in range(n, top + 1):
-        dy = top + n - dx
-        if dy < n or dy > top or dy < dx:
+    corrections = {}
+    for s in staircase:
+        b, e = s[0], s[0] + s[1] - params.n
+        if e < 1:
             continue
-        for x in by_degree.get(dx, []):
-            for y in by_degree.get(dy, []):
-                if dy == dx and y < x:
-                    continue
-                row = {ncols: -_model_piece(deformed, x, y, (0, 1)).get(tops[0], 0)}
-                for mu, c in classical.gram_row(x):
-                    bump(row, (y, mu), c)
-                for mu, c in classical.gram_row(y):
-                    bump(row, (x, mu), c)
-                rows.append(row)
-
-    system = eliminate(rows, ncols)
-    if len(system.pivots) != ncols:
-        raise CheckFailure("basis-identification system is underdetermined")
-    if system.leftover:
-        raise CheckFailure("basis-identification system is inconsistent")
-    terms: dict[Mono, dict[Mono, int]] = {}
-    for (key, comp), value in zip(index, system.solution()):
-        if value.denominator != 1:
-            vs = qp.variables
-            raise CheckFailure(
-                f"non-integral basis correction {Polynomial.monomial(vs, comp, value)}"
-                f" for {Polynomial.monomial(vs, key)}"
-            )
-        if value:
-            terms.setdefault(key, {})[comp] = value.numerator
-    return MappingProxyType(
-        {key: Polynomial._from_clean(qp.variables, t) for key, t in terms.items()}
-    )
+        # P_{e,b} by h-exponent j, as k^i = sum_j C(i, j) (-h)^j xi^(i-j), and
+        # a trailing 0 for p[-1]; then -(xi - 2h) P_{e,b} in staircase order
+        p = [sum((-1) ** j * comb(b - e + i, i) * comb(i, j) for i in range(j, e))
+             for j in range(e)] + [0]
+        terms = {(e - j, j, 0, 0): c for j in range(e, -1, -1) if (c := 2 * p[j - 1] - p[j])}
+        corrections[s] = Polynomial._from_clean(qp.variables, terms)
+    return MappingProxyType(corrections)
 
 
 class _Kernel:

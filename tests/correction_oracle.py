@@ -1,23 +1,148 @@
-"""The basis-correction system in its original formulation, assembled from
-Groebner products, kept as a test oracle for
-``qcblowup.quantum.basis_corrections``.
+"""The basis-correction systems, kept as test oracles for the closed form
+of ``qcblowup.quantum.basis_corrections``.
 
-The package reads every coefficient from the integer ring models and solves
-the reduced system: one row per (class, component) from the divisor
-xi - h, over the correction unknowns alone.  This oracle keeps both divisor
-routes, h and xi, each with the auxiliary two-point unknowns S of every
-basis class, and builds each row from ``Polynomial`` products, deformed and
-classical normal forms and one ``integrate`` call per closure pairing.
-Only the closure equations and the elimination routine are the package's;
-the divisor rows and the unknowns differ, so agreement checks the reduced
-system against the original one.
+Both solve the divisor and fundamental-class axioms exactly, with
+:func:`qcblowup.linalg.eliminate` and the back substitution
+:func:`solution`:
+
+* :func:`model_corrections` is the reduced system the package solved
+  before the closed form: one row per (class, component) from the divisor
+  xi - h, over the correction unknowns alone, every coefficient read from
+  the integer ring models (``quotient.model``) and the classical Gram rows.
+  Its underdetermined, inconsistent and non-integral checks raise
+  ``CheckFailure``.
+* :func:`polynomial_corrections` is the original formulation: both divisor
+  routes, h and xi, each with the auxiliary two-point unknowns S of every
+  basis class, every row built from ``Polynomial`` products, deformed and
+  classical normal forms and one ``integrate`` call per closure pairing.
+
+Agreement of the three checks the formula against two independent
+assemblies of the same axioms.
 """
 
 from fractions import Fraction
 
 from qcblowup import CheckFailure, Polynomial, classical_presentation, integrate
+from qcblowup.groebner import _add
 from qcblowup.linalg import eliminate
+from qcblowup.quantum import _model_piece
 from product_oracle import decompose_contributions
+
+
+def solution(system):
+    """Back substitution for an eliminated system (``linalg.Elimination``)
+    of full rank whose right-hand side is column ``ncols``."""
+    x = [Fraction(0)] * system.ncols
+    for col in reversed(range(system.ncols)):
+        pivot = system.pivots[col]
+        known = sum(v * x[c] for c, v in pivot.items() if col < c < system.ncols)
+        x[col] = Fraction(pivot.get(system.ncols, 0) - known) / pivot[col]
+    return x
+
+
+def model_corrections(qp):
+    """The nonzero corrections of an in-range deformed bundle presentation,
+    keyed by staircase monomial in the order of the unknowns, from the
+    reduced system read off the ring models.
+
+    * divisor rows: for a divisor D and a basis class c, the q2-part of the
+      ring product D * repr(c) minus the correction expansion of the
+      classical product D.c is (D . exceptional line) times a two-point
+      class S_c that does not depend on D.  Both h and xi meet the line
+      once, so the difference of their rows is the row of xi - h, which has
+      degree 0 on the line, and S_c drops out;
+    * closure rows: three-point invariants with a fundamental-class
+      insertion vanish.  The classical integrals are the Gram rows of the
+      classical model, the deformed one the top-monomial coefficient of a
+      model product.
+
+    The system must have a unique solution, and every value of it must be
+    an integer.
+    """
+    params = qp.params
+    cp = classical_presentation(params, "bundle")
+    staircase = qp.quotient.staircase
+    if cp.quotient.staircase != staircase:
+        raise CheckFailure("deformed and classical staircases differ")
+    deformed, classical = qp.quotient.model, cp.quotient.model
+    n, top, by_degree = params.n, params.top_degree, classical.by_degree
+
+    # Unknowns, in column order: the components of the correction C_s of
+    # each monomial s of degree >= n, over the classes of degree deg s - n.
+    index = {}
+    for d in range(n, top + 1):
+        for mono in by_degree.get(d, []):
+            for comp in by_degree.get(d - n, []):
+                index[(mono, comp)] = len(index)
+
+    # One row per equation, with its right-hand side in column ``ncols``.
+    ncols = len(index)
+    rows = []
+
+    def bump(row, key, val):
+        if val:
+            col = index[key]
+            row[col] = row.get(col, 0) + val
+
+    # Divisor rows: the q2-part of the ring product (xi - h) * repr(c) equals
+    # the correction expansion of the classical product (xi - h).c.
+    def times_xi_minus_h(model, key):
+        """The piece at q-power ``key`` of (xi - h) * s, for each staircase s."""
+        out = {}
+        for s in staircase:
+            vec = {}
+            _add(vec, model.matrices[0][s], (0, 0), 1)
+            _add(vec, model.matrices[1][s], (0, 0), -1)
+            out[s] = vec.get(key, {})
+        return out
+
+    known, cmat = times_xi_minus_h(deformed, (0, 1)), times_xi_minus_h(classical, (0, 0))
+    for cmono in staircase:
+        for comp in by_degree.get(sum(cmono) + 1 - n, []):
+            row = {ncols: -known[cmono].get(comp, 0)}
+            for mu in by_degree.get(sum(cmono) - n, []):
+                bump(row, (cmono, mu), cmat[mu].get(comp, 0))
+            for mu, coeff in cmat[cmono].items():
+                if (mu, comp) in index:
+                    bump(row, (mu, comp), -coeff)
+            rows.append(row)
+
+    # Fundamental-class closure: for complementary pairs the corrected
+    # exceptional-line contribution of x * y integrates to zero; the Gram
+    # row of x pairs it with the components of C_y (of degree top - deg x).
+    if len(tops := by_degree.get(top, [])) != 1:
+        raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
+    for dx in range(n, top + 1):
+        dy = top + n - dx
+        if dy < n or dy > top or dy < dx:
+            continue
+        for x in by_degree.get(dx, []):
+            for y in by_degree.get(dy, []):
+                if dy == dx and y < x:
+                    continue
+                row = {ncols: -_model_piece(deformed, x, y, (0, 1)).get(tops[0], 0)}
+                for mu, c in classical.gram_row(x):
+                    bump(row, (y, mu), c)
+                for mu, c in classical.gram_row(y):
+                    bump(row, (x, mu), c)
+                rows.append(row)
+
+    system = eliminate(rows, ncols)
+    if len(system.pivots) != ncols:
+        raise CheckFailure("basis-identification system is underdetermined")
+    if system.leftover:
+        raise CheckFailure("basis-identification system is inconsistent")
+    terms = {}
+    for (key, comp), value in zip(index, solution(system)):
+        if value.denominator != 1:
+            vs = qp.variables
+            raise CheckFailure(
+                f"non-integral basis correction {Polynomial(vs, {comp: value})}"
+                f" for {Polynomial(vs, {key: 1})}"
+            )
+        if value:
+            terms.setdefault(key, {})[comp] = value.numerator
+    return {key: Polynomial(qp.variables, t) for key, t in terms.items()}
 
 
 def polynomial_corrections(qp):
@@ -33,7 +158,7 @@ def polynomial_corrections(qp):
         by_degree.setdefault(sum(mono), []).append(mono)
 
     def mono_poly(mono):
-        return Polynomial.monomial(vs, mono)
+        return Polynomial(vs, {mono: 1})
 
     def naive_q2_part(f):
         nf = qp.quotient.normal_form(f)
@@ -101,10 +226,10 @@ def polynomial_corrections(qp):
     system = eliminate(rows, ncols)
     if len(system.pivots) != ncols or system.leftover:
         raise CheckFailure("basis-identification system has no unique solution")
-    solution = system.solution()
+    solution_values = solution(system)
     corrections = {}
     for idx, (kind, key, comp) in enumerate(unknowns):
-        if kind == "C" and solution[idx]:
+        if kind == "C" and solution_values[idx]:
             current = corrections.get(key, Polynomial.zero(vs))
-            corrections[key] = current + solution[idx] * mono_poly(comp)
+            corrections[key] = current + solution_values[idx] * mono_poly(comp)
     return corrections

@@ -28,8 +28,8 @@ ALLOWED = {
         " share it, and its quotient holds the ring model"),
     "qcblowup.quantum.basis_corrections": (
         ("qp",), None,
-        "unbounded: one read-only solve per deformed bundle ring, which every product and"
-        " invariant of the instance reads"),
+        "unbounded: one read-only set of corrections per deformed bundle ring, which every"
+        " product and invariant of the instance reads"),
     "qcblowup.quantum._kernel": (
         ("qp",), None,
         "unbounded: like the rings it reads, one query kernel per deformed bundle ring,"

@@ -99,7 +99,7 @@ def test_constructor_accepts_only_exact_coefficients():
         with pytest.raises(UsageError):
             Polynomial.constant(BV, bad)
         with pytest.raises(UsageError):
-            Polynomial.monomial(BV, (0, 1, 0, 0), bad)
+            Polynomial(BV, {(0, 1, 0, 0): bad})
         with pytest.raises(UsageError):
             poly("xi + q1").substitute({"q1": bad})
     f = Polynomial(BV, {(1, 0, 0, 0): 2, (0, 1, 0, 0): Fraction(1, 3), (0, 0, 1, 0): 0})

@@ -34,9 +34,10 @@ from qcblowup import quantum
 from qcblowup.geometry import _build
 from qcblowup.linalg import eliminate
 
+import correction_oracle
 import product_oracle
 import symmetry_oracle
-from correction_oracle import polynomial_corrections
+from correction_oracle import model_corrections, polynomial_corrections
 from invariant_oracle import assembled_invariant, pairwise_piece, piecewise_invariant
 from product_oracle import contributions, groebner_contributions, staircase_products
 from symmetry_oracle import verify_s3_symmetry
@@ -246,7 +247,7 @@ def test_cached_corrections_are_read_only(m, p):
     assert dict(basis_corrections(qp)) == before
 
 
-def test_basis_corrections_refuse_a_non_integral_solution(monkeypatch, params40):
+def test_the_model_solve_refuses_a_non_integral_solution(monkeypatch, params40):
     # halving the right-hand side halves the correction -(xi - 2h) of h^3*xi
     qp = quantum_presentation(params40, "bundle")
 
@@ -254,17 +255,15 @@ def test_basis_corrections_refuse_a_non_integral_solution(monkeypatch, params40)
         rows = [{c: Fraction(v, 2) if c == ncols else v for c, v in row.items()} for row in rows]
         return eliminate(rows, ncols)
 
-    monkeypatch.setattr(quantum, "eliminate", halved)
-    basis_corrections.cache_clear()
+    monkeypatch.setattr(correction_oracle, "eliminate", halved)
     with pytest.raises(CheckFailure, match=r"non-integral basis correction -1/2\*xi for h\^3\*xi"):
-        basis_corrections(qp)
-    assert basis_corrections.cache_info().currsize == 0
+        model_corrections(qp)
 
 
-def test_the_solve_has_no_two_point_unknowns(monkeypatch):
+def test_the_model_solve_has_no_two_point_unknowns(monkeypatch):
     # one row per (class, component) from the divisor xi - h, plus the
     # closure rows, over the correction unknowns alone: at (16,5) the two
-    # divisor routes with their two-point unknowns took 280 rows x 202
+    # divisor routes with their two-point unknowns take 280 rows x 202
     shapes = []
 
     def spy(rows, ncols):
@@ -272,10 +271,39 @@ def test_the_solve_has_no_two_point_unknowns(monkeypatch):
         shapes.append((len(rows), ncols))
         return eliminate(rows, ncols)
 
-    monkeypatch.setattr(quantum, "eliminate", spy)
-    basis_corrections.cache_clear()
-    basis_corrections(quantum_presentation(derive_params(16, 5), "bundle"))
+    monkeypatch.setattr(correction_oracle, "eliminate", spy)
+    model_corrections(quantum_presentation(derive_params(16, 5), "bundle"))
     assert shapes == [(162, 84)]
+
+
+def test_a_cold_closed_form_reads_no_model_gram_row_or_solve(monkeypatch):
+    # the closed form reads the two staircases only: no ring model, no Gram
+    # row and no elimination, even with its cache cleared
+    from qcblowup import linalg
+    from qcblowup.groebner import _RingModel
+
+    qp = quantum_presentation(derive_params(16, 5), "bundle")
+    expected = dict(basis_corrections(qp))
+    reads = []
+    monkeypatch.setattr(QuotientRing, "model", property(lambda ring: reads.append("model")))
+    monkeypatch.setattr(_RingModel, "gram_row", lambda model, g: reads.append("gram_row"))
+    monkeypatch.setattr(linalg, "eliminate", lambda *args: reads.append("eliminate"))
+    basis_corrections.cache_clear()
+    assert basis_corrections(qp) == expected
+    assert reads == []
+    assert not hasattr(quantum, "eliminate")
+
+
+def test_closed_form_cases_at_11_3():
+    # n = 7, r = 5: C_s = -(xi - 2h) P_{e,b} for s = h^a xi^b, e = a + b - n
+    params = derive_params(11, 3)
+    corrections = basis_corrections(quantum_presentation(params, "bundle"))
+    minus_e, n = -bp("xi - 2*h", params), params.n
+    for b in range(1, params.r):  # P_{1,b} = 1
+        assert corrections[(b, n + 1 - b, 0, 0)] == minus_e
+    for b in range(2, params.r):  # P_{2,b} = b xi - (b-1) h
+        assert corrections[(b, n + 2 - b, 0, 0)] == minus_e * bp(f"{b}*xi - {b - 1}*h", params)
+    assert corrections[(3, n, 0, 0)] == minus_e * bp("3*xi^2 - 3*h*xi + h^2", params)
 
 
 def test_class_representative_of_the_point_class():
@@ -313,7 +341,7 @@ def test_class_representative_is_a_ring_homomorphism(grid_params, coords):
         for j in range(i, len(basis)):
             expected = Polynomial.zero(vs)
             for (a, b), piece in contributions(x, basis[j], qp).items():
-                q = Polynomial.monomial(vs, (0, 0, a, b))
+                q = Polynomial(vs, {(0, 0, a, b): 1})
                 expected = expected + q * class_representative(piece, qp)
             assert qp.quotient.normal_form(reps[i] * reps[j]) == expected, (str(x), str(basis[j]))
 
@@ -1100,16 +1128,15 @@ def test_a_warm_b0_query_reads_no_basis_correction(monkeypatch):
     assert corrections.reads and calls == []
 
 
-def test_the_correction_solve_reads_the_gram_rows():
+def test_the_model_solve_reads_the_gram_rows():
     # the closure rows read the classical integrals off the Gram rows: a
     # solve from cold leaves a row for each staircase monomial of degree
-    # n..top, the rows the instance's invariants read later
+    # n..top
     params = derive_params(16, 5)
     qp = quantum_presentation(params, "bundle")
     model = classical_presentation(params, "bundle").quotient.model
-    basis_corrections.cache_clear()
     model._gram.clear()
-    corrections = basis_corrections(qp)
+    corrections = model_corrections(qp)
     assert set(model._gram) == {
         mono
         for d, monos in model.by_degree.items()
@@ -1353,10 +1380,23 @@ IN_RANGE_TO_20 = [(m, p) for m in range(4, 21) for p in range(m - 1) if 2 * p + 
 
 @pytest.mark.parametrize("m, p", IN_RANGE_TO_20, ids=[f"m{m}p{p}" for m, p in IN_RANGE_TO_20])
 def test_basis_corrections_match_the_polynomial_assembly(m, p):
-    # the reduced system read from the ring models against both divisor
-    # routes with their two-point unknowns, built from Groebner products
+    # the closed form against both divisor routes with their two-point
+    # unknowns, built from Groebner products
     qp = quantum_presentation(derive_params(m, p), "bundle")
     expected = polynomial_corrections(qp)
+    corrections = basis_corrections(qp)
+    assert list(corrections) == list(expected)
+    assert corrections == expected
+
+
+MODEL_SOLVES = IN_RANGE_TO_20 + [(24, 6), (32, 8), (40, 10), (48, 12), (64, 16)]
+
+
+@pytest.mark.parametrize("m, p", MODEL_SOLVES, ids=[f"m{m}p{p}" for m, p in MODEL_SOLVES])
+def test_basis_corrections_match_the_model_solve(m, p):
+    # the closed form against the reduced system read from the ring models
+    qp = quantum_presentation(derive_params(m, p), "bundle")
+    expected = model_corrections(qp)
     corrections = basis_corrections(qp)
     assert list(corrections) == list(expected)
     assert corrections == expected
@@ -1382,8 +1422,8 @@ def test_ring_model_reads_normal_forms_where_a_parameter_leads(m, p):
             got = Polynomial.zero(vs)
             for (a, b), piece in model.product(mono).items():
                 for u, c in piece.items():
-                    got = got + Polynomial.monomial(vs, (u[0], u[1], a, b), c)
-            assert got == qp.quotient.normal_form(Polynomial.monomial(vs, mono)), mono
+                    got = got + Polynomial(vs, {(u[0], u[1], a, b): c})
+            assert got == qp.quotient.normal_form(Polynomial(vs, {mono: 1})), mono
     _assert_table_matches_oracle(qp)
 
 

@@ -5,11 +5,15 @@
 For each workload of ``BENCHMARK.json`` the benchmark (``perfbench/run.py``,
 seed 1, 10 seconds) runs twice in fresh processes from the root of this
 checkout: with ``--trace 0`` for the six end-to-end metrics and with
-``--trace 1`` for the per-layer table.  The file written holds both results
-of each workload as the benchmark prints them (``correct``, ``attempted``,
-``failed`` and every metric with its unit), the line count of ``src/`` and
-the host the numbers come from.  The exit code is 1 when a run reports a
-wrong output or prints no result, else 0.
+``--trace 1`` for the per-layer table.  Then ``verify --m M --p P`` runs
+three times in fresh processes on each of the larger instances
+``VERIFY_RUNGS``, which lie above the benchmark's ladder; the best wall
+time of each goes to ``verify_wall_s`` under ``"M,P"``.  The file written
+holds both results of each workload as the benchmark prints them
+(``correct``, ``attempted``, ``failed`` and every metric with its unit),
+those wall times, the line count of ``src/`` and the host the numbers come
+from.  The exit code is 1 when a run reports a wrong output, prints no
+result or a ``verify`` run fails, else 0.
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 SECONDS = 10
+VERIFY_RUNGS = ((32, 8), (48, 12), (64, 16))
+VERIFY_REPEATS = 3
 
 
 def run(workload: str, trace: int) -> dict:
@@ -32,6 +39,23 @@ def run(workload: str, trace: int) -> dict:
             "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def verify_wall(m: int, p: int) -> float | None:
+    """The best wall time, in seconds, of ``verify --m M --p P`` over
+    ``VERIFY_REPEATS`` fresh processes run from ``src/``; None if a run
+    fails."""
+    path = (str(ROOT / "src"), os.environ.get("PYTHONPATH", ""))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-m", "qcblowup.cli", "verify", "--m", str(m), "--p", str(p)]
+    times = []
+    for _ in range(VERIFY_REPEATS):
+        start = time.perf_counter()
+        done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
+        times.append(time.perf_counter() - start)
+        if done.returncode:
+            return None
+    return min(times)
 
 
 def src_lines() -> int:
@@ -47,17 +71,21 @@ def main(argv: list[str]) -> int:
     for workload in (w["name"] for w in spec["workloads"]):
         workloads[workload] = {"end_to_end": run(workload, 0), "per_layer": run(workload, 1)}
         print(workload, {trace: result["correct"] for trace, result in workloads[workload].items()})
+    verify_wall_s = {f"{m},{p}": verify_wall(m, p) for m, p in VERIFY_RUNGS}
+    print("verify_wall_s", verify_wall_s)
     document = {
         "seed": SEED,
         "seconds": SECONDS,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "src_lines": src_lines(),
+        "verify_wall_s": verify_wall_s,
         "workloads": workloads,
     }
     Path(argv[0]).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     runs = [result for both in workloads.values() for result in both.values()]
-    return 0 if all(result["correct"] for result in runs) else 1
+    ok = all(result["correct"] for result in runs) and None not in verify_wall_s.values()
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
