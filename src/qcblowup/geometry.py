@@ -29,7 +29,6 @@ from functools import lru_cache
 
 from .errors import BudgetError, CheckFailure, UsageError
 from .groebner import Ideal, QuotientRing, buchberger, staircase_basis
-from .linalg import determinant
 from .poly import Polynomial, Scalar, VariableSet, _canonical_terms, mono_mul
 from .poly import blowup_variables, bundle_variables
 from .records import Frozen
@@ -448,34 +447,67 @@ def oracle_integrate(f: Polynomial, params: GeometryParams) -> Scalar:
 
 def pairing_matrix(presentation: Presentation) -> list[list[int]]:
     """Intersection pairing of the staircase basis with itself, read in the
-    presentation's own quotient.  The top degree of a classical ring holds
-    one staircase monomial t (h^n xi^(r-1), or eta^m in blow-up
-    coordinates), so each distinct product of complementary degrees reduces
-    to c*t and pairs to c times the integral of t (one :func:`integrate`
-    call); the other products pair to 0 by homogeneity and are not formed."""
+    presentation's own quotient.  Degree d pairs only with degree top - d
+    (groups of ``QuotientRing.by_degree``), and the top degree of a
+    classical ring holds one staircase monomial t (h^n xi^(r-1), or eta^m in
+    blow-up coordinates), so each distinct product of complementary degrees
+    reduces to c*t and pairs to c times the integral of t (one
+    :func:`integrate` call); the others pair to 0 and are not formed."""
     vs, quotient = presentation.variables, presentation.quotient
-    staircase, top = quotient.staircase, presentation.params.top_degree
-    by_degree: dict[int, list[int]] = {}
-    for idx, s in enumerate(staircase):
-        by_degree.setdefault(vs.weighted_degree(s), []).append(idx)
-    tops = [staircase[idx] for idx in by_degree.get(top, ())]
-    if len(tops) != 1:
-        raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
-    scale = integrate(Polynomial._from_clean(vs, {tops[0]: 1}), presentation)
-    matrix = [[0] * len(staircase) for _ in staircase]
+    top, by_degree = presentation.params.top_degree, quotient.by_degree
+    t = quotient.top_monomial(top)
+    scale = integrate(Polynomial._from_clean(vs, {t: 1}), presentation)
+    index = {s: i for i, s in enumerate(quotient.staircase)}
+    matrix = [[0] * len(index) for _ in index]
     values: dict[tuple[int, ...], int] = {}
     for degree, rows in by_degree.items():
-        for i in rows:
-            for j in by_degree.get(top - degree, ()):
-                mono = mono_mul(staircase[i], staircase[j])
+        for s in rows:
+            for u in by_degree.get(top - degree, ()):
+                mono = mono_mul(s, u)
                 if mono not in values:
                     nf = quotient.normal_form(Polynomial._from_clean(vs, {mono: 1}))
-                    value = scale * nf.coefficient(tops[0])
+                    value = scale * nf.coefficient(t)
                     if value.denominator != 1:
                         raise CheckFailure(f"non-integral pairing value {value}")
                     values[mono] = int(value)
-                matrix[i][j] = values[mono]
+                matrix[index[s]][index[u]] = values[mono]
     return matrix
+
+
+def _bareiss(block: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): each division by the last pivot is exact, so all stay ``int``."""
+    a, sign, prev = [list(row) for row in block], 1, 1
+    for i in range(len(a)):
+        p = next((j for j in range(i, len(a)) if a[j][i]), None)
+        if p is None:
+            return 0
+        a[i], a[p], sign = a[p], a[i], sign if p == i else -sign
+        pivot, tail = a[i][i], a[i][i + 1:]
+        for row in a[i + 1:]:
+            row[i + 1:] = [(x * pivot - row[i] * y) // prev for x, y in zip(row[i + 1:], tail)]
+        prev = pivot
+    return sign * prev
+
+
+def block_determinant(matrix: list[list[int]], sizes: list[int]) -> int:
+    """Determinant of an integer matrix whose rows and columns split into
+    consecutive blocks of the given sizes s_0..s_k, row block i being zero
+    outside column block k - i.  Reversing the column blocks, at the sign
+    (-1)^(sum of s_i*s_j over i < j), leaves the diagonal blocks, each taken
+    by :func:`_bareiss`; one that is not square makes the matrix singular.
+    A pairing matrix qualifies with the group sizes of
+    ``QuotientRing.by_degree``: graded-lex lists the staircase by degree, so
+    the blocks are contiguous, and degree d pairs only with top - d (a
+    degree with no complement has zero rows, and so a zero block)."""
+    starts, k = [sum(sizes[:i]) for i in range(len(sizes))], len(sizes) - 1
+    det = -1 if sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1:]) % 2 else 1
+    for i, (start, size) in enumerate(zip(starts, sizes)):
+        if sizes[k - i] != size:
+            return 0
+        col = starts[k - i]
+        det *= _bareiss([row[col:col + size] for row in matrix[start:start + size]])
+    return det
 
 
 def fano_positivity_check(params: GeometryParams, grid_bound: int = 5) -> CheckReport:
@@ -603,9 +635,11 @@ def verify_classical_geometry(
     # staircase is an integral basis of the cohomology).  The blow-up
     # staircase only spans a finite-index sublattice for p >= 1, so there
     # the pairing is merely required to be nondegenerate.
-    det = int(determinant(pairing_matrix(bundle)))
+    det, det_blowup = (
+        block_determinant(pairing_matrix(pres), list(map(len, pres.quotient.by_degree.values())))
+        for pres in (bundle, blowup)
+    )
     report.add("pairing_unimodular", det in (1, -1), f"det {det}")
-    det_blowup = int(determinant(pairing_matrix(blowup)))
     report.add("pairing_nondegenerate_blowup", det_blowup != 0, f"det {det_blowup}")
 
     # Expected dimensions of the genus-0 moduli spaces.

@@ -21,6 +21,7 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import BudgetError, CheckFailure, StructuralError, UsageError
 from .poly import (
@@ -280,12 +281,8 @@ class _RingModel:
     units = ((1, 0, 0, 0), (0, 1, 0, 0))  # the two divisor variables
 
     def __init__(self, quotient: QuotientRing) -> None:
-        self._vs, self._nf = quotient.variables, quotient.normal_form
-        staircase = quotient.staircase
-        self._on_staircase = quotient.staircase_set
-        self.by_degree: dict[int, list[Mono]] = {}  # the staircase by weighted degree
-        for s in staircase:
-            self.by_degree.setdefault(self._vs.weighted_degree(s), []).append(s)
+        self._quotient, self._vs, self._nf = quotient, quotient.variables, quotient.normal_form
+        staircase, self._on_staircase = quotient.staircase, quotient.staircase_set
         free = all(map(self._vs.is_parameter_free, quotient.basis.leading_monomials()))
         self.matrices = tuple(
             {s: self._row(mono_mul(s, unit)) for s in staircase} for unit in self.units
@@ -331,12 +328,11 @@ class _RingModel:
         single top-degree staircase monomial in t * g (the integral of t * g
         in the classical bundle ring).  Memoised, a tuple per monomial."""
         if g not in self._gram:
-            degree, by_degree = self._vs.weighted_degree, self.by_degree
-            if len(tops := by_degree[max(by_degree)]) != 1:
-                raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
+            ring = self._quotient
+            t0 = ring.top_monomial(top := max(ring.by_degree))
             self._gram[g] = tuple(
-                (t, c) for t in by_degree.get(degree(tops[0]) - degree(g), ())
-                if (c := self.product(mono_mul(t, g)).get((0, 0), {}).get(tops[0], 0))
+                (t, c) for t in ring.by_degree.get(top - self._vs.weighted_degree(g), ())
+                if (c := self.product(mono_mul(t, g)).get((0, 0), {}).get(t0, 0))
             )
         return self._gram[g]
 
@@ -348,8 +344,9 @@ class QuotientRing(Frozen):
     divisor variables not divisible by any leading term; deformation
     parameters are excluded from the listing, so for deformed ideals the
     quotient is a parameter-module on these monomials.  Its integer
-    :attr:`model` and :attr:`staircase_set` are built on first use and kept
-    outside equality and hashing, in the instance ``__dict__``.
+    :attr:`model`, :attr:`staircase_set` and graded staircase :attr:`by_degree`
+    (read by the pairings, Gram rows and query kernels) are built on first use
+    and kept outside equality and hashing, in the instance ``__dict__``.
     """
 
     _fields = ("basis", "staircase")
@@ -379,6 +376,22 @@ class QuotientRing(Frozen):
     def staircase_set(self) -> frozenset[Mono]:
         """The staircase as a set, for membership tests."""
         return frozenset(self.staircase)
+
+    @cached_property
+    def by_degree(self) -> MappingProxyType[int, tuple[Mono, ...]]:
+        """The graded staircase, read-only: its monomials by weighted degree,
+        ascending, each group a contiguous run of the staircase (graded-lex
+        lists it by degree, as the divisor variables weigh 1)."""
+        groups: dict[int, list[Mono]] = {}
+        for s in self.staircase:
+            groups.setdefault(self.variables.weighted_degree(s), []).append(s)
+        return MappingProxyType({d: tuple(group) for d, group in groups.items()})
+
+    def top_monomial(self, degree: int) -> Mono:
+        """The one staircase monomial of a top degree, where classes pair."""
+        if len(tops := self.by_degree.get(degree, ())) != 1:
+            raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
+        return tops[0]
 
     @cached_property
     def model(self) -> _RingModel:

@@ -152,7 +152,7 @@ class _Kernel:
     def __init__(self, qp: Presentation) -> None:
         self.qp, self.classical = qp, classical_presentation(qp.params, BUNDLE).quotient
         # a parameter-free monomial has one degree in both coordinate systems
-        self.degree = {s: qp.variables.weighted_degree(s) for s in self.classical.staircase}
+        self.degree = {s: d for d, group in self.classical.by_degree.items() for s in group}
         self.corrected_rows: dict[Mono, dict[Key, dict[Mono, int]]] = {}
         self.paired_rows: dict[Mono, dict[Key, dict[Mono, int]]] = {}
 

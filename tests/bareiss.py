@@ -1,5 +1,6 @@
-"""Fraction-free (Bareiss 1968) integer determinant, kept as a test oracle
-for the sparse elimination in ``qcblowup.linalg``."""
+"""Fraction-free (Bareiss 1968) integer determinant on dense rows, kept as a
+test oracle for the block pairing determinant of ``qcblowup.geometry`` and
+the sparse elimination of ``elimination_oracle``."""
 
 
 def bareiss_determinant(rows: list[list[int]]) -> int:

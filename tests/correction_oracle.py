@@ -2,7 +2,7 @@
 of ``qcblowup.quantum.basis_corrections``.
 
 Both solve the divisor and fundamental-class axioms exactly, with
-:func:`qcblowup.linalg.eliminate` and the back substitution
+:func:`elimination_oracle.eliminate` and the back substitution
 :func:`solution`:
 
 * :func:`model_corrections` is the reduced system the package solved
@@ -24,13 +24,13 @@ from fractions import Fraction
 
 from qcblowup import CheckFailure, Polynomial, classical_presentation, integrate
 from qcblowup.groebner import _add
-from qcblowup.linalg import eliminate
 from qcblowup.quantum import _model_piece
+from elimination_oracle import eliminate
 from product_oracle import decompose_contributions
 
 
 def solution(system):
-    """Back substitution for an eliminated system (``linalg.Elimination``)
+    """Back substitution for an eliminated system (``elimination_oracle.Elimination``)
     of full rank whose right-hand side is column ``ncols``."""
     x = [Fraction(0)] * system.ncols
     for col in reversed(range(system.ncols)):
@@ -65,7 +65,7 @@ def model_corrections(qp):
     if cp.quotient.staircase != staircase:
         raise CheckFailure("deformed and classical staircases differ")
     deformed, classical = qp.quotient.model, cp.quotient.model
-    n, top, by_degree = params.n, params.top_degree, classical.by_degree
+    n, top, by_degree = params.n, params.top_degree, cp.quotient.by_degree
 
     # Unknowns, in column order: the components of the correction C_s of
     # each monomial s of degree >= n, over the classes of degree deg s - n.
@@ -110,8 +110,7 @@ def model_corrections(qp):
     # Fundamental-class closure: for complementary pairs the corrected
     # exceptional-line contribution of x * y integrates to zero; the Gram
     # row of x pairs it with the components of C_y (of degree top - deg x).
-    if len(tops := by_degree.get(top, [])) != 1:
-        raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
+    top_monomial = cp.quotient.top_monomial(top)
     for dx in range(n, top + 1):
         dy = top + n - dx
         if dy < n or dy > top or dy < dx:
@@ -120,7 +119,7 @@ def model_corrections(qp):
             for y in by_degree.get(dy, []):
                 if dy == dx and y < x:
                     continue
-                row = {ncols: -_model_piece(deformed, x, y, (0, 1)).get(tops[0], 0)}
+                row = {ncols: -_model_piece(deformed, x, y, (0, 1)).get(top_monomial, 0)}
                 for mu, c in classical.gram_row(x):
                     bump(row, (y, mu), c)
                 for mu, c in classical.gram_row(y):

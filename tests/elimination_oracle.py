@@ -1,11 +1,12 @@
-"""Exact sparse Gaussian elimination over the integers and the rationals.
+"""Exact sparse Gaussian elimination over the integers and the rationals,
+kept as a test oracle: the basis-correction solves of
+``correction_oracle`` run on :func:`eliminate`, and :func:`determinant` is
+the reference of the package's block pairing determinant
+(``qcblowup.geometry.block_determinant``).
 
 Rows are maps ``{column: value}`` holding only nonzero entries.  An entry
 stays an ``int`` while every elimination step divides exactly; a step that
-does not goes through an exact ``Fraction``.  In the package
-:func:`eliminate` serves only the pairing determinants
-(:func:`determinant`); the basis corrections have a closed form, and the
-tests solve their linear systems with it as oracles.
+does not goes through an exact ``Fraction``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .poly import Scalar, _canonical
-from .records import Frozen
+from qcblowup.poly import Scalar, _canonical
+from qcblowup.records import Frozen
 
 Row = dict[int, Scalar]
 

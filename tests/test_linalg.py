@@ -1,14 +1,15 @@
-"""Sparse exact elimination: solves, consistency checks and determinants."""
+"""The sparse exact elimination oracle (``elimination_oracle``): solves,
+consistency checks and determinants."""
 
 from fractions import Fraction
 
 import pytest
 from bareiss import bareiss_determinant
 from correction_oracle import solution
+from elimination_oracle import determinant, eliminate
 from hypothesis import given, settings, strategies as st
 
 from qcblowup import classical_presentation, pairing_matrix
-from qcblowup.linalg import determinant, eliminate
 
 
 def test_unique_system_is_solved_exactly():

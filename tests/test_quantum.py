@@ -32,12 +32,12 @@ from qcblowup import (
 )
 from qcblowup import quantum
 from qcblowup.geometry import _build
-from qcblowup.linalg import eliminate
 
 import correction_oracle
 import product_oracle
 import symmetry_oracle
 from correction_oracle import model_corrections, polynomial_corrections
+from elimination_oracle import eliminate
 from invariant_oracle import assembled_invariant, pairwise_piece, piecewise_invariant
 from product_oracle import contributions, groebner_contributions, staircase_products
 from symmetry_oracle import verify_s3_symmetry
@@ -277,17 +277,20 @@ def test_the_model_solve_has_no_two_point_unknowns(monkeypatch):
 
 
 def test_a_cold_closed_form_reads_no_model_gram_row_or_solve(monkeypatch):
-    # the closed form reads the two staircases only: no ring model, no Gram
-    # row and no elimination, even with its cache cleared
-    from qcblowup import linalg
+    # the closed form reads the two staircases only: no ring model and no
+    # Gram row, even with its cache cleared; and the package ships no
+    # elimination module at all
+    import importlib.util
+
     from qcblowup.groebner import _RingModel
+
+    assert importlib.util.find_spec("qcblowup.linalg") is None
 
     qp = quantum_presentation(derive_params(16, 5), "bundle")
     expected = dict(basis_corrections(qp))
     reads = []
     monkeypatch.setattr(QuotientRing, "model", property(lambda ring: reads.append("model")))
     monkeypatch.setattr(_RingModel, "gram_row", lambda model, g: reads.append("gram_row"))
-    monkeypatch.setattr(linalg, "eliminate", lambda *args: reads.append("eliminate"))
     basis_corrections.cache_clear()
     assert basis_corrections(qp) == expected
     assert reads == []
@@ -1134,12 +1137,13 @@ def test_the_model_solve_reads_the_gram_rows():
     # n..top
     params = derive_params(16, 5)
     qp = quantum_presentation(params, "bundle")
-    model = classical_presentation(params, "bundle").quotient.model
+    quotient = classical_presentation(params, "bundle").quotient
+    model = quotient.model
     model._gram.clear()
     corrections = model_corrections(qp)
     assert set(model._gram) == {
         mono
-        for d, monos in model.by_degree.items()
+        for d, monos in quotient.by_degree.items()
         if params.n <= d <= params.top_degree
         for mono in monos
     }
@@ -1162,11 +1166,15 @@ def test_gram_rows_match_the_pairing_matrix(grid_params):
 def test_gram_rows_need_one_top_staircase_monomial(params40):
     from qcblowup.groebner import _RingModel
 
+    # the model reads its ring's graded staircase: fold the top degree into
+    # the one below it, in the cache of a fresh copy of the ring
     cp = classical_presentation(params40, "bundle")
-    short = _RingModel(cp.quotient)
-    short.by_degree[params40.top_degree - 1] += short.by_degree.pop(params40.top_degree)
+    quotient = QuotientRing(cp.quotient.basis, cp.quotient.staircase)
+    folded = dict(quotient.by_degree)
+    folded[params40.top_degree - 1] += folded.pop(params40.top_degree)
+    quotient.__dict__["by_degree"] = folded
     with pytest.raises(CheckFailure, match="3 staircase monomials of top degree, expected 1"):
-        short.gram_row(cp.quotient.staircase[0])
+        _RingModel(quotient).gram_row(cp.quotient.staircase[0])
 
 
 # -- verification suites --------------------------------------------------------------

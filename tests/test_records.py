@@ -22,8 +22,9 @@ from qcblowup import (
     classical_presentation,
     derive_params,
 )
-from qcblowup.linalg import Elimination
 from qcblowup.poly import blowup_variables
+
+from elimination_oracle import Elimination
 
 BV = bundle_variables(3, 4)
 XI = Polynomial.variable(BV, "xi")
