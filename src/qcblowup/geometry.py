@@ -187,44 +187,43 @@ def variables_for(params: GeometryParams, coords: str) -> VariableSet:
 def classical_relations(
     params: GeometryParams, coords: str
 ) -> tuple[Polynomial, Polynomial]:
-    """The two classical relations in the requested coordinates.
+    """The two classical relations in the requested coordinates, read off
+    integer binomial rows (:func:`_binary_form`) with no polynomial power.
 
     In bundle coordinates the second relation is built twice, from the
-    factored form and from the Chern coefficients, and the two expansions
-    are required to agree.
+    factored form (its binomial row) and from the Chern coefficients (in
+    polynomial arithmetic), and the two expansions are required to agree.
     """
     vs = variables_for(params, coords)
+    n, r = params.n, params.r
+    # (k - eta)^(m-p) by eta power, or (xi - h)^(r-1) (xi - 2h) by h power
+    a, b = (params.m - params.p, 0) if coords == BLOWUP else (r - 1, 1)
+    row = _binary_form(a, b, ((1, -1), (1, -2)))
+    first = Polynomial._from_clean(vs, {(a + b - j, j, 0, 0): c for j, c in enumerate(row) if c})
     if coords == BLOWUP:
-        k = Polynomial.variable(vs, "k")
-        eta = Polynomial.variable(vs, "eta")
-        return ((k - eta) ** (params.m - params.p), k ** (params.p + 1) * eta)
-    xi = Polynomial.variable(vs, "xi")
-    h = Polynomial.variable(vs, "h")
-    factored = (xi - h) ** (params.r - 1) * (xi - 2 * h)
+        return first, Polynomial._from_clean(vs, {(params.p + 1, 1, 0, 0): 1})
+    xi, h = Polynomial.variable(vs, "xi"), Polynomial.variable(vs, "h")
     chern = chern_coefficients(params)
     expanded = Polynomial.zero(vs)
-    for k_ in range(params.r + 1):
-        expanded = expanded + (-1) ** k_ * chern[k_] * h ** k_ * xi ** (params.r - k_)
-    if factored != expanded:
+    for k_ in range(r + 1):
+        expanded = expanded + (-1) ** k_ * chern[k_] * h ** k_ * xi ** (r - k_)
+    if first != expanded:
         raise CheckFailure("factored and Chern-expanded fiber relations disagree")
-    return (h ** (params.n + 1), factored)
+    return Polynomial._from_clean(vs, {(0, n + 1, 0, 0): 1}), first
 
 
 def quantum_relations(
     params: GeometryParams, coords: str
 ) -> tuple[Polynomial, Polynomial]:
-    """The two deformed relations in the requested coordinates."""
-    classical = classical_relations(params, coords)
-    vs = classical[0].variables
-    q1 = Polynomial.variable(vs, "q1")
-    q2 = Polynomial.variable(vs, "q2")
-    if coords == BLOWUP:
-        eta = Polynomial.variable(vs, "eta")
-        deformed = (classical[0] - eta * q2, classical[1] - q1)
-    else:
-        xi = Polynomial.variable(vs, "xi")
-        h = Polynomial.variable(vs, "h")
-        deformed = (classical[0] - (xi - 2 * h) * q2, classical[1] - q1)
+    """The two deformed relations in the requested coordinates: the
+    classical ones minus eta*q2 (E*q2 = (xi - 2h)*q2 in bundle coordinates)
+    and minus q1."""
+    base, fiber = classical_relations(params, coords)
+    shift = {(0, 1, 0, 1): -1} if coords == BLOWUP else {(1, 0, 0, 1): -1, (0, 1, 0, 1): 2}
+    deformed = tuple(
+        Polynomial._from_clean(base.variables, {**rel.terms, **extra})
+        for rel, extra in ((base, shift), (fiber, {(0, 0, 1, 0): -1}))
+    )
     for rel in deformed:
         if not rel.is_homogeneous():
             raise CheckFailure(f"deformed relation {rel} is not graded-homogeneous")
@@ -329,11 +328,13 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
 
 
 def _carries_ideal(source: Presentation, target: Presentation) -> bool:
-    """True iff the coordinate change carries the ideal of ``source`` onto
-    that of ``target``: the mapped relations have its reduced basis."""
+    """True iff the coordinate change carries the ideal of ``source`` into
+    that of ``target``: each relation of ``source``, mapped, has normal form
+    0 against the basis ``target`` already holds.  The inclusions both ways
+    prove the two ideals equal."""
     direction = BLOWUP_TO_BUNDLE if target.coords == BUNDLE else BUNDLE_TO_BLOWUP
-    mapped = tuple(change_vars(g, direction) for g in source.relations)
-    return buchberger(Ideal(target.variables, mapped)) == target.quotient.basis
+    nf = target.quotient.normal_form
+    return all(nf(change_vars(g, direction)).is_zero for g in source.relations)
 
 
 def _to_bundle(f: Polynomial) -> Polynomial:
@@ -584,7 +585,8 @@ def verify_classical_geometry(
         f"rank {blowup.quotient.rank}, expected {params.rank}",
     )
 
-    # Coordinate change carries each classical ideal onto the other.
+    # Coordinate change carries each classical ideal into the other, so
+    # the two inclusions prove them equal.
     report.add("ideal_correspondence_to_bundle", _carries_ideal(blowup, bundle))
     report.add("ideal_correspondence_to_blowup", _carries_ideal(bundle, blowup))
 

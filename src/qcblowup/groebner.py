@@ -6,8 +6,9 @@ normal pair selection and the two classical criteria that skip a pair whose
 S-polynomial reduces to zero (coprime leading terms, and the chain
 criterion of Buchberger 1979; Cox, Little and O'Shea, *Ideals, Varieties,
 and Algorithms*, ch. 2 Sec. 10), followed by minimalization and
-interreduction.  Computation is over the rationals; callers that need
-integral results check integrality downstream.
+interreduction.  One routine, :func:`_pseudo_reduce`, reduces fraction-free
+(after Bareiss 1968) over primitive integer polynomials; results are exact
+rationals, and callers that need integral ones check downstream.
 
 A :class:`GroebnerBasis` is immutable once constructed and may be shared
 between threads.  Normal forms of single monomials are memoized on the basis
@@ -21,6 +22,9 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, neg, sub
 from types import MappingProxyType
 
 from .errors import BudgetError, CheckFailure, StructuralError, UsageError
@@ -78,7 +82,7 @@ class GroebnerBasis:
         self.ideal = ideal
         self.polys = polys
         self.peak_degree = peak_degree
-        self._reducers = tuple((p.leading_monomial(), p) for p in polys)
+        self._reducers = tuple(map(_reducer, (p.terms for p in polys)))
         self._nf_memo: dict[Mono, Polynomial] = {}
 
     @property
@@ -86,13 +90,7 @@ class GroebnerBasis:
         return self.ideal.variables
 
     def leading_monomials(self) -> tuple[Mono, ...]:
-        return tuple(lm for lm, _ in self._reducers)
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self) -> int:
-        return len(self.polys)
+        return tuple(entry[0] for entry in self._reducers)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroebnerBasis):
@@ -106,47 +104,81 @@ class GroebnerBasis:
         return f"GroebnerBasis({[str(p) for p in self.polys]})"
 
 
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of f and g: the leading terms cancel against their lcm."""
-    if f.variables != g.variables:
-        raise UsageError("S-polynomial of polynomials over different variable sets")
-    lmf, lcf = f.leading_term()
-    lmg, lcg = g.leading_term()
-    lcm = mono_lcm(lmf, lmg)
-    tf = Polynomial._from_clean(f.variables, {mono_div(lcm, lmf): _canonical(Fraction(1, 1) / lcf)})
-    tg = Polynomial._from_clean(g.variables, {mono_div(lcm, lmg): _canonical(Fraction(1, 1) / lcg)})
-    return tf * f - tg * g
+# A reducer is a primitive integer polynomial split for pseudo-reduction:
+# its leading monomial, that monomial's coefficient and the other terms.
+Reducer = tuple[Mono, int, tuple[tuple[Mono, int], ...]]
 
 
-def _reduce(f: Polynomial, reducers: Sequence[tuple[Mono, Polynomial]]) -> Polynomial:
-    """Full remainder of f under division by monic reducers (lt, poly)."""
-    variables = f.variables
-    rest = dict(f.terms)
-    get = rest.get
-    out: dict[Mono, Scalar] = {}
-    while rest:
-        mono = max(rest, key=grlex_key)
-        coeff = rest.pop(mono)
-        for lt, g in reducers:
-            if mono_divides(lt, mono):
-                t = mono_div(mono, lt)
-                factor = -coeff
-                for m2, c2 in g.terms.items():
-                    if m2 != lt:
-                        m = mono_mul(m2, t)
-                        if c := get(m, 0) + factor * c2:
-                            rest[m] = c
-                        else:
-                            del rest[m]  # cancelled
+def _reducer(terms: dict[Mono, Scalar]) -> Reducer:
+    """The primitive integer multiple of nonzero terms (denominators
+    cleared, content divided out), split as a reducer."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    content, lm = gcd(*ints.values()), max(ints, key=grlex_key)
+    return lm, ints[lm] // content, tuple((m, c // content) for m, c in ints.items() if m != lm)
+
+
+def _pseudo_reduce(
+    terms: dict[Mono, int], reducers: Sequence[Reducer]
+) -> tuple[dict[Mono, int], int]:
+    """Fraction-free full division: (r, s) with s > 0, no term of r divisible
+    by a leading monomial and s*f - r in the ideal, so r/s is the remainder.
+    Leading monomials come off a heap; the first reducer dividing one cancels
+    it, after everything is scaled up by its leading coefficient over their
+    gcd only when that coefficient does not divide the term's."""
+    rest, out, scale = dict(terms), {}, 1
+    # graded-lex reversed in each entry, so heapq pops the leading monomial
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rest]
+    heapify(heap)
+    while heap:
+        mono = heappop(heap)[2]
+        if not (coeff := rest.pop(mono, 0)):
+            continue  # cancelled, or a stale second entry
+        for lt, lc, tail in reducers:
+            if all(map(le, lt, mono)):
                 break
         else:
-            out[mono] = _canonical(coeff)
-    return Polynomial._from_clean(variables, out)
+            out[mono] = coeff
+            continue
+        if coeff % lc:
+            mult = abs(lc) // gcd(coeff, lc)
+            scale, coeff = scale * mult, coeff * mult
+            rest, out = ({m: c * mult for m, c in part.items()} for part in (rest, out))
+        factor, t = -(coeff // lc), tuple(map(sub, mono, lt))
+        for m2, c2 in tail:
+            m = tuple(map(add, m2, t))
+            if (c := rest.get(m)) is None:
+                rest[m] = factor * c2
+                heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+            elif c := c + factor * c2:
+                rest[m] = c
+            else:
+                del rest[m]  # cancelled; its heap entry goes stale
+    return out, scale
 
 
-def _monic(f: Polynomial) -> Polynomial:
-    _, lc = f.leading_term()
-    return f if lc == 1 else f * (Fraction(1) / lc)
+def _spair(f: Reducer, g: Reducer) -> dict[Mono, int]:
+    """The integer S-polynomial of two reducers: each times the other's
+    leading coefficient over their gcd, leading terms cancelled."""
+    (lmf, lcf, tailf), (lmg, lcg, tailg) = f, g
+    lcm_, d, out = mono_lcm(lmf, lmg), gcd(lcf, lcg), {}
+    for tail, lt, scale in ((tailf, lmf, lcg // d), (tailg, lmg, -(lcf // d))):
+        t = tuple(map(sub, lcm_, lt))
+        for m, c in tail:
+            m = tuple(map(add, m, t))
+            out[m] = out.get(m, 0) + scale * c
+    return {m: c for m, c in out.items() if c}
+
+
+def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """S-polynomial of f and g: the monic leading terms cancel against their
+    lcm.  The integer S-pair (:func:`_spair`) divided by lc_f*lc_g/gcd."""
+    if f.variables != g.variables:
+        raise UsageError("S-polynomial of polynomials over different variable sets")
+    rf, rg = _reducer(f.terms), _reducer(g.terms)
+    den = rf[1] * rg[1] // gcd(rf[1], rg[1])
+    terms = {m: _canonical(Fraction(c, den)) for m, c in _spair(rf, rg).items()}
+    return Polynomial._from_clean(f.variables, terms)
 
 
 def buchberger(
@@ -159,28 +191,28 @@ def buchberger(
 
     Budgets guard against runaway computations: exceeding either the total
     degree of any intermediate element or the number of treated S-pairs
-    raises :class:`BudgetError` rather than truncating.
+    raises :class:`BudgetError` rather than truncating.  The elements stay
+    primitive integer polynomials (:func:`_pseudo_reduce`).
     """
     degree_budget = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
     pair_budget = DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
 
-    basis: list[Polynomial] = []
-    peak = -1
-    for g in ideal.generators:
-        degree = g.total_degree()
-        peak = max(peak, degree)
-        if degree > degree_budget:
-            raise BudgetError(f"generator degree {degree} exceeds budget {degree_budget}")
-        basis.append(_monic(g))
-    lms = [p.leading_monomial() for p in basis]
-    reducers = list(zip(lms, basis))
+    degrees = [g.total_degree() for g in ideal.generators]
+    if (over := next((d for d in degrees if d > degree_budget), None)) is not None:
+        raise BudgetError(f"generator degree {over} exceeds budget {degree_budget}")
+    reducers, peak = [_reducer(g.terms) for g in ideal.generators], max(degrees)
+    lms = [lm for lm, _, _ in reducers]
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # Pending pairs (i, j), i < j, in the set the chain criterion reads and
+    # on a heap popping them in the order of (lcm, i, j), each key made once.
+    pairs: set[tuple[int, int]] = set()
+    queue: list[tuple[tuple[int, Mono], int, int]] = []
     treated = 0
 
-    def pair_key(pair: tuple[int, int]):
-        i, j = pair
-        return (grlex_key(mono_lcm(lms[i], lms[j])), i, j)
+    def add_pairs(j: int) -> None:
+        for i in range(j):
+            pairs.add((i, j))
+            heappush(queue, (grlex_key(mono_lcm(lms[i], lms[j])), i, j))
 
     def chained(i: int, j: int, lcm: Mono) -> bool:
         """Buchberger's second criterion: some other leading monomial divides
@@ -192,41 +224,43 @@ def buchberger(
             for k, lm in enumerate(lms)
         )
 
-    while pairs:
-        i, j = min(pairs, key=pair_key)
+    for j in range(1, len(reducers)):
+        add_pairs(j)
+    while queue:
+        (_, lcm), i, j = heappop(queue)
         pairs.discard((i, j))
         treated += 1
         if treated > pair_budget:
             raise BudgetError(f"pair budget {pair_budget} exceeded")
-        lcm = mono_lcm(lms[i], lms[j])
         if lcm == mono_mul(lms[i], lms[j]) or chained(i, j, lcm):
             continue  # the S-polynomial reduces to zero
-        remainder = _reduce(spolynomial(basis[i], basis[j]), reducers)
-        if remainder.is_zero:
+        remainder, _ = _pseudo_reduce(_spair(reducers[i], reducers[j]), reducers)
+        if not remainder:
             continue
-        degree = remainder.total_degree()
+        degree = max(map(sum, remainder))
         peak = max(peak, degree)
         if degree > degree_budget:
             raise BudgetError(f"intermediate degree {degree} exceeds budget {degree_budget}")
-        basis.append(_monic(remainder))
-        lms.append(remainder.leading_monomial())
-        reducers.append((lms[-1], basis[-1]))
-        pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
+        reducers.append(_reducer(remainder))
+        lms.append(reducers[-1][0])
+        add_pairs(len(reducers) - 1)
 
     # Minimalize: drop elements whose leading term is divisible by another's.
     reducers.sort(key=lambda entry: grlex_key(entry[0]))
-    minimal: list[tuple[Mono, Polynomial]] = []
-    for lm, p in reducers:
-        if not any(mono_divides(other, lm) for other, _ in minimal):
-            minimal.append((lm, p))
+    minimal: list[Reducer] = []
+    for entry in reducers:
+        if not any(mono_divides(other[0], entry[0]) for other in minimal):
+            minimal.append(entry)
 
-    # Interreduce: every element fully reduced against the others.  The
-    # leading terms are untouched, so the order stays ascending.
-    reduced = tuple(
-        _monic(_reduce(p, minimal[:idx] + minimal[idx + 1:]))
-        for idx, (_, p) in enumerate(minimal)
-    )
-    return GroebnerBasis(ideal, reduced, peak)
+    # Interreduce: every element fully reduced against the others, then
+    # made monic.  The leading terms are untouched, so the order stays.
+    reduced = []
+    for idx, (lm, lc, tail) in enumerate(minimal):
+        terms, _ = _pseudo_reduce({lm: lc, **dict(tail)}, minimal[:idx] + minimal[idx + 1:])
+        lead = terms[lm]
+        monic = {m: c // lead if not c % lead else Fraction(c, lead) for m, c in terms.items()}
+        reduced.append(Polynomial._from_clean(ideal.variables, monic))
+    return GroebnerBasis(ideal, tuple(reduced), peak)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -248,8 +282,10 @@ def _normal_form_monomial(gb: GroebnerBasis, mono: Mono) -> Polynomial:
     memo = gb._nf_memo
     cached = memo.get(mono)
     if cached is None:
-        cached = _reduce(Polynomial._from_clean(gb.variables, {mono: 1}), gb._reducers)
-        memo[mono] = cached
+        terms, scale = _pseudo_reduce({mono: 1}, gb._reducers)
+        if scale != 1:  # divide by the accumulated scale once
+            terms = {m: _canonical(Fraction(c, scale)) for m, c in terms.items()}
+        cached = memo[mono] = Polynomial._from_clean(gb.variables, terms)
     return cached
 
 
@@ -406,26 +442,21 @@ def staircase_basis(gb: GroebnerBasis) -> QuotientRing:
     power among the parameter-free leading terms, i.e. the staircase is
     infinite and the ideal is not the expected one.
     """
-    variables = gb.variables
-    nvars = len(variables)
-    dc = variables.divisor_count
+    variables, dc = gb.variables, gb.variables.divisor_count
     qfree = [lm for lm in gb.leading_monomials() if variables.is_parameter_free(lm)]
     bounds: list[int] = []
     for i in range(dc):
-        pure = [
-            lm[i]
-            for lm in qfree
-            if all(lm[j] == 0 for j in range(nvars) if j != i)
-        ]
-        if not pure:
-            raise StructuralError(
-                f"staircase is infinite in variable {variables.names[i]!r}"
-            )
+        if not (pure := [lm[i] for lm in qfree if sum(lm) == lm[i]]):  # powers of variable i
+            raise StructuralError(f"staircase is infinite in variable {variables.names[i]!r}")
         bounds.append(min(pure))
+    # a run in the last divisor variable stops at its first leading multiple
     staircase: list[Mono] = []
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        mono = exps + (0,) * (nvars - dc)
-        if not any(mono_divides(lm, mono) for lm in qfree):
+    *heads, last_bound = bounds or [1]  # no divisor variable: the run of 1
+    for head in itertools.product(*map(range, heads)):
+        for last in range(last_bound):
+            mono = (head + (last,))[:dc] + (0,) * (len(variables) - dc)
+            if any(mono_divides(lm, mono) for lm in qfree):
+                break
             staircase.append(mono)
     staircase.sort(key=grlex_key)
     return QuotientRing(gb, tuple(staircase))

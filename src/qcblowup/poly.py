@@ -293,15 +293,6 @@ class Polynomial:
         """True when no deformation parameter occurs."""
         return all(self.variables.is_parameter_free(m) for m in self.terms)
 
-    def leading_term(self) -> tuple[Mono, Scalar]:
-        if self.is_zero:
-            raise UsageError("the zero polynomial has no leading term")
-        m = max(self.terms, key=grlex_key)
-        return m, self.terms[m]
-
-    def leading_monomial(self) -> Mono:
-        return self.leading_term()[0]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_same_variables(self, other: Polynomial) -> None:

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from qcblowup import CheckFailure, Polynomial, classical_presentation, integrate
 from qcblowup.groebner import _add
-from qcblowup.quantum import _model_piece
 from elimination_oracle import eliminate
+from pair_sweep_oracle import model_piece
 from product_oracle import decompose_contributions
 
 
@@ -119,7 +119,7 @@ def model_corrections(qp):
             for y in by_degree.get(dy, []):
                 if dy == dx and y < x:
                     continue
-                row = {ncols: -_model_piece(deformed, x, y, (0, 1)).get(top_monomial, 0)}
+                row = {ncols: -model_piece(deformed, x, y, (0, 1)).get(top_monomial, 0)}
                 for mu, c in classical.gram_row(x):
                     bump(row, (y, mu), c)
                 for mu, c in classical.gram_row(y):

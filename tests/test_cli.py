@@ -441,7 +441,7 @@ def test_verify_builds_each_presentation_once_without_a_budget(capsys, monkeypat
 
 
 @pytest.mark.parametrize("argv, runs", [
-    (("verify", "--m", "8", "--p", "1"), 7),
+    (("verify", "--m", "8", "--p", "1"), 4),
     (("gw", "--m", "8", "--p", "1", "--coords", "blowup", "--class", "1,0",
       "--alpha", "k", "--beta", "k^2", "--gamma", "k^5*eta^3"), 3),
     (("gw", "--m", "8", "--p", "1", "--class", "1,0",

@@ -33,6 +33,7 @@ from qcblowup import (
     oracle_integrate,
     pair_divisor_curve,
     pairing_matrix,
+    quantum_presentation,
     quantum_relations,
     segre_integral_oracle,
     verify_classical_geometry,
@@ -192,14 +193,42 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_each_correspondence_check_builds_one_basis(monkeypatch, params81):
-    # the other side of each comparison is the basis the presentation holds
+def test_the_correspondence_checks_build_no_basis(monkeypatch, params81):
+    # each inclusion reduces mapped relations by the basis the target
+    # presentation already holds, so no Buchberger run is left
     verify_classical_geometry(params81)
     calls = _counting(monkeypatch, "buchberger")
     report = verify_classical_geometry(params81)
     assert _entry(report, "ideal_correspondence_to_bundle")
     assert _entry(report, "ideal_correspondence_to_blowup")
-    assert len(calls) == 2
+    assert len(calls) == 0
+
+
+def carries_ideal_by_bases(source, target):
+    """The former check, kept as the oracle of ``geometry._carries_ideal``:
+    the mapped relations of ``source`` have the reduced basis of ``target``."""
+    from qcblowup import Ideal, buchberger
+
+    direction = BLOWUP_TO_BUNDLE if target.coords == "bundle" else BUNDLE_TO_BLOWUP
+    mapped = tuple(geometry.change_vars(g, direction) for g in source.relations)
+    return buchberger(Ideal(target.variables, mapped)) == target.quotient.basis
+
+
+CORRESPONDENCE_GRID = [(m, p) for m in range(4, 13) for p in range(4) if p <= m - 2]
+
+
+@pytest.mark.parametrize(
+    "m, p", CORRESPONDENCE_GRID, ids=[f"m{m}p{p}" for m, p in CORRESPONDENCE_GRID]
+)
+def test_both_inclusions_agree_with_the_comparison_of_reduced_bases(m, p):
+    # the two normal-form inclusions hold exactly where the mapped relations
+    # have the target's reduced basis, classical and deformed, both ways
+    params = derive_params(m, p)
+    for build in (classical_presentation, quantum_presentation):
+        bundle, blowup = build(params, "bundle"), build(params, "blowup")
+        for source, target in ((blowup, bundle), (bundle, blowup)):
+            assert geometry._carries_ideal(source, target)
+            assert carries_ideal_by_bases(source, target)
 
 
 def test_ideal_correspondence_fails_on_a_changed_relation(monkeypatch, params40):
@@ -217,6 +246,22 @@ def test_ideal_correspondence_fails_on_a_changed_relation(monkeypatch, params40)
     report = verify_classical_geometry(params40)
     assert not _entry(report, "ideal_correspondence_to_bundle")
     assert _entry(report, "ideal_correspondence_to_blowup")
+
+
+def test_a_changed_relation_fails_both_correspondence_checks_alike(monkeypatch, params40):
+    # the mapped fiber relation gains h^r: the inclusion fails with the oracle
+    bundle = classical_presentation(params40, "bundle")
+    blowup = classical_presentation(params40, "blowup")
+    h = Polynomial.variable(bundle.variables, "h")
+    original = geometry.change_vars
+
+    def changed(f, direction):
+        out = original(f, direction)
+        return out + h**params40.r if out == bundle.relations[1] else out
+
+    monkeypatch.setattr(geometry, "change_vars", changed)
+    assert not geometry._carries_ideal(blowup, bundle)
+    assert not carries_ideal_by_bases(blowup, bundle)
 
 
 # -- integration -----------------------------------------------------------------

@@ -29,7 +29,7 @@ from qcblowup import (
 from qcblowup import groebner
 from qcblowup.poly import mono_mul
 import buchberger_oracle
-from buchberger_oracle import oracle_buchberger
+from buchberger_oracle import leading_term, monic_reducers, oracle_buchberger
 
 BV = bundle_variables(2, 3)
 
@@ -60,7 +60,7 @@ def test_principal_ideal_gives_monic_generator():
     gb = buchberger(Ideal(BV, (f,)))
     # leading term under graded-lex is -6*xi*q1
     assert gb.polys == (f * Fraction(-1, 6),)
-    assert gb.polys[0].leading_term()[1] == 1
+    assert leading_term(gb.polys[0])[1] == 1
 
 
 def test_deformed_ideal_leading_terms():
@@ -81,11 +81,11 @@ def test_spolynomials_of_basis_reduce_to_zero():
 def test_basis_is_reduced_and_monic():
     gb = buchberger(bundle_deformed_ideal())
     for i, g in enumerate(gb.polys):
-        assert g.leading_term()[1] == 1
+        assert leading_term(g)[1] == 1
         for j, other in enumerate(gb.polys):
             if i == j:
                 continue
-            lt = other.leading_monomial()
+            lt = leading_term(other)[0]
             for mono in g.terms:
                 assert not all(x <= y for x, y in zip(lt, mono))
 
@@ -196,7 +196,7 @@ def test_normal_form_matches_the_whole_remainder():
             inputs.append(Polynomial(vs, terms))
         for f in inputs:
             nf = normal_form(f, gb)
-            assert nf == groebner._reduce(f, gb._reducers)
+            assert nf == buchberger_oracle._reduce(f, monic_reducers(gb))
             assert all(c and (type(c) is int or c.denominator > 1) for c in nf.terms.values())
         assert normal_form(relation, gb).is_zero
 
@@ -277,6 +277,28 @@ def test_infinite_staircase_detected():
         staircase_basis(buchberger(Ideal(BV, (xi**2,))))
 
 
+def test_staircase_runs_stop_at_the_first_leading_multiple(grid_params):
+    # the staircase against every monomial below the pure-power bounds that
+    # no parameter-free leading monomial divides
+    for build in (classical_presentation, quantum_presentation):
+        for coords in ("bundle", "blowup"):
+            ring = build(grid_params, coords).quotient
+            lms = [lm for lm in ring.basis.leading_monomials() if not any(lm[2:])]
+            bound = max(map(sum, lms)) + 1
+            brute = [
+                (a, b, 0, 0) for a in range(bound) for b in range(bound)
+                if not any(lm[0] <= a and lm[1] <= b for lm in lms)
+            ]
+            assert ring.staircase == tuple(sorted(brute, key=lambda m: (sum(m), m)))
+
+
+def test_staircase_without_divisor_variables():
+    # one run, of the monomial 1, unless it is a leading monomial
+    vs = VariableSet(("q",), (1,), divisor_count=0)
+    assert staircase_basis(buchberger(Ideal(vs, (Polynomial.variable(vs, "q"),)))).staircase == ((0,),)
+    assert staircase_basis(buchberger(Ideal(vs, (Polynomial.one(vs),)))).staircase == ()
+
+
 def test_staircase_monomials_are_normal_forms():
     ring = staircase_basis(buchberger(bundle_deformed_ideal()))
     for b in ring.staircase_polynomials():
@@ -325,6 +347,9 @@ def test_ideal_equal_requires_same_setting():
 # -- against the former loop ---------------------------------------------------
 
 ORACLE_INSTANCES = [(m, p) for m in range(2, 13) for p in range(m - 1)] + [(16, 5), (20, 4)]
+ORACLE_INSTANCES += [
+    (m, p) for m in range(13, 25) for p in range(9) if (m, p) not in ORACLE_INSTANCES
+]
 
 
 def presentation_ideal(m, p, coords, quantum):
@@ -334,34 +359,90 @@ def presentation_ideal(m, p, coords, quantum):
 
 @pytest.mark.parametrize("m, p", ORACLE_INSTANCES, ids=[f"m{m}p{p}" for m, p in ORACLE_INSTANCES])
 def test_reduced_bases_match_the_former_loop(m, p):
-    # the chain criterion and the cached leading monomials change no basis
+    # the chain criterion, the cached leading monomials and the integer
+    # kernel change no basis and no peak degree
     for coords in ("bundle", "blowup"):
         for quantum in (False, True):
             ideal = presentation_ideal(m, p, coords, quantum)
-            assert buchberger(ideal).polys == oracle_buchberger(ideal).polys
+            got, want = buchberger(ideal), oracle_buchberger(ideal)
+            assert got.polys == want.polys
+            assert got.peak_degree == want.peak_degree
 
 
-def _counting_spolynomials(monkeypatch, module):
+SMALL_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 2, st.integers(0, 1), st.integers(0, 1)),
+    st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(SMALL_TERMS, min_size=1, max_size=3), SMALL_TERMS)
+def test_the_integer_kernel_matches_the_fraction_loop_on_small_ideals(generators, probe):
+    # rational, non-monic and negative leading coefficients; a budget keeps
+    # a runaway draw short, and then both loops give up alike
+    ideal = Ideal(BV, [Polynomial(BV, terms) for terms in generators])
+    try:
+        want = oracle_buchberger(ideal, max_degree=8, max_pairs=60)
+    except BudgetError as exc:
+        with pytest.raises(BudgetError, match=str(exc)):
+            buchberger(ideal, max_degree=8, max_pairs=60)
+        return
+    got = buchberger(ideal, max_degree=8, max_pairs=60)
+    assert (got.polys, got.peak_degree) == (want.polys, want.peak_degree)
+    f = Polynomial(BV, probe)
+    assert normal_form(f, got) == buchberger_oracle._reduce(f, monic_reducers(got))
+    for i, g in enumerate(got.polys):
+        for h in got.polys[i + 1:]:
+            assert spolynomial(g, h) == buchberger_oracle.spolynomial(g, h)
+
+
+def test_normal_form_matches_the_oracle_division_on_the_grid_rings(grid_params):
+    # random rational classes, in both coordinate systems, classical and
+    # deformed (the blow-up rings with p >= 1 have rational normal forms)
+    rng = random.Random(grid_params.m * 100 + grid_params.p)
+    for build in (classical_presentation, quantum_presentation):
+        for coords in ("bundle", "blowup"):
+            gb = build(grid_params, coords).quotient.basis
+            for _ in range(8):
+                terms = {}
+                for _ in range(rng.randint(1, 6)):
+                    mono = (rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 1), rng.randint(0, 1))
+                    terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                f = Polynomial(gb.variables, terms)
+                assert normal_form(f, gb) == buchberger_oracle._reduce(f, monic_reducers(gb))
+            # a monomial whose normal form the kernel reaches only by scaling
+            monos = [(a, b, 0, 0) for a in range(12) for b in range(12)]
+            scaled = [m for m in monos if groebner._pseudo_reduce({m: 1}, gb._reducers)[1] > 1]
+            for m in scaled[:5]:
+                f = Polynomial(gb.variables, {m: 1})
+                assert normal_form(f, gb) == buchberger_oracle._reduce(f, monic_reducers(gb))
+            # the blow-up rings with p >= 1 are the rational ones
+            assert bool(scaled) == bool(coords == "blowup" and grid_params.p)
+
+
+def _counting(monkeypatch, module, name):
     calls = []
-    original = groebner.spolynomial
+    original = getattr(module, name)
 
     def counted(f, g):
         calls.append((f, g))
         return original(f, g)
 
-    monkeypatch.setattr(module, "spolynomial", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("m, p, reduced, before", [(20, 4, 6, 20), (16, 5, 7, 27), (11, 3, 5, 14)])
 def test_chain_criterion_skips_dead_s_polynomials(monkeypatch, m, p, reduced, before):
     # the deformed blow-up ideal: most S-polynomials of the former loop
-    # reduced to zero, and the chain criterion never forms them
+    # reduced to zero, and the chain criterion never forms the kernel's S-pairs
     ideal = presentation_ideal(m, p, "blowup", True)
-    calls = _counting_spolynomials(monkeypatch, groebner)
+    calls = _counting(monkeypatch, groebner, "_spair")
     buchberger(ideal)
     assert len(calls) == reduced
-    oracle_calls = _counting_spolynomials(monkeypatch, buchberger_oracle)
+    oracle_calls = _counting(monkeypatch, buchberger_oracle, "spolynomial")
     oracle_buchberger(ideal)
     assert len(oracle_calls) == before
 
@@ -374,3 +455,23 @@ def test_pair_budget_counts_skipped_pairs(m, p, needed):
         assert build(ideal, max_pairs=needed).polys
         with pytest.raises(BudgetError, match=f"pair budget {needed - 1} exceeded"):
             build(ideal, max_pairs=needed - 1)
+
+
+def test_the_buchberger_loop_does_no_fraction_arithmetic(monkeypatch):
+    # a Fraction is built only where the final reduced basis is made monic,
+    # one per coefficient that the leading one does not divide
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "Fraction", Counted)
+    for m, p in ((8, 1), (11, 3), (16, 5), (20, 4)):
+        for coords in ("bundle", "blowup"):
+            for quantum in (False, True):
+                built.clear()
+                gb = buchberger(presentation_ideal(m, p, coords, quantum))
+                rational = [c for g in gb.polys for c in g.terms.values() if type(c) is not int]
+                assert len(built) == len(rational)

@@ -34,6 +34,7 @@ from qcblowup import quantum
 from qcblowup.geometry import _build
 
 import correction_oracle
+import pair_sweep_oracle
 import product_oracle
 import symmetry_oracle
 from correction_oracle import model_corrections, polynomial_corrections
@@ -1181,8 +1182,8 @@ def test_gram_rows_need_one_top_staircase_monomial(params40):
 
 
 def test_deformed_correspondence_reuses_the_presentation_bases(monkeypatch, params81):
-    # one basis, of the mapped relations; the classical relations are read
-    # off the classical presentations
+    # no basis: both inclusions reduce by the bases the presentations hold,
+    # and the classical relations are read off the classical presentations
     from qcblowup import geometry
 
     verify_quantum_presentation(params81)
@@ -1196,7 +1197,7 @@ def test_deformed_correspondence_reuses_the_presentation_bases(monkeypatch, para
 
         monkeypatch.setattr(geometry, name, counted)
     assert verify_quantum_presentation(params81).ok
-    assert calls == {"buchberger": 1, "classical_relations": 0}
+    assert calls == {"buchberger": 0, "classical_relations": 0}
 
 
 def test_gw_identity_suite_entries(params40):
@@ -1258,6 +1259,63 @@ def test_only_the_symmetry_sweep_builds_the_product_table(monkeypatch):
         assert len(products) == rank * (rank + 1) // 2
 
 
+def _entries(report, *names):
+    return {e.name: (e.passed, e.detail) for e in report.entries if e.name in names}
+
+
+IN_RANGE_GRID = [(m, p) for m in range(4, 13) for p in range(4) if 2 * p + 3 < m]
+
+
+@pytest.mark.parametrize("m, p", IN_RANGE_GRID, ids=[f"m{m}p{p}" for m, p in IN_RANGE_GRID])
+def test_per_monomial_checks_match_the_pair_sweeps(m, p):
+    # one read per product monomial gives the entries of the pair-by-pair sweeps
+    params = derive_params(m, p)
+    qp = quantum_presentation(params, "bundle")
+    fiber = _entries(verify_gw_identities(params, b_max=3), *(
+        f"fiber_multiple_vanishing[b={b}]" for b in (1, 2, 3)))
+    assert fiber == {
+        f"fiber_multiple_vanishing[b={b}]": pair_sweep_oracle.fiber_multiple_vanishing(qp, b)
+        for b in (1, 2, 3)
+    }
+    assert _entries(verify_quantum_presentation(params), "product_specialization") == {
+        "product_specialization": pair_sweep_oracle.product_specialization(qp)
+    }
+
+
+def test_a_patched_product_monomial_names_the_pairs_of_the_sweeps(monkeypatch, params81):
+    # change the (0, 0) piece of one product monomial w and the (1, 0) piece
+    # of another in the deformed model: every basis pair with that product is
+    # named, as by the pair-by-pair sweeps, with the same detail
+    qp = quantum_presentation(params81, "bundle")
+    model, r = qp.quotient.model, params81.r
+    pairs = quantum._basis_pairs(qp.quotient.staircase)
+    shared = [w for w in dict.fromkeys(w for _, _, w in pairs)
+              if sum(v == w for _, _, v in pairs) > 1]
+    special = shared[len(shared) // 2]
+    fiber = next(w for w in shared if w[0] < r and w != special)
+    t = qp.quotient.staircase[0]
+    for w, key in ((special, (0, 0)), (fiber, (1, 0))):
+        vec = {k: dict(piece) for k, piece in model.product(w).items()}
+        vec.setdefault(key, {})[t] = vec.get(key, {}).get(t, 0) + 5
+        monkeypatch.setitem(model._products, w, vec)
+    quantum._kernel.cache_clear()  # no kernel row is built from a patched product
+    try:
+        fiber_entries = _entries(verify_gw_identities(params81, b_max=1), "fiber_multiple_vanishing[b=1]")
+        special_entries = _entries(verify_quantum_presentation(params81), "product_specialization")
+    finally:
+        quantum._kernel.cache_clear()
+    assert fiber_entries == {
+        "fiber_multiple_vanishing[b=1]": pair_sweep_oracle.fiber_multiple_vanishing(qp, 1)
+    }
+    assert special_entries == {
+        "product_specialization": pair_sweep_oracle.product_specialization(qp)
+    }
+    for (passed, detail), w in ((fiber_entries["fiber_multiple_vanishing[b=1]"], fiber),
+                                (special_entries["product_specialization"], special)):
+        assert not passed
+        assert detail.count(" * ") == sum(v == w for _, _, v in pairs) > 1
+
+
 def test_table_pieces_without_q2_are_the_model_products(grid_params):
     # the product table is the oracle of the verify suites' model reads: its
     # (b, 0) pieces are the deformed model's products of the staircase pairs
@@ -1269,7 +1327,7 @@ def test_table_pieces_without_q2_are_the_model_products(grid_params):
             expected = {t: c for t, c in product.get((b, 0), {}).items() if c}
             piece = pieces.get((b, 0))
             assert (piece.terms if piece else {}) == expected, (i, j, b)
-            assert quantum._model_piece(model, staircase[i], staircase[j], (b, 0)) == expected
+            assert pair_sweep_oracle.model_piece(model, staircase[i], staircase[j], (b, 0)) == expected
 
 
 def _assert_table_matches_oracle(qp):
