@@ -28,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetError, CheckFailure, UsageError
-from .groebner import Ideal, QuotientRing, buchberger, staircase_basis
-from .poly import Polynomial, Scalar, VariableSet, _canonical_terms, mono_mul
+from .groebner import Ideal, QuotientRing, _in_ideal, buchberger, staircase_basis
+from .poly import Polynomial, Scalar, VariableSet, _canonical_terms
 from .poly import blowup_variables, bundle_variables
 from .records import Frozen
 from .report import CheckReport
@@ -41,24 +41,23 @@ BUNDLE_TO_BLOWUP = "bundle_to_blowup"
 
 
 class GeometryParams(Frozen):
-    """The pair (m, p) with its derived invariants.
-
-    ``in_range`` records the hypothesis 2p+3 < m (equivalently r < n) under
-    which the deformed presentation is certified; classical constructions
-    work for every admissible (m, p).  The hash, part of every presentation
-    cache key, is computed once.
+    """The pair (m, p), its only fields, and what it derives: n = m-p-1,
+    r = p+2 and ``in_range``, the hypothesis 2p+3 < m (equivalently r < n)
+    under which the deformed presentation is certified; classical
+    constructions work for every (m, p) :func:`derive_params` admits.  The
+    hash, part of every presentation cache key, is computed once.
     """
 
     __slots__ = ("m", "p", "n", "r", "in_range", "_hash")
-    _fields = __slots__[:5]
+    _fields = __slots__[:2]
 
-    def __init__(self, m: int, p: int, n: int, r: int, in_range: bool) -> None:
+    def __init__(self, m: int, p: int) -> None:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "in_range", in_range)
-        object.__setattr__(self, "_hash", hash((m, p, n, r, in_range)))
+        object.__setattr__(self, "n", m - p - 1)
+        object.__setattr__(self, "r", p + 2)
+        object.__setattr__(self, "in_range", 2 * p + 3 < m)
+        object.__setattr__(self, "_hash", hash((m, p)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -75,12 +74,12 @@ class GeometryParams(Frozen):
 
 
 def derive_params(m: int, p: int) -> GeometryParams:
-    """Validate (m, p) and derive n = m-p-1, r = p+2 and the range flag."""
+    """Validate (m, p); the record derives n, r and the range flag."""
     if not (isinstance(m, int) and isinstance(p, int)):
         raise UsageError("m and p must be integers")
     if m < 2 or p < 0 or p > m - 2:
         raise UsageError(f"need m >= 2 and 0 <= p <= m-2, got (m, p) = ({m}, {p})")
-    return GeometryParams(m=m, p=p, n=m - p - 1, r=p + 2, in_range=2 * p + 3 < m)
+    return GeometryParams(m, p)
 
 
 class ChernVector(Frozen):
@@ -329,12 +328,13 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
 
 def _carries_ideal(source: Presentation, target: Presentation) -> bool:
     """True iff the coordinate change carries the ideal of ``source`` into
-    that of ``target``: each relation of ``source``, mapped, has normal form
-    0 against the basis ``target`` already holds.  The inclusions both ways
-    prove the two ideals equal."""
+    that of ``target``: each relation of ``source``, mapped, lies in the
+    ideal of the basis ``target`` already holds (one reduction of the whole
+    relation, which memoises nothing).  The inclusions both ways prove the
+    two ideals equal."""
     direction = BLOWUP_TO_BUNDLE if target.coords == BUNDLE else BUNDLE_TO_BLOWUP
-    nf = target.quotient.normal_form
-    return all(nf(change_vars(g, direction)).is_zero for g in source.relations)
+    basis = target.quotient.basis
+    return all(_in_ideal(change_vars(g, direction), basis) for g in source.relations)
 
 
 def _to_bundle(f: Polynomial) -> Polynomial:
@@ -365,8 +365,8 @@ def integrate(f: Polynomial, presentation: Presentation) -> Scalar:
         if presentation.coords == BUNDLE
         else classical_presentation(params, BUNDLE)
     )
-    nf = bundle.quotient.normal_form(f)
-    return nf.coefficient((params.r - 1, params.n, 0, 0))
+    quotient = bundle.quotient
+    return quotient.normal_form(f).coefficient(quotient.top_monomial(params.top_degree))
 
 
 def curve_dual(curve: CurveClass, params: GeometryParams) -> Polynomial:
@@ -448,30 +448,21 @@ def oracle_integrate(f: Polynomial, params: GeometryParams) -> Scalar:
 
 def pairing_matrix(presentation: Presentation) -> list[list[int]]:
     """Intersection pairing of the staircase basis with itself, read in the
-    presentation's own quotient.  Degree d pairs only with degree top - d
-    (groups of ``QuotientRing.by_degree``), and the top degree of a
-    classical ring holds one staircase monomial t (h^n xi^(r-1), or eta^m in
-    blow-up coordinates), so each distinct product of complementary degrees
-    reduces to c*t and pairs to c times the integral of t (one
-    :func:`integrate` call); the others pair to 0 and are not formed."""
-    vs, quotient = presentation.variables, presentation.quotient
-    top, by_degree = presentation.params.top_degree, quotient.by_degree
-    t = quotient.top_monomial(top)
-    scale = integrate(Polynomial._from_clean(vs, {t: 1}), presentation)
+    presentation's own quotient.  The top degree of a classical ring holds
+    one staircase monomial t (h^n xi^(r-1), or eta^m in blow-up
+    coordinates), and the quotient's pairing ``QuotientRing.gram`` gives
+    each product of complementary degrees as c*t; it pairs to c times the
+    integral of t (one :func:`integrate` call).  The others pair to 0."""
+    quotient = presentation.quotient
+    t = quotient.top_monomial(presentation.params.top_degree)
+    scale = integrate(Polynomial._from_clean(presentation.variables, {t: 1}), presentation)
     index = {s: i for i, s in enumerate(quotient.staircase)}
     matrix = [[0] * len(index) for _ in index]
-    values: dict[tuple[int, ...], int] = {}
-    for degree, rows in by_degree.items():
-        for s in rows:
-            for u in by_degree.get(top - degree, ()):
-                mono = mono_mul(s, u)
-                if mono not in values:
-                    nf = quotient.normal_form(Polynomial._from_clean(vs, {mono: 1}))
-                    value = scale * nf.coefficient(t)
-                    if value.denominator != 1:
-                        raise CheckFailure(f"non-integral pairing value {value}")
-                    values[mono] = int(value)
-                matrix[index[s]][index[u]] = values[mono]
+    for s, row in quotient.gram.items():
+        for u, c in row:
+            if (value := scale * c).denominator != 1:
+                raise CheckFailure(f"non-integral pairing value {value}")
+            matrix[index[s]][index[u]] = int(value)
     return matrix
 
 

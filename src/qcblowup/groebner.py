@@ -278,6 +278,14 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial._from_clean(f.variables, _canonical_terms(out))
 
 
+def _in_ideal(f: Polynomial, gb: GroebnerBasis) -> bool:
+    """True iff f lies in the ideal: one :func:`_pseudo_reduce` of all of f,
+    denominators cleared, leaves no remainder (and memoises nothing)."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    return not _pseudo_reduce(ints, gb._reducers)[0]
+
+
 def _normal_form_monomial(gb: GroebnerBasis, mono: Mono) -> Polynomial:
     memo = gb._nf_memo
     cached = memo.get(mono)
@@ -312,19 +320,19 @@ class _RingModel:
     parameter-free monomial, memoised.  Where q1 or q2 leads a basis
     element (n = 1) the matrices do not compose, ``matrices`` is None and
     :meth:`product` reads the ring's own normal forms.  A rational normal
-    form (classical blow-up rings with p >= 1) is refused."""
+    form (classical blow-up rings with p >= 1) is refused.  Pairings are
+    the quotient's (:attr:`QuotientRing.gram`), not the model's."""
 
     units = ((1, 0, 0, 0), (0, 1, 0, 0))  # the two divisor variables
 
     def __init__(self, quotient: QuotientRing) -> None:
-        self._quotient, self._vs, self._nf = quotient, quotient.variables, quotient.normal_form
+        self._vs, self._nf = quotient.variables, quotient.normal_form
         staircase, self._on_staircase = quotient.staircase, quotient.staircase_set
         free = all(map(self._vs.is_parameter_free, quotient.basis.leading_monomials()))
         self.matrices = tuple(
             {s: self._row(mono_mul(s, unit)) for s in staircase} for unit in self.units
         ) if free else None
         self._products: dict[Mono, Vector] = {s: {(0, 0): {s: 1}} for s in staircase}
-        self._gram: dict[Mono, tuple[tuple[Mono, int], ...]] = {}
         for unit, rows in zip(self.units, self.matrices or ()):
             self._products.update((mono_mul(s, unit), row) for s, row in rows.items())
 
@@ -358,20 +366,6 @@ class _RingModel:
             self._products[mono] = out
         return self._products[mono]
 
-    def gram_row(self, g: Mono) -> tuple[tuple[Mono, int], ...]:
-        """The nonzero entries (t, c) of the Gram row of a staircase monomial
-        g, over t of the complementary degree: c is the coefficient of the
-        single top-degree staircase monomial in t * g (the integral of t * g
-        in the classical bundle ring).  Memoised, a tuple per monomial."""
-        if g not in self._gram:
-            ring = self._quotient
-            t0 = ring.top_monomial(top := max(ring.by_degree))
-            self._gram[g] = tuple(
-                (t, c) for t in ring.by_degree.get(top - self._vs.weighted_degree(g), ())
-                if (c := self.product(mono_mul(t, g)).get((0, 0), {}).get(t0, 0))
-            )
-        return self._gram[g]
-
 
 class QuotientRing(Frozen):
     """A quotient by a Groebner basis together with its staircase.
@@ -380,9 +374,9 @@ class QuotientRing(Frozen):
     divisor variables not divisible by any leading term; deformation
     parameters are excluded from the listing, so for deformed ideals the
     quotient is a parameter-module on these monomials.  Its integer
-    :attr:`model`, :attr:`staircase_set` and graded staircase :attr:`by_degree`
-    (read by the pairings, Gram rows and query kernels) are built on first use
-    and kept outside equality and hashing, in the instance ``__dict__``.
+    :attr:`model`, :attr:`staircase_set`, graded staircase :attr:`by_degree`
+    and pairing :attr:`gram` are built on first use and kept outside
+    equality and hashing, in the instance ``__dict__``.
     """
 
     _fields = ("basis", "staircase")
@@ -428,6 +422,23 @@ class QuotientRing(Frozen):
         if len(tops := self.by_degree.get(degree, ())) != 1:
             raise CheckFailure(f"{len(tops)} staircase monomials of top degree, expected 1")
         return tops[0]
+
+    @cached_property
+    def gram(self) -> MappingProxyType[Mono, tuple[tuple[Mono, Scalar], ...]]:
+        """The pairing of complementary degrees, read-only: each staircase
+        monomial s maps to the nonzero (u, c), u on the staircase of degree
+        top - deg s and c the coefficient of the one top-degree staircase
+        monomial in the normal form of s * u (memoised, so each distinct
+        product is reduced once)."""
+        by_degree, basis, rows = self.by_degree, self.basis, {}
+        t = self.top_monomial(top := max(by_degree))
+        for degree, group in by_degree.items():
+            for s in group:
+                rows[s] = tuple(
+                    (u, c) for u in by_degree.get(top - degree, ())
+                    if (c := _normal_form_monomial(basis, mono_mul(s, u)).terms.get(t, 0))
+                )
+        return MappingProxyType(rows)
 
     @cached_property
     def model(self) -> _RingModel:

@@ -24,18 +24,18 @@ degree the two differ by exceptional-line contributions, which the divisor
 axiom and the two-point classes of exceptional lines give in closed form
 (see :func:`basis_corrections`).  All extraction goes through the corrected
 identification, which is what makes the extracted three-point function
-symmetric.  Products run on the integer models of the bundle rings
+symmetric.  Products run on the integer model of the deformed bundle ring
 (``quotient.model``), read through one query kernel per deformed ring
 (:class:`_Kernel`, shared by both coordinate systems).  A class enters by
 one route (:func:`_terms`); an invariant's bundle staircase classes enter
 in its validating scan.  :func:`_grouped` sums a product's term pairs by q2
 exponent and product monomial w (:func:`_shift` only at b >= 1).  The
 kernel builds the rows of each w once, from one model product: its
-corrected piece at every curve class and the piece's Gram pairing.
-:func:`quantum_product` walks the former by key, :func:`_piece` reads one
-key, and :func:`gw_invariant` walks the latter, looking gamma up.  The
-tests check it all against Groebner assemblies, and the invariants'
-symmetry with a sweep over basis triples.
+corrected piece at every curve class and the piece's pairing (``gram``).
+:func:`quantum_product` assembles the former, and :func:`gw_invariant`
+walks the latter, looking gamma up.  The tests check it all against
+Groebner assemblies, and the invariants' symmetry with a sweep over basis
+triples.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -172,10 +172,11 @@ class _Kernel:
     def rows(self, w: Mono) -> tuple[dict[Key, dict[Mono, int]], dict[Key, dict[Mono, int]]]:
         """Build and store the rows of w from one model product, at each key
         (a, c) it reaches: the piece after the correction step 1 - q2*C (the
-        naive piece at (a, c) minus C times that at (a, c - 1)) and its Gram
+        naive piece at (a, c) minus C times that at (a, c - 1)) and its
         pairing with each staircase monomial of the complementary degree
-        (terms off the classical staircase, in formal n = 1 rings, pair to
-        0).  Only nonzero rows and entries are kept."""
+        (the classical ``gram``; terms off the classical staircase, in
+        formal n = 1 rings, pair to 0).  Only nonzero rows and entries are
+        kept."""
         vec, corrections = self.qp.quotient.model.product(w), self.corrections
         pieces = {key: dict(piece) for key, piece in vec.items()}
         for (a, c), piece in vec.items():
@@ -183,11 +184,11 @@ class _Kernel:
             for s, cs in piece.items():
                 for t, ct in corrections.get(s, _EMPTY).items():
                     row[t] = row.get(t, 0) - cs * ct
-        pairs, staircase, model = {}, self.classical.staircase_set, self.classical.model
+        pairs, gram = {}, self.classical.gram
         for key, piece in pieces.items():
             row = pairs[key] = {}
             for t, c in piece.items():
-                for g, cg in model.gram_row(t) if c and t in staircase else ():
+                for g, cg in gram.get(t, ()) if c else ():
                     row[g] = row.get(g, 0) + c * cg
         self.corrected_rows[w], self.paired_rows[w] = out = tuple(
             {key: row for key, terms in rows.items() if (row := _canonical_terms(terms))}
@@ -284,19 +285,6 @@ def _summed(x: dict[Mono, Scalar], y: dict[Mono, Scalar], monos: dict[Mono, Scal
     return monos
 
 
-def _piece(kernel: _Kernel, grouped: Grouped, key: Key) -> dict[Mono, Scalar]:
-    """The piece at key = (a, b) of a product grouped by :func:`_grouped`:
-    the sum of scale times the corrected row of w at (a, b - k)."""
-    (a, b), rows, out = key, kernel.corrected_rows, {}
-    for k, monos in grouped.items():
-        for w, scale in monos.items() if k <= b else ():
-            if (wrows := rows.get(w)) is None:
-                wrows = kernel.rows(w)[0]
-            for t, c in wrows.get((a, b - k), _EMPTY).items():
-                out[t] = out.get(t, 0) + scale * c
-    return out
-
-
 def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomial:
     """Quantum product of two classical classes, expanded over the classical
     basis: the result is a sum of q1^a q2^b times parameter-free classes,
@@ -322,14 +310,13 @@ def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomia
 def contribution_by_class(
     x: Polynomial, y: Polynomial, a: int, b: int, qp: Presentation
 ) -> Polynomial:
-    """The class multiplying q1^a q2^b in the quantum product of x and y;
-    zero whenever the degree budget deg x + deg y - (r a + n b) is negative
-    (computed alone, by :func:`_piece`)."""
+    """The class multiplying q1^a q2^b in :func:`quantum_product` of x and
+    y; zero whenever the degree budget deg x + deg y - (r a + n b) is negative."""
     if a < 0 or b < 0:
         raise UsageError("curve-class coefficients must be non-negative")
-    kernel, terms = _factors(qp, x, y)
-    piece = _piece(kernel, _grouped(kernel, *terms, b), (a, b))
-    return _in_coords(Polynomial._from_clean(kernel.qp.variables, _canonical_terms(piece)), qp)
+    product = quantum_product(x, y, qp)
+    terms = {mono[:2] + (0, 0): c for mono, c in product.terms.items() if mono[2:] == (a, b)}
+    return Polynomial._from_clean(product.variables, terms)
 
 
 class GWQuery(Frozen):
@@ -557,10 +544,13 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
         f"blowup {qpb.quotient.rank}, bundle {qpf.quotient.rank}, expected {params.rank}",
     )
 
-    # q -> 0 recovers the classical presentations exactly.
+    # q -> 0, which keeps the parameter-free terms of each relation,
+    # recovers the classical presentations exactly.
     for qp, coords in ((qpb, BLOWUP), (qpf, BUNDLE)):
         classical = classical_presentation(params, coords).relations
-        specialized = tuple(g.substitute({"q1": 0, "q2": 0}) for g in qp.relations)
+        free = qp.variables.is_parameter_free
+        kept = ({m: c for m, c in g.terms.items() if free(m)} for g in qp.relations)
+        specialized = tuple(Polynomial._from_clean(qp.variables, terms) for terms in kept)
         report.add(f"classical_specialization_{coords}", specialized == classical)
 
     # Products specialize too: the classical-class piece of the deformed

@@ -8,7 +8,8 @@ Both solve the divisor and fundamental-class axioms exactly, with
 * :func:`model_corrections` is the reduced system the package solved
   before the closed form: one row per (class, component) from the divisor
   xi - h, over the correction unknowns alone, every coefficient read from
-  the integer ring models (``quotient.model``) and the classical Gram rows.
+  the integer ring models (``quotient.model``) and the classical pairing
+  (``quotient.gram``).
   Its underdetermined, inconsistent and non-integral checks raise
   ``CheckFailure``.
 * :func:`polynomial_corrections` is the original formulation: both divisor
@@ -52,9 +53,9 @@ def model_corrections(qp):
       once, so the difference of their rows is the row of xi - h, which has
       degree 0 on the line, and S_c drops out;
     * closure rows: three-point invariants with a fundamental-class
-      insertion vanish.  The classical integrals are the Gram rows of the
-      classical model, the deformed one the top-monomial coefficient of a
-      model product.
+      insertion vanish.  The classical integrals are the rows of the
+      classical ring's pairing, the deformed one the top-monomial
+      coefficient of a model product.
 
     The system must have a unique solution, and every value of it must be
     an integer.
@@ -108,9 +109,9 @@ def model_corrections(qp):
             rows.append(row)
 
     # Fundamental-class closure: for complementary pairs the corrected
-    # exceptional-line contribution of x * y integrates to zero; the Gram
+    # exceptional-line contribution of x * y integrates to zero; the pairing
     # row of x pairs it with the components of C_y (of degree top - deg x).
-    top_monomial = cp.quotient.top_monomial(top)
+    top_monomial, gram = cp.quotient.top_monomial(top), cp.quotient.gram
     for dx in range(n, top + 1):
         dy = top + n - dx
         if dy < n or dy > top or dy < dx:
@@ -120,9 +121,9 @@ def model_corrections(qp):
                 if dy == dx and y < x:
                     continue
                 row = {ncols: -model_piece(deformed, x, y, (0, 1)).get(top_monomial, 0)}
-                for mu, c in classical.gram_row(x):
+                for mu, c in gram[x]:
                     bump(row, (y, mu), c)
-                for mu, c in classical.gram_row(y):
+                for mu, c in gram[y]:
                     bump(row, (x, mu), c)
                 rows.append(row)
 

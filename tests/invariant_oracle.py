@@ -1,7 +1,7 @@
 """Two assemblies of the three-point invariant, kept as test oracles for
 ``qcblowup.quantum.gw_invariant``, which sums the term pairs of the piece by
 product monomial, builds phi only up to the key's q2 power and pairs the
-piece with gamma through the Gram rows of the classical ring's model.
+piece with gamma through the classical ring's pairing (``quotient.gram``).
 
 * :func:`assembled_invariant` splits alpha * beta by curve class with a
   whole-product routine (the public ``quantum_product``, split by

@@ -10,7 +10,8 @@ coordinates and translated back.
 
 :func:`budget_product` is the product as the library read it before each
 product monomial's rows were walked by key: one piece per curve class in
-the degree budget.
+the degree budget, each read by :func:`piece` (which the library used for
+``contribution_by_class`` before that became a slice of the product).
 
 Beside them, :func:`contributions` splits the public product by curve class,
 and :func:`basis_products` splits the products of all staircase basis pairs
@@ -74,9 +75,22 @@ def groebner_contributions(x, y, qp):
     return {key: val for key, val in sorted(out.items()) if not val.is_zero}
 
 
+def piece(kernel, grouped, key):
+    """The piece at key = (a, b) of a product grouped by ``quantum._grouped``:
+    the sum of scale times the corrected row of w at (a, b - k)."""
+    (a, b), rows, out = key, kernel.corrected_rows, {}
+    for k, monos in grouped.items():
+        for w, scale in monos.items() if k <= b else ():
+            if (wrows := rows.get(w)) is None:
+                wrows = kernel.rows(w)[0]
+            for t, c in wrows.get((a, b - k), quantum._EMPTY).items():
+                out[t] = out.get(t, 0) + scale * c
+    return out
+
+
 def budget_product(x, y, qp):
     """The quantum product of x and y read piece by piece: the term pairs
-    grouped once and ``quantum._piece`` read at every key (a, b) with
+    grouped once and :func:`piece` read at every key (a, b) with
     r a + n b at most the sum of the factors' largest degrees, which every
     nonzero piece has; a blow-up product is translated back."""
     kernel, terms = quantum._factors(qp, x, y)
@@ -86,8 +100,8 @@ def budget_product(x, y, qp):
     out = {}
     for a in range(budget // r + 1):
         for b in range((budget - r * a) // n + 1):
-            piece = quantum._piece(kernel, pairs, (a, b))
-            out.update((mono[:2] + (a, b), c) for mono, c in piece.items())
+            terms = piece(kernel, pairs, (a, b))
+            out.update((mono[:2] + (a, b), c) for mono, c in terms.items())
     product = Polynomial._from_clean(kernel.qp.variables, _canonical_terms(out))
     return quantum._in_coords(product, qp)
 

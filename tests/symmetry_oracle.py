@@ -9,8 +9,9 @@ multiplied once (``quantum_product``, split by curve class), and the
 products are dropped when the sweep returns.  Every piece is a class over
 the classical staircase, which the deformed staircase equals (the
 correction solve checks this), so its pairing with a basis class is a dot
-product with a Gram row of the classical model: each piece is multiplied by
-the Gram rows once, and each pairing of the sweep is a lookup.  The piece
+product with a row of the classical ring's pairing (``quotient.gram``): each
+piece is multiplied by the rows once, and each pairing of the sweep is a
+lookup.  The piece
 of b_i * b_j at (a, b) has degree deg i + deg j - (r a + n b), so it pairs
 with b_k to a nonzero value only where r a + n b = deg i + deg j + deg k -
 top; the sweep reads only those keys.  It costs O(rank^3), so no command
@@ -28,7 +29,7 @@ def verify_s3_symmetry(params):
     if not params.in_range:
         raise UsageError("symmetry sweep requires 2p+3 < m")
     qp = quantum_presentation(params, "bundle")
-    gram_row = classical_presentation(params, "bundle").quotient.model.gram_row
+    gram = classical_presentation(params, "bundle").quotient.gram
     staircase, polys = qp.quotient.staircase, qp.quotient.staircase_polynomials()
 
     # paired[(i, j), key][t]: the piece of b_i * b_j at key paired with t.
@@ -37,7 +38,7 @@ def verify_s3_symmetry(params):
         for key, piece in pieces.items():
             row = paired[pair, key] = {}
             for s, c in piece.terms.items():
-                for t, g in gram_row(s):
+                for t, g in gram[s]:
                     row[t] = row.get(t, 0) + c * g
 
     # classes[d]: the curve classes (a, b) with r a + n b = d, for d up to

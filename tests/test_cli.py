@@ -339,6 +339,9 @@ GOLDEN = [
     # the benchmark's verify grid, whose correction solves reach (10,3)
     ("verify --grid-m 4..10 --grid-p 0..3 --json",
      "3eb6397bd5064de28f9128796da51fb2bb33c5516f29cf48251a372c21ec9011"),
+    # the README grid, up to m = 12
+    ("verify --grid-m 4..12 --grid-p 0..3 --json",
+     "e5aca2e521a3767b9c28416f9bf0cc09e1548bdf7808e612e0aa906364a2d627"),
     ("gw --json --m 8 --p 1 --class 1,0 --alpha xi --beta xi^2 --gamma h^6*xi^2",
      "3165fb93161687b34c18c5d019a3a1dc47c379aa7df3310bcca553d797ba9777"),
     ("gw --json --m 6 --p 1 --coords blowup --class 1,0 --alpha k*eta^4 --beta k^3 --gamma k",

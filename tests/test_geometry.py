@@ -248,6 +248,16 @@ def test_ideal_correspondence_fails_on_a_changed_relation(monkeypatch, params40)
     assert _entry(report, "ideal_correspondence_to_blowup")
 
 
+def test_an_inclusion_check_memoises_no_normal_form(params81):
+    # each mapped relation is reduced whole, once: the target bases'
+    # normal-form memos stay as they were, here empty on fresh rings
+    for quantum in (False, True):
+        bundle, blowup = (geometry._build(params81, c, quantum) for c in ("bundle", "blowup"))
+        for source, target in ((blowup, bundle), (bundle, blowup)):
+            assert geometry._carries_ideal(source, target)
+            assert target.quotient.basis._nf_memo == {}
+
+
 def test_a_changed_relation_fails_both_correspondence_checks_alike(monkeypatch, params40):
     # the mapped fiber relation gains h^r: the inclusion fails with the oracle
     bundle = classical_presentation(params40, "bundle")
@@ -386,15 +396,20 @@ def test_pairing_matrix_matches_entrywise_integrals(grid_params):
 
 
 def test_pairing_matrix_forms_only_complementary_products(monkeypatch, grid_params):
-    # one product per pair of staircase degrees summing to the top degree
-    top = grid_params.top_degree
-    calls = _counting(monkeypatch, "mono_mul")
+    # one product per pair of staircase degrees summing to the top degree,
+    # formed when the ring builds its pairing, which the next matrix reuses
+    from qcblowup import groebner
+
+    top, calls, original = grid_params.top_degree, [], groebner.mono_mul
+    monkeypatch.setattr(groebner, "mono_mul", lambda a, b: calls.append(a) or original(a, b))
     for coords in ("bundle", "blowup"):
         pres = classical_presentation(grid_params, coords)
         degrees = [pres.variables.weighted_degree(s) for s in pres.quotient.staircase]
+        vars(pres.quotient).pop("gram", None)
         calls.clear()
-        pairing_matrix(pres)
-        assert len(calls) == sum(degrees.count(top - d) for d in degrees)
+        matrix, count = pairing_matrix(pres), sum(degrees.count(top - d) for d in degrees)
+        assert len(calls) == count
+        assert pairing_matrix(pres) == matrix and len(calls) == count
 
 
 def test_pairing_matrix_needs_the_top_degree_of_its_params(params40):

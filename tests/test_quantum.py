@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import pytest
@@ -23,10 +23,12 @@ from qcblowup import (
     derive_params,
     gw_invariant,
     integrate,
+    oracle_integrate,
     pairing_matrix,
     quantum_presentation,
     quantum_product,
     quantum_relations,
+    verify_classical_geometry,
     verify_gw_identities,
     verify_quantum_presentation,
 )
@@ -279,11 +281,9 @@ def test_the_model_solve_has_no_two_point_unknowns(monkeypatch):
 
 def test_a_cold_closed_form_reads_no_model_gram_row_or_solve(monkeypatch):
     # the closed form reads the two staircases only: no ring model and no
-    # Gram row, even with its cache cleared; and the package ships no
+    # pairing, even with its cache cleared; and the package ships no
     # elimination module at all
     import importlib.util
-
-    from qcblowup.groebner import _RingModel
 
     assert importlib.util.find_spec("qcblowup.linalg") is None
 
@@ -291,7 +291,7 @@ def test_a_cold_closed_form_reads_no_model_gram_row_or_solve(monkeypatch):
     expected = dict(basis_corrections(qp))
     reads = []
     monkeypatch.setattr(QuotientRing, "model", property(lambda ring: reads.append("model")))
-    monkeypatch.setattr(_RingModel, "gram_row", lambda model, g: reads.append("gram_row"))
+    monkeypatch.setattr(QuotientRing, "gram", property(lambda ring: reads.append("gram")))
     basis_corrections.cache_clear()
     assert basis_corrections(qp) == expected
     assert reads == []
@@ -807,18 +807,18 @@ def _check_kernel_rows(qp):
 
 
 def test_shared_memos_survive_callers_that_change_their_results():
-    # the model product memos, the Gram rows and the kernels' corrected and
-    # paired rows are shared by every query: a seeded batch whose every
-    # returned polynomial is changed in place leaves them as they were, and
-    # the batch gives the same values again
+    # the model product memos, the classical pairings and the kernels'
+    # corrected and paired rows are shared by every query: a seeded batch
+    # whose every returned polynomial is changed in place leaves them as
+    # they were, and the batch gives the same values again
     import copy
 
     rng = random.Random(2718)
-    batch, models = [], []
+    batch, rings = [], []
     for m, p in [(11, 3), (16, 5)]:
         params = derive_params(m, p)
         for build in (quantum_presentation, classical_presentation):
-            models.append(build(params, "bundle").quotient.model)
+            rings.append(build(params, "bundle").quotient)
         for coords in ("bundle", "blowup"):
             qp = quantum_presentation(params, coords)
             batch += [(query, qp) for query in _ladder_queries(rng, params, qp.variables, 12)]
@@ -854,7 +854,8 @@ def test_shared_memos_survive_callers_that_change_their_results():
         return values
 
     def memos():
-        rows = [(model._products, model._gram) for model in models]
+        rows = [ring.model._products for ring in rings]
+        rows += [dict(ring.gram) for ring in rings[1::2]]  # the classical rings
         for m, p in [(11, 3), (16, 5)]:
             kernel = quantum._kernel(quantum_presentation(derive_params(m, p), "bundle"))
             rows += [kernel.corrected_rows, kernel.paired_rows]
@@ -863,8 +864,8 @@ def test_shared_memos_survive_callers_that_change_their_results():
     expected = run(False)  # warms the memos
     assert any(value for value, *_ in expected)
     before = copy.deepcopy(memos())
-    assert all(gram for _, gram in before[1:4:2])  # the classical models' rows
-    assert all(any(rows.values()) for rows in before[4:])  # the kernels' rows
+    assert all(any(gram.values()) for gram in before[4:6])  # the classical pairings
+    assert all(any(rows.values()) for rows in before[6:])  # the kernels' rows
     assert run(True) == expected
     assert memos() == before
     assert run(False) == expected
@@ -1058,7 +1059,8 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     live = [(u, v) for ku, xs in x for u in xs for kv, ys in y for v in ys if ku + kv <= key[1]]
     assert len(live) < sum(map(len, dict(x).values())) * sum(map(len, dict(y).values()))
     grouped = quantum._grouped(kernel, *terms, key[1])
-    quantum._piece(quantum._Kernel(qp), grouped, key)  # warms the model, which recurses when cold
+    # warms the model, which recurses when cold
+    product_oracle.piece(quantum._Kernel(qp), grouped, key)
     model = qp.quotient.model
     looked_up = []
     original = model.product
@@ -1068,7 +1070,7 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
         return original(mono)
 
     monkeypatch.setattr(model, "product", spy)
-    piece = quantum._piece(kernel, grouped, key)
+    piece = product_oracle.piece(kernel, grouped, key)
     monkeypatch.undo()
     monos = [tuple(a + b for a, b in zip(u, v)) for u, v in live]
     assert sorted(looked_up) == sorted(set(monos))
@@ -1133,16 +1135,18 @@ def test_a_warm_b0_query_reads_no_basis_correction(monkeypatch):
 
 
 def test_the_model_solve_reads_the_gram_rows():
-    # the closure rows read the classical integrals off the Gram rows: a
-    # solve from cold leaves a row for each staircase monomial of degree
-    # n..top
+    # the closure rows read the classical integrals off the ring's pairing:
+    # a solve reads the row of each staircase monomial of degree n..top
     params = derive_params(16, 5)
     qp = quantum_presentation(params, "bundle")
     quotient = classical_presentation(params, "bundle").quotient
-    model = quotient.model
-    model._gram.clear()
-    corrections = model_corrections(qp)
-    assert set(model._gram) == {
+    original = quotient.gram
+    vars(quotient)["gram"] = gram = _ReadSpy(original)
+    try:
+        corrections = model_corrections(qp)
+    finally:
+        vars(quotient)["gram"] = original
+    assert set(gram.reads) == {
         mono
         for d, monos in quotient.by_degree.items()
         if params.n <= d <= params.top_degree
@@ -1152,22 +1156,34 @@ def test_the_model_solve_reads_the_gram_rows():
 
 
 def test_gram_rows_match_the_pairing_matrix(grid_params):
-    # each row lists the nonzero entries of the staircase monomial's row of
-    # pairing_matrix, once per monomial, as a tuple
+    # each row of the ring's one pairing lists the nonzero entries of the
+    # staircase monomial's row of pairing_matrix (the bundle top class
+    # integrates to 1), as a tuple; the pairing is built once per ring
     cp = classical_presentation(grid_params, "bundle")
-    model, staircase = cp.quotient.model, cp.quotient.staircase
+    gram, staircase = cp.quotient.gram, cp.quotient.staircase
+    assert isinstance(gram, MappingProxyType) and list(gram) == list(staircase)
     for g, entries in zip(staircase, pairing_matrix(cp)):
-        row = model.gram_row(g)
+        row = gram[g]
         assert isinstance(row, tuple) and all(isinstance(e, tuple) for e in row)
-        assert dict(row) == {t: c for t, c in zip(staircase, entries) if c}
-        assert model.gram_row(g) is row
-    assert len(model._gram) == cp.quotient.rank
+        assert row == tuple((t, c) for t, c in zip(staircase, entries) if c)
+    assert cp.quotient.gram is gram
+
+
+def test_the_gram_matches_the_segre_oracle(grid_params):
+    # an independent reading of every row: the Segre-series integral of each
+    # product of complementary degrees, with no Groebner machinery
+    cp = classical_presentation(grid_params, "bundle")
+    vs, top, by_degree = cp.variables, grid_params.top_degree, cp.quotient.by_degree
+    for s, row in cp.quotient.gram.items():
+        x = Polynomial(vs, {s: 1})
+        complement = by_degree.get(top - vs.weighted_degree(s), ())
+        values = [(u, oracle_integrate(x * Polynomial(vs, {u: 1}), grid_params))
+                  for u in complement]
+        assert row == tuple((u, v) for u, v in values if v), s
 
 
 def test_gram_rows_need_one_top_staircase_monomial(params40):
-    from qcblowup.groebner import _RingModel
-
-    # the model reads its ring's graded staircase: fold the top degree into
+    # the pairing reads its ring's graded staircase: fold the top degree into
     # the one below it, in the cache of a fresh copy of the ring
     cp = classical_presentation(params40, "bundle")
     quotient = QuotientRing(cp.quotient.basis, cp.quotient.staircase)
@@ -1175,7 +1191,48 @@ def test_gram_rows_need_one_top_staircase_monomial(params40):
     folded[params40.top_degree - 1] += folded.pop(params40.top_degree)
     quotient.__dict__["by_degree"] = folded
     with pytest.raises(CheckFailure, match="3 staircase monomials of top degree, expected 1"):
-        _RingModel(quotient).gram_row(cp.quotient.staircase[0])
+        quotient.gram
+
+
+def test_the_pairing_matrix_and_the_query_kernel_read_one_pairing_build(monkeypatch):
+    # a cold classical bundle ring builds its pairing once: pairing_matrix,
+    # verify and a fresh query kernel's row builds all read that one build,
+    # and no query builds the classical ring's model
+    from qcblowup import geometry
+    from qcblowup.groebner import _RingModel
+
+    params = derive_params(11, 3)
+    qp = quantum_presentation(params, "bundle")
+    ring, blowup = (classical_presentation(params, c).quotient for c in ("bundle", "blowup"))
+    builds, models, original = [], [], QuotientRing.gram.func
+
+    def spy(quotient):
+        builds.append(quotient)
+        return original(quotient)
+
+    gram = cached_property(spy)
+    gram.__set_name__(QuotientRing, "gram")
+    monkeypatch.setattr(QuotientRing, "gram", gram)
+    model_init = _RingModel.__init__
+    monkeypatch.setattr(
+        _RingModel, "__init__", lambda model, q: (models.append(q), model_init(model, q))[1]
+    )
+    for quotient in (ring, blowup):
+        vars(quotient).pop("gram", None)
+    for quotient in (ring, qp.quotient):
+        vars(quotient).pop("model", None)
+    assert geometry.pairing_matrix(classical_presentation(params, "bundle"))
+    cold = quantum._Kernel(qp)
+    monkeypatch.setattr(quantum, "_kernel", lambda qp: cold)
+    qp_blowup = quantum_presentation(params, "blowup")
+    rng = random.Random(113)
+    for query in _ladder_queries(rng, params, qp.variables, 12):
+        gw_invariant(query, qp)
+    for query in _ladder_queries(rng, params, qp_blowup.variables, 12):
+        gw_invariant(query, qp_blowup)
+    assert verify_classical_geometry(params).ok  # its pairing_matrix builds the blow-up one
+    assert cold.paired_rows and builds == [ring, blowup]
+    assert [q is qp.quotient for q in models] == [True]  # the deformed ring's model only
 
 
 # -- verification suites --------------------------------------------------------------

@@ -49,8 +49,7 @@ def _cases():
     q = pres.quotient
     other_q = ring(6, 1, "blowup").quotient
     return [
-        (GeometryParams, (6, 1, 4, 3, True), dict(m=6, p=1, n=4, r=3, in_range=True),
-         GeometryParams(6, 1, 4, 3, False), "GeometryParams(m=6, p=1, n=4, r=3, in_range=True)"),
+        (GeometryParams, (6, 1), dict(m=6, p=1), GeometryParams(6, 2), "GeometryParams(m=6, p=1)"),
         (ChernVector, ((1, 4, 5, 2),), dict(coefficients=(1, 4, 5, 2)),
          ChernVector((1, 3, 2)), "ChernVector(coefficients=(1, 4, 5, 2))"),
         (CurveClass, (1, 2), dict(a=1, b=2), CurveClass(2, 1), "CurveClass(a=1, b=2)"),
@@ -144,6 +143,18 @@ def test_frozen_records_refuse_assignment(cls, args, kwargs, other, text):
     assert getattr(a, field) is before
 
 
+def test_geometry_params_derive_their_invariants():
+    # two fields; n, r and the range flag follow from them, so no record
+    # can carry a range flag that disagrees with (m, p)
+    assert GeometryParams._fields == ("m", "p")
+    for m, p, n, r, in_range in [(6, 1, 4, 3, True), (9, 3, 5, 5, False), (10, 3, 6, 5, True)]:
+        params = GeometryParams(m, p)
+        assert (params.n, params.r, params.in_range) == (n, r, in_range)
+        assert params == derive_params(m, p) and hash(params) == hash(derive_params(m, p))
+    with pytest.raises(TypeError):
+        GeometryParams(6, 1, 4, 3, False)
+
+
 def test_defaults():
     vs = VariableSet(("a", "b"), (1, 2))
     assert (vs.divisor_count, vs.display) == (2, ("a", "b"))
@@ -200,8 +211,8 @@ def test_presentation_hash_reads_coords_params_and_quantum_only():
 def test_quotient_ring_keeps_its_cached_members_out_of_equality():
     q = ring().quotient
     fresh = QuotientRing(q.basis, q.staircase)
-    q.model  # built on first use
-    assert "model" in vars(q) and "model" not in vars(fresh)
+    q.model, q.gram  # built on first use
+    assert {"model", "gram"} <= vars(q).keys() and not {"model", "gram"} & vars(fresh).keys()
     assert fresh == q and hash(fresh) == hash(q)
     assert fresh.staircase_set == frozenset(q.staircase)
     assert repr(fresh) == repr(q)
