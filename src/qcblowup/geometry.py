@@ -38,6 +38,9 @@ BUNDLE = "bundle"
 BLOWUP = "blowup"
 BLOWUP_TO_BUNDLE = "blowup_to_bundle"
 BUNDLE_TO_BLOWUP = "bundle_to_blowup"
+# each coordinate system's variable names and the direction of change into it
+_INTO = {BUNDLE: (("xi", "h", "q1", "q2"), BLOWUP_TO_BUNDLE),
+         BLOWUP: (("k", "eta", "q1", "q2"), BUNDLE_TO_BLOWUP)}
 
 
 class GeometryParams(Frozen):
@@ -303,12 +306,12 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
     """
     vs = f.variables
     if direction == BLOWUP_TO_BUNDLE:
-        if vs.names != ("k", "eta", "q1", "q2"):
+        if vs.names != _INTO[BLOWUP][0]:
             raise UsageError("expected a polynomial in blow-up coordinates")
         target = bundle_variables(vs.weights[2], vs.weights[3])
         images = ((1, -1), (1, -2))  # k, eta in terms of (xi, h)
     elif direction == BUNDLE_TO_BLOWUP:
-        if vs.names != ("xi", "h", "q1", "q2"):
+        if vs.names != _INTO[BUNDLE][0]:
             raise UsageError("expected a polynomial in bundle coordinates")
         target = blowup_variables(vs.weights[2], vs.weights[3])
         images = ((2, -1), (1, -1))  # xi, h in terms of (k, eta)
@@ -332,17 +335,16 @@ def _carries_ideal(source: Presentation, target: Presentation) -> bool:
     ideal of the basis ``target`` already holds (one reduction of the whole
     relation, which memoises nothing).  The inclusions both ways prove the
     two ideals equal."""
-    direction = BLOWUP_TO_BUNDLE if target.coords == BUNDLE else BUNDLE_TO_BLOWUP
     basis = target.quotient.basis
-    return all(_in_ideal(change_vars(g, direction), basis) for g in source.relations)
+    return all(_in_ideal(_in_coords(g, target.coords), basis) for g in source.relations)
 
 
-def _to_bundle(f: Polynomial) -> Polynomial:
-    if f.variables.names == ("k", "eta", "q1", "q2"):
-        return change_vars(f, BLOWUP_TO_BUNDLE)
-    if f.variables.names == ("xi", "h", "q1", "q2"):
-        return f
-    raise UsageError("expected a polynomial in bundle or blow-up coordinates")
+def _in_coords(f: Polynomial, coords: str) -> Polynomial:
+    """The class f in the coordinate system ``coords``: f itself when it is
+    already there, else carried by :func:`change_vars`, which rejects a
+    class over neither preset with :class:`UsageError`."""
+    names, direction = _INTO[coords]
+    return f if f.variables.names == names else change_vars(f, direction)
 
 
 def integrate(f: Polynomial, presentation: Presentation) -> Scalar:
@@ -350,22 +352,20 @@ def integrate(f: Polynomial, presentation: Presentation) -> Scalar:
 
     Every relation is homogeneous, so only the top-degree part of f can
     reach the top class; the other terms are dropped before anything else.
-    Reduction happens in bundle coordinates; the value is the coefficient of
-    the top staircase monomial h^n xi^(r-1) in the normal form, normalized so
-    that h^n xi^(r-1) integrates to 1.
+    Reduction happens in the classical bundle ring: the given presentation
+    if it is that ring (a budget-built ring serves its own classes), else
+    the cached one (a deformed ring's top degree can hold several staircase
+    monomials).  The value is the coefficient of the top staircase monomial
+    h^n xi^(r-1) in the normal form, normalized so that it integrates to 1.
     """
     params = presentation.params
     if not f.is_parameter_free():
         raise UsageError("cannot integrate a class containing deformation parameters")
     degree = f.variables.weighted_degree
     top = {mono: c for mono, c in f.terms.items() if degree(mono) == params.top_degree}
-    f = _to_bundle(Polynomial._from_clean(f.variables, top))
-    bundle = (
-        presentation
-        if presentation.coords == BUNDLE
-        else classical_presentation(params, BUNDLE)
-    )
-    quotient = bundle.quotient
+    f = _in_coords(Polynomial._from_clean(f.variables, top), BUNDLE)
+    classical = presentation.coords == BUNDLE and not presentation.quantum
+    quotient = (presentation if classical else classical_presentation(params, BUNDLE)).quotient
     return quotient.normal_form(f).coefficient(quotient.top_monomial(params.top_degree))
 
 
@@ -383,7 +383,7 @@ def pair_divisor_curve(
     divisor: Polynomial, curve: CurveClass, presentation: Presentation
 ) -> Scalar:
     """Intersection number of a degree-1 divisor class with a curve class."""
-    divisor = _to_bundle(divisor)
+    divisor = _in_coords(divisor, BUNDLE)
     if not divisor.is_parameter_free():
         raise UsageError("divisor class must be parameter-free")
     if divisor.is_zero or divisor.homogeneous_degree() != 1:
@@ -434,7 +434,7 @@ def segre_integral_oracle(params: GeometryParams, h_exp: int, xi_exp: int) -> Sc
 def oracle_integrate(f: Polynomial, params: GeometryParams) -> Scalar:
     """Linear extension of the series oracle to arbitrary parameter-free
     classes: off-degree and h-power-overflow monomials integrate to zero."""
-    f = _to_bundle(f)
+    f = _in_coords(f, BUNDLE)
     if not f.is_parameter_free():
         raise UsageError("cannot integrate a class containing deformation parameters")
     total = Fraction(0)

@@ -29,11 +29,12 @@ symmetric.  Products run on the integer model of the deformed bundle ring
 (:class:`_Kernel`, shared by both coordinate systems).  A class enters by
 one route (:func:`_terms`); an invariant's bundle staircase classes enter
 in its validating scan.  :func:`_grouped` sums a product's term pairs by q2
-exponent and product monomial w (:func:`_shift` only at b >= 1).  The
-kernel builds the rows of each w once, from one model product: its
-corrected piece at every curve class and the piece's pairing (``gram``).
-:func:`quantum_product` assembles the former, and :func:`gw_invariant`
-walks the latter, looking gamma up.  The tests check it all against
+exponent and product monomial w.  The corrections C are applied in one
+place, :func:`_shift`, and the correction step 1 - q2*C in one,
+:meth:`_Kernel.corrected`.  :func:`quantum_product` sums the model products
+of its grouped pairs and takes the step once; :func:`gw_invariant` walks
+the paired rows the kernel keeps for each w (its corrected model product
+paired through ``gram``), looking gamma up.  The tests check it all against
 Groebner assemblies, and the invariants' symmetry with a sweep over basis
 triples.
 
@@ -52,13 +53,11 @@ from .errors import CheckFailure, UsageError
 from .geometry import (
     BLOWUP,
     BUNDLE,
-    BUNDLE_TO_BLOWUP,
     CurveClass,
     GeometryParams,
     Presentation,
     _carries_ideal,
-    _to_bundle,
-    change_vars,
+    _in_coords,
     classical_presentation,
     integrate,  # noqa: F401  (kept importable from this module)
     quantum_presentation,
@@ -155,46 +154,47 @@ def basis_corrections(qp: Presentation) -> MappingProxyType[Mono, Polynomial]:
 
 class _Kernel:
     """What the products and invariants of one deformed bundle ring read,
-    resolved once (:func:`_kernel`), and the rows of each product monomial
-    w by curve class, built on its first read (:meth:`rows`)."""
+    resolved once (:func:`_kernel`): the correction step (:meth:`corrected`)
+    and the paired rows of each product monomial w, built once (:meth:`rows`)."""
 
     def __init__(self, qp: Presentation) -> None:
         self.qp, self.classical = qp, classical_presentation(qp.params, BUNDLE).quotient
         # a parameter-free monomial has one degree in both coordinate systems
         self.degree = {s: d for d, group in self.classical.by_degree.items() for s in group}
-        self.corrected_rows: dict[Mono, dict[Key, dict[Mono, int]]] = {}
         self.paired_rows: dict[Mono, dict[Key, dict[Mono, int]]] = {}
 
     @cached_property
-    def corrections(self) -> dict[Mono, dict[Mono, int]]:
-        return {s: dict(c.terms) for s, c in basis_corrections(self.qp).items()}
+    def corrections(self) -> MappingProxyType[Mono, Polynomial]:
+        return basis_corrections(self.qp)
 
-    def rows(self, w: Mono) -> tuple[dict[Key, dict[Mono, int]], dict[Key, dict[Mono, int]]]:
-        """Build and store the rows of w from one model product, at each key
-        (a, c) it reaches: the piece after the correction step 1 - q2*C (the
-        naive piece at (a, c) minus C times that at (a, c - 1)) and its
-        pairing with each staircase monomial of the complementary degree
-        (the classical ``gram``; terms off the classical staircase, in
-        formal n = 1 rings, pair to 0).  Only nonzero rows and entries are
-        kept."""
-        vec, corrections = self.qp.quotient.model.product(w), self.corrections
+    def corrected(self, vec: dict[Key, dict[Mono, Scalar]]) -> dict[Key, dict[Mono, Scalar]]:
+        """The correction step 1 - q2*C on a product given by its naive
+        pieces at each q-power (a, c): each piece stays, and minus C of it
+        (:func:`_shift`) goes to (a, c + 1).  Returns the nonzero pieces,
+        cleaned once; ``vec`` is left as it is."""
         pieces = {key: dict(piece) for key, piece in vec.items()}
         for (a, c), piece in vec.items():
             row = pieces.setdefault((a, c + 1), {})
-            for s, cs in piece.items():
-                for t, ct in corrections.get(s, _EMPTY).items():
-                    row[t] = row.get(t, 0) - cs * ct
+            for t, ct in _shift(self, piece).items():
+                row[t] = row.get(t, 0) - ct
+        return {key: row for key, terms in pieces.items() if (row := _canonical_terms(terms))}
+
+    def rows(self, w: Mono) -> dict[Key, dict[Mono, int]]:
+        """Build, store and return the paired rows of w: at each key (a, c)
+        its corrected model product reaches, the piece's pairing with each
+        staircase monomial of the complementary degree (the classical
+        ``gram``; terms off the classical staircase, in formal n = 1 rings,
+        pair to 0).  Only nonzero rows and entries are kept."""
         pairs, gram = {}, self.classical.gram
-        for key, piece in pieces.items():
-            row = pairs[key] = {}
+        for key, piece in self.corrected(self.qp.quotient.model.product(w)).items():
+            row = {}
             for t, c in piece.items():
-                for g, cg in gram.get(t, ()) if c else ():
+                for g, cg in gram.get(t, ()):
                     row[g] = row.get(g, 0) + c * cg
-        self.corrected_rows[w], self.paired_rows[w] = out = tuple(
-            {key: row for key, terms in rows.items() if (row := _canonical_terms(terms))}
-            for rows in (pieces, pairs)
-        )
-        return out
+            if row := _canonical_terms(row):
+                pairs[key] = row
+        self.paired_rows[w] = pairs
+        return pairs
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +213,7 @@ def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
     kernel, (terms,) = _factors(qp, f)
     vs, shift = kernel.qp.variables, _shift(kernel, terms)
     rep = _canonical_terms({**terms, **{mono[:3] + (1,): c for mono, c in shift.items()}})
-    return qp.quotient.normal_form(_in_coords(Polynomial._from_clean(vs, rep), qp))
+    return qp.quotient.normal_form(_in_coords(Polynomial._from_clean(vs, rep), qp.coords))
 
 
 def _factors(qp: Presentation, *classes: Polynomial) -> tuple[_Kernel, list[dict[Mono, Scalar]]]:
@@ -242,25 +242,20 @@ def _terms(kernel: _Kernel, qp: Presentation, f: Polynomial) -> dict[Mono, Scala
         raise UsageError("classical classes must be parameter-free")
     degree, top = f.variables.weighted_degree, qp.params.top_degree
     f = Polynomial._from_clean(f.variables, {m: c for m, c in f.terms.items() if degree(m) <= top})
-    if qp.coords == BLOWUP:
-        f = _to_bundle(f)
+    f = _in_coords(f, BUNDLE)
     return f.terms if f.terms.keys() <= staircase else kernel.classical.normal_form(f).terms
 
 
 def _shift(kernel: _Kernel, terms: dict[Mono, Scalar]) -> dict[Mono, Scalar]:
-    """The q2^1 part of phi = :func:`class_representative` of a class given
-    by its terms on the staircase of the deformed bundle ring: the sum of
-    their corrections (nonzero terms only).  phi has no other q2 power."""
+    """C of a class given by its terms on the deformed bundle staircase: the
+    sum of their corrections (nonzero terms only), the one place C is
+    applied.  It is the q2^1 part of phi (:func:`class_representative`; no
+    other q2 power), and :meth:`_Kernel.corrected` subtracts it one q2 up."""
     shift, corrections = {}, kernel.corrections
     for mono, coeff in terms.items():
-        for m, c in corrections[mono].items() if mono in corrections else ():
+        for m, c in corrections[mono].terms.items() if mono in corrections else ():
             shift[m] = shift.get(m, 0) + coeff * c
     return {m: c for m, c in shift.items() if c}
-
-
-def _in_coords(f: Polynomial, qp: Presentation) -> Polynomial:
-    """A bundle class in the coordinates of ``qp``."""
-    return change_vars(f, BUNDLE_TO_BLOWUP) if qp.coords == BLOWUP else f
 
 
 def _grouped(kernel: _Kernel, x: dict[Mono, Scalar], y: dict[Mono, Scalar], b: int) -> Grouped:
@@ -289,22 +284,23 @@ def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomia
     """Quantum product of two classical classes, expanded over the classical
     basis: the result is a sum of q1^a q2^b times parameter-free classes,
     one term per contributing curve class.  The term pairs are grouped once
-    (phi reaches q2^2 at most) and each w at q2 exponent k adds its
-    corrected rows, the row at (a, c) to the class of q1^a q2^(c + k); a
-    blow-up product is translated back.  With m = p + 2 the pieces lie over
-    the deformed staircase (rank 6 against 4 at (2, 0)) and can hold classes
-    above the top degree: such results are formal."""
+    (phi reaches q2^2 at most), the deformed model's products of the
+    grouped w are summed, each shifted by its q2 exponent k, and the
+    correction step is taken once, on the sum; a blow-up product is
+    translated back.  That is exact: the step is linear and commutes with
+    the q2 shift.  With m = p + 2 the pieces lie over the deformed
+    staircase (rank 6 against 4 at (2, 0)) and can hold classes above the
+    top degree: such results are formal."""
     kernel, terms = _factors(qp, x, y)
-    rows, out = kernel.corrected_rows, {}
+    product, vec = kernel.qp.quotient.model.product, {}
     for k, monos in _grouped(kernel, *terms, 2).items():
         for w, scale in monos.items():
-            if (wrows := rows.get(w)) is None:
-                wrows = kernel.rows(w)[0]
-            for (a, c), row in wrows.items():
-                for t, ct in row.items():
-                    mono = (t[0], t[1], a, c + k)
-                    out[mono] = out.get(mono, 0) + scale * ct
-    return _in_coords(Polynomial._from_clean(kernel.qp.variables, _canonical_terms(out)), qp)
+            for (a, c), piece in product(w).items():
+                row = vec.setdefault((a, c + k), {})
+                for t, ct in piece.items():
+                    row[t] = row.get(t, 0) + scale * ct
+    out = {t[:2] + key: c for key, piece in kernel.corrected(vec).items() for t, c in piece.items()}
+    return _in_coords(Polynomial._from_clean(kernel.qp.variables, out), qp.coords)
 
 
 def contribution_by_class(
@@ -410,7 +406,7 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
         key = (a, b - k)
         for w, scale in monos.items():
             if (wrows := rows.get(w)) is None:
-                wrows = kernel.rows(w)[1]
+                wrows = kernel.rows(w)
             for g, pairing in wrows.get(key, _EMPTY).items():
                 if cg := gamma.get(g):
                     value += scale * cg * pairing

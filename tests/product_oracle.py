@@ -11,7 +11,9 @@ coordinates and translated back.
 :func:`budget_product` is the product as the library read it before each
 product monomial's rows were walked by key: one piece per curve class in
 the degree budget, each read by :func:`piece` (which the library used for
-``contribution_by_class`` before that became a slice of the product).
+``contribution_by_class`` before that became a slice of the product).  The
+piece applies the correction step itself, to the deformed model's
+products, so it checks the library's one step rather than reading it.
 
 Beside them, :func:`contributions` splits the public product by curve class,
 and :func:`basis_products` splits the products of all staircase basis pairs
@@ -23,6 +25,7 @@ from functools import lru_cache
 
 from qcblowup import (
     Polynomial,
+    geometry,
     quantum,
     UsageError,
     basis_corrections,
@@ -76,15 +79,23 @@ def groebner_contributions(x, y, qp):
 
 
 def piece(kernel, grouped, key):
-    """The piece at key = (a, b) of a product grouped by ``quantum._grouped``:
-    the sum of scale times the corrected row of w at (a, b - k)."""
-    (a, b), rows, out = key, kernel.corrected_rows, {}
-    for k, monos in grouped.items():
-        for w, scale in monos.items() if k <= b else ():
-            if (wrows := rows.get(w)) is None:
-                wrows = kernel.rows(w)[0]
-            for t, c in wrows.get((a, b - k), quantum._EMPTY).items():
+    """The piece at key = (a, b) of a product grouped by ``quantum._grouped``,
+    read off the deformed model's products with its own correction step: the
+    sum of scale times the model piece of w at (a, b - k) minus the
+    corrections (``basis_corrections``) of its model piece at (a, b - k - 1).
+    Each w is looked up once."""
+    (a, b), out = key, {}
+    product, corrections = kernel.qp.quotient.model.product, basis_corrections(kernel.qp)
+    live = [(k, monos) for k, monos in grouped.items() if k <= b]
+    vectors = {w: product(w) for w in dict.fromkeys(w for _, monos in live for w in monos)}
+    for k, monos in live:
+        for w, scale in monos.items():
+            vec = vectors[w]
+            for t, c in vec.get((a, b - k), {}).items():
                 out[t] = out.get(t, 0) + scale * c
+            for s, c in vec.get((a, b - k - 1), {}).items():
+                for t, ct in corrections[s].terms.items() if s in corrections else ():
+                    out[t] = out.get(t, 0) - scale * c * ct
     return out
 
 
@@ -103,7 +114,7 @@ def budget_product(x, y, qp):
             terms = piece(kernel, pairs, (a, b))
             out.update((mono[:2] + (a, b), c) for mono, c in terms.items())
     product = Polynomial._from_clean(kernel.qp.variables, _canonical_terms(out))
-    return quantum._in_coords(product, qp)
+    return geometry._in_coords(product, qp.coords)
 
 
 def contributions(x, y, qp):

@@ -33,8 +33,8 @@ ALLOWED = {
     "qcblowup.quantum._kernel": (
         ("qp",), None,
         "unbounded: like the rings it reads, one query kernel per deformed bundle ring,"
-        " which the blow-up presentation's entry shares; its memos hold a row per"
-        " product monomial and key read"),
+        " which the blow-up presentation's entry shares; its one memo holds the paired"
+        " rows of each product monomial an invariant reads"),
 }
 
 

@@ -187,6 +187,16 @@ def test_integrate_off_degree_class_is_zero(capsys):
     assert doc["payload"]["groebner"] == doc["payload"]["oracle"] == "0"
 
 
+def test_integrate_reduces_in_the_budget_built_ring(capsys, monkeypatch):
+    # h^201 is over the default budget of 200, so only the ring built under
+    # the command's own budget can reduce the class
+    argv = ("integrate", "--m", "202", "--p", "0", "--class", "h^201*xi")
+    monkeypatch.setenv("QC_MAX_DEGREE", "210")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["payload"]["groebner"] == doc["payload"]["oracle"] == "1"
+
+
 def test_integrate_rejects_parameters(capsys):
     code, _ = run(capsys, "integrate", "--m", "4", "--p", "0", "--class", "h*q1")
     assert code == 2

@@ -347,6 +347,30 @@ def test_oracle_integrate_linear_extension():
     assert oracle_integrate(f, params) == integrate(f, pres) == 13
 
 
+ADMISSIBLE_TO_8 = [(m, p) for m in range(2, 9) for p in range(m - 1)]
+
+
+@pytest.mark.parametrize("m, p", ADMISSIBLE_TO_8, ids=[f"m{m}p{p}" for m, p in ADMISSIBLE_TO_8])
+def test_every_presentation_integrates_like_the_oracle(m, p):
+    # a deformed presentation integrates in the classical bundle ring, in
+    # either coordinate system: at n = 1 the deformed bundle staircase has
+    # three monomials of top degree, so its own quotient cannot
+    params = derive_params(m, p)
+    top = params.top_degree
+    for build in (classical_presentation, quantum_presentation):
+        for coords in ("bundle", "blowup"):
+            pres = build(params, coords)
+            for i in range(top + 1):
+                mono = Polynomial(pres.variables, {(i, top - i, 0, 0): 1})
+                assert integrate(mono, pres) == oracle_integrate(mono, params), (pres, mono)
+    classical, deformed = (build(params, "bundle") for build in (classical_presentation,
+                                                                 quantum_presentation))
+    for divisor in ("xi", "h"):
+        for curve in (FIBER_LINE, EXCEPTIONAL_LINE):
+            d = Polynomial.variable(deformed.variables, divisor)
+            assert pair_divisor_curve(d, curve, deformed) == pair_divisor_curve(d, curve, classical)
+
+
 # -- pairings --------------------------------------------------------------------
 
 

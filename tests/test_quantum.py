@@ -42,7 +42,9 @@ import symmetry_oracle
 from correction_oracle import model_corrections, polynomial_corrections
 from elimination_oracle import eliminate
 from invariant_oracle import assembled_invariant, pairwise_piece, piecewise_invariant
-from product_oracle import contributions, groebner_contributions, staircase_products
+from product_oracle import (
+    contributions, decompose_contributions, groebner_contributions, staircase_products,
+)
 from symmetry_oracle import verify_s3_symmetry
 
 
@@ -779,18 +781,19 @@ def test_every_entry_route_gives_the_staircase_value(m, p):
 
 def _check_kernel_rows(qp):
     # every memoised w of the ring's query kernel (both coordinate systems
-    # share it) holds exactly the nonzero pieces of w * 1 in its degree
-    # budget (keys (a, b) with r a + n b <= deg w), each equal to the
-    # pairwise piece, and beside each its nonzero pairing_matrix pairings
-    # with the staircase monomials of the complementary degree
+    # share it) has, under the kernel's correction step, exactly the nonzero
+    # pieces of w * 1 in its degree budget (keys (a, b) with r a + n b <=
+    # deg w), each equal to the pairwise piece, and holds their nonzero
+    # pairing_matrix pairings with the staircase monomials of the
+    # complementary degree
     kernel = quantum._kernel(qp)
     assert quantum._kernel(quantum_presentation(qp.params, "blowup")) is kernel
     cp = classical_presentation(qp.params, "bundle")
     staircase = cp.quotient.staircase
     gram = dict(zip(staircase, pairing_matrix(cp)))
     r, n, one = qp.params.r, qp.params.n, [((0, 0, 0, 0), 0, 1)]
-    assert kernel.corrected_rows and kernel.paired_rows.keys() == kernel.corrected_rows.keys()
-    for w, rows in kernel.corrected_rows.items():
+    assert kernel.paired_rows
+    for w, rows in kernel.paired_rows.items():
         d, expected, paired = qp.variables.weighted_degree(w), {}, {}
         for key in ((a, b) for a in range(d // r + 1) for b in range((d - r * a) // n + 1)):
             piece = {t: c for t, c in pairwise_piece(qp, [(w, 0, 1)], one, key).items() if c}
@@ -802,13 +805,13 @@ def _check_kernel_rows(qp):
                 }
                 if pairs:
                     paired[key] = pairs
-        assert rows == expected, w
-        assert kernel.paired_rows[w] == paired, w
+        assert kernel.corrected(qp.quotient.model.product(w)) == expected, w
+        assert rows == paired, w
 
 
 def test_shared_memos_survive_callers_that_change_their_results():
     # the model product memos, the classical pairings and the kernels'
-    # corrected and paired rows are shared by every query: a seeded batch
+    # paired rows are shared by every query: a seeded batch
     # whose every returned polynomial is changed in place leaves them as
     # they were, and the batch gives the same values again
     import copy
@@ -858,7 +861,7 @@ def test_shared_memos_survive_callers_that_change_their_results():
         rows += [dict(ring.gram) for ring in rings[1::2]]  # the classical rings
         for m, p in [(11, 3), (16, 5)]:
             kernel = quantum._kernel(quantum_presentation(derive_params(m, p), "bundle"))
-            rows += [kernel.corrected_rows, kernel.paired_rows]
+            rows.append(kernel.paired_rows)
         return rows
 
     expected = run(False)  # warms the memos
@@ -956,12 +959,10 @@ def test_the_kernel_memos_stay_within_the_rows_the_stream_reads(monkeypatch):
     assert kernels.keys() == reached.keys()
     total = 0
     for bundle, kernel in kernels.items():
-        assert kernel.corrected_rows.keys() == reached[bundle]
         assert kernel.paired_rows.keys() == reached[bundle]
         assert sorted(w for w, in lookups[bundle]) == sorted(reached[bundle])
-        memos = (kernel.corrected_rows, kernel.paired_rows)
-        assert all(row for rows in memos for wrows in rows.values() for row in wrows.values())
-        total += sum(map(len, kernel.corrected_rows.values()))
+        assert all(row for wrows in kernel.paired_rows.values() for row in wrows.values())
+        total += sum(map(len, kernel.paired_rows.values()))
     assert 1400 < total <= 1700  # 1,551 rows over the four ladder rings
 
 
@@ -982,8 +983,8 @@ def test_each_product_monomial_is_built_once(monkeypatch):
     stream = _session_stream(1)
     expected = [gw_invariant(query, qp) for query, qp in stream]
     built = [(kernel.qp, w) for kernel, w in builds]
-    assert len(built) == len(set(built)) == sum(len(k.corrected_rows) for k in kernels.values())
-    rows = sum(len(wrows) for k in kernels.values() for wrows in k.corrected_rows.values())
+    assert len(built) == len(set(built)) == sum(len(k.paired_rows) for k in kernels.values())
+    rows = sum(len(wrows) for k in kernels.values() for wrows in k.paired_rows.values())
     assert rows > 1.5 * len(built)  # a build serves several curve classes
     builds.clear()
     assert [gw_invariant(query, qp) for query, qp in stream] == expected
@@ -1048,8 +1049,8 @@ def test_a_warm_staircase_query_reads_only_the_ring_models(monkeypatch):
 def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     # a term pair whose q2 exponents sum above b cannot reach (a, b), so its
     # model product is never looked up, and the live pairs are summed by
-    # product monomial first: on a kernel with cold memos, one lookup per
-    # distinct monomial; the piece equals the Groebner product's
+    # product monomial first: one lookup per distinct monomial; the piece
+    # equals the Groebner product's
     params = derive_params(16, 5)
     qp = quantum_presentation(params, "bundle")
     alpha = bp("h^9*xi^3 + 2*h^10*xi^2", params)
@@ -1467,6 +1468,84 @@ def test_quantum_product_matches_the_budget_oracle():
     assert seen["fraction"] > 100 and seen["q2"] > 100
 
 
+README_GRID = [(m, p) for m in range(4, 13) for p in range(4) if 2 * p + 3 < m]
+
+
+@pytest.mark.parametrize(
+    "m, p", LADDER + README_GRID, ids=[f"m{m}p{p}" for m, p in LADDER + README_GRID]
+)
+def test_quantum_product_matches_both_oracles(m, p):
+    # one correction step on the summed model products against the budget
+    # oracle's own step and the Groebner assembly, on seeded pairs in both
+    # coordinate systems
+    params = derive_params(m, p)
+    rng = random.Random(7 * m + p)
+    for coords in ("bundle", "blowup"):
+        qp = quantum_presentation(params, coords)
+        staircase = classical_presentation(params, coords).quotient.staircase
+        for _ in range(12):
+            x, y = (_random_class(rng, qp.variables, staircase, params.top_degree) for _ in "xy")
+            product = quantum_product(x, y, qp)
+            assert product == product_oracle.budget_product(x, y, qp), (coords, x, y)
+            assert decompose_contributions(product) == groebner_contributions(x, y, qp)
+
+
+def test_the_budget_oracle_sees_a_product_without_its_correction_step(monkeypatch):
+    # the oracle applies 1 - q2*C itself, so a kernel step that returns the
+    # naive pieces makes quantum_product differ from it, at a q2 power of 1
+    # or more, on a share of the basis pairs at (11, 3) in both coordinate
+    # systems
+    params = derive_params(11, 3)
+    cases = []
+    for coords in ("bundle", "blowup"):
+        qp = quantum_presentation(params, coords)
+        polys = classical_presentation(params, coords).quotient.staircase_polynomials()
+        cases += [(x, y, qp) for i, x in enumerate(polys) for y in polys[i:]]
+    expected = [product_oracle.budget_product(*case) for case in cases]
+    assert [quantum_product(*case) for case in cases] == expected
+    monkeypatch.setattr(
+        quantum._Kernel, "corrected",
+        lambda kernel, vec: {key: row for key, piece in vec.items()
+                             if (row := {t: c for t, c in piece.items() if c})},
+    )
+    naive = [quantum_product(*case) for case in cases]
+    differ = {(x, y, qp.coords) for (x, y, qp), a, b in zip(cases, naive, expected) if a != b}
+    assert {coords for *_, coords in differ} == {"bundle", "blowup"}
+    assert len(cases) / 10 < len(differ) < len(cases)
+    assert all(mono[3] for a, b in zip(naive, expected) for mono in (a - b).terms)
+
+
+def test_products_and_invariants_leave_the_model_memo_as_it_was():
+    # quantum_product sums the deformed model's memoised vectors and the
+    # kernel's step corrects them: over a seeded sample at (11, 3) in both
+    # coordinate systems, every memoised vector stays what a fresh model
+    # computes, and a second pass changes none of them
+    import copy
+
+    from qcblowup.groebner import _RingModel
+
+    params = derive_params(11, 3)
+    rng = random.Random(1131)
+    batch = []
+    for coords in ("bundle", "blowup"):
+        qp = quantum_presentation(params, coords)
+        batch += [(query, qp) for query in _ladder_queries(rng, params, qp.variables, 24)]
+    quotient = quantum_presentation(params, "bundle").quotient
+
+    def run():
+        return [
+            (quantum_product(query.alpha, query.beta, qp), gw_invariant(query, qp))
+            for query, qp in batch
+        ]
+
+    expected = run()
+    memo = copy.deepcopy(quotient.model._products)
+    fresh = _RingModel(quotient)
+    assert memo and all(fresh.product(w) == vector for w, vector in memo.items())
+    assert run() == expected
+    assert quotient.model._products == memo
+
+
 def test_product_specialization_matches_classical_normal_forms(grid_params):
     # the (0, 0) piece of each table entry against a Polynomial product and a
     # classical normal form
@@ -1696,7 +1775,7 @@ def test_classes_above_the_top_degree_are_never_reduced(monkeypatch, coords):
     one, point = Polynomial.one(vs), x * y**3
     gw_invariant(GWQuery(CurveClass(1, 0), x, x, point), qp)  # builds the models
     seen = []
-    # a blow-up class reaches bundle coordinates through geometry._to_bundle
+    # a blow-up class reaches bundle coordinates through geometry._in_coords
     for module, name in ((groebner, "normal_form"), (geometry, "change_vars")):
         original = getattr(module, name)
 
@@ -1716,7 +1795,7 @@ def test_classes_above_the_top_degree_are_never_reduced(monkeypatch, coords):
     assert seen[-1] == 200
     if coords == "blowup":
         seen.clear()
-        geometry._to_bundle(high)
+        geometry._in_coords(high, "bundle")
         assert seen == [200]
 
 
