@@ -157,7 +157,8 @@ def cmd_gw(args) -> tuple[dict, str, str]:
     )
     # The invariant is read off the bundle rings in either coordinate
     # system; building them under the budget first lets an exceeded budget
-    # fail the command.
+    # fail the command, and stores the rings a raised budget admits for the
+    # query kernel.
     geometry.classical_presentation(params, geometry.BUNDLE, max_degree=budget)
     geometry.quantum_presentation(params, geometry.BUNDLE, max_degree=budget)
     qp = geometry.quantum_presentation(params, args.coords, max_degree=budget)
@@ -240,8 +241,8 @@ def _verify_instance(
     """The range flag and the check report of one (m, p) instance.
 
     The presentations the suites use are built under the degree budget
-    first, so that an exceeded budget fails the command; without a budget
-    they are the very cache entries the suites read.
+    first, so that an exceeded budget fails the command; the suites then
+    read the very rings stored, whatever the budget.
     """
     try:
         params = derive_params(m, p)

@@ -24,12 +24,11 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BudgetError, CheckFailure, UsageError
+from .errors import CheckFailure, UsageError
 from .groebner import Ideal, QuotientRing, _in_ideal, buchberger, staircase_basis
-from .poly import Polynomial, Scalar, VariableSet, _canonical_terms
+from .poly import Polynomial, Scalar, VariableSet, _canonical, _canonical_terms
 from .poly import blowup_variables, bundle_variables
 from .records import Frozen
 from .report import CheckReport
@@ -241,42 +240,40 @@ def _build(
     return Presentation(coords, params, quantum, relations, quotient)
 
 
-@lru_cache(maxsize=None)
-def _presentation(params: GeometryParams, coords: str, quantum: bool) -> Presentation:
-    """The ring built under the default degree budget, once per instance."""
-    return _build(params, coords, quantum)
+#: One ring per (params, coords, quantum), whatever budget built it: a reduced
+#: Groebner basis depends only on the ideal and the order (Cox, Little and
+#: O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 Sec. 7).
+_rings: dict[tuple[GeometryParams, str, bool], Presentation] = {}
 
 
 def _budgeted(
     params: GeometryParams, coords: str, quantum: bool, max_degree: int | None = None
 ) -> Presentation:
-    """The cached ring, unless its Buchberger run went above a given budget
+    """The stored ring, unless its Buchberger run went above a given budget
     ``max_degree`` (its basis's ``peak_degree``): then Buchberger runs again
-    under the budget, uncached, which raises the :class:`BudgetError` of an
-    exceeded budget or builds a ring only a budget above the default admits."""
-    try:
-        pres = _presentation(params, coords, quantum)
-        if max_degree is None or pres.quotient.basis.peak_degree <= max_degree:
-            return pres
-    except BudgetError:
-        if max_degree is None:
-            raise
-    return _build(params, coords, quantum, max_degree)
+    under the budget and raises its :class:`BudgetError`.  A ring not yet
+    stored is built under the budget (the default without one) and stored,
+    so the ring a raised budget admits is the one every later reader gets."""
+    key = (params, coords, quantum)
+    pres = _rings.get(key)
+    if pres is None or max_degree is not None and max_degree < pres.quotient.basis.peak_degree:
+        pres = _rings.setdefault(key, _build(params, coords, quantum, max_degree))
+    return pres
 
 
 def classical_presentation(
     params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
 ) -> Presentation:
-    """Build the classical presentation and its quotient ring (cached; a
-    degree budget is checked against the cached ring's Buchberger run)."""
+    """The classical presentation and its quotient ring, built once per
+    instance whatever the budget (:func:`_budgeted`)."""
     return _budgeted(params, coords, False, max_degree)
 
 
 def quantum_presentation(
     params: GeometryParams, coords: str = BLOWUP, *, max_degree: int | None = None
 ) -> Presentation:
-    """Build the deformed presentation and its quotient ring (cached; a
-    degree budget is checked against the cached ring's Buchberger run)."""
+    """The deformed presentation and its quotient ring, built once per
+    instance whatever the budget (:func:`_budgeted`)."""
     return _budgeted(params, coords, True, max_degree)
 
 
@@ -352,11 +349,11 @@ def integrate(f: Polynomial, presentation: Presentation) -> Scalar:
 
     Every relation is homogeneous, so only the top-degree part of f can
     reach the top class; the other terms are dropped before anything else.
-    Reduction happens in the classical bundle ring: the given presentation
-    if it is that ring (a budget-built ring serves its own classes), else
-    the cached one (a deformed ring's top degree can hold several staircase
-    monomials).  The value is the coefficient of the top staircase monomial
-    h^n xi^(r-1) in the normal form, normalized so that it integrates to 1.
+    Reduction happens in the stored classical bundle ring, whatever the
+    given presentation (a deformed ring's top degree can hold several
+    staircase monomials).  The value is the coefficient of the top
+    staircase monomial h^n xi^(r-1) in the normal form, normalized so that
+    it integrates to 1.
     """
     params = presentation.params
     if not f.is_parameter_free():
@@ -364,8 +361,7 @@ def integrate(f: Polynomial, presentation: Presentation) -> Scalar:
     degree = f.variables.weighted_degree
     top = {mono: c for mono, c in f.terms.items() if degree(mono) == params.top_degree}
     f = _in_coords(Polynomial._from_clean(f.variables, top), BUNDLE)
-    classical = presentation.coords == BUNDLE and not presentation.quantum
-    quotient = (presentation if classical else classical_presentation(params, BUNDLE)).quotient
+    quotient = classical_presentation(params, BUNDLE).quotient
     return quotient.normal_form(f).coefficient(quotient.top_monomial(params.top_degree))
 
 
@@ -405,7 +401,7 @@ def virtual_dimension(params: GeometryParams, curve: CurveClass) -> int:
     return params.r * curve.a + params.n * curve.b + params.top_degree
 
 
-def segre_integral_oracle(params: GeometryParams, h_exp: int, xi_exp: int) -> Scalar:
+def segre_integral_oracle(params: GeometryParams, h_exp: int, xi_exp: int) -> int:
     """Integral of h^h_exp xi^xi_exp computed without any Groebner machinery.
 
     The pushforward of xi-powers to P^n is governed by the inverse power
@@ -421,13 +417,12 @@ def segre_integral_oracle(params: GeometryParams, h_exp: int, xi_exp: int) -> Sc
         raise UsageError(f"h exponent must lie in 0..{params.n}")
     order = params.n - h_exp
     chern = chern_coefficients(params)
-    # 1 / prod(1 - a_i t) = 1 / sum_k (-1)^k c_k t^k, by power-series division.
-    series = [Fraction(1)]
+    # 1 / prod(1 - a_i t) = 1 / sum_k (-1)^k c_k t^k, by power-series
+    # division; c_0 = 1 (chern_coefficients checks it), so it stays in ``int``.
+    series = [1]
     for j in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, min(j, params.r) + 1):
-            acc -= Fraction((-1) ** i * chern[i]) * series[j - i]
-        series.append(acc)
+        series.append(-sum((-1) ** i * chern[i] * series[j - i]
+                           for i in range(1, min(j, params.r) + 1)))
     return series[order]
 
 
@@ -437,13 +432,13 @@ def oracle_integrate(f: Polynomial, params: GeometryParams) -> Scalar:
     f = _in_coords(f, BUNDLE)
     if not f.is_parameter_free():
         raise UsageError("cannot integrate a class containing deformation parameters")
-    total = Fraction(0)
+    total = 0
     for mono, coeff in f.terms.items():
         xi_exp, h_exp = mono[0], mono[1]
         if h_exp + xi_exp != params.top_degree or h_exp > params.n:
             continue
         total += coeff * segre_integral_oracle(params, h_exp, xi_exp)
-    return total
+    return _canonical(total)
 
 
 def pairing_matrix(presentation: Presentation) -> list[list[int]]:

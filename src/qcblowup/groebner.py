@@ -326,9 +326,9 @@ class _RingModel:
     units = ((1, 0, 0, 0), (0, 1, 0, 0))  # the two divisor variables
 
     def __init__(self, quotient: QuotientRing) -> None:
-        self._vs, self._nf = quotient.variables, quotient.normal_form
-        staircase, self._on_staircase = quotient.staircase, quotient.staircase_set
-        free = all(map(self._vs.is_parameter_free, quotient.basis.leading_monomials()))
+        self._basis, self._on_staircase = quotient.basis, quotient.staircase_set
+        staircase = quotient.staircase
+        free = all(map(quotient.variables.is_parameter_free, self._basis.leading_monomials()))
         self.matrices = tuple(
             {s: self._row(mono_mul(s, unit)) for s in staircase} for unit in self.units
         ) if free else None
@@ -343,8 +343,9 @@ class _RingModel:
         return {(0, 0): {mono: 1}} if mono in self._on_staircase else self._read(mono)
 
     def _read(self, mono: Mono) -> Vector:
-        """The normal form of a parameter-free monomial, split by q-power."""
-        f = self._nf(Polynomial._from_clean(self._vs, {mono: 1}))
+        """The normal form of a parameter-free monomial (the basis's memo),
+        split by q-power."""
+        f = _normal_form_monomial(self._basis, mono)
         out: Vector = {}
         for t, c in f.terms.items():
             s = t[:2] + (0, 0)

@@ -1,9 +1,12 @@
-"""Every ``functools.lru_cache`` in the package, with its key and its bound.
+"""Every memo in the package, with its key and its bound: each
+``functools.lru_cache`` and each module-level table (a ``dict`` whose name is
+not upper case; upper-case ones are constants).
 
 A memo holds its arguments and results for the life of the process unless
 it is bounded.  The package's memos are listed below against the ones the
 modules define, so a new memo, or a changed key or bound, fails here until
 the list is updated; an unbounded one also needs its reason written down.
+A table has no bound.
 """
 
 import importlib
@@ -11,6 +14,7 @@ import inspect
 import pkgutil
 
 import qcblowup
+from qcblowup import classical_presentation, derive_params
 
 # qualified name -> (key parameters, maxsize or None for unbounded, reason)
 ALLOWED = {
@@ -21,7 +25,7 @@ ALLOWED = {
     "qcblowup.geometry._binary_form": (
         ("a", "b", "images"), 1024,
         "one integer row per exponent pair and direction; every pair of degree <= 30 fits"),
-    "qcblowup.geometry._presentation": (
+    "qcblowup.geometry._rings": (
         ("params", "coords", "quantum"), None,
         "unbounded: one ring per instance and coordinate system, whatever the budget (a"
         " budget is checked against the run's peak degree); the suites of a grid instance"
@@ -38,15 +42,18 @@ ALLOWED = {
 }
 
 
-def package_caches():
-    """The lru_cache wrappers defined in qcblowup, at module level or on a
-    class, keyed by qualified name."""
+def package_modules():
     names = [qcblowup.__name__] + [
         info.name for info in pkgutil.iter_modules(qcblowup.__path__, "qcblowup.")
     ]
+    return {name: importlib.import_module(name) for name in names}
+
+
+def package_caches():
+    """The lru_cache wrappers defined in qcblowup, at module level or on a
+    class, keyed by qualified name."""
     found = {}
-    for name in names:
-        module = importlib.import_module(name)
+    for name, module in package_modules().items():
         owners = [module] + [
             cls for cls in vars(module).values()
             if inspect.isclass(cls) and cls.__module__ == name
@@ -59,8 +66,19 @@ def package_caches():
     return found
 
 
+def package_tables():
+    """The module-level dicts of qcblowup not named in upper case, keyed by
+    qualified name."""
+    return {
+        f"{name}.{attr}": obj
+        for name, module in package_modules().items()
+        for attr, obj in vars(module).items()
+        if type(obj) is dict and not attr.startswith("__") and attr != attr.upper()
+    }
+
+
 def test_every_memo_is_on_the_allow_list():
-    found = package_caches()
+    found = {**package_caches(), **package_tables()}
     assert sorted(found) == sorted(ALLOWED)
 
 
@@ -70,3 +88,11 @@ def test_each_memo_has_its_listed_key_and_bound():
         assert tuple(inspect.signature(cache.__wrapped__).parameters) == key, name
         assert cache.cache_parameters()["maxsize"] == bound, name
         assert reason.startswith("unbounded: ") == (bound is None), name
+
+
+def test_each_table_is_unbounded_and_keyed_as_listed():
+    classical_presentation(derive_params(4, 0), "bundle")  # at least one entry
+    for name, table in package_tables().items():
+        key, bound, reason = ALLOWED[name]
+        assert bound is None and reason.startswith("unbounded: "), name
+        assert table and all(len(entry) == len(key) for entry in table), name

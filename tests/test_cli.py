@@ -189,7 +189,7 @@ def test_integrate_off_degree_class_is_zero(capsys):
 
 def test_integrate_reduces_in_the_budget_built_ring(capsys, monkeypatch):
     # h^201 is over the default budget of 200, so only the ring built under
-    # the command's own budget can reduce the class
+    # the command's own budget, and stored, can reduce the class
     argv = ("integrate", "--m", "202", "--p", "0", "--class", "h^201*xi")
     monkeypatch.setenv("QC_MAX_DEGREE", "210")
     code, doc = run_json(capsys, *argv)
@@ -440,13 +440,13 @@ def test_gw_builds_the_bundle_rings_under_the_budget(capsys, monkeypatch, coords
 
 
 def test_verify_builds_each_presentation_once_without_a_budget(capsys, monkeypatch):
-    from qcblowup.geometry import _presentation
+    from qcblowup.geometry import _rings
 
     monkeypatch.delenv("QC_MAX_DEGREE", raising=False)
-    _presentation.cache_clear()
+    _rings.clear()
     code, _ = run(capsys, "verify", "--m", "6", "--p", "1")
     assert code == 0
-    assert _presentation.cache_info().misses == 4
+    assert len(_rings) == 4
     monkeypatch.setenv("QC_MAX_DEGREE", "200")
     code, doc = run_json(capsys, "verify", "--m", "6", "--p", "1")
     assert code == 0
@@ -461,7 +461,7 @@ def test_verify_builds_each_presentation_once_without_a_budget(capsys, monkeypat
       "--alpha", "xi", "--beta", "xi^2", "--gamma", "h^6*xi^2"), 2),
 ])
 def test_a_budget_builds_no_second_ring(capsys, monkeypatch, argv, runs):
-    # A budgeted request reads the cached ring when that ring's Buchberger
+    # A budgeted request reads the stored ring when that ring's Buchberger
     # run stayed within the budget, so the budget adds no run.
     from qcblowup import geometry
 
@@ -475,7 +475,7 @@ def test_a_budget_builds_no_second_ring(capsys, monkeypatch, argv, runs):
             monkeypatch.delenv("QC_MAX_DEGREE", raising=False)
         else:
             monkeypatch.setenv("QC_MAX_DEGREE", budget)
-        geometry._presentation.cache_clear()
+        geometry._rings.clear()
         calls.clear()
         code, _ = run(capsys, *argv)
         assert code == 0
@@ -500,9 +500,14 @@ def test_an_exceeded_budget_fails_on_a_cached_ring(capsys, monkeypatch):
 
 
 def test_a_budget_above_the_default_builds_what_the_default_refuses(capsys, monkeypatch):
-    # (k - eta)^202 is over the default budget of 200; the cached build fails
-    # and the budgeted request builds the ring under its own budget
+    # (k - eta)^202 is over the default budget of 200; the default build
+    # fails and the budgeted request builds the ring under its own budget.
+    # A ring an earlier test stored under a raised budget would serve the
+    # default, so the table starts empty.
+    from qcblowup import geometry
+
     argv = ("present", "--m", "202", "--p", "0")
+    geometry._rings.clear()
     monkeypatch.delenv("QC_MAX_DEGREE", raising=False)
     code, doc = run_json(capsys, *argv)
     assert code == 1
@@ -511,6 +516,71 @@ def test_a_budget_above_the_default_builds_what_the_default_refuses(capsys, monk
     code, doc = run_json(capsys, *argv)
     assert code == 0
     assert doc["payload"]["rank"] == 404
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("gw", "--m", "202", "--p", "0", "--class", "1,0",
+      "--alpha", "xi", "--beta", "xi", "--gamma", "h^201*xi"),
+     "I_(1,0)(xi, xi, h^201*xi) = 1"),
+    (("verify", "--m", "201", "--p", "0"), "overall: all checks passed"),
+])
+def test_every_reader_gets_the_ring_a_raised_budget_admits(capsys, monkeypatch, argv, text):
+    # The bundle rings are over the default budget of 200: without a budget
+    # the command fails as the prebuild does, and with one the query kernel
+    # and the suites read the rings the prebuild stored.
+    from qcblowup import geometry
+
+    geometry._rings.clear()
+    monkeypatch.delenv("QC_MAX_DEGREE", raising=False)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith("check failed: generator degree 20") and "exceeds budget 200" in out
+    monkeypatch.setenv("QC_MAX_DEGREE", "210")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert text in out
+
+
+def _default_budget_8(monkeypatch):
+    """A default degree budget of 8, below the blow-up rings at (8,1), the
+    deformed bundle ring at (6,4) and the bundle rings at (10,1), and a
+    command budget of 12 above them.  The stored rings, and the kernels and
+    corrections keyed by equal rings, are dropped, so each ring is built
+    anew and every reader goes to the table for it."""
+    from qcblowup import geometry, groebner, quantum
+
+    geometry._rings.clear()
+    quantum.basis_corrections.cache_clear()
+    quantum._kernel.cache_clear()
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_DEGREE", 8)
+    monkeypatch.setenv("QC_MAX_DEGREE", "12")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--m", "8", "--p", "1"),
+    ("gw", "--m", "6", "--p", "4", "--coords", "blowup", "--class", "0,1",
+     "--alpha", "k", "--beta", "k", "--gamma", "k^7*eta^2"),
+])
+def test_a_raised_budget_serves_the_readers_without_one(capsys, monkeypatch, argv):
+    _default_budget_8(monkeypatch)
+    code, out = run(capsys, *argv)
+    assert code == 0, out
+
+
+@pytest.mark.parametrize("argv", [
+    ("present", "--m", "8", "--p", "1"),
+    ("present", "--m", "8", "--p", "1", "--quantum"),
+    ("basis", "--m", "8", "--p", "1"),
+    ("integrate", "--m", "10", "--p", "1", "--class", "h^7*xi^3"),
+    ("gw", "--m", "10", "--p", "1", "--class", "1,0",
+     "--alpha", "xi", "--beta", "xi^2", "--gamma", "h^7*xi^3"),
+])
+def test_a_raised_budget_prints_what_the_default_prints(capsys, monkeypatch, argv):
+    monkeypatch.delenv("QC_MAX_DEGREE", raising=False)
+    code, want = run(capsys, *argv)
+    assert code == 0
+    _default_budget_8(monkeypatch)
+    assert run(capsys, *argv) == (0, want)
 
 
 @pytest.mark.parametrize("argv, error", [

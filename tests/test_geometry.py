@@ -324,6 +324,22 @@ def test_segre_oracle_examples():
     assert segre_integral_oracle(derive_params(8, 1), 5, 3) == 4
 
 
+def test_the_oracles_return_canonical_scalars(grid_params):
+    # an integral value is an ``int``; a rational class integrates to a
+    # ``Fraction`` only when its value is not integral
+    top = grid_params.top_degree
+    for a in range(grid_params.n + 1):
+        value = segre_integral_oracle(grid_params, a, top - a)
+        assert type(value) is int
+        mono = bp(f"h^{a}*xi^{top - a}" if a else f"xi^{top}", grid_params)
+        assert type(oracle_integrate(mono, grid_params)) is int
+        assert oracle_integrate(mono * Fraction(2), grid_params) == 2 * value
+        assert type(oracle_integrate(mono * Fraction(2), grid_params)) is int
+    params = derive_params(4, 0)
+    assert oracle_integrate(bp("1/2*h^3*xi", params), params) == Fraction(1, 2)
+    assert type(oracle_integrate(bp("h", params), params)) is int  # off degree: 0
+
+
 def test_segre_oracle_domain_errors():
     params = derive_params(4, 0)
     with pytest.raises(UsageError):

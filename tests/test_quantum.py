@@ -1816,6 +1816,33 @@ def test_presentations_are_built_once_per_key():
             assert deformed.certified == params.in_range
 
 
+def test_a_ring_a_raised_budget_built_is_the_one_every_reader_gets(monkeypatch):
+    # h^9, a generator of the bundle rings at (10,1), is above a default
+    # budget of 8
+    from qcblowup import BudgetError, geometry, groebner
+
+    params = derive_params(10, 1)
+    geometry._rings.clear()
+    basis_corrections.cache_clear()
+    quantum._kernel.cache_clear()
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_DEGREE", 8)
+    with pytest.raises(BudgetError, match="generator degree 9 exceeds budget 8"):
+        classical_presentation(params, "bundle")
+    built = classical_presentation(params, "bundle", max_degree=12).quotient
+    qp = quantum_presentation(params, "bundle", max_degree=12)
+    reduced_in = []
+    normal_form = QuotientRing.normal_form
+    monkeypatch.setattr(
+        QuotientRing, "normal_form", lambda ring, f: reduced_in.append(ring) or normal_form(ring, f)
+    )
+    assert integrate(bp("h^8*xi^2", params), qp) == 1
+    assert reduced_in == [built] and reduced_in[0] is built
+    assert classical_presentation(params, "bundle").quotient is built
+    assert quantum._kernel(qp).classical is built
+    with pytest.raises(BudgetError, match="generator degree 9 exceeds budget 8"):
+        classical_presentation(params, "bundle", max_degree=8)
+
+
 def test_extraction_rejects_the_classical_presentation():
     params = derive_params(8, 1)
     xi = bp("xi", params)
