@@ -18,7 +18,7 @@ _SOURCES = {
     ),
     "geometry": (
         "BLOWUP", "BLOWUP_TO_BUNDLE", "BUNDLE", "BUNDLE_TO_BLOWUP", "EXCEPTIONAL_LINE",
-        "FIBER_LINE", "ChernVector", "CurveClass", "GeometryParams", "Presentation",
+        "FIBER_LINE", "CurveClass", "GeometryParams", "Presentation",
         "anticanonical_class", "change_vars", "chern_coefficients",
         "classical_presentation", "classical_relations", "curve_dual", "derive_params",
         "fano_positivity_check", "integrate", "moduli_dimension_identities",
@@ -28,7 +28,7 @@ _SOURCES = {
     ),
     "groebner": (
         "GroebnerBasis", "Ideal", "QuotientRing", "buchberger", "ideal_equal",
-        "normal_form", "spolynomial", "staircase_basis",
+        "normal_form", "staircase_basis",
     ),
     "poly": ("Polynomial", "Scalar", "VariableSet", "blowup_variables", "bundle_variables"),
     "quantum": (

@@ -191,8 +191,10 @@ def cmd_integrate(args) -> tuple[dict, str, str]:
     budget = _max_degree()
     vs = geometry.variables_for(params, args.coords)
     cls = _parse_class(vs, args.cls, budget)
-    pres = geometry.classical_presentation(params, geometry.BUNDLE, max_degree=budget)
-    groebner_value = geometry.integrate(cls, pres)
+    # integrate reads the stored bundle ring; building it under the budget
+    # first lets an exceeded budget fail the command.
+    geometry.classical_presentation(params, geometry.BUNDLE, max_degree=budget)
+    groebner_value = geometry.integrate(cls, params)
     oracle_value = geometry.oracle_integrate(cls, params)
     equal = groebner_value == oracle_value
     payload = {

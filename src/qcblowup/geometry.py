@@ -84,25 +84,9 @@ def derive_params(m: int, p: int) -> GeometryParams:
     return GeometryParams(m, p)
 
 
-class ChernVector(Frozen):
-    """Coefficients c_0..c_r of the total Chern class of O(1)^(r-1) + O(2),
-    i.e. of the product (1+t)^(r-1) (1+2t)."""
-
-    __slots__ = _fields = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, k: int) -> int:
-        return self.coefficients[k]
-
-
-def chern_coefficients(params: GeometryParams) -> ChernVector:
-    """Expand (1+t)^(r-1) (1+2t) and sanity-check the endpoints."""
+def chern_coefficients(params: GeometryParams) -> tuple[int, ...]:
+    """Coefficients c_0..c_r of the total Chern class of O(1)^(r-1) + O(2):
+    expand (1+t)^(r-1) (1+2t) and sanity-check the endpoints."""
     coeffs = [1]
     for root in [1] * (params.r - 1) + [2]:
         coeffs = [
@@ -110,10 +94,9 @@ def chern_coefficients(params: GeometryParams) -> ChernVector:
             + (root * coeffs[i - 1] if i > 0 else 0)
             for i in range(len(coeffs) + 1)
         ]
-    vec = ChernVector(tuple(coeffs))
-    if vec[0] != 1 or vec[1] != params.r + 1 or vec[params.r] != 2:
+    if coeffs[0] != 1 or coeffs[1] != params.r + 1 or coeffs[params.r] != 2:
         raise CheckFailure(f"Chern coefficients {coeffs} fail endpoint checks")
-    return vec
+    return tuple(coeffs)
 
 
 class CurveClass(Frozen):
@@ -344,18 +327,17 @@ def _in_coords(f: Polynomial, coords: str) -> Polynomial:
     return f if f.variables.names == names else change_vars(f, direction)
 
 
-def integrate(f: Polynomial, presentation: Presentation) -> Scalar:
-    """Integrate a parameter-free class against the fundamental class.
+def integrate(f: Polynomial, params: GeometryParams) -> Scalar:
+    """Integrate a parameter-free class of the instance ``params`` against
+    the fundamental class.
 
     Every relation is homogeneous, so only the top-degree part of f can
     reach the top class; the other terms are dropped before anything else.
-    Reduction happens in the stored classical bundle ring, whatever the
-    given presentation (a deformed ring's top degree can hold several
-    staircase monomials).  The value is the coefficient of the top
-    staircase monomial h^n xi^(r-1) in the normal form, normalized so that
-    it integrates to 1.
+    The rest is carried into bundle coordinates and reduced in the stored
+    classical bundle ring, whose top degree holds the one staircase
+    monomial h^n xi^(r-1); the value is its coefficient in the normal form,
+    normalized so that it integrates to 1.
     """
-    params = presentation.params
     if not f.is_parameter_free():
         raise UsageError("cannot integrate a class containing deformation parameters")
     degree = f.variables.weighted_degree
@@ -375,16 +357,15 @@ def curve_dual(curve: CurveClass, params: GeometryParams) -> Polynomial:
     )
 
 
-def pair_divisor_curve(
-    divisor: Polynomial, curve: CurveClass, presentation: Presentation
-) -> Scalar:
-    """Intersection number of a degree-1 divisor class with a curve class."""
+def pair_divisor_curve(divisor: Polynomial, curve: CurveClass, params: GeometryParams) -> Scalar:
+    """Intersection number of a degree-1 divisor class of the instance
+    ``params``, in either coordinate system, with a curve class."""
     divisor = _in_coords(divisor, BUNDLE)
     if not divisor.is_parameter_free():
         raise UsageError("divisor class must be parameter-free")
     if divisor.is_zero or divisor.homogeneous_degree() != 1:
         raise UsageError("divisor class must be homogeneous of degree 1")
-    return integrate(divisor * curve_dual(curve, presentation.params), presentation)
+    return integrate(divisor * curve_dual(curve, params), params)
 
 
 def anticanonical_class(params: GeometryParams) -> Polynomial:
@@ -428,8 +409,11 @@ def segre_integral_oracle(params: GeometryParams, h_exp: int, xi_exp: int) -> in
 
 def oracle_integrate(f: Polynomial, params: GeometryParams) -> Scalar:
     """Linear extension of the series oracle to arbitrary parameter-free
-    classes: off-degree and h-power-overflow monomials integrate to zero."""
+    classes of the instance ``params``: off-degree and h-power-overflow
+    monomials integrate to zero."""
     f = _in_coords(f, BUNDLE)
+    if f.variables != variables_for(params, BUNDLE):
+        raise UsageError("class over a different variable set than the instance")
     if not f.is_parameter_free():
         raise UsageError("cannot integrate a class containing deformation parameters")
     total = 0
@@ -447,10 +431,11 @@ def pairing_matrix(presentation: Presentation) -> list[list[int]]:
     one staircase monomial t (h^n xi^(r-1), or eta^m in blow-up
     coordinates), and the quotient's pairing ``QuotientRing.gram`` gives
     each product of complementary degrees as c*t; it pairs to c times the
-    integral of t (one :func:`integrate` call).  The others pair to 0."""
-    quotient = presentation.quotient
-    t = quotient.top_monomial(presentation.params.top_degree)
-    scale = integrate(Polynomial._from_clean(presentation.variables, {t: 1}), presentation)
+    integral of t (one :func:`integrate` call on the instance).  The others
+    pair to 0."""
+    quotient, params = presentation.quotient, presentation.params
+    t = quotient.top_monomial(params.top_degree)
+    scale = integrate(Polynomial._from_clean(presentation.variables, {t: 1}), params)
     index = {s: i for i, s in enumerate(quotient.staircase)}
     matrix = [[0] * len(index) for _ in index]
     for s, row in quotient.gram.items():
@@ -503,10 +488,9 @@ def fano_positivity_check(params: GeometryParams, grid_bound: int = 5) -> CheckR
     are linear in the class, so only the six extremal ones are integrated."""
     if grid_bound < 1:
         raise UsageError("grid_bound must be at least 1")
-    pres = classical_presentation(params, BUNDLE)
-    xi, h = (Polynomial.variable(pres.variables, name) for name in ("xi", "h"))
+    xi, h = (Polynomial.variable(variables_for(params, BUNDLE), name) for name in ("xi", "h"))
     extremal = [
-        [pair_divisor_curve(d, c, pres) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
+        [pair_divisor_curve(d, c, params) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
         for d in (anticanonical_class(params), xi - h, h)
     ]
     grid = range(grid_bound + 1)
@@ -533,11 +517,10 @@ def moduli_dimension_identities(params: GeometryParams) -> CheckReport:
     """The two dimension identities tying the unparametrized moduli spaces of
     the extremal classes to their expected dimensions."""
     n, r = params.n, params.r
-    pres = classical_presentation(params, BUNDLE)
     anti = anticanonical_class(params)
     report = CheckReport()
-    deg_a1 = pair_divisor_curve(anti, FIBER_LINE, pres)
-    deg_a2 = pair_divisor_curve(anti, EXCEPTIONAL_LINE, pres)
+    deg_a1 = pair_divisor_curve(anti, FIBER_LINE, params)
+    deg_a2 = pair_divisor_curve(anti, EXCEPTIONAL_LINE, params)
     report.add(
         "fiber_moduli_dimension",
         n + 2 * r - 4 == deg_a1 + params.top_degree - 3,
@@ -581,7 +564,7 @@ def verify_classical_geometry(
     xi = Polynomial.variable(vs, "xi")
     h = Polynomial.variable(vs, "h")
     table = [
-        [int(pair_divisor_curve(d, c, bundle)) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
+        [int(pair_divisor_curve(d, c, params)) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
         for d in (xi - h, h)
     ]
     report.add("duality_pairing_table", table == [[1, 0], [0, 1]], f"{table}")
@@ -591,7 +574,7 @@ def verify_classical_geometry(
     k = Polynomial.variable(bvs, "k")
     eta = Polynomial.variable(bvs, "eta")
     btable = [
-        [int(pair_divisor_curve(d, c, bundle)) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
+        [int(pair_divisor_curve(d, c, params)) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
         for d in (k, eta)
     ]
     report.add("blowup_pairing_table", btable == [[1, 0], [1, -1]], f"{btable}")
@@ -600,20 +583,20 @@ def verify_classical_geometry(
     anti = anticanonical_class(params)
     report.add(
         "anticanonical_degrees",
-        pair_divisor_curve(anti, FIBER_LINE, bundle) == r
-        and pair_divisor_curve(anti, EXCEPTIONAL_LINE, bundle) == n,
+        pair_divisor_curve(anti, FIBER_LINE, params) == r
+        and pair_divisor_curve(anti, EXCEPTIONAL_LINE, params) == n,
     )
 
     # Integration normalization and top-row values.
     report.add(
         "integration_normalization",
-        integrate(h**n * xi ** (r - 1), bundle) == 1
-        and integrate(h ** (n - 1) * xi**r, bundle) == r + 1,
+        integrate(h**n * xi ** (r - 1), params) == 1
+        and integrate(h ** (n - 1) * xi**r, params) == r + 1,
     )
 
     # Groebner integration agrees with the series oracle in every top degree.
     oracle_ok = all(
-        integrate(h**a * xi ** (params.top_degree - a), bundle)
+        integrate(h**a * xi ** (params.top_degree - a), params)
         == segre_integral_oracle(params, a, params.top_degree - a)
         for a in range(n + 1)
     )

@@ -72,13 +72,11 @@ class GroebnerBasis:
     monomial.  ``peak_degree`` is the largest total degree among the
     generators and the S-pair remainders of the :func:`buchberger` run that
     produced the basis, so that run passes every degree budget at least that
-    large (None for a basis built otherwise)."""
+    large."""
 
     __slots__ = ("ideal", "polys", "peak_degree", "_reducers", "_nf_memo")
 
-    def __init__(
-        self, ideal: Ideal, polys: tuple[Polynomial, ...], peak_degree: int | None = None
-    ) -> None:
+    def __init__(self, ideal: Ideal, polys: tuple[Polynomial, ...], peak_degree: int) -> None:
         self.ideal = ideal
         self.polys = polys
         self.peak_degree = peak_degree
@@ -168,17 +166,6 @@ def _spair(f: Reducer, g: Reducer) -> dict[Mono, int]:
             m = tuple(map(add, m, t))
             out[m] = out.get(m, 0) + scale * c
     return {m: c for m, c in out.items() if c}
-
-
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of f and g: the monic leading terms cancel against their
-    lcm.  The integer S-pair (:func:`_spair`) divided by lc_f*lc_g/gcd."""
-    if f.variables != g.variables:
-        raise UsageError("S-polynomial of polynomials over different variable sets")
-    rf, rg = _reducer(f.terms), _reducer(g.terms)
-    den = rf[1] * rg[1] // gcd(rf[1], rg[1])
-    terms = {m: _canonical(Fraction(c, den)) for m, c in _spair(rf, rg).items()}
-    return Polynomial._from_clean(f.variables, terms)
 
 
 def buchberger(
@@ -474,10 +461,10 @@ def staircase_basis(gb: GroebnerBasis) -> QuotientRing:
     return QuotientRing(gb, tuple(staircase))
 
 
-def ideal_equal(a: Ideal, b: Ideal, *, max_degree: int | None = None) -> bool:
+def ideal_equal(a: Ideal, b: Ideal) -> bool:
     """True iff the two ideals coincide, that is iff their reduced Groebner
     bases are equal: a reduced basis is unique for an ideal and an order (Cox,
     Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 Sec. 7)."""
     if a.variables != b.variables:
         raise UsageError("ideals over different variable sets")
-    return buchberger(a, max_degree=max_degree) == buchberger(b, max_degree=max_degree)
+    return buchberger(a) == buchberger(b)

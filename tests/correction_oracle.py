@@ -216,11 +216,11 @@ def polynomial_corrections(qp):
             for y in by_degree.get(dy, []):
                 if dy == dx and y < x:
                     continue
-                row = {ncols: -integrate(naive_q2_part(mono_poly(x) * mono_poly(y)), cp)}
+                row = {ncols: -integrate(naive_q2_part(mono_poly(x) * mono_poly(y)), params)}
                 for mu in by_degree.get(dy - n, []):
-                    bump(row, ("C", y, mu), integrate(mono_poly(x) * mono_poly(mu), cp))
+                    bump(row, ("C", y, mu), integrate(mono_poly(x) * mono_poly(mu), params))
                 for mu in by_degree.get(dx - n, []):
-                    bump(row, ("C", x, mu), integrate(mono_poly(y) * mono_poly(mu), cp))
+                    bump(row, ("C", x, mu), integrate(mono_poly(y) * mono_poly(mu), params))
                 rows.append(row)
 
     system = eliminate(rows, ncols)

@@ -48,7 +48,7 @@ def assembled_invariant(query, qp, contributions=product_contributions):
     qp, (alpha, beta, gamma) = _bundle_query(query, qp)
     key = (query.curve.a, query.curve.b)
     piece = contributions(alpha, beta, qp).get(key, Polynomial.zero(qp.variables))
-    return integrate(piece * gamma, classical_presentation(qp.params, "bundle"))
+    return integrate(piece * gamma, qp.params)
 
 
 def _full_phi(qp, terms):

@@ -112,19 +112,15 @@ def test_criterion_3_integration_oracle_equivalence(capsys):
     start = time.perf_counter()
     for m, p in GRID:
         params = derive_params(m, p)
-        pres = classical_presentation(params, "bundle")
-        vs = pres.variables
+        vs = bundle_variables(params.r, params.n)
         xi = Polynomial.variable(vs, "xi")
         h = Polynomial.variable(vs, "h")
         top = params.top_degree
         for a in range(params.n + 1):
-            groebner = integrate(h**a * xi ** (top - a), pres)
+            groebner = integrate(h**a * xi ** (top - a), params)
             oracle = segre_integral_oracle(params, a, top - a)
             assert groebner == oracle
-    check = integrate(
-        Polynomial.parse(bundle_variables(2, 3), "xi^4"),
-        classical_presentation(derive_params(4, 0), "bundle"),
-    )
+    check = integrate(Polynomial.parse(bundle_variables(2, 3), "xi^4"), derive_params(4, 0))
     assert check == 15
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
@@ -145,7 +141,7 @@ def test_criterion_4_structural_invariants(capsys):
         xi = Polynomial.variable(vs, "xi")
         h = Polynomial.variable(vs, "h")
         table = [
-            [pair_divisor_curve(d, c, bundle) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
+            [pair_divisor_curve(d, c, params) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
             for d in (xi - h, h)
         ]
         assert table == [[1, 0], [0, 1]]
@@ -153,7 +149,7 @@ def test_criterion_4_structural_invariants(capsys):
         k = Polynomial.variable(kv, "k")
         eta = Polynomial.variable(kv, "eta")
         btable = [
-            [pair_divisor_curve(d, c, bundle) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
+            [pair_divisor_curve(d, c, params) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
             for d in (k, eta)
         ]
         assert btable == [[1, 0], [1, -1]]
@@ -211,13 +207,12 @@ def test_criterion_7_arithmetic_identities(capsys):
         params = derive_params(m, p)
         assert fano_positivity_check(params, 5).ok
         assert moduli_dimension_identities(params).ok
-        pres = classical_presentation(params, "bundle")
         anti = anticanonical_class(params)
         for curve in (FIBER_LINE, EXCEPTIONAL_LINE, CurveClass(2, 1), CurveClass(1, 3)):
             expected = params.r * curve.a + params.n * curve.b + params.top_degree
             assert virtual_dimension(params, curve) == expected
             assert (
-                pair_divisor_curve(anti, curve, pres)
+                pair_divisor_curve(anti, curve, params)
                 == params.r * curve.a + params.n * curve.b
             )
     assert virtual_dimension(derive_params(4, 0), FIBER_LINE) == 6

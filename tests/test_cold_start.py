@@ -24,7 +24,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # was imported eagerly
 EXPORTS = [
     "BLOWUP", "BLOWUP_TO_BUNDLE", "BUNDLE", "BUNDLE_TO_BLOWUP", "BudgetError",
-    "CheckEntry", "CheckFailure", "CheckReport", "ChernVector", "CurveClass",
+    "CheckEntry", "CheckFailure", "CheckReport", "CurveClass",
     "EXCEPTIONAL_LINE", "FIBER_LINE", "GWQuery", "GeometryParams", "GroebnerBasis",
     "Ideal", "ParseError", "Polynomial", "Presentation", "QuotientRing", "Scalar",
     "StructuralError", "UsageError", "VariableSet", "anticanonical_class",
@@ -35,7 +35,7 @@ EXPORTS = [
     "ideal_equal", "integrate", "moduli_dimension_identities", "normal_form",
     "oracle_integrate", "pair_divisor_curve", "pairing_matrix",
     "quantum_presentation", "quantum_product", "quantum_relations",
-    "segre_integral_oracle", "spolynomial", "staircase_basis", "variables_for",
+    "segre_integral_oracle", "staircase_basis", "variables_for",
     "verify_classical_geometry", "verify_gw_identities",
     "verify_quantum_presentation", "virtual_dimension",
 ]

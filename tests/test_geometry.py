@@ -36,6 +36,7 @@ from qcblowup import (
     quantum_presentation,
     quantum_relations,
     segre_integral_oracle,
+    variables_for,
     verify_classical_geometry,
     virtual_dimension,
 )
@@ -77,8 +78,8 @@ def test_in_range_matches_r_less_than_n():
 
 
 def test_chern_vectors():
-    assert chern_coefficients(derive_params(4, 0)).coefficients == (1, 3, 2)
-    assert chern_coefficients(derive_params(5, 1)).coefficients == (1, 4, 5, 2)
+    assert chern_coefficients(derive_params(4, 0)) == (1, 3, 2)
+    assert chern_coefficients(derive_params(5, 1)) == (1, 4, 5, 2)
 
 
 def test_chern_endpoints_for_all_ranks():
@@ -279,43 +280,39 @@ def test_a_changed_relation_fails_both_correspondence_checks_alike(monkeypatch, 
 
 def test_integration_normalization_and_examples():
     params = derive_params(4, 0)
-    pres = classical_presentation(params, "bundle")
-    assert integrate(bp("h^3*xi", params), pres) == 1
-    assert integrate(bp("xi^4", params), pres) == 15
-    assert integrate(bp("h^2*xi^2", params), pres) == 3
+    assert integrate(bp("h^3*xi", params), params) == 1
+    assert integrate(bp("xi^4", params), params) == 15
+    assert integrate(bp("h^2*xi^2", params), params) == 3
     # off-degree classes integrate to zero
-    assert integrate(bp("h^2", params), pres) == 0
+    assert integrate(bp("h^2", params), params) == 0
 
 
 def test_one_step_reduction_value(grid_params):
-    pres = classical_presentation(grid_params, "bundle")
     n, r = grid_params.n, grid_params.r
     f = bp(f"h^{n - 1}*xi^{r}" if n > 1 else f"xi^{r}", grid_params)
-    assert integrate(f, pres) == r + 1
+    assert integrate(f, grid_params) == r + 1
 
 
 def test_integrate_reads_only_the_top_degree_part():
     params = derive_params(4, 0)
     pres = classical_presentation(params, "bundle")
-    assert integrate(bp("xi^12800", params), pres) == 0
+    assert integrate(bp("xi^12800", params), params) == 0
     mixed = bp("xi^9 + h^2*xi^3 + xi^4 + h", params)
     top = pres.quotient.normal_form(mixed).coefficient((params.r - 1, params.n, 0, 0))
-    assert integrate(mixed, pres) == top == 15
-    blowup = classical_presentation(params, "blowup")
-    k = Polynomial.variable(blowup.variables, "k")
-    assert integrate(k**12800 + k**4, blowup) == integrate(k**4, blowup) == 1
+    assert integrate(mixed, params) == top == 15
+    k = Polynomial.variable(variables_for(params, "blowup"), "k")
+    assert integrate(k**12800 + k**4, params) == integrate(k**4, params) == 1
     # dropping the off-degree terms skips none of the validation
     with pytest.raises(UsageError):
-        integrate(bp("h^4 + h*q2", params), pres)
+        integrate(bp("h^4 + h*q2", params), params)
     with pytest.raises(UsageError):
-        integrate(Polynomial.parse(VariableSet(("a", "b"), (1, 1)), "a^9 + a^4"), pres)
+        integrate(Polynomial.parse(VariableSet(("a", "b"), (1, 1)), "a^9 + a^4"), params)
 
 
 def test_integrate_rejects_parameters():
     params = derive_params(4, 0)
-    pres = classical_presentation(params, "bundle")
     with pytest.raises(UsageError):
-        integrate(bp("h*q2", params), pres)
+        integrate(bp("h*q2", params), params)
 
 
 def test_segre_oracle_examples():
@@ -349,18 +346,27 @@ def test_segre_oracle_domain_errors():
 
 
 def test_groebner_integration_matches_oracle(grid_params):
-    pres = classical_presentation(grid_params, "bundle")
     top = grid_params.top_degree
     for a in range(grid_params.n + 1):
         mono = bp(f"h^{a}*xi^{top - a}" if a else f"xi^{top}", grid_params)
-        assert integrate(mono, pres) == segre_integral_oracle(grid_params, a, top - a)
+        assert integrate(mono, grid_params) == segre_integral_oracle(grid_params, a, top - a)
 
 
 def test_oracle_integrate_linear_extension():
     params = derive_params(4, 0)
-    pres = classical_presentation(params, "bundle")
     f = bp("xi^4 - 2*h^3*xi + 5*h^4 + h^2", params)
-    assert oracle_integrate(f, params) == integrate(f, pres) == 13
+    assert oracle_integrate(f, params) == integrate(f, params) == 13
+
+
+def test_both_integrals_reject_a_class_of_another_instance():
+    # h^3*xi^2 of (4, 0) has the degree of the top cell of (5, 1)
+    f = Polynomial.parse(variables_for(derive_params(4, 0), "bundle"), "h^3*xi^2")
+    k = Polynomial.variable(variables_for(derive_params(4, 0), "blowup"), "k")
+    params = derive_params(5, 1)
+    for integral in (integrate, oracle_integrate):
+        for cls in (f, k**5):
+            with pytest.raises(UsageError, match="different variable set"):
+                integral(cls, params)
 
 
 ADMISSIBLE_TO_8 = [(m, p) for m in range(2, 9) for p in range(m - 1)]
@@ -368,47 +374,44 @@ ADMISSIBLE_TO_8 = [(m, p) for m in range(2, 9) for p in range(m - 1)]
 
 @pytest.mark.parametrize("m, p", ADMISSIBLE_TO_8, ids=[f"m{m}p{p}" for m, p in ADMISSIBLE_TO_8])
 def test_every_presentation_integrates_like_the_oracle(m, p):
-    # a deformed presentation integrates in the classical bundle ring, in
-    # either coordinate system: at n = 1 the deformed bundle staircase has
-    # three monomials of top degree, so its own quotient cannot
+    # a class over either coordinate system's variables integrates in the
+    # classical bundle ring as the oracle does (at n = 1 the deformed bundle
+    # staircase has three monomials of top degree, so that ring could not)
     params = derive_params(m, p)
     top = params.top_degree
-    for build in (classical_presentation, quantum_presentation):
-        for coords in ("bundle", "blowup"):
-            pres = build(params, coords)
-            for i in range(top + 1):
-                mono = Polynomial(pres.variables, {(i, top - i, 0, 0): 1})
-                assert integrate(mono, pres) == oracle_integrate(mono, params), (pres, mono)
-    classical, deformed = (build(params, "bundle") for build in (classical_presentation,
-                                                                 quantum_presentation))
-    for divisor in ("xi", "h"):
-        for curve in (FIBER_LINE, EXCEPTIONAL_LINE):
-            d = Polynomial.variable(deformed.variables, divisor)
-            assert pair_divisor_curve(d, curve, deformed) == pair_divisor_curve(d, curve, classical)
+    for coords in ("bundle", "blowup"):
+        vs = variables_for(params, coords)
+        for i in range(top + 1):
+            mono = Polynomial(vs, {(i, top - i, 0, 0): 1})
+            assert integrate(mono, params) == oracle_integrate(mono, params), (coords, mono)
+        for divisor in vs.names[:2]:
+            d = Polynomial.variable(vs, divisor)
+            in_bundle = d if coords == "bundle" else change_vars(d, BLOWUP_TO_BUNDLE)
+            for curve in (FIBER_LINE, EXCEPTIONAL_LINE):
+                dual = curve_dual(curve, params)
+                assert pair_divisor_curve(d, curve, params) == oracle_integrate(in_bundle * dual, params)
 
 
 # -- pairings --------------------------------------------------------------------
 
 
 def test_duality_pairing_table(grid_params):
-    pres = classical_presentation(grid_params, "bundle")
-    vs = pres.variables
+    vs = variables_for(grid_params, "bundle")
     xi = Polynomial.variable(vs, "xi")
     h = Polynomial.variable(vs, "h")
     table = [
-        [pair_divisor_curve(d, c, pres) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
+        [pair_divisor_curve(d, c, grid_params) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
         for d in (xi - h, h)
     ]
     assert table == [[1, 0], [0, 1]]
 
 
 def test_blowup_pairing_table(grid_params):
-    pres = classical_presentation(grid_params, "bundle")
     kv = blowup_variables(grid_params.r, grid_params.n)
     k = Polynomial.variable(kv, "k")
     eta = Polynomial.variable(kv, "eta")
     table = [
-        [pair_divisor_curve(d, c, pres) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
+        [pair_divisor_curve(d, c, grid_params) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
         for d in (k, eta)
     ]
     assert table == [[1, 0], [1, -1]]
@@ -416,9 +419,8 @@ def test_blowup_pairing_table(grid_params):
 
 def test_pair_divisor_curve_requires_degree_one():
     params = derive_params(4, 0)
-    pres = classical_presentation(params, "bundle")
     with pytest.raises(UsageError):
-        pair_divisor_curve(bp("h^2", params), FIBER_LINE, pres)
+        pair_divisor_curve(bp("h^2", params), FIBER_LINE, params)
 
 
 def test_pairing_matrix_unimodular_in_bundle_coordinates(grid_params):
@@ -431,7 +433,7 @@ def test_pairing_matrix_matches_entrywise_integrals(grid_params):
     for coords in ("bundle", "blowup"):
         pres = classical_presentation(grid_params, coords)
         polys = pres.quotient.staircase_polynomials()
-        expected = [[integrate(bi * bj, pres) for bj in polys] for bi in polys]
+        expected = [[integrate(bi * bj, grid_params) for bj in polys] for bi in polys]
         assert pairing_matrix(pres) == expected
 
 
@@ -463,7 +465,7 @@ def test_pairing_matrix_needs_the_top_degree_of_its_params(params40):
 
 
 def test_pairing_matrix_refuses_a_non_integral_value(monkeypatch, params40):
-    monkeypatch.setattr(geometry, "integrate", lambda f, pres: Fraction(1, 2))
+    monkeypatch.setattr(geometry, "integrate", lambda f, params: Fraction(1, 2))
     with pytest.raises(CheckFailure, match="non-integral pairing value 1/2"):
         pairing_matrix(classical_presentation(params40, "bundle"))
 
@@ -487,10 +489,11 @@ BLOWUPS_TO_12 = [(m, p) for m in range(2, 13) for p in range(m - 1)]
 @pytest.mark.parametrize("m, p", BLOWUPS_TO_12, ids=[f"m{m}p{p}" for m, p in BLOWUPS_TO_12])
 def test_top_blowup_class_integrates_to_the_exceptional_self_intersection(m, p):
     # eta^m = (-1)^(m-1-p) C(m-1, p) for the blow-up of P^m along P^p
-    pres = classical_presentation(derive_params(m, p), "blowup")
+    params = derive_params(m, p)
+    pres = classical_presentation(params, "blowup")
     assert [s for s in pres.quotient.staircase if sum(s) == m] == [(0, m, 0, 0)]
     eta = Polynomial.variable(pres.variables, "eta")
-    assert integrate(eta**m, pres) == (-1) ** (m - 1 - p) * comb(m - 1, p)
+    assert integrate(eta**m, params) == (-1) ** (m - 1 - p) * comb(m - 1, p)
 
 
 def test_pairing_matrix_needs_one_top_staircase_monomial(params40):
@@ -504,9 +507,8 @@ def test_pairing_matrix_needs_one_top_staircase_monomial(params40):
 
 def test_pairing_across_two_instances_names_the_weights():
     k = Polynomial.variable(blowup_variables(3, 4), "k")  # (m, p) = (6, 1)
-    pres = classical_presentation(derive_params(7, 1), "bundle")
     with pytest.raises(UsageError, match=r"weights=\(1, 1, 3, 4\).* vs .*weights=\(1, 1, 3, 5\)"):
-        pair_divisor_curve(k, FIBER_LINE, pres)
+        pair_divisor_curve(k, FIBER_LINE, derive_params(7, 1))
 
 
 # -- anticanonical, dimensions, positivity ----------------------------------------
@@ -518,10 +520,9 @@ def test_anticanonical_examples():
 
 
 def test_anticanonical_degrees(grid_params):
-    pres = classical_presentation(grid_params, "bundle")
     anti = anticanonical_class(grid_params)
-    assert pair_divisor_curve(anti, FIBER_LINE, pres) == grid_params.r
-    assert pair_divisor_curve(anti, EXCEPTIONAL_LINE, pres) == grid_params.n
+    assert pair_divisor_curve(anti, FIBER_LINE, grid_params) == grid_params.r
+    assert pair_divisor_curve(anti, EXCEPTIONAL_LINE, grid_params) == grid_params.n
 
 
 def test_virtual_dimension_examples():
@@ -546,9 +547,8 @@ def test_fano_positivity_grid():
 
 def test_curve_dual_pairs_to_identity():
     params = derive_params(8, 1)
-    pres = classical_presentation(params, "bundle")
-    assert integrate((bp("xi", params) - bp("h", params)) * curve_dual(FIBER_LINE, params), pres) == 1
-    assert integrate(bp("h", params) * curve_dual(FIBER_LINE, params), pres) == 0
+    assert integrate((bp("xi", params) - bp("h", params)) * curve_dual(FIBER_LINE, params), params) == 1
+    assert integrate(bp("h", params) * curve_dual(FIBER_LINE, params), params) == 0
 
 
 def test_full_classical_suite(grid_params):

@@ -380,8 +380,7 @@ def test_exceptional_line_invariants():
     assert gw_invariant(GWQuery(CurveClass(0, 1), h, h3, bp("h^3", params)), qp) == 1
     assert gw_invariant(GWQuery(CurveClass(0, 1), h, h3, bp("h^2*xi", params)), qp) == 1
     # the r-1 value is the section count: cross-check the integral directly
-    cp = classical_presentation(params, "bundle")
-    assert integrate(bp("xi - 2*h", params) * bp("h^2*xi", params), cp) == 1
+    assert integrate(bp("xi - 2*h", params) * bp("h^2*xi", params), params) == 1
 
 
 def test_inadmissible_query_returns_zero():
@@ -427,8 +426,7 @@ def test_string_axiom_on_corrected_classes():
     for x_text in ("h^3", "h^2*xi"):
         x = bp(x_text, params)
         piece = contribution_by_class(x, top, 0, 1, qp)
-        cp = classical_presentation(params, "bundle")
-        assert integrate(piece * one, cp) == 0
+        assert integrate(piece * one, params) == 0
 
 
 def _bad_query(case):
@@ -1666,7 +1664,7 @@ def test_gram_pairings_match_integrals(grid_params):
                     paired[k] += c * g
             for k, bk in enumerate(polys):
                 if piece.homogeneous_degree() + sum(staircase[k]) == top:
-                    assert paired[k] == integrate(piece * bk, cp)
+                    assert paired[k] == integrate(piece * bk, grid_params)
                 else:
                     assert paired[k] == 0
 
@@ -1835,7 +1833,7 @@ def test_a_ring_a_raised_budget_built_is_the_one_every_reader_gets(monkeypatch):
     monkeypatch.setattr(
         QuotientRing, "normal_form", lambda ring, f: reduced_in.append(ring) or normal_form(ring, f)
     )
-    assert integrate(bp("h^8*xi^2", params), qp) == 1
+    assert integrate(bp("h^8*xi^2", params), params) == 1
     assert reduced_in == [built] and reduced_in[0] is built
     assert classical_presentation(params, "bundle").quotient is built
     assert quantum._kernel(qp).classical is built

@@ -8,7 +8,6 @@ import pytest
 from qcblowup import (
     CheckEntry,
     CheckReport,
-    ChernVector,
     CurveClass,
     GeometryParams,
     GWQuery,
@@ -50,8 +49,6 @@ def _cases():
     other_q = ring(6, 1, "blowup").quotient
     return [
         (GeometryParams, (6, 1), dict(m=6, p=1), GeometryParams(6, 2), "GeometryParams(m=6, p=1)"),
-        (ChernVector, ((1, 4, 5, 2),), dict(coefficients=(1, 4, 5, 2)),
-         ChernVector((1, 3, 2)), "ChernVector(coefficients=(1, 4, 5, 2))"),
         (CurveClass, (1, 2), dict(a=1, b=2), CurveClass(2, 1), "CurveClass(a=1, b=2)"),
         (VariableSet, (("xi", "h", "q1", "q2"), (1, 1, 3, 4), 2, ("h", "xi", "q1", "q2")),
          dict(names=("xi", "h", "q1", "q2"), weights=(1, 1, 3, 4), divisor_count=2,
@@ -90,14 +87,14 @@ def _cases():
 
 CASES = _cases()
 IDS = [case[0].__name__ for case in CASES]
-FROZEN = {GeometryParams, ChernVector, CurveClass, VariableSet, Ideal, QuotientRing,
-          Presentation, Elimination, GWQuery}
+FROZEN = {GeometryParams, CurveClass, VariableSet, Ideal, QuotientRing, Presentation,
+          Elimination, GWQuery}
 MUTABLE = {CheckEntry, CheckReport}
 
 
 def test_the_cases_cover_every_record_type():
     assert {case[0] for case in CASES} == FROZEN | MUTABLE
-    assert len(CASES) == 11
+    assert len(CASES) == 10
 
 
 @pytest.mark.parametrize("cls, args, kwargs, other, text", CASES, ids=IDS)
