@@ -2,21 +2,25 @@
 subspace, viewed as the projective bundle P(V) over P^n.
 
 Here n = m - p - 1 and r = p + 2, and V is the rank-r bundle
-O(1)^(r-1) + O(2) on P^n.  The cohomology ring has two standard
-presentations:
+O(1)^(r-1) + O(2) on P^n.  The variety is toric, and one table
+(:data:`_FAMILIES`) holds its three families of rays: x_0..x_n, y_0..y_p
+and e, with divisors h = k - eta, xi - h = k and xi - 2h = eta in bundle
+coordinates (xi, h) and blow-up coordinates (k, eta), where k pulls back the
+hyperplane class and eta is the exceptional divisor.  Their weights
+(D.A1, D.A2) against a line A1 in a fiber and a line A2 along the
+exceptional locus are (0, 1), (1, 0) and (1, -1).  Batyrev's rule
+prod_{D.b > 0} D^(D.b) = q^b prod_{D.b < 0} D^(-D.b), for b = A2 and then
+A1 (Batyrev, *Asterisque* 218, 1993; Cox and Katz, *Mirror Symmetry and
+Algebraic Geometry*, ch. 11), gives the relations of both presentations,
+the classical ones at q = 0:
 
-* bundle coordinates (xi, h): relations h^(n+1) and
-  (xi - h)^(r-1) (xi - 2h) = sum_k (-1)^k c_k h^k xi^(r-k), with c_k the
-  Chern coefficients of V;
-* blow-up coordinates (k, eta): relations (k - eta)^(m-p) and k^(p+1) eta,
-  where k pulls back the hyperplane class and eta is the exceptional
-  divisor.
+* bundle: h^(n+1) = q2 (xi - 2h) and (xi - h)^(r-1) (xi - 2h) = q1;
+* blow-up: (k - eta)^(m-p) = q2 eta and k^(p+1) eta = q1.
 
-The coordinate change k = xi - h, eta = xi - 2h identifies the two.
+The same table gives the coordinate change and the anticanonical class.
 Integration is normalized by the top cell: the integral of h^n xi^(r-1)
 is 1, which reproduces the standard duality pairings of the two curve
-classes (a line in a fiber, and a line along the exceptional locus)
-against the nef divisors xi - h and h.
+classes against the nef divisors xi - h and h.
 
 Everything in this module is exact and pure; objects are immutable and
 safe to share across threads.
@@ -28,7 +32,7 @@ from functools import lru_cache
 
 from .errors import CheckFailure, UsageError
 from .groebner import Ideal, QuotientRing, _in_ideal, buchberger, staircase_basis
-from .poly import Polynomial, Scalar, VariableSet, _canonical, _canonical_terms
+from .poly import Mono, Polynomial, Scalar, VariableSet, _canonical, _canonical_terms
 from .poly import blowup_variables, bundle_variables
 from .records import Frozen
 from .report import CheckReport
@@ -37,9 +41,18 @@ BUNDLE = "bundle"
 BLOWUP = "blowup"
 BLOWUP_TO_BUNDLE = "blowup_to_bundle"
 BUNDLE_TO_BLOWUP = "bundle_to_blowup"
-# each coordinate system's variable names and the direction of change into it
-_INTO = {BUNDLE: (("xi", "h", "q1", "q2"), BLOWUP_TO_BUNDLE),
-         BLOWUP: (("k", "eta", "q1", "q2"), BUNDLE_TO_BLOWUP)}
+#: The toric data, one row per ray family (x_0..x_n, y_0..y_p, e): its size,
+#: its weights (D.A1, D.A2) and its divisor D as a linear form in the two
+#: divisor variables of each coordinate system.
+_FAMILIES = (
+    (lambda params: params.n + 1, (0, 1), {BUNDLE: (0, 1), BLOWUP: (1, -1)}),
+    (lambda params: params.p + 1, (1, 0), {BUNDLE: (1, -1), BLOWUP: (1, 0)}),
+    (lambda params: 1, (1, -1), {BUNDLE: (1, -2), BLOWUP: (0, 1)}),
+)
+# each coordinate system's variable names and preset, its name in messages
+# and the direction of change into it
+_COORDS = {BUNDLE: (("xi", "h", "q1", "q2"), bundle_variables, "bundle", BLOWUP_TO_BUNDLE),
+           BLOWUP: (("k", "eta", "q1", "q2"), blowup_variables, "blow-up", BUNDLE_TO_BLOWUP)}
 
 
 class GeometryParams(Frozen):
@@ -161,52 +174,48 @@ class Presentation(Frozen):
 
 
 def variables_for(params: GeometryParams, coords: str) -> VariableSet:
+    if coords not in _COORDS:
+        raise UsageError(f"coords must be {BUNDLE!r} or {BLOWUP!r}, got {coords!r}")
+    return _COORDS[coords][1](params.r, params.n)
+
+
+def _side(params: GeometryParams, coords: str, beta: int, lower: bool) -> dict[Mono, int]:
+    """The terms of one side of Batyrev's relation of A1 (``beta`` 0) or A2
+    (1) in ``coords``: the product over the families with D.beta > 0 of
+    D^(size * D.beta), or (``lower``) minus q^beta times that over D.beta < 0
+    of D^(-size * D.beta); at most two factors, so one :func:`_binary_form` row."""
+    factors = [(size(params) * abs(w), forms[coords]) for size, weights, forms in _FAMILIES
+               if (w := weights[beta]) and (w < 0) == lower]
+    (a, u), (b, v) = factors + [(0, (0, 0))] * (2 - len(factors))
+    q, sign = ((1 - beta, beta), -1) if lower else ((0, 0), 1)
+    return {(a + b - j, j, *q): sign * c for j, c in enumerate(_binary_form(a, b, (u, v))) if c}
+
+
+def classical_relations(params: GeometryParams, coords: str) -> tuple[Polynomial, Polynomial]:
+    """The two classical relations in the requested coordinates, the upper
+    sides of Batyrev's relations of A2 and then A1 (:func:`_side`), read off
+    integer binomial rows with no polynomial power.  In bundle coordinates
+    the second, (xi - h)^(r-1) (xi - 2h), must equal its expansion
+    sum_k (-1)^k c_k h^k xi^(r-k) by the Chern coefficients c_k of V, formed
+    in polynomial arithmetic."""
+    vs, r = variables_for(params, coords), params.r
+    relations = tuple(Polynomial._from_clean(vs, _side(params, coords, b, False)) for b in (1, 0))
     if coords == BUNDLE:
-        return bundle_variables(params.r, params.n)
-    if coords == BLOWUP:
-        return blowup_variables(params.r, params.n)
-    raise UsageError(f"coords must be {BUNDLE!r} or {BLOWUP!r}, got {coords!r}")
+        xi, h = Polynomial.variable(vs, "xi"), Polynomial.variable(vs, "h")
+        chern = chern_coefficients(params)
+        terms = ((-1) ** k_ * chern[k_] * h ** k_ * xi ** (r - k_) for k_ in range(r + 1))
+        if relations[1] != sum(terms, Polynomial.zero(vs)):
+            raise CheckFailure("factored and Chern-expanded fiber relations disagree")
+    return relations
 
 
-def classical_relations(
-    params: GeometryParams, coords: str
-) -> tuple[Polynomial, Polynomial]:
-    """The two classical relations in the requested coordinates, read off
-    integer binomial rows (:func:`_binary_form`) with no polynomial power.
-
-    In bundle coordinates the second relation is built twice, from the
-    factored form (its binomial row) and from the Chern coefficients (in
-    polynomial arithmetic), and the two expansions are required to agree.
-    """
-    vs = variables_for(params, coords)
-    n, r = params.n, params.r
-    # (k - eta)^(m-p) by eta power, or (xi - h)^(r-1) (xi - 2h) by h power
-    a, b = (params.m - params.p, 0) if coords == BLOWUP else (r - 1, 1)
-    row = _binary_form(a, b, ((1, -1), (1, -2)))
-    first = Polynomial._from_clean(vs, {(a + b - j, j, 0, 0): c for j, c in enumerate(row) if c})
-    if coords == BLOWUP:
-        return first, Polynomial._from_clean(vs, {(params.p + 1, 1, 0, 0): 1})
-    xi, h = Polynomial.variable(vs, "xi"), Polynomial.variable(vs, "h")
-    chern = chern_coefficients(params)
-    expanded = Polynomial.zero(vs)
-    for k_ in range(r + 1):
-        expanded = expanded + (-1) ** k_ * chern[k_] * h ** k_ * xi ** (r - k_)
-    if first != expanded:
-        raise CheckFailure("factored and Chern-expanded fiber relations disagree")
-    return Polynomial._from_clean(vs, {(0, n + 1, 0, 0): 1}), first
-
-
-def quantum_relations(
-    params: GeometryParams, coords: str
-) -> tuple[Polynomial, Polynomial]:
+def quantum_relations(params: GeometryParams, coords: str) -> tuple[Polynomial, Polynomial]:
     """The two deformed relations in the requested coordinates: the
-    classical ones minus eta*q2 (E*q2 = (xi - 2h)*q2 in bundle coordinates)
-    and minus q1."""
-    base, fiber = classical_relations(params, coords)
-    shift = {(0, 1, 0, 1): -1} if coords == BLOWUP else {(1, 0, 0, 1): -1, (0, 1, 0, 1): 2}
+    classical ones minus the lower sides of their Batyrev relations,
+    eta*q2 (E*q2 = (xi - 2h)*q2 in bundle coordinates) and q1."""
     deformed = tuple(
-        Polynomial._from_clean(base.variables, {**rel.terms, **extra})
-        for rel, extra in ((base, shift), (fiber, {(0, 0, 1, 0): -1}))
+        Polynomial._from_clean(rel.variables, {**rel.terms, **_side(params, coords, b, True)})
+        for rel, b in zip(classical_relations(params, coords), (1, 0))
     )
     for rel in deformed:
         if not rel.is_homogeneous():
@@ -265,7 +274,7 @@ def _binary_form(a: int, b: int, images: tuple[tuple[int, int], ...]) -> tuple[i
     """Coefficients of (u1 s + v1 t)^a (u2 s + v2 t)^b for images
     ((u1, v1), (u2, v2)), indexed by the power of t.  Memoised and
     shared, hence a tuple; the bound holds every (a, b) with a + b <= 30 in
-    both directions."""
+    both directions of change, beside the relations' rows."""
     row = [1]
     for (u, v), e in zip(images, (a, b)):
         for _ in range(e):
@@ -273,8 +282,26 @@ def _binary_form(a: int, b: int, images: tuple[tuple[int, int], ...]) -> tuple[i
     return tuple(row)
 
 
+def _form(sums: tuple[int, ...], coords: str) -> tuple[int, ...]:
+    """sum_f sums[f] * D_f over the families, as a linear form in ``coords``."""
+    return tuple(sum(c * row[2][coords][i] for c, row in zip(sums, _FAMILIES)) for i in (0, 1))
+
+
+#: Each direction of change: the coordinate systems it leaves and enters, and
+#: the images in the second of the divisor variables of the first, each
+#: written as a sum of the family divisors (D_x, D_y, D_e).
+_CHANGES = {
+    direction: (source, target, tuple(_form(sums, target) for sums in variables))
+    for direction, source, target, variables in (
+        (BLOWUP_TO_BUNDLE, BLOWUP, BUNDLE, ((0, 1, 0), (0, 0, 1))),  # k = D_y, eta = D_e
+        (BUNDLE_TO_BLOWUP, BUNDLE, BLOWUP, ((1, 1, 0), (1, 0, 0))),  # xi = D_x + D_y, h = D_x
+    )
+}
+
+
 def change_vars(f: Polynomial, direction: str) -> Polynomial:
-    """Translate between the two coordinate systems.
+    """Translate between the two coordinate systems, by the images the
+    toric table gives (:data:`_CHANGES`).
 
     Forward (blow-up to bundle): k -> xi - h, eta -> xi - 2h.
     Inverse (bundle to blow-up): h -> k - eta, xi -> 2k - eta.
@@ -284,21 +311,15 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
     power or product is formed; the terms are summed into a plain dict and
     cleaned once (:func:`qcblowup.poly._canonical_terms`).
     """
-    vs = f.variables
-    if direction == BLOWUP_TO_BUNDLE:
-        if vs.names != _INTO[BLOWUP][0]:
-            raise UsageError("expected a polynomial in blow-up coordinates")
-        target = bundle_variables(vs.weights[2], vs.weights[3])
-        images = ((1, -1), (1, -2))  # k, eta in terms of (xi, h)
-    elif direction == BUNDLE_TO_BLOWUP:
-        if vs.names != _INTO[BUNDLE][0]:
-            raise UsageError("expected a polynomial in bundle coordinates")
-        target = blowup_variables(vs.weights[2], vs.weights[3])
-        images = ((2, -1), (1, -1))  # xi, h in terms of (k, eta)
-    else:
+    if (change := _CHANGES.get(direction)) is None:
         raise UsageError(
             f"direction must be {BLOWUP_TO_BUNDLE!r} or {BUNDLE_TO_BLOWUP!r}, got {direction!r}"
         )
+    source, target, images = change
+    names, _, label, _ = _COORDS[source]
+    vs = f.variables
+    if vs.names != names:
+        raise UsageError(f"expected a polynomial in {label} coordinates")
     out: dict[tuple[int, ...], Scalar] = {}
     get = out.get
     for (a, b, s, t), coeff in f.terms.items():
@@ -306,7 +327,8 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
         for j, c in enumerate(_binary_form(a, b, images)):
             mono = (d - j, j, s, t)
             out[mono] = get(mono, 0) + coeff * c
-    return Polynomial._from_clean(target, _canonical_terms(out))
+    target_vs = _COORDS[target][1](vs.weights[2], vs.weights[3])
+    return Polynomial._from_clean(target_vs, _canonical_terms(out))
 
 
 def _carries_ideal(source: Presentation, target: Presentation) -> bool:
@@ -323,7 +345,7 @@ def _in_coords(f: Polynomial, coords: str) -> Polynomial:
     """The class f in the coordinate system ``coords``: f itself when it is
     already there, else carried by :func:`change_vars`, which rejects a
     class over neither preset with :class:`UsageError`."""
-    names, direction = _INTO[coords]
+    names, _, _, direction = _COORDS[coords]
     return f if f.variables.names == names else change_vars(f, direction)
 
 
@@ -369,11 +391,10 @@ def pair_divisor_curve(divisor: Polynomial, curve: CurveClass, params: GeometryP
 
 
 def anticanonical_class(params: GeometryParams) -> Polynomial:
-    """The anticanonical divisor r*(xi - h) + n*h = r*xi + (n - r)*h."""
-    vs = bundle_variables(params.r, params.n)
-    xi = Polynomial.variable(vs, "xi")
-    h = Polynomial.variable(vs, "h")
-    return params.r * (xi - h) + params.n * h
+    """The anticanonical divisor, the sum of the m + 2 ray divisors:
+    (n+1) h + (p+1) (xi - h) + (xi - 2h) = r*xi + (n - r)*h."""
+    xi, h = _form(tuple(row[0](params) for row in _FAMILIES), BUNDLE)
+    return Polynomial(variables_for(params, BUNDLE), {(1, 0, 0, 0): xi, (0, 1, 0, 0): h})
 
 
 def virtual_dimension(params: GeometryParams, curve: CurveClass) -> int:
@@ -505,11 +526,8 @@ def fano_positivity_check(params: GeometryParams, grid_bound: int = 5) -> CheckR
         if nef_base < 0:
             violations.append(f"h.({a},{b}) < 0")
     report = CheckReport()
-    report.add(
-        "fano_positivity",
-        not violations,
-        "; ".join(violations) if violations else f"{len(effective)} effective classes checked",
-    )
+    detail = "; ".join(violations) or f"{len(effective)} effective classes checked"
+    report.add("fano_positivity", not violations, detail)
     return report
 
 
@@ -517,20 +535,13 @@ def moduli_dimension_identities(params: GeometryParams) -> CheckReport:
     """The two dimension identities tying the unparametrized moduli spaces of
     the extremal classes to their expected dimensions."""
     n, r = params.n, params.r
-    anti = anticanonical_class(params)
-    report = CheckReport()
-    deg_a1 = pair_divisor_curve(anti, FIBER_LINE, params)
-    deg_a2 = pair_divisor_curve(anti, EXCEPTIONAL_LINE, params)
-    report.add(
-        "fiber_moduli_dimension",
-        n + 2 * r - 4 == deg_a1 + params.top_degree - 3,
-        f"{n + 2 * r - 4} vs {deg_a1 + params.top_degree - 3}",
-    )
-    report.add(
-        "exceptional_moduli_dimension",
-        2 * n + r - 4 == deg_a2 + params.top_degree - 3,
-        f"{2 * n + r - 4} vs {deg_a2 + params.top_degree - 3}",
-    )
+    anti, report = anticanonical_class(params), CheckReport()
+    for name, curve, expected in (
+        ("fiber_moduli_dimension", FIBER_LINE, n + 2 * r - 4),
+        ("exceptional_moduli_dimension", EXCEPTIONAL_LINE, 2 * n + r - 4),
+    ):
+        dimension = pair_divisor_curve(anti, curve, params) + params.top_degree - 3
+        report.add(name, expected == dimension, f"{expected} vs {dimension}")
     return report
 
 
@@ -543,41 +554,25 @@ def verify_classical_geometry(
     bundle = classical_presentation(params, BUNDLE)
     blowup = classical_presentation(params, BLOWUP)
 
-    report.add(
-        "staircase_rank_bundle",
-        bundle.quotient.rank == params.rank,
-        f"rank {bundle.quotient.rank}, expected {params.rank}",
-    )
-    report.add(
-        "staircase_rank_blowup",
-        blowup.quotient.rank == params.rank,
-        f"rank {blowup.quotient.rank}, expected {params.rank}",
-    )
+    for pres in (bundle, blowup):
+        rank = pres.quotient.rank
+        report.add(f"staircase_rank_{pres.coords}", rank == params.rank,
+                   f"rank {rank}, expected {params.rank}")
 
     # Coordinate change carries each classical ideal into the other, so
     # the two inclusions prove them equal.
     report.add("ideal_correspondence_to_bundle", _carries_ideal(blowup, bundle))
     report.add("ideal_correspondence_to_blowup", _carries_ideal(bundle, blowup))
 
-    # Duality pairings: {xi-h, h} against {A1, A2} is the identity table.
-    vs = bundle.variables
-    xi = Polynomial.variable(vs, "xi")
-    h = Polynomial.variable(vs, "h")
-    table = [
-        [int(pair_divisor_curve(d, c, params)) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
-        for d in (xi - h, h)
-    ]
-    report.add("duality_pairing_table", table == [[1, 0], [0, 1]], f"{table}")
-
-    # Blow-up pairings: {k, eta} against the same classes.
-    bvs = blowup.variables
-    k = Polynomial.variable(bvs, "k")
-    eta = Polynomial.variable(bvs, "eta")
-    btable = [
-        [int(pair_divisor_curve(d, c, params)) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
-        for d in (k, eta)
-    ]
-    report.add("blowup_pairing_table", btable == [[1, 0], [1, -1]], f"{btable}")
+    # Duality pairings: {xi-h, h} against {A1, A2} is the identity table;
+    # the blow-up pairings of {k, eta} against the same classes.
+    xi, h = (Polynomial.variable(bundle.variables, name) for name in ("xi", "h"))
+    k, eta = (Polynomial.variable(blowup.variables, name) for name in ("k", "eta"))
+    for name, divisors, expected in (("duality_pairing_table", (xi - h, h), [[1, 0], [0, 1]]),
+                                     ("blowup_pairing_table", (k, eta), [[1, 0], [1, -1]])):
+        table = [[int(pair_divisor_curve(d, c, params)) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
+                 for d in divisors]
+        report.add(name, table == expected, f"{table}")
 
     # Anticanonical degrees of the extremal classes.
     anti = anticanonical_class(params)

@@ -45,6 +45,7 @@ use the uncorrected identification.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from math import comb
 from types import MappingProxyType
@@ -73,14 +74,16 @@ Grouped = dict[int, dict[Mono, Scalar]]  # :func:`_grouped`
 _EMPTY: dict[Mono, int] = {}  # the row of a key a product monomial does not reach
 
 
-def _basis_pairs(staircase: tuple[Mono, ...]) -> list[tuple[int, int, Mono]]:
-    """Each pair i <= j of staircase positions with its product monomial w."""
-    n = len(staircase)
-    return [(i, j, mono_mul(staircase[i], staircase[j])) for i in range(n) for j in range(i, n)]
+@lru_cache(maxsize=1)
+def _basis_pairs(staircase: tuple[Mono, ...]) -> tuple[tuple[int, int, Mono], ...]:
+    """Each pair i <= j of staircase positions with its product monomial w;
+    one list per instance, which both quantum suites walk (shared, hence a tuple)."""
+    n, s = len(staircase), staircase
+    return tuple([(i, j, mono_mul(s[i], s[j])) for i in range(n) for j in range(i, n)])
 
 
 def _model_pieces(
-    model: _RingModel, pairs: list[tuple[int, int, Mono]], key: Key
+    model: _RingModel, pairs: Iterable[tuple[int, int, Mono]], key: Key
 ) -> dict[Mono, dict[Mono, int]]:
     """The nonzero terms of the piece at q-power ``key`` of each product
     monomial w of the pairs in a ring model, read once per w."""

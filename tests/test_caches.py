@@ -30,6 +30,10 @@ ALLOWED = {
         "unbounded: one ring per instance and coordinate system, whatever the budget (a"
         " budget is checked against the run's peak degree); the suites of a grid instance"
         " share it, and its quotient holds the ring model"),
+    "qcblowup.quantum._basis_pairs": (
+        ("staircase",), 1,
+        "the basis-pair list of the last staircase asked: both quantum suites of an instance"
+        " walk the same deformed bundle staircase in turn"),
     "qcblowup.quantum.basis_corrections": (
         ("qp",), None,
         "unbounded: one read-only set of corrections per deformed bundle ring, which every"
