@@ -275,7 +275,10 @@ def cmd_verify(args) -> tuple[dict, str, str]:
     for flag, value in (("--b-max", args.b_max), ("--grid-bound", args.grid_bound)):
         if value < 1:
             raise UsageError(f"{flag} must be at least 1, got {value}")
-    if args.grid_m or args.grid_p:
+    grid = args.grid_m or args.grid_p  # a grid takes neither --m nor --p, one instance both
+    if sum(value is not None for value in (args.m, args.p)) != (0 if grid else 2):
+        raise UsageError("give either --m and --p or --grid-m and --grid-p")
+    if grid:
         if not (args.grid_m and args.grid_p):
             raise UsageError("--grid-m and --grid-p must be given together")
         ms = _parse_range(args.grid_m)
@@ -286,8 +289,6 @@ def cmd_verify(args) -> tuple[dict, str, str]:
                 f"no valid (m, p) pair in --grid-m {args.grid_m} x --grid-p {args.grid_p}"
             )
     else:
-        if args.m is None or args.p is None:
-            raise UsageError("give either --m and --p or --grid-m and --grid-p")
         derive_params(args.m, args.p)  # a bad single instance is a usage error, not a skip
         pairs = [(args.m, args.p)]
     instances: list[dict] = []

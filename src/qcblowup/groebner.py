@@ -10,6 +10,11 @@ interreduction.  One routine, :func:`_pseudo_reduce`, reduces fraction-free
 (after Bareiss 1968) over primitive integer polynomials; results are exact
 rationals, and callers that need integral ones check downstream.
 
+A :class:`QuotientRing` is a basis with its staircase, and it multiplies
+itself: :meth:`QuotientRing.product` gives the normal form of a monomial as
+integer vectors over the staircase, from rows s*xi and s*h seeded once in
+its one product memo.
+
 A :class:`GroebnerBasis` is immutable once constructed and may be shared
 between threads.  Normal forms of single monomials are memoized on the basis
 object; the memo only ever stores idempotent recomputable values, so
@@ -287,84 +292,17 @@ def _normal_form_monomial(gb: GroebnerBasis, mono: Mono) -> Polynomial:
 Vector = dict[tuple[int, int], dict[Mono, int]]  # q-power -> staircase monomial -> int
 
 
-def _add(out: Vector, vec: Vector, shift: tuple[int, int], scale: Scalar) -> None:
-    """out += scale * q1^shift[0] * q2^shift[1] * vec."""
-    for (a, b), piece in vec.items():
-        target = out.setdefault((a + shift[0], b + shift[1]), {})
-        for t, c in piece.items():
-            target[t] = target.get(t, 0) + scale * c
-
-
-class _RingModel:
-    """A quotient in two divisor variables and q1, q2 as integer linear
-    algebra: it is a free Z[q1, q2]-module on the staircase, so
-    multiplication is given by integer matrices (Auzinger-Stetter 1988; Cox,
-    Little and O'Shea, *Using Algebraic Geometry*, ch. 2).  ``matrices``
-    sends each staircase monomial s to its products with the two variables:
-    a product that is itself a staircase monomial t is its own normal form,
-    the unit row t, and only the others are read off normal forms (at most
-    2*rank); :meth:`product` applies them to give the normal form of any
-    parameter-free monomial, memoised.  Where q1 or q2 leads a basis
-    element (n = 1) the matrices do not compose, ``matrices`` is None and
-    :meth:`product` reads the ring's own normal forms.  A rational normal
-    form (classical blow-up rings with p >= 1) is refused.  Pairings are
-    the quotient's (:attr:`QuotientRing.gram`), not the model's."""
-
-    units = ((1, 0, 0, 0), (0, 1, 0, 0))  # the two divisor variables
-
-    def __init__(self, quotient: QuotientRing) -> None:
-        self._basis, self._on_staircase = quotient.basis, quotient.staircase_set
-        staircase = quotient.staircase
-        free = all(map(quotient.variables.is_parameter_free, self._basis.leading_monomials()))
-        self.matrices = tuple(
-            {s: self._row(mono_mul(s, unit)) for s in staircase} for unit in self.units
-        ) if free else None
-        self._products: dict[Mono, Vector] = {s: {(0, 0): {s: 1}} for s in staircase}
-        for unit, rows in zip(self.units, self.matrices or ()):
-            self._products.update((mono_mul(s, unit), row) for s, row in rows.items())
-
-    def _row(self, mono: Mono) -> Vector:
-        """The matrix row of a staircase monomial times a variable.  With
-        parameter-free leading monomials a staircase monomial is a normal
-        form, so it is its own row."""
-        return {(0, 0): {mono: 1}} if mono in self._on_staircase else self._read(mono)
-
-    def _read(self, mono: Mono) -> Vector:
-        """The normal form of a parameter-free monomial (the basis's memo),
-        split by q-power."""
-        f = _normal_form_monomial(self._basis, mono)
-        out: Vector = {}
-        for t, c in f.terms.items():
-            s = t[:2] + (0, 0)
-            if c.denominator != 1 or s not in self._on_staircase:
-                raise CheckFailure(f"{f} is not an integral vector over the staircase")
-            out.setdefault(t[2:], {})[s] = c.numerator
-        return out
-
-    def product(self, mono: Mono) -> Vector:
-        if mono not in self._products:
-            if self.matrices is None:
-                out = self._read(mono)
-            else:
-                var = 1 if mono[1] else 0  # peel off the second variable first
-                out = {}
-                for key, piece in self.product(mono_div(mono, self.units[var])).items():
-                    for s, c in piece.items():
-                        _add(out, self.matrices[var][s], key, c)
-            self._products[mono] = out
-        return self._products[mono]
-
-
 class QuotientRing(Frozen):
     """A quotient by a Groebner basis together with its staircase.
 
     The staircase lists, in ascending graded-lex order, the monomials in the
     divisor variables not divisible by any leading term; deformation
     parameters are excluded from the listing, so for deformed ideals the
-    quotient is a parameter-module on these monomials.  Its integer
-    :attr:`model`, :attr:`staircase_set`, graded staircase :attr:`by_degree`
-    and pairing :attr:`gram` are built on first use and kept outside
-    equality and hashing, in the instance ``__dict__``.
+    quotient is a parameter-module on these monomials, and the ring
+    multiplies itself (:meth:`product`).  Its product memo,
+    :attr:`staircase_set`, graded staircase :attr:`by_degree` and pairing
+    :attr:`gram` are built on first use and kept outside equality and
+    hashing, in the instance ``__dict__``.
     """
 
     _fields = ("basis", "staircase")
@@ -429,9 +367,60 @@ class QuotientRing(Frozen):
         return MappingProxyType(rows)
 
     @cached_property
-    def model(self) -> _RingModel:
-        """Multiplication matrices and memoised monomial products."""
-        return _RingModel(self)
+    def _composes(self) -> bool:
+        """Whether the rows s*xi and s*h compose: where a parameter leads a
+        basis element (n = 1), a staircase monomial times a q-power need not
+        be a normal form."""
+        return all(map(self.variables.is_parameter_free, self.basis.leading_monomials()))
+
+    @cached_property
+    def _products(self) -> dict[Mono, Vector]:
+        """The memo of :meth:`product`, seeded on first use with each
+        staircase monomial and, where the rows compose, each s*xi and s*h:
+        one that is itself a staircase monomial is its own row, and only the
+        others (at most 2*rank) are read off normal forms."""
+        memo: dict[Mono, Vector] = {s: {(0, 0): {s: 1}} for s in self.staircase}
+        for unit in ((1, 0, 0, 0), (0, 1, 0, 0)) if self._composes else ():
+            for s in self.staircase:
+                if (mono := mono_mul(s, unit)) not in memo:
+                    memo[mono] = self._read(mono)
+        return memo
+
+    def _read(self, mono: Mono) -> Vector:
+        """The normal form of a parameter-free monomial (the basis's memo),
+        split by q-power; a rational one (classical blow-up rings with
+        p >= 1) is refused."""
+        f, out = _normal_form_monomial(self.basis, mono), {}
+        for t, c in f.terms.items():
+            s = t[:2] + (0, 0)
+            if c.denominator != 1 or s not in self.staircase_set:
+                raise CheckFailure(f"{f} is not an integral vector over the staircase")
+            out.setdefault(t[2:], {})[s] = c.numerator
+        return out
+
+    def product(self, mono: Mono) -> Vector:
+        """The normal form of a parameter-free monomial in the two divisor
+        variables, as integer vectors over the staircase by q-power,
+        memoised.  The quotient is a free Z[q1, q2]-module on the staircase,
+        so the rows (:attr:`_products`) applied to the product one variable
+        below give it (Auzinger-Stetter 1988; Cox, Little and O'Shea,
+        *Using Algebraic Geometry*, ch. 2); where they do not compose
+        (n = 1) it is read off the normal form."""
+        memo = self._products
+        if (out := memo.get(mono)) is None:
+            if not self._composes:
+                out = self._read(mono)
+            else:
+                # peel off the second variable first
+                unit, out = (0, 1, 0, 0) if mono[1] else (1, 0, 0, 0), {}
+                for (a, b), piece in self.product(mono_div(mono, unit)).items():
+                    for s, c in piece.items():  # q1^a q2^b * c * (the row of s)
+                        for (a2, b2), row in memo[mono_mul(s, unit)].items():
+                            target = out.setdefault((a + a2, b + b2), {})
+                            for t, ct in row.items():
+                                target[t] = target.get(t, 0) + c * ct
+            memo[mono] = out
+        return out
 
 
 def staircase_basis(gb: GroebnerBasis) -> QuotientRing:

@@ -24,16 +24,17 @@ degree the two differ by exceptional-line contributions, which the divisor
 axiom and the two-point classes of exceptional lines give in closed form
 (see :func:`basis_corrections`).  All extraction goes through the corrected
 identification, which is what makes the extracted three-point function
-symmetric.  Products run on the integer model of the deformed bundle ring
-(``quotient.model``), read through one query kernel per deformed ring
-(:class:`_Kernel`, shared by both coordinate systems).  A class enters by
+symmetric.  Products run on the deformed bundle ring, which multiplies
+itself (``quotient.product``, rows seeded once in its one memo), read
+through one query kernel per deformed ring (:class:`_Kernel`, shared by
+both coordinate systems).  A class enters by
 one route (:func:`_terms`); an invariant's bundle staircase classes enter
 in its validating scan.  :func:`_grouped` sums a product's term pairs by q2
 exponent and product monomial w.  The corrections C are applied in one
 place, :func:`_shift`, and the correction step 1 - q2*C in one,
-:meth:`_Kernel.corrected`.  :func:`quantum_product` sums the model products
+:meth:`_Kernel.corrected`.  :func:`quantum_product` sums the ring products
 of its grouped pairs and takes the step once; :func:`gw_invariant` walks
-the paired rows the kernel keeps for each w (its corrected model product
+the paired rows the kernel keeps for each w (its corrected ring product
 paired through ``gram``), looking gamma up.  The tests check it all against
 Groebner assemblies, and the invariants' symmetry with a sweep over basis
 triples.
@@ -63,7 +64,7 @@ from .geometry import (
     integrate,  # noqa: F401  (kept importable from this module)
     quantum_presentation,
 )
-from .groebner import _RingModel
+from .groebner import QuotientRing
 from .poly import Mono, Polynomial, Scalar, _canonical, _canonical_terms, mono_mul
 from .records import Frozen
 from .report import CheckReport
@@ -83,12 +84,12 @@ def _basis_pairs(staircase: tuple[Mono, ...]) -> tuple[tuple[int, int, Mono], ..
 
 
 def _model_pieces(
-    model: _RingModel, pairs: Iterable[tuple[int, int, Mono]], key: Key
+    ring: QuotientRing, pairs: Iterable[tuple[int, int, Mono]], key: Key
 ) -> dict[Mono, dict[Mono, int]]:
     """The nonzero terms of the piece at q-power ``key`` of each product
-    monomial w of the pairs in a ring model, read once per w."""
+    monomial w of the pairs in a ring, read once per w."""
     products = dict.fromkeys(w for _, _, w in pairs)
-    return {w: {t: c for t, c in model.product(w).get(key, _EMPTY).items() if c} for w in products}
+    return {w: {t: c for t, c in ring.product(w).get(key, _EMPTY).items() if c} for w in products}
 
 
 @lru_cache(maxsize=None)
@@ -184,12 +185,12 @@ class _Kernel:
 
     def rows(self, w: Mono) -> dict[Key, dict[Mono, int]]:
         """Build, store and return the paired rows of w: at each key (a, c)
-        its corrected model product reaches, the piece's pairing with each
+        its corrected ring product reaches, the piece's pairing with each
         staircase monomial of the complementary degree (the classical
         ``gram``; terms off the classical staircase, in formal n = 1 rings,
         pair to 0).  Only nonzero rows and entries are kept."""
         pairs, gram = {}, self.classical.gram
-        for key, piece in self.corrected(self.qp.quotient.model.product(w)).items():
+        for key, piece in self.corrected(self.qp.quotient.product(w)).items():
             row = {}
             for t, c in piece.items():
                 for g, cg in gram.get(t, ()):
@@ -287,7 +288,7 @@ def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomia
     """Quantum product of two classical classes, expanded over the classical
     basis: the result is a sum of q1^a q2^b times parameter-free classes,
     one term per contributing curve class.  The term pairs are grouped once
-    (phi reaches q2^2 at most), the deformed model's products of the
+    (phi reaches q2^2 at most), the deformed ring's products of the
     grouped w are summed, each shifted by its q2 exponent k, and the
     correction step is taken once, on the sum; a blow-up product is
     translated back.  That is exact: the step is linear and commutes with
@@ -295,7 +296,7 @@ def quantum_product(x: Polynomial, y: Polynomial, qp: Presentation) -> Polynomia
     staircase (rank 6 against 4 at (2, 0)) and can hold classes above the
     top degree: such results are formal."""
     kernel, terms = _factors(qp, x, y)
-    product, vec = kernel.qp.quotient.model.product, {}
+    product, vec = kernel.qp.quotient.product, {}
     for k, monos in _grouped(kernel, *terms, 2).items():
         for w, scale in monos.items():
             for (a, c), piece in product(w).items():
@@ -477,13 +478,13 @@ def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
     # Multiple-fiber-class vanishing: the (b, 0) contribution of a product of
     # basis classes dies whenever the fiber degrees sum below b*r.  phi and
     # the correction step only add q2 powers, so that piece of the quantum
-    # product is the deformed model's product w of the two staircase
+    # product is the deformed ring's product w of the two staircase
     # monomials, read once per w; the pairs are only counted and named.
     polys = qp.quotient.staircase_polynomials()
     pairs = _basis_pairs(qp.quotient.staircase)
     for b in range(1, b_max + 1):
         checked = [(i, j, w) for i, j, w in pairs if w[0] < b * r]  # w[0]: the xi degree
-        pieces = _model_pieces(qp.quotient.model, checked, (b, 0))
+        pieces = _model_pieces(qp.quotient, checked, (b, 0))
         offenders = [
             f"{polys[i]} * {polys[j]} -> {Polynomial._from_clean(vs, pieces[w])}"
             for i, j, w in checked if pieces[w]
@@ -554,9 +555,9 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
 
     # Products specialize too: the classical-class piece of the deformed
     # product is the classical product on every basis pair.  That piece of
-    # the quantum product is the deformed model's product (phi and the
+    # the quantum product is the deformed ring's product (phi and the
     # correction step only add q2 powers), read once per product monomial.
-    rings = (qpf.quotient.model, classical_presentation(params, BUNDLE).quotient.model)
+    rings = (qpf.quotient, classical_presentation(params, BUNDLE).quotient)
     polys = qpf.quotient.staircase_polynomials()
     pairs = _basis_pairs(qpf.quotient.staircase)
     deformed, classical = (_model_pieces(ring, pairs, (0, 0)) for ring in rings)

@@ -8,7 +8,7 @@ Both solve the divisor and fundamental-class axioms exactly, with
 * :func:`model_corrections` is the reduced system the package solved
   before the closed form: one row per (class, component) from the divisor
   xi - h, over the correction unknowns alone, every coefficient read from
-  the integer ring models (``quotient.model``) and the classical pairing
+  the rings' integer products (``quotient.product``) and the classical pairing
   (``quotient.gram``).
   Its underdetermined, inconsistent and non-integral checks raise
   ``CheckFailure``.
@@ -24,7 +24,7 @@ assemblies of the same axioms.
 from fractions import Fraction
 
 from qcblowup import CheckFailure, Polynomial, classical_presentation, integrate
-from qcblowup.groebner import _add
+from qcblowup.poly import mono_mul
 from elimination_oracle import eliminate
 from pair_sweep_oracle import model_piece
 from product_oracle import decompose_contributions
@@ -44,7 +44,7 @@ def solution(system):
 def model_corrections(qp):
     """The nonzero corrections of an in-range deformed bundle presentation,
     keyed by staircase monomial in the order of the unknowns, from the
-    reduced system read off the ring models.
+    reduced system read off the rings' products.
 
     * divisor rows: for a divisor D and a basis class c, the q2-part of the
       ring product D * repr(c) minus the correction expansion of the
@@ -55,7 +55,7 @@ def model_corrections(qp):
     * closure rows: three-point invariants with a fundamental-class
       insertion vanish.  The classical integrals are the rows of the
       classical ring's pairing, the deformed one the top-monomial
-      coefficient of a model product.
+      coefficient of a ring product.
 
     The system must have a unique solution, and every value of it must be
     an integer.
@@ -65,7 +65,7 @@ def model_corrections(qp):
     staircase = qp.quotient.staircase
     if cp.quotient.staircase != staircase:
         raise CheckFailure("deformed and classical staircases differ")
-    deformed, classical = qp.quotient.model, cp.quotient.model
+    deformed, classical = qp.quotient, cp.quotient
     n, top, by_degree = params.n, params.top_degree, cp.quotient.by_degree
 
     # Unknowns, in column order: the components of the correction C_s of
@@ -87,14 +87,13 @@ def model_corrections(qp):
 
     # Divisor rows: the q2-part of the ring product (xi - h) * repr(c) equals
     # the correction expansion of the classical product (xi - h).c.
-    def times_xi_minus_h(model, key):
+    def times_xi_minus_h(ring, key):
         """The piece at q-power ``key`` of (xi - h) * s, for each staircase s."""
         out = {}
         for s in staircase:
-            vec = {}
-            _add(vec, model.matrices[0][s], (0, 0), 1)
-            _add(vec, model.matrices[1][s], (0, 0), -1)
-            out[s] = vec.get(key, {})
+            piece = out[s] = dict(ring.product(mono_mul(s, (1, 0, 0, 0))).get(key, {}))
+            for t, c in ring.product(mono_mul(s, (0, 1, 0, 0))).get(key, {}).items():
+                piece[t] = piece.get(t, 0) - c
         return out
 
     known, cmat = times_xi_minus_h(deformed, (0, 1)), times_xi_minus_h(classical, (0, 0))

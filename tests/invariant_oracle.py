@@ -10,7 +10,7 @@ piece with gamma through the classical ring's pairing (``quotient.gram``).
   query's class by gamma as polynomials and integrates the product through
   a Groebner normal form.
 * :func:`piecewise_invariant` is the kernel as it was before the pairs were
-  grouped: the full phi of both classes, one model lookup per term pair
+  grouped: the full phi of both classes, one product lookup per term pair
   whose q2 exponents do not exceed the key's, the correction step applied
   pair by pair, and one top-coefficient integral per (piece term, gamma
   term).
@@ -68,7 +68,7 @@ def pairwise_piece(qp, x, y, key):
     """The piece of phi(x) * phi(y) at key = (a, b), term pair by term pair:
     the naive piece at (a, b) minus C times the naive piece at (a, b - 1).
     A pair whose q2 exponents sum above b is skipped before its lookup."""
-    model, corrections = qp.quotient.model, basis_corrections(qp)
+    ring, corrections = qp.quotient, basis_corrections(qp)
     a, b = key
     out = {}
     for u, ku, cu in x:
@@ -76,7 +76,7 @@ def pairwise_piece(qp, x, y, key):
             k = ku + kv
             if k > b:
                 continue
-            product = model.product(mono_mul(u, v))
+            product = ring.product(mono_mul(u, v))
             scale = cu * cv
             for t, c in product.get((a, b - k), {}).items():
                 out[t] = out.get(t, 0) + scale * c
@@ -87,10 +87,10 @@ def pairwise_piece(qp, x, y, key):
     return out
 
 
-def _top_coefficient(model, params, x, y):
+def _top_coefficient(ring, params, x, y):
     """The integral of x * y in the classical bundle ring: the coefficient
-    of the top staircase monomial h^n xi^(r-1) in the model product."""
-    return model.product(mono_mul(x, y)).get((0, 0), {}).get((params.r - 1, params.n, 0, 0), 0)
+    of the top staircase monomial h^n xi^(r-1) in the ring product."""
+    return ring.product(mono_mul(x, y)).get((0, 0), {}).get((params.r - 1, params.n, 0, 0), 0)
 
 
 def piecewise_invariant(query, qp):
@@ -109,5 +109,5 @@ def piecewise_invariant(query, qp):
     for t, c in piece.items():
         if c:
             for g, cg in gamma.items():
-                value += c * cg * _top_coefficient(classical.model, params, t, g)
+                value += c * cg * _top_coefficient(classical, params, t, g)
     return value

@@ -1,7 +1,7 @@
 """The pair-by-pair sweeps of two verify checks, kept as test oracles for
 ``qcblowup.quantum``, which reads each product monomial w = s_i * s_j once
 and only counts and names the pairs: :func:`model_piece` reads one pair's
-piece off a ring model, :func:`fiber_multiple_vanishing` and
+piece off a ring's products, :func:`fiber_multiple_vanishing` and
 :func:`product_specialization` give the (passed, detail) of the report
 entries of the same names, as the checks gave them pair by pair."""
 
@@ -9,10 +9,10 @@ from qcblowup import Polynomial, classical_presentation
 from qcblowup.poly import mono_mul
 
 
-def model_piece(model, x, y, key):
-    """The nonzero terms of the piece at q-power ``key`` of x * y in a ring
-    model."""
-    return {t: c for t, c in model.product(mono_mul(x, y)).get(key, {}).items() if c}
+def model_piece(ring, x, y, key):
+    """The nonzero terms of the piece at q-power ``key`` of x * y in a
+    quotient ring (``QuotientRing.product``)."""
+    return {t: c for t, c in ring.product(mono_mul(x, y)).get(key, {}).items() if c}
 
 
 def fiber_multiple_vanishing(qp, b):
@@ -26,7 +26,7 @@ def fiber_multiple_vanishing(qp, b):
             if staircase[i][0] + staircase[j][0] >= b * qp.params.r:
                 continue
             checked += 1
-            if terms := model_piece(qp.quotient.model, staircase[i], staircase[j], (b, 0)):
+            if terms := model_piece(qp.quotient, staircase[i], staircase[j], (b, 0)):
                 piece = Polynomial._from_clean(qp.variables, terms)
                 offenders.append(f"{polys[i]} * {polys[j]} -> {piece}")
     return not offenders, "; ".join(offenders) if offenders else f"{checked} basis pairs checked"
@@ -35,7 +35,7 @@ def fiber_multiple_vanishing(qp, b):
 def product_specialization(qpf):
     """The (0, 0) piece of every basis pair in the deformed bundle ring
     against the classical product."""
-    rings = (qpf.quotient.model, classical_presentation(qpf.params, "bundle").quotient.model)
+    rings = (qpf.quotient, classical_presentation(qpf.params, "bundle").quotient)
     staircase = qpf.quotient.staircase
     polys = qpf.quotient.staircase_polynomials()
     mismatches = []

@@ -1,6 +1,6 @@
 """The quantum product assembled from Groebner normal forms, kept as a test
-oracle for ``qcblowup.quantum_product``, which computes each piece on the
-integer ring models instead.
+oracle for ``qcblowup.quantum_product``, which computes each piece from the
+ring's integer products (``QuotientRing.product``) instead.
 
 The two class representatives are multiplied as polynomials, the product
 takes one normal form in the deformed quotient, the normal form is split by
@@ -12,13 +12,13 @@ coordinates and translated back.
 product monomial's rows were walked by key: one piece per curve class in
 the degree budget, each read by :func:`piece` (which the library used for
 ``contribution_by_class`` before that became a slice of the product).  The
-piece applies the correction step itself, to the deformed model's
+piece applies the correction step itself, to the deformed ring's
 products, so it checks the library's one step rather than reading it.
 
 Beside them, :func:`contributions` splits the public product by curve class,
 and :func:`basis_products` splits the products of all staircase basis pairs
 (:func:`staircase_products` keeps that table per ring), which the tests
-compare with the oracle and with the verification suites' model reads.
+compare with the oracle and with the verification suites' ring reads.
 """
 
 from functools import lru_cache
@@ -80,12 +80,12 @@ def groebner_contributions(x, y, qp):
 
 def piece(kernel, grouped, key):
     """The piece at key = (a, b) of a product grouped by ``quantum._grouped``,
-    read off the deformed model's products with its own correction step: the
-    sum of scale times the model piece of w at (a, b - k) minus the
-    corrections (``basis_corrections``) of its model piece at (a, b - k - 1).
+    read off the deformed ring's products with its own correction step: the
+    sum of scale times the ring's piece of w at (a, b - k) minus the
+    corrections (``basis_corrections``) of its piece at (a, b - k - 1).
     Each w is looked up once."""
     (a, b), out = key, {}
-    product, corrections = kernel.qp.quotient.model.product, basis_corrections(kernel.qp)
+    product, corrections = kernel.qp.quotient.product, basis_corrections(kernel.qp)
     live = [(k, monos) for k, monos in grouped.items() if k <= b]
     vectors = {w: product(w) for w in dict.fromkeys(w for _, monos in live for w in monos)}
     for k, monos in live:

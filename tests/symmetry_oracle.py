@@ -16,9 +16,19 @@ of b_i * b_j at (a, b) has degree deg i + deg j - (r a + n b), so it pairs
 with b_k to a nonzero value only where r a + n b = deg i + deg j + deg k -
 top; the sweep reads only those keys.  It costs O(rank^3), so no command
 runs it.
+
+:func:`divisor_asymmetries` is the divisor slice of the same symmetry at
+O(rank^2): multiplication by a divisor is self-adjoint for the pairing.
 """
 
-from qcblowup import CheckReport, UsageError, classical_presentation, quantum_presentation
+from qcblowup import (
+    CheckReport,
+    Polynomial,
+    UsageError,
+    classical_presentation,
+    quantum_presentation,
+    quantum_product,
+)
 
 from product_oracle import basis_products
 
@@ -82,3 +92,33 @@ def verify_s3_symmetry(params):
         "; ".join(fractional[:5]) if fractional else "all values integral",
     )
     return report
+
+
+def divisor_asymmetries(qp):
+    """The ordered (D, beta, x, y) with int (D*x)_beta . y != int (D*y)_beta . x,
+    for D in {xi, h}, every curve class beta and all classical bundle
+    staircase monomials x and y, where (D*x)_beta is the class multiplying
+    q^beta in ``quantum_product(D, x, qp)``; the integrals are read off the
+    classical ring's pairing (``quotient.gram``).  The invariant
+    <D, x, y>_beta is symmetric in x and y, so an in-range instance gives
+    none.  That is necessary, not sufficient: a change of basis that keeps
+    the Gram form passes it."""
+    classical = classical_presentation(qp.params, "bundle").quotient
+    gram = {s: dict(row) for s, row in classical.gram.items()}
+    staircase, polys = classical.staircase, classical.staircase_polynomials()
+    failures = []
+    for name in ("xi", "h"):
+        divisor = Polynomial.variable(qp.variables, name)
+        # paired[x][beta][y]: the integral of (D*x)_beta against y
+        paired = {x: {} for x in staircase}
+        for x, poly in zip(staircase, polys):
+            for mono, c in quantum_product(divisor, poly, qp).terms.items():
+                row = paired[x].setdefault(mono[2:], {})
+                for y, g in gram.get(mono[:2] + (0, 0), {}).items():
+                    row[y] = row.get(y, 0) + c * g
+        betas = sorted({beta for rows in paired.values() for beta in rows})
+        failures += [
+            (name, beta, x, y) for beta in betas for x in staircase for y in staircase
+            if paired[x].get(beta, {}).get(y, 0) != paired[y].get(beta, {}).get(x, 0)
+        ]
+    return failures

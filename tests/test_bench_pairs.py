@@ -59,3 +59,29 @@ def test_the_runs_must_pair_up():
         bench_pairs.decide(PARENT, PARENT[:9], "lower")
     with pytest.raises(ValueError):
         bench_pairs.decide([], [], "lower")
+
+
+def _fake_run(runs):
+    def run(checkout, workload, seed):
+        runs.append(checkout)
+        metrics = {m["name"]: {"value": 1.0} for m in bench_pairs.SPEC["end_to_end"]}
+        return {"correct": True, "failed": 0, "metrics": metrics}
+    return run
+
+
+def test_checkouts_that_differ_in_cached_bytecode_are_refused(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "qcblowup").mkdir(parents=True)
+    (parent / "src" / "qcblowup" / "__pycache__").mkdir()
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run", _fake_run(runs))
+    argv = ["--workload", "gw-session", "--seed", "1", "--pairs", "2"]
+    assert bench_pairs.main([str(parent), str(change), *argv]) == 2
+    assert runs == []
+    assert f"{parent} holds cached bytecode" in capsys.readouterr().err
+    assert bench_pairs.main([str(change), str(parent), *argv]) == 2
+    assert runs == []
+    (change / "src" / "qcblowup" / "__pycache__").mkdir()  # both warm: compared
+    assert bench_pairs.main([str(parent), str(change), *argv]) == 0
+    assert runs == [parent, change, change, parent]

@@ -29,7 +29,7 @@ ALLOWED = {
         ("params", "coords", "quantum"), None,
         "unbounded: one ring per instance and coordinate system, whatever the budget (a"
         " budget is checked against the run's peak degree); the suites of a grid instance"
-        " share it, and its quotient holds the ring model"),
+        " share it, and its quotient holds the product memo"),
     "qcblowup.quantum._basis_pairs": (
         ("staircase",), 1,
         "the basis-pair list of the last staircase asked: both quantum suites of an instance"

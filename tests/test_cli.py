@@ -271,6 +271,26 @@ def test_verify_rejects_bounds_below_one_before_any_instance(capsys):
         assert "must be at least 1" in doc["payload"]["error"]
 
 
+def test_verify_refuses_a_single_instance_beside_a_grid(capsys, monkeypatch):
+    # --m or --p given with the grid flags is a usage error before any
+    # instance runs, not a grid that silently drops the single instance
+    from qcblowup import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_verify_instance", lambda *a: ran.append(a))
+    for argv in (
+        ("--m", "4", "--p", "0", "--grid-m", "5", "--grid-p", "0"),
+        ("--m", "4", "--grid-m", "5", "--grid-p", "0"),
+        ("--p", "0", "--grid-m", "5", "--grid-p", "0"),
+        ("--m", "4", "--p", "0", "--grid-m", "5"),
+    ):
+        code, doc = run_json(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert doc["status"] == "usage-error"
+        assert doc["payload"]["error"] == "give either --m and --p or --grid-m and --grid-p"
+    assert ran == []
+
+
 def test_verify_grid_without_a_valid_pair_is_a_usage_error(capsys, monkeypatch):
     from qcblowup import cli
 

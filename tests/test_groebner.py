@@ -201,10 +201,11 @@ def test_normal_form_matches_the_whole_remainder():
 
 
 def test_ring_model_reads_only_the_rows_off_the_staircase(monkeypatch, grid_params):
-    # a product xi*s or h*s that is itself a staircase monomial is its own
-    # row; only the others are read off normal forms
+    # the first product seeds the ring's memo with the rows s*xi and s*h: one
+    # that is itself a staircase monomial is its own row, and only the others
+    # are read off normal forms, once each
     reads = []
-    original = groebner._RingModel._read
+    original = groebner.QuotientRing._read
 
     def spy(self, mono):
         reads.append(mono)
@@ -214,28 +215,27 @@ def test_ring_model_reads_only_the_rows_off_the_staircase(monkeypatch, grid_para
         quantum_presentation(grid_params, "bundle"),
         classical_presentation(grid_params, "bundle"),
     ):
-        quotient = pres.quotient
+        quotient = staircase_basis(pres.quotient.basis)  # a fresh ring
         products = [
-            mono_mul(s, unit) for unit in groebner._RingModel.units for s in quotient.staircase
+            mono_mul(s, unit) for unit in ((1, 0, 0, 0), (0, 1, 0, 0)) for s in quotient.staircase
         ]
-        off = [mono for mono in products if mono not in quotient.staircase_set]
+        off = list(dict.fromkeys(mono for mono in products if mono not in quotient.staircase_set))
         reads.clear()
-        monkeypatch.setattr(groebner._RingModel, "_read", spy)
-        model = groebner._RingModel(quotient)
+        monkeypatch.setattr(groebner.QuotientRing, "_read", spy)
+        assert quotient.product(quotient.staircase[0]) == {(0, 0): {quotient.staircase[0]: 1}}
         monkeypatch.undo()
         assert reads == off
         assert 0 < len(off) < len(products)
-        assert model.matrices == tuple(
-            {s: model._read(mono_mul(s, unit)) for s in quotient.staircase}
-            for unit in model.units
-        )
+        assert len(quotient._products) == len(quotient.staircase_set | set(products))
+        assert all(quotient._products[mono] == quotient._read(mono) for mono in products)
 
 
 def test_ring_model_refuses_a_rational_row():
-    # classical blow-up rings with p >= 1 have rational normal forms
+    # classical blow-up rings with p >= 1 have rational normal forms; the
+    # first product, which seeds the rows, refuses them
     quotient = classical_presentation(derive_params(8, 1), "blowup").quotient
     with pytest.raises(CheckFailure, match="is not an integral vector over the staircase"):
-        groebner._RingModel(quotient)
+        quotient.product(quotient.staircase[0])
 
 
 # -- staircases ----------------------------------------------------------------

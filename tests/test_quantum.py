@@ -28,6 +28,7 @@ from qcblowup import (
     quantum_presentation,
     quantum_product,
     quantum_relations,
+    staircase_basis,
     verify_classical_geometry,
     verify_gw_identities,
     verify_quantum_presentation,
@@ -282,7 +283,7 @@ def test_the_model_solve_has_no_two_point_unknowns(monkeypatch):
 
 
 def test_a_cold_closed_form_reads_no_model_gram_row_or_solve(monkeypatch):
-    # the closed form reads the two staircases only: no ring model and no
+    # the closed form reads the two staircases only: no ring product and no
     # pairing, even with its cache cleared; and the package ships no
     # elimination module at all
     import importlib.util
@@ -292,7 +293,7 @@ def test_a_cold_closed_form_reads_no_model_gram_row_or_solve(monkeypatch):
     qp = quantum_presentation(derive_params(16, 5), "bundle")
     expected = dict(basis_corrections(qp))
     reads = []
-    monkeypatch.setattr(QuotientRing, "model", property(lambda ring: reads.append("model")))
+    monkeypatch.setattr(QuotientRing, "product", lambda ring, mono: reads.append("product"))
     monkeypatch.setattr(QuotientRing, "gram", property(lambda ring: reads.append("gram")))
     basis_corrections.cache_clear()
     assert basis_corrections(qp) == expected
@@ -803,12 +804,12 @@ def _check_kernel_rows(qp):
                 }
                 if pairs:
                     paired[key] = pairs
-        assert kernel.corrected(qp.quotient.model.product(w)) == expected, w
+        assert kernel.corrected(qp.quotient.product(w)) == expected, w
         assert rows == paired, w
 
 
 def test_shared_memos_survive_callers_that_change_their_results():
-    # the model product memos, the classical pairings and the kernels'
+    # the rings' product memos, the classical pairings and the kernels'
     # paired rows are shared by every query: a seeded batch
     # whose every returned polynomial is changed in place leaves them as
     # they were, and the batch gives the same values again
@@ -855,7 +856,7 @@ def test_shared_memos_survive_callers_that_change_their_results():
         return values
 
     def memos():
-        rows = [ring.model._products for ring in rings]
+        rows = [ring._products for ring in rings]
         rows += [dict(ring.gram) for ring in rings[1::2]]  # the classical rings
         for m, p in [(11, 3), (16, 5)]:
             kernel = quantum._kernel(quantum_presentation(derive_params(m, p), "bundle"))
@@ -949,10 +950,10 @@ def test_the_kernel_memos_stay_within_the_rows_the_stream_reads(monkeypatch):
                 (u[0] + v[0], u[1] + v[1], 0, 0)
                 for ku, xs in x for kv, ys in y if ku + kv <= b for u in xs for v in ys
             )
-    expected = [gw_invariant(query, qp) for query, qp in stream]  # warms the ring models
+    expected = [gw_invariant(query, qp) for query, qp in stream]  # warms the ring memos
     assert any(expected) and len(reached) == 4
     kernels.clear()
-    lookups = {qp: _spied_calls(monkeypatch, qp.quotient.model, "product") for qp in reached}
+    lookups = {qp: _spied_calls(monkeypatch, qp.quotient, "product") for qp in reached}
     assert [gw_invariant(query, qp) for query, qp in stream] == expected
     assert kernels.keys() == reached.keys()
     total = 0
@@ -1058,28 +1059,21 @@ def test_the_piece_forms_no_product_above_its_q2_power(monkeypatch, key):
     live = [(u, v) for ku, xs in x for u in xs for kv, ys in y for v in ys if ku + kv <= key[1]]
     assert len(live) < sum(map(len, dict(x).values())) * sum(map(len, dict(y).values()))
     grouped = quantum._grouped(kernel, *terms, key[1])
-    # warms the model, which recurses when cold
+    # warms the ring's memo, as its products recurse when cold
     product_oracle.piece(quantum._Kernel(qp), grouped, key)
-    model = qp.quotient.model
-    looked_up = []
-    original = model.product
-
-    def spy(mono):
-        looked_up.append(mono)
-        return original(mono)
-
-    monkeypatch.setattr(model, "product", spy)
+    looked_up = _spied_calls(monkeypatch, qp.quotient, "product")
     piece = product_oracle.piece(kernel, grouped, key)
     monkeypatch.undo()
     monos = [tuple(a + b for a, b in zip(u, v)) for u, v in live]
-    assert sorted(looked_up) == sorted(set(monos))
+    assert sorted(w for w, in looked_up) == sorted(set(monos))
     assert len(set(monos)) < len(monos) or key[1] == 0  # pairs do share monomials
     expected = groebner_contributions(alpha, beta, qp).get(key, Polynomial.zero(qp.variables))
     assert Polynomial(qp.variables, piece) == expected
 
 
 def _spied_calls(monkeypatch, owner, name):
-    # record the arguments of every call of owner.name
+    # record the arguments of every call of owner.name; on an immutable
+    # record (a ring) the spy shadows the method in the instance dict
     calls = []
     original = getattr(owner, name)
 
@@ -1087,7 +1081,10 @@ def _spied_calls(monkeypatch, owner, name):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(owner, name, spy)
+    if isinstance(owner, QuotientRing):
+        monkeypatch.setitem(vars(owner), name, spy)
+    else:
+        monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -1196,9 +1193,8 @@ def test_gram_rows_need_one_top_staircase_monomial(params40):
 def test_the_pairing_matrix_and_the_query_kernel_read_one_pairing_build(monkeypatch):
     # a cold classical bundle ring builds its pairing once: pairing_matrix,
     # verify and a fresh query kernel's row builds all read that one build,
-    # and no query builds the classical ring's model
+    # and no query seeds the classical ring's product memo
     from qcblowup import geometry
-    from qcblowup.groebner import _RingModel
 
     params = derive_params(11, 3)
     qp = quantum_presentation(params, "bundle")
@@ -1212,14 +1208,14 @@ def test_the_pairing_matrix_and_the_query_kernel_read_one_pairing_build(monkeypa
     gram = cached_property(spy)
     gram.__set_name__(QuotientRing, "gram")
     monkeypatch.setattr(QuotientRing, "gram", gram)
-    model_init = _RingModel.__init__
-    monkeypatch.setattr(
-        _RingModel, "__init__", lambda model, q: (models.append(q), model_init(model, q))[1]
-    )
+    seed = QuotientRing._products.func
+    products = cached_property(lambda q: (models.append(q), seed(q))[1])
+    products.__set_name__(QuotientRing, "_products")
+    monkeypatch.setattr(QuotientRing, "_products", products)
     for quotient in (ring, blowup):
         vars(quotient).pop("gram", None)
     for quotient in (ring, qp.quotient):
-        vars(quotient).pop("model", None)
+        vars(quotient).pop("_products", None)
     assert geometry.pairing_matrix(classical_presentation(params, "bundle"))
     cold = quantum._Kernel(qp)
     monkeypatch.setattr(quantum, "_kernel", lambda qp: cold)
@@ -1231,7 +1227,7 @@ def test_the_pairing_matrix_and_the_query_kernel_read_one_pairing_build(monkeypa
         gw_invariant(query, qp_blowup)
     assert verify_classical_geometry(params).ok  # its pairing_matrix builds the blow-up one
     assert cold.paired_rows and builds == [ring, blowup]
-    assert [q is qp.quotient for q in models] == [True]  # the deformed ring's model only
+    assert [q is qp.quotient for q in models] == [True]  # the deformed ring's memo only
 
 
 # -- verification suites --------------------------------------------------------------
@@ -1340,10 +1336,10 @@ def test_per_monomial_checks_match_the_pair_sweeps(m, p):
 
 def test_a_patched_product_monomial_names_the_pairs_of_the_sweeps(monkeypatch, params81):
     # change the (0, 0) piece of one product monomial w and the (1, 0) piece
-    # of another in the deformed model: every basis pair with that product is
+    # of another in the deformed ring: every basis pair with that product is
     # named, as by the pair-by-pair sweeps, with the same detail
     qp = quantum_presentation(params81, "bundle")
-    model, r = qp.quotient.model, params81.r
+    ring, r = qp.quotient, params81.r
     pairs = quantum._basis_pairs(qp.quotient.staircase)
     shared = [w for w in dict.fromkeys(w for _, _, w in pairs)
               if sum(v == w for _, _, v in pairs) > 1]
@@ -1351,9 +1347,9 @@ def test_a_patched_product_monomial_names_the_pairs_of_the_sweeps(monkeypatch, p
     fiber = next(w for w in shared if w[0] < r and w != special)
     t = qp.quotient.staircase[0]
     for w, key in ((special, (0, 0)), (fiber, (1, 0))):
-        vec = {k: dict(piece) for k, piece in model.product(w).items()}
+        vec = {k: dict(piece) for k, piece in ring.product(w).items()}
         vec.setdefault(key, {})[t] = vec.get(key, {}).get(t, 0) + 5
-        monkeypatch.setitem(model._products, w, vec)
+        monkeypatch.setitem(ring._products, w, vec)
     quantum._kernel.cache_clear()  # no kernel row is built from a patched product
     try:
         fiber_entries = _entries(verify_gw_identities(params81, b_max=1), "fiber_multiple_vanishing[b=1]")
@@ -1373,17 +1369,17 @@ def test_a_patched_product_monomial_names_the_pairs_of_the_sweeps(monkeypatch, p
 
 
 def test_table_pieces_without_q2_are_the_model_products(grid_params):
-    # the product table is the oracle of the verify suites' model reads: its
-    # (b, 0) pieces are the deformed model's products of the staircase pairs
+    # the product table is the oracle of the verify suites' ring reads: its
+    # (b, 0) pieces are the deformed ring's products of the staircase pairs
     qp = quantum_presentation(grid_params, "bundle")
-    staircase, model = qp.quotient.staircase, qp.quotient.model
+    staircase, ring = qp.quotient.staircase, qp.quotient
     for (i, j), pieces in staircase_products(qp).items():
-        product = model.product(tuple(x + y for x, y in zip(staircase[i], staircase[j])))
+        product = ring.product(tuple(x + y for x, y in zip(staircase[i], staircase[j])))
         for b in range(3):
             expected = {t: c for t, c in product.get((b, 0), {}).items() if c}
             piece = pieces.get((b, 0))
             assert (piece.terms if piece else {}) == expected, (i, j, b)
-            assert pair_sweep_oracle.model_piece(model, staircase[i], staircase[j], (b, 0)) == expected
+            assert pair_sweep_oracle.model_piece(ring, staircase[i], staircase[j], (b, 0)) == expected
 
 
 def _assert_table_matches_oracle(qp):
@@ -1514,13 +1510,11 @@ def test_the_budget_oracle_sees_a_product_without_its_correction_step(monkeypatc
 
 
 def test_products_and_invariants_leave_the_model_memo_as_it_was():
-    # quantum_product sums the deformed model's memoised vectors and the
+    # quantum_product sums the deformed ring's memoised vectors and the
     # kernel's step corrects them: over a seeded sample at (11, 3) in both
-    # coordinate systems, every memoised vector stays what a fresh model
+    # coordinate systems, every memoised vector stays what a fresh ring
     # computes, and a second pass changes none of them
     import copy
-
-    from qcblowup.groebner import _RingModel
 
     params = derive_params(11, 3)
     rng = random.Random(1131)
@@ -1537,11 +1531,11 @@ def test_products_and_invariants_leave_the_model_memo_as_it_was():
         ]
 
     expected = run()
-    memo = copy.deepcopy(quotient.model._products)
-    fresh = _RingModel(quotient)
+    memo = copy.deepcopy(quotient._products)
+    fresh = staircase_basis(quotient.basis)
     assert memo and all(fresh.product(w) == vector for w, vector in memo.items())
     assert run() == expected
-    assert quotient.model._products == memo
+    assert quotient._products == memo
 
 
 def test_product_specialization_matches_classical_normal_forms(grid_params):
@@ -1556,21 +1550,21 @@ def test_product_specialization_matches_classical_normal_forms(grid_params):
 
 
 def test_product_table_takes_two_normal_forms_per_basis_class():
-    # the solve and the sweep read one integer model per ring; only xi*s and
+    # the solve and the sweep read one product memo per ring; only xi*s and
     # h*s are normal-formed, in the deformed and in the classical ring
     qp = quantum_presentation(derive_params(11, 3), "bundle")
     cp = classical_presentation(qp.params, "bundle")
     basis_corrections.cache_clear()
-    quantum._kernel.cache_clear()  # a kernel keeps the model products it read
+    quantum._kernel.cache_clear()  # a kernel keeps the products it read
     for pres in (qp, cp):
-        vars(pres.quotient).pop("model", None)
+        vars(pres.quotient).pop("_products", None)
     memos = [pres.quotient.basis._nf_memo for pres in (qp, cp)]
     for memo in memos:
         memo.clear()
     basis_corrections(qp)
-    models = [pres.quotient.model for pres in (qp, cp)]
+    seeded = [pres.quotient._products for pres in (qp, cp)]
     assert verify_s3_symmetry(qp.params).ok
-    assert [pres.quotient.model for pres in (qp, cp)] == models
+    assert all(pres.quotient._products is memo for pres, memo in zip((qp, cp), seeded))
     for memo in memos:
         assert 0 < len(memo) <= 2 * qp.quotient.rank
 
@@ -1602,28 +1596,62 @@ def test_basis_corrections_match_the_model_solve(m, p):
     assert corrections == expected
 
 
+IN_RANGE_TO_12 = [(m, p) for m, p in IN_RANGE_TO_20 if m <= 12]
+
+
+@pytest.mark.parametrize("m, p", IN_RANGE_TO_12, ids=[f"m{m}p{p}" for m, p in IN_RANGE_TO_12])
+def test_divisor_multiplication_is_self_adjoint(m, p):
+    # <D, x, y>_beta is symmetric in x and y, so xi* and h* are self-adjoint
+    # for the classical pairing at every curve class
+    qp = quantum_presentation(derive_params(m, p), "bundle")
+    assert symmetry_oracle.divisor_asymmetries(qp) == []
+
+
+def test_doubled_corrections_break_the_self_adjointness(monkeypatch):
+    # every correction doubled: the products stop being self-adjoint
+    original = quantum.basis_corrections
+    monkeypatch.setattr(
+        quantum, "basis_corrections",
+        lambda qp: MappingProxyType({s: 2 * c for s, c in original(qp).items()}),
+    )
+    quantum._kernel.cache_clear()  # no kernel keeps the doubled corrections
+    try:
+        counts = [
+            len(symmetry_oracle.divisor_asymmetries(
+                quantum_presentation(derive_params(m, p), "bundle")))
+            for m, p in LADDER[:3]
+        ]
+    finally:
+        quantum._kernel.cache_clear()
+    assert counts == [26, 64, 118]
+
+
 N_EQUALS_ONE = [(2, 0), (3, 1), (4, 2), (5, 3)]
 
 
 @pytest.mark.parametrize("m, p", N_EQUALS_ONE, ids=[f"m{m}p{p}" for m, p in N_EQUALS_ONE])
-def test_ring_model_reads_normal_forms_where_a_parameter_leads(m, p):
+def test_ring_model_reads_normal_forms_where_a_parameter_leads(monkeypatch, m, p):
     # n = 1: the deformed basis leads with xi*q2, so staircase classes times
-    # q-powers are not normal forms and the matrices would be wrong; the model
-    # reads the ring's own normal forms, and the table still equals the oracle
+    # q-powers are not normal forms and the rows would be wrong; a fresh ring
+    # seeds no row and reads every product off its own normal form, and the
+    # table still equals the oracle
     qp = quantum_presentation(derive_params(m, p), "bundle")
     vs = qp.variables
     assert (1, 0, 0, 1) in qp.quotient.basis.leading_monomials()
-    model = qp.quotient.model
-    assert model.matrices is None
-    staircase = qp.quotient.staircase
+    ring = staircase_basis(qp.quotient.basis)
+    reads = _spied_calls(monkeypatch, ring, "_read")
+    staircase, monos = ring.staircase, []
     for i, s in enumerate(staircase):
         for t in staircase[i:]:
-            mono = tuple(a + b for a, b in zip(s, t))
+            monos.append(mono := tuple(a + b for a, b in zip(s, t)))
             got = Polynomial.zero(vs)
-            for (a, b), piece in model.product(mono).items():
+            for (a, b), piece in ring.product(mono).items():
                 for u, c in piece.items():
                     got = got + Polynomial(vs, {(u[0], u[1], a, b): c})
             assert got == qp.quotient.normal_form(Polynomial(vs, {mono: 1})), mono
+    off = list(dict.fromkeys(mono for mono in monos if mono not in ring.staircase_set))
+    assert off and [mono for mono, in reads] == off
+    assert len(ring._products) == ring.rank + len(off)
     _assert_table_matches_oracle(qp)
 
 

@@ -208,8 +208,9 @@ def test_presentation_hash_reads_coords_params_and_quantum_only():
 def test_quotient_ring_keeps_its_cached_members_out_of_equality():
     q = ring().quotient
     fresh = QuotientRing(q.basis, q.staircase)
-    q.model, q.gram  # built on first use
-    assert {"model", "gram"} <= vars(q).keys() and not {"model", "gram"} & vars(fresh).keys()
+    q.product((1, 0, 0, 0)), q.gram  # built on first use
+    built = {"_products", "gram"}
+    assert built <= vars(q).keys() and not built & vars(fresh).keys()
     assert fresh == q and hash(fresh) == hash(q)
     assert fresh.staircase_set == frozenset(q.staircase)
     assert repr(fresh) == repr(q)

@@ -11,7 +11,9 @@ count for neither side) and whether a gain may be claimed: the change wins
 at least nine tenths of the pairs, and its median is better than the
 parent's by more than the distance between the parent's quartiles.  The
 exit code is 1 when a run reports a wrong output or failed operations,
-else 0.
+else 0.  Before any run, the script exits with 2 when one checkout's
+``src/`` holds cached bytecode (a ``__pycache__``) and the other's does
+not: the cold metrics of the side without it would read slower.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ def decide(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def has_bytecode(checkout: Path) -> bool:
+    """Whether the checkout's ``src/`` holds a ``__pycache__``."""
+    return any((checkout / "src").rglob("__pycache__"))
+
+
 def run(checkout: Path, workload: str, seed: int) -> dict:
     """The JSON result of one benchmark run (its last line of output)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -72,6 +79,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
+    cached = [path for path in sides.values() if has_bytecode(path)]
+    if len(cached) == 1:
+        print(f"{cached[0]} holds cached bytecode in src/ and the other checkout does not;"
+              " remove it, or run both checkouts once first", file=sys.stderr)
+        return 2
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     ok = True
     for i in range(args.pairs):
