@@ -405,7 +405,7 @@ class QuotientRing(Frozen):
         so the rows (:attr:`_products`) applied to the product one variable
         below give it (Auzinger-Stetter 1988; Cox, Little and O'Shea,
         *Using Algebraic Geometry*, ch. 2); where they do not compose
-        (n = 1) it is read off the normal form."""
+        (n = 1) it is read off the normal form.  Pieces hold no zero."""
         memo = self._products
         if (out := memo.get(mono)) is None:
             if not self._composes:
@@ -419,6 +419,7 @@ class QuotientRing(Frozen):
                             target = out.setdefault((a + a2, b + b2), {})
                             for t, ct in row.items():
                                 target[t] = target.get(t, 0) + c * ct
+                out = {k: kept for k, piece in out.items() if (kept := _canonical_terms(piece))}
             memo[mono] = out
         return out
 

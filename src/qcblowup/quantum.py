@@ -46,7 +46,7 @@ use the uncorrected identification.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
 from functools import cached_property, lru_cache
 from math import comb
 from types import MappingProxyType
@@ -75,21 +75,27 @@ Grouped = dict[int, dict[Mono, Scalar]]  # :func:`_grouped`
 _EMPTY: dict[Mono, int] = {}  # the row of a key a product monomial does not reach
 
 
-@lru_cache(maxsize=1)
-def _basis_pairs(staircase: tuple[Mono, ...]) -> tuple[tuple[int, int, Mono], ...]:
-    """Each pair i <= j of staircase positions with its product monomial w;
-    one list per instance, which both quantum suites walk (shared, hence a tuple)."""
-    n, s = len(staircase), staircase
-    return tuple([(i, j, mono_mul(s[i], s[j])) for i in range(n) for j in range(i, n)])
+def _product_monomials(columns: dict[int, int]) -> list[Mono]:
+    """The distinct products w = s*u of a staircase with ``columns[x]``
+    monomials of xi degree x.  A staircase is a down-set, so column x holds
+    h^0..h^(c-1) and the products' column at x + y runs to h^(c+d-2): pairs
+    of columns are walked, not pairs of monomials."""
+    tops: dict[int, int] = {}
+    for x, c in columns.items():
+        for y, d in columns.items():
+            tops[x + y] = max(tops.get(x + y, 0), c + d - 1)
+    return [(z, e, 0, 0) for z, top in sorted(tops.items()) for e in range(top)]
 
 
-def _model_pieces(
-    ring: QuotientRing, pairs: Iterable[tuple[int, int, Mono]], key: Key
-) -> dict[Mono, dict[Mono, int]]:
-    """The nonzero terms of the piece at q-power ``key`` of each product
-    monomial w of the pairs in a ring, read once per w."""
-    products = dict.fromkeys(w for _, _, w in pairs)
-    return {w: {t: c for t, c in ring.product(w).get(key, _EMPTY).items() if c} for w in products}
+def _offenders(quotient: QuotientRing, failed: dict[Mono, str]) -> str:
+    """Each pair i <= j of staircase positions, in order, whose product
+    monomial w failed, named with the note ``failed[w]``: pairs are walked
+    only to name offenders, once some piece has failed."""
+    staircase, polys = quotient.staircase, quotient.staircase_polynomials()
+    return "; ".join(
+        f"{polys[i]} * {polys[j]}{failed[w]}" for i, s in enumerate(staircase)
+        for j in range(i, len(staircase)) if (w := mono_mul(s, staircase[j])) in failed
+    )
 
 
 @lru_cache(maxsize=None)
@@ -479,20 +485,20 @@ def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
     # basis classes dies whenever the fiber degrees sum below b*r.  phi and
     # the correction step only add q2 powers, so that piece of the quantum
     # product is the deformed ring's product w of the two staircase
-    # monomials, read once per w; the pairs are only counted and named.
-    polys = qp.quotient.staircase_polynomials()
-    pairs = _basis_pairs(qp.quotient.staircase)
+    # monomials, read once per w.  The pairs i <= j are counted by column
+    # (the ordered pairs plus the diagonal, halved) and named by _offenders.
+    columns = Counter(s[0] for s in qp.quotient.staircase)  # s[0]: the xi degree
     for b in range(1, b_max + 1):
-        checked = [(i, j, w) for i, j, w in pairs if w[0] < b * r]  # w[0]: the xi degree
-        pieces = _model_pieces(qp.quotient, checked, (b, 0))
-        offenders = [
-            f"{polys[i]} * {polys[j]} -> {Polynomial._from_clean(vs, pieces[w])}"
-            for i, j, w in checked if pieces[w]
-        ]
+        failed = {
+            w: f" -> {Polynomial._from_clean(vs, piece)}" for w in _product_monomials(columns)
+            if w[0] < b * r and (piece := qp.quotient.product(w).get((b, 0)))
+        }
+        pairs = sum(c * d for x, c in columns.items() for y, d in columns.items() if x + y < b * r)
+        checked = (pairs + sum(c for x, c in columns.items() if 2 * x < b * r)) // 2
         report.add(
             f"fiber_multiple_vanishing[b={b}]",
-            not offenders,
-            "; ".join(offenders) if offenders else f"{len(checked)} basis pairs checked",
+            not failed,
+            _offenders(qp.quotient, failed) if failed else f"{checked} basis pairs checked",
         )
 
     # The deformed ring relations the counts above assemble into.
@@ -558,13 +564,13 @@ def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
     # the quantum product is the deformed ring's product (phi and the
     # correction step only add q2 powers), read once per product monomial.
     rings = (qpf.quotient, classical_presentation(params, BUNDLE).quotient)
-    polys = qpf.quotient.staircase_polynomials()
-    pairs = _basis_pairs(qpf.quotient.staircase)
-    deformed, classical = (_model_pieces(ring, pairs, (0, 0)) for ring in rings)
-    mismatches = [f"{polys[i]} * {polys[j]}" for i, j, w in pairs if deformed[w] != classical[w]]
+    failed = {
+        w: "" for w in _product_monomials(Counter(s[0] for s in qpf.quotient.staircase))
+        if rings[0].product(w).get((0, 0)) != rings[1].product(w).get((0, 0))
+    }
     report.add(
         "product_specialization",
-        not mismatches,
-        "; ".join(mismatches) if mismatches else f"{len(polys)} basis classes",
+        not failed,
+        _offenders(qpf.quotient, failed) if failed else f"{qpf.quotient.rank} basis classes",
     )
     return report

@@ -1,6 +1,7 @@
 """The pair-by-pair sweeps of two verify checks, kept as test oracles for
-``qcblowup.quantum``, which reads each product monomial w = s_i * s_j once
-and only counts and names the pairs: :func:`model_piece` reads one pair's
+``qcblowup.quantum``, which reads each product monomial w = s_i * s_j once,
+listed column by column with no pair formed, and forms the pairs only to
+name those of a failed piece: :func:`model_piece` reads one pair's
 piece off a ring's products, :func:`fiber_multiple_vanishing` and
 :func:`product_specialization` give the (passed, detail) of the report
 entries of the same names, as the checks gave them pair by pair."""

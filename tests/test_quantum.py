@@ -1,6 +1,7 @@
 """Deformed presentations, quantum products and invariant extraction."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -35,6 +36,7 @@ from qcblowup import (
 )
 from qcblowup import quantum
 from qcblowup.geometry import _build
+from qcblowup.poly import mono_mul
 
 import correction_oracle
 import pair_sweep_oracle
@@ -1318,7 +1320,10 @@ def _entries(report, *names):
 IN_RANGE_GRID = [(m, p) for m in range(4, 13) for p in range(4) if 2 * p + 3 < m]
 
 
-@pytest.mark.parametrize("m, p", IN_RANGE_GRID, ids=[f"m{m}p{p}" for m, p in IN_RANGE_GRID])
+SWEPT = IN_RANGE_GRID + [(16, 5), (20, 4)]  # and two instances beyond the grid
+
+
+@pytest.mark.parametrize("m, p", SWEPT, ids=[f"m{m}p{p}" for m, p in SWEPT])
 def test_per_monomial_checks_match_the_pair_sweeps(m, p):
     # one read per product monomial gives the entries of the pair-by-pair sweeps
     params = derive_params(m, p)
@@ -1334,38 +1339,97 @@ def test_per_monomial_checks_match_the_pair_sweeps(m, p):
     }
 
 
-def test_a_patched_product_monomial_names_the_pairs_of_the_sweeps(monkeypatch, params81):
-    # change the (0, 0) piece of one product monomial w and the (1, 0) piece
+def _assert_patched_pairs_are_named(monkeypatch, params, b):
+    # change the (0, 0) piece of one product monomial w and the (b, 0) piece
     # of another in the deformed ring: every basis pair with that product is
     # named, as by the pair-by-pair sweeps, with the same detail
-    qp = quantum_presentation(params81, "bundle")
-    ring, r = qp.quotient, params81.r
-    pairs = quantum._basis_pairs(qp.quotient.staircase)
+    qp = quantum_presentation(params, "bundle")
+    ring, r = qp.quotient, params.r
+    staircase = qp.quotient.staircase
+    pairs = [(i, j, mono_mul(staircase[i], staircase[j]))
+             for i in range(len(staircase)) for j in range(i, len(staircase))]
+    for _, _, w in pairs:
+        ring.product(w)  # memoised first, so no product is composed from a patched one
     shared = [w for w in dict.fromkeys(w for _, _, w in pairs)
               if sum(v == w for _, _, v in pairs) > 1]
     special = shared[len(shared) // 2]
-    fiber = next(w for w in shared if w[0] < r and w != special)
+    fiber = next(w for w in shared if w[0] < b * r and w != special)
     t = qp.quotient.staircase[0]
-    for w, key in ((special, (0, 0)), (fiber, (1, 0))):
+    for w, key in ((special, (0, 0)), (fiber, (b, 0))):
         vec = {k: dict(piece) for k, piece in ring.product(w).items()}
         vec.setdefault(key, {})[t] = vec.get(key, {}).get(t, 0) + 5
         monkeypatch.setitem(ring._products, w, vec)
+    names = [f"fiber_multiple_vanishing[b={c}]" for c in range(1, b + 1)]
     quantum._kernel.cache_clear()  # no kernel row is built from a patched product
     try:
-        fiber_entries = _entries(verify_gw_identities(params81, b_max=1), "fiber_multiple_vanishing[b=1]")
-        special_entries = _entries(verify_quantum_presentation(params81), "product_specialization")
+        fiber_entries = _entries(verify_gw_identities(params, b_max=b), *names)
+        special_entries = _entries(verify_quantum_presentation(params), "product_specialization")
     finally:
         quantum._kernel.cache_clear()
     assert fiber_entries == {
-        "fiber_multiple_vanishing[b=1]": pair_sweep_oracle.fiber_multiple_vanishing(qp, 1)
+        name: pair_sweep_oracle.fiber_multiple_vanishing(qp, c) for c, name in enumerate(names, 1)
     }
     assert special_entries == {
         "product_specialization": pair_sweep_oracle.product_specialization(qp)
     }
-    for (passed, detail), w in ((fiber_entries["fiber_multiple_vanishing[b=1]"], fiber),
+    for (passed, detail), w in ((fiber_entries[names[-1]], fiber),
                                 (special_entries["product_specialization"], special)):
         assert not passed
         assert detail.count(" * ") == sum(v == w for _, _, v in pairs) > 1
+
+
+def test_a_patched_product_monomial_names_the_pairs_of_the_sweeps(monkeypatch, params81):
+    _assert_patched_pairs_are_named(monkeypatch, params81, 1)
+
+
+@pytest.mark.parametrize("m, p", [(16, 5), (20, 4)], ids=["m16p5", "m20p4"])
+def test_patched_product_monomials_name_the_pairs_beyond_the_grid(monkeypatch, m, p):
+    _assert_patched_pairs_are_named(monkeypatch, derive_params(m, p), 3)
+
+
+def test_passing_suites_form_no_basis_pair(monkeypatch):
+    # rank, not rank^2: the suites read each product monomial of the
+    # column walk, and multiply no pair of staircase monomials unless
+    # some piece has failed
+    calls = _spied_calls(monkeypatch, quantum, "mono_mul")
+    for m, p in ((8, 1), (16, 5), (20, 4)):
+        params = derive_params(m, p)
+        assert verify_gw_identities(params, b_max=3).ok
+        assert verify_quantum_presentation(params).ok
+    assert calls == []
+
+
+def test_the_column_walk_lists_the_products_of_every_staircase():
+    # every staircase is the down-set of its column sizes by xi degree, and
+    # the walk over pairs of columns lists each product s*u once
+    walked = 0
+    for m in range(2, 14):
+        for p in range(m - 1):
+            params = derive_params(m, p)
+            for build in (classical_presentation, quantum_presentation):
+                for coords in ("bundle", "blowup"):
+                    staircase = build(params, coords).quotient.staircase
+                    columns = Counter(s[0] for s in staircase)
+                    assert set(staircase) == {
+                        (x, e, 0, 0) for x, c in columns.items() for e in range(c)}
+                    products = quantum._product_monomials(columns)
+                    assert len(products) == len(set(products))
+                    assert set(products) == {mono_mul(s, u) for s in staircase for u in staircase}
+                    walked += 1
+    assert walked == 312
+
+
+def test_ring_products_hold_no_zero_and_no_empty_piece():
+    # a composed product drops the terms that cancel, and the pieces they empty
+    for m in range(2, 13):
+        for p in range(m - 1):
+            params = derive_params(m, p)
+            for build in (classical_presentation, quantum_presentation):
+                ring = build(params, "bundle").quotient
+                for w in quantum._product_monomials(Counter(s[0] for s in ring.staircase)):
+                    ring.product(w)
+                for w, vec in ring._products.items():
+                    assert all(piece and all(piece.values()) for piece in vec.values()), w
 
 
 def test_table_pieces_without_q2_are_the_model_products(grid_params):

@@ -8,14 +8,16 @@ checkout: with ``--trace 0`` for the six end-to-end metrics and with
 ``--trace 1`` for the per-layer table.  Then ``verify --m M --p P`` runs
 three times in fresh processes on each of the larger instances
 ``VERIFY_RUNGS``, which lie above the benchmark's ladder; the best wall
-time of each goes to ``verify_wall_s`` and the sha256 of its output to
-``verify_sha256``, both under ``"M,P"``.  The file written holds both
-results of each workload as the benchmark prints them (``correct``,
-``attempted``, ``failed`` and every metric with its unit), those wall
-times and digests, the line count of ``src/`` and the host the numbers
-come from.  The exit code is 1 when a run reports a wrong output, prints
-no result, a ``verify`` run fails or the repeated ``verify`` runs of a
-rung print different output, else 0.
+time of each goes to ``verify_wall_s``, the sha256 of its output to
+``verify_sha256`` and the largest peak RSS of its runs, each read off
+that process's own rusage, to ``verify_peak_rss_mb``, all under
+``"M,P"``.  The file written holds both results of each workload as the
+benchmark prints them (``correct``, ``attempted``, ``failed`` and every
+metric with its unit), those wall times, digests and peaks, the line
+count of ``src/`` and the host the numbers come from.  The exit code is 1
+when a run reports a wrong output, prints no result, a ``verify`` run
+fails or the repeated ``verify`` runs of a rung print different output,
+else 0.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 SECONDS = 10
-VERIFY_RUNGS = ((32, 8), (48, 12), (64, 16))
+VERIFY_RUNGS = ((32, 8), (48, 12), (64, 16), (96, 24))
 VERIFY_REPEATS = 3
 
 
@@ -44,23 +46,41 @@ def run(workload: str, trace: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def verify_rung(m: int, p: int) -> tuple[float | None, str | None]:
+def run_child(argv: list[str], env: dict[str, str]) -> tuple[int, bytes, float]:
+    """Run one process from the root of this checkout to its end: its exit
+    code, its standard output and its own peak RSS in MB, read off the
+    rusage that ``os.wait4`` returns for that child alone (``ru_maxrss``
+    counts kilobytes on Linux), not the cumulative ``RUSAGE_CHILDREN``.
+    Linux keeps a high-water mark across exec, so a child reads at least
+    this process's own peak RSS (about 18 MB on CPython 3.11)."""
+    child = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL)
+    with child.stdout:
+        out = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return child.returncode, out, usage.ru_maxrss / 1024
+
+
+def verify_rung(m: int, p: int) -> tuple[float | None, str | None, float | None]:
     """The best wall time, in seconds, of ``verify --m M --p P`` over
-    ``VERIFY_REPEATS`` fresh processes run from ``src/``, and the sha256 of
-    the output they all print; the time is None if a run fails, the digest
-    None if a run fails or two runs print different output."""
+    ``VERIFY_REPEATS`` fresh processes run from ``src/``, the sha256 of
+    the output they all print and their largest peak RSS, in MB; the time
+    and the RSS are None if a run fails, the digest None if a run fails or
+    two runs print different output."""
     path = (str(ROOT / "src"), os.environ.get("PYTHONPATH", ""))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     argv = [sys.executable, "-m", "qcblowup.cli", "verify", "--m", str(m), "--p", str(p)]
-    times, digests = [], set()
+    times, digests, peaks = [], set(), []
     for _ in range(VERIFY_REPEATS):
         start = time.perf_counter()
-        done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
+        code, out, peak = run_child(argv, env)
         times.append(time.perf_counter() - start)
-        if done.returncode:
-            return None, None
-        digests.add(hashlib.sha256(done.stdout).hexdigest())
-    return min(times), digests.pop() if len(digests) == 1 else None
+        if code:
+            return None, None, None
+        digests.add(hashlib.sha256(out).hexdigest())
+        peaks.append(peak)
+    return min(times), digests.pop() if len(digests) == 1 else None, max(peaks)
 
 
 def src_lines() -> int:
@@ -77,16 +97,19 @@ def main(argv: list[str]) -> int:
         workloads[workload] = {"end_to_end": run(workload, 0), "per_layer": run(workload, 1)}
         print(workload, {trace: result["correct"] for trace, result in workloads[workload].items()})
     rungs = {f"{m},{p}": verify_rung(m, p) for m, p in VERIFY_RUNGS}
-    verify_wall_s = {rung: wall for rung, (wall, _) in rungs.items()}
-    verify_sha256 = {rung: digest for rung, (_, digest) in rungs.items()}
+    verify_wall_s = {rung: wall for rung, (wall, _, _) in rungs.items()}
+    verify_sha256 = {rung: digest for rung, (_, digest, _) in rungs.items()}
+    verify_peak_rss_mb = {rung: peak for rung, (_, _, peak) in rungs.items()}
     print("verify_wall_s", verify_wall_s)
     print("verify_sha256", verify_sha256)
+    print("verify_peak_rss_mb", verify_peak_rss_mb)
     document = {
         "seed": SEED,
         "seconds": SECONDS,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "src_lines": src_lines(),
+        "verify_peak_rss_mb": verify_peak_rss_mb,
         "verify_sha256": verify_sha256,
         "verify_wall_s": verify_wall_s,
         "workloads": workloads,
