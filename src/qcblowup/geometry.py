@@ -269,17 +269,14 @@ def quantum_presentation(
     return _budgeted(params, coords, True, max_degree)
 
 
-@lru_cache(maxsize=1024)
-def _binary_form(a: int, b: int, images: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+def _binary_form(a: int, b: int, images: tuple[tuple[int, int], ...]) -> list[int]:
     """Coefficients of (u1 s + v1 t)^a (u2 s + v2 t)^b for images
-    ((u1, v1), (u2, v2)), indexed by the power of t.  Memoised and
-    shared, hence a tuple; the bound holds every (a, b) with a + b <= 30 in
-    both directions of change, beside the relations' rows."""
+    ((u1, v1), (u2, v2)), indexed by the power of t."""
     row = [1]
     for (u, v), e in zip(images, (a, b)):
         for _ in range(e):
             row = [u * x + v * y for x, y in zip(row + [0], [0] + row)]
-    return tuple(row)
+    return row
 
 
 def _form(sums: tuple[int, ...], coords: str) -> tuple[int, ...]:
@@ -299,6 +296,13 @@ _CHANGES = {
 }
 
 
+@lru_cache(maxsize=1024)
+def _image(mono: Mono, direction: str) -> tuple[tuple[Mono, int], ...]:
+    """x^a y^b q1^s q2^t's image under a change: (target monomial, nonzero coefficient)s."""
+    (a, b, s, t), row = mono, _binary_form(mono[0], mono[1], _CHANGES[direction][2])
+    return tuple(((a + b - j, j, s, t), c) for j, c in enumerate(row) if c)
+
+
 def change_vars(f: Polynomial, direction: str) -> Polynomial:
     """Translate between the two coordinate systems, by the images the
     toric table gives (:data:`_CHANGES`).
@@ -307,26 +311,23 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
     Inverse (bundle to blow-up): h -> k - eta, xi -> 2k - eta.
     The deformation parameters pass through unchanged.  Each monomial
     x^a y^b q1^s q2^t goes to an integer binary form of degree a + b in the
-    two target divisors (:func:`_binary_form`, memoised), so no polynomial
-    power or product is formed; the terms are summed into a plain dict and
-    cleaned once (:func:`qcblowup.poly._canonical_terms`).
+    two target divisors, read whole off a memo (:func:`_image`), so no
+    polynomial power or product is formed; the terms are summed into a plain
+    dict and cleaned once (:func:`qcblowup.poly._canonical_terms`).
     """
     if (change := _CHANGES.get(direction)) is None:
         raise UsageError(
             f"direction must be {BLOWUP_TO_BUNDLE!r} or {BUNDLE_TO_BLOWUP!r}, got {direction!r}"
         )
-    source, target, images = change
+    (source, target, _), vs = change, f.variables
     names, _, label, _ = _COORDS[source]
-    vs = f.variables
     if vs.names != names:
         raise UsageError(f"expected a polynomial in {label} coordinates")
     out: dict[tuple[int, ...], Scalar] = {}
     get = out.get
-    for (a, b, s, t), coeff in f.terms.items():
-        d = a + b
-        for j, c in enumerate(_binary_form(a, b, images)):
-            mono = (d - j, j, s, t)
-            out[mono] = get(mono, 0) + coeff * c
+    for mono, coeff in f.terms.items():
+        for image, c in _image(mono, direction):
+            out[image] = get(image, 0) + coeff * c
     target_vs = _COORDS[target][1](vs.weights[2], vs.weights[3])
     return Polynomial._from_clean(target_vs, _canonical_terms(out))
 

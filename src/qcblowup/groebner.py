@@ -263,9 +263,11 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if f.variables != gb.variables:
         raise UsageError("polynomial over a different variable set than the basis")
     out: dict[Mono, Scalar] = {}
-    get = out.get
+    get, memo = out.get, gb._nf_memo
     for mono, coeff in f.terms.items():
-        for m, c in _normal_form_monomial(gb, mono).terms.items():
+        if (nf := memo.get(mono)) is None:  # not ``or``: a zero normal form is falsy
+            nf = _normal_form_monomial(gb, mono)
+        for m, c in nf.terms.items():
             out[m] = get(m, 0) + coeff * c
     return Polynomial._from_clean(f.variables, _canonical_terms(out))
 

@@ -27,17 +27,16 @@ identification, which is what makes the extracted three-point function
 symmetric.  Products run on the deformed bundle ring, which multiplies
 itself (``quotient.product``, rows seeded once in its one memo), read
 through one query kernel per deformed ring (:class:`_Kernel`, shared by
-both coordinate systems).  A class enters by
-one route (:func:`_terms`); an invariant's bundle staircase classes enter
-in its validating scan.  :func:`_grouped` sums a product's term pairs by q2
-exponent and product monomial w.  The corrections C are applied in one
-place, :func:`_shift`, and the correction step 1 - q2*C in one,
-:meth:`_Kernel.corrected`.  :func:`quantum_product` sums the ring products
-of its grouped pairs and takes the step once; :func:`gw_invariant` walks
-the paired rows the kernel keeps for each w (its corrected ring product
-paired through ``gram``), looking gamma up.  The tests check it all against
-Groebner assemblies, and the invariants' symmetry with a sweep over basis
-triples.
+both coordinate systems).  A class enters by one route (:func:`_terms`);
+an invariant's bundle staircase classes enter in its validating scan.
+:func:`_groups` splits a product's term pairs by q2 exponent k, and
+:func:`_grouped` sums them by k and product monomial w.  The corrections C
+are applied in one place, :func:`_shift`, and the correction step 1 - q2*C
+in one, :meth:`_Kernel.corrected`.  :func:`quantum_product` sums the ring
+products of its grouped pairs and takes the step once; :func:`gw_invariant`
+walks each group's pairs (summed by w first above 9 pairs) into the paired
+rows the kernel keeps for each w, looking gamma up.  The tests check it all
+against Groebner assemblies, and the invariants' symmetry by a basis sweep.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -72,7 +71,7 @@ from .report import CheckReport
 
 Key = tuple[int, int]  # the exponents (a, b) of q1^a q2^b
 Grouped = dict[int, dict[Mono, Scalar]]  # :func:`_grouped`
-_EMPTY: dict[Mono, int] = {}  # the row of a key a product monomial does not reach
+_kernels: dict[tuple[int, int, str], tuple[Presentation, _Kernel]] = {}  # :func:`_kernel`
 
 
 def _product_monomials(columns: dict[int, int]) -> list[Mono]:
@@ -207,10 +206,14 @@ class _Kernel:
         return pairs
 
 
-@lru_cache(maxsize=None)
 def _kernel(qp: Presentation) -> _Kernel:
-    """The kernel of a deformed presentation; blow-up shares the bundle one."""
-    return _Kernel(qp) if qp.coords == BUNDLE else _kernel(quantum_presentation(qp.params, BUNDLE))
+    """The kernel of a deformed presentation, stored by (m, p, coords) with the
+    presentation it serves (a rebuilt ring gets its own); blow-up shares the bundle one."""
+    served, kernel = _kernels.get(key := (qp.params.m, qp.params.p, qp.coords), (None, None))
+    if served is not qp:
+        bundle = qp if qp.coords == BUNDLE else quantum_presentation(qp.params, BUNDLE)
+        _kernels[key] = qp, (kernel := _Kernel(qp) if bundle is qp else _kernel(bundle))
+    return kernel
 
 
 def class_representative(f: Polynomial, qp: Presentation) -> Polynomial:
@@ -268,16 +271,21 @@ def _shift(kernel: _Kernel, terms: dict[Mono, Scalar]) -> dict[Mono, Scalar]:
     return {m: c for m, c in shift.items() if c}
 
 
-def _grouped(kernel: _Kernel, x: dict[Mono, Scalar], y: dict[Mono, Scalar], b: int) -> Grouped:
-    """The term pairs of phi(x) * phi(y) summed by q2 exponent k <= b and
-    product monomial w (parameter-free, in the two divisor variables); phi
-    adds only q2 powers, so at b = 0 they are the pairs of x and y."""
-    grouped: Grouped = {0: _summed(x, y, {})}
+def _groups(kernel: _Kernel, x: dict[Mono, Scalar], y: dict[Mono, Scalar], b: int) -> list:
+    """The term-pair groups (k, x', y') of phi(x) * phi(y) with q2 exponent k <= b:
+    x*y, then C(x)*y and x*C(y), then C(x)*C(y) (phi adds only q2 powers)."""
+    groups = [(0, x, y)]
     if b:
         xs, ys = _shift(kernel, x), _shift(kernel, y)
-        grouped[1] = _summed(xs, y, _summed(x, ys, {}))
-        if b > 1 and xs and ys:
-            grouped[2] = _summed(xs, ys, {})
+        groups += [(1, xs, y), (1, x, ys)] + [(2, xs, ys)] * (b > 1)
+    return groups
+
+
+def _grouped(kernel: _Kernel, x: dict[Mono, Scalar], y: dict[Mono, Scalar], b: int) -> Grouped:
+    """The pairs of :func:`_groups` summed by q2 exponent k and product monomial w."""
+    grouped: Grouped = {}
+    for k, xk, yk in _groups(kernel, x, y, b):
+        _summed(xk, yk, grouped.setdefault(k, {}))
     return grouped
 
 
@@ -377,10 +385,13 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     class lies on the classical staircase, where it enters as it is; only
     blow-up and off-staircase classes go through :func:`_terms`.  A query
     failing :attr:`GWQuery.admissible`'s bookkeeping, or with a class above
-    the top degree, returns 0.  The value sums scale * (paired row of w at
-    (a, b - k)) . gamma over the pairs of :func:`_grouped`, walking each row
-    (built with all of w's rows on w's first read) and looking gamma up.
-    An admissible integral query gives an integer.
+    the top degree, returns 0.  The value sums cu * cv * (paired row of
+    w = u*v at (a, b - k)) . gamma over the term pairs of each group of
+    :func:`_groups`, one row lookup per pair (w's rows built on its first
+    read), looking gamma up.  A group of more than 9 pairs (a count of the
+    query's own classes) is summed by w first, as its pairs share monomials;
+    for fewer a dict of sums costs more than it saves.  An admissible
+    integral query gives an integer.
     """
     if not qp.quantum:
         raise UsageError("invariants need the deformed presentation")
@@ -412,14 +423,25 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
         entered = [_terms(kernel, qp, c) if t is None else t for c, t in zip(classes, entered)]
     alpha, beta, gamma = entered
     value, rows = 0, kernel.paired_rows
-    for k, monos in _grouped(kernel, alpha, beta, b).items():
+    for k, x, y in _groups(kernel, alpha, beta, b):
         key = (a, b - k)
-        for w, scale in monos.items():
-            if (wrows := rows.get(w)) is None:
-                wrows = kernel.rows(w)
-            for g, pairing in wrows.get(key, _EMPTY).items():
-                if cg := gamma.get(g):
-                    value += scale * cg * pairing
+        if len(x) * len(y) > 9:  # pairs that share product monomials are summed first
+            for w, scale in _summed(x, y, {}).items():
+                if (wrows := rows.get(w)) is None:
+                    wrows = kernel.rows(w)
+                if row := wrows.get(key):
+                    for g, pairing in row.items():
+                        if cg := gamma.get(g):
+                            value += scale * cg * pairing
+            continue
+        for u, cu in x.items():  # the same walk pair by pair (one loop would rebuild w)
+            for v, cv in y.items():
+                if (wrows := rows.get(w := (u[0] + v[0], u[1] + v[1], 0, 0))) is None:
+                    wrows = kernel.rows(w)
+                if row := wrows.get(key):
+                    for g, pairing in row.items():
+                        if cg := gamma.get(g):
+                            value += cu * cv * cg * pairing
     value = _canonical(value)
     # The coordinate change is integral both ways, so the query's own
     # classes decide integrality.

@@ -54,6 +54,35 @@ def test_higher_is_better_reverses_the_direction():
     assert bench_pairs.decide(PARENT, faster, "lower")["wins"] == 0
 
 
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    # spread 2.5 is 24% of the parent's median 10.5, inside a bound of 25%
+    assert bench_pairs.decide(PARENT, [p + 3.0 for p in PARENT], "lower", 0.25)["verdict"] == (
+        "worse")  # +29%
+    assert bench_pairs.decide(PARENT, [p + 2.0 for p in PARENT], "lower", 0.25)["verdict"] == (
+        "ok")  # +19%
+    slower = [p - 3.0 for p in PARENT]
+    assert bench_pairs.decide(PARENT, slower, "higher", 0.25)["verdict"] == "worse"
+    assert bench_pairs.decide(PARENT, slower, "lower", 0.25)["verdict"] == "ok"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # spread 24% against a bound of 20%: a change within the bound is
+    # unresolved, unless every change run beats every parent run
+    d = bench_pairs.decide(PARENT, [p + 1.0 for p in PARENT], "lower", 0.2)
+    assert d["relative"] < 0.2 and d["verdict"] == "unresolved"
+    assert bench_pairs.decide(PARENT, [p - 1.0 for p in PARENT], "lower", 0.2)["verdict"] == (
+        "unresolved")  # better in every pair, yet not than every parent run
+    assert bench_pairs.decide(PARENT, [7.9] * 10, "lower", 0.2)["verdict"] == "ok"
+    assert bench_pairs.decide(PARENT, [13.1] * 10, "higher", 0.2)["verdict"] == "ok"
+    assert bench_pairs.decide(PARENT, [8.0] * 10, "lower", 0.2)["verdict"] == "unresolved"
+    assert bench_pairs.decide(PARENT, [p + 3.0 for p in PARENT], "lower", 0.2)["verdict"] == (
+        "worse")
+
+
+def test_without_a_bound_every_verdict_is_ok():
+    assert bench_pairs.decide(PARENT, [p * 10 for p in PARENT], "lower")["verdict"] == "ok"
+
+
 def test_the_runs_must_pair_up():
     with pytest.raises(ValueError):
         bench_pairs.decide(PARENT, PARENT[:9], "lower")
@@ -85,3 +114,7 @@ def test_checkouts_that_differ_in_cached_bytecode_are_refused(tmp_path, monkeypa
     (change / "src" / "qcblowup" / "__pycache__").mkdir()  # both warm: compared
     assert bench_pairs.main([str(parent), str(change), *argv]) == 0
     assert runs == [parent, change, change, parent]
+    header, *rows = capsys.readouterr().out.splitlines()[1:]
+    assert header.split()[-2:] == ["gain", "verdict"]
+    metrics = len(bench_pairs.SPEC["end_to_end"])
+    assert [row.split()[-2:] for row in rows] == [["no", "ok"]] * metrics

@@ -29,33 +29,40 @@ def test_verify_wall_is_the_best_of_fresh_runs_or_none_on_failure(monkeypatch):
 def test_the_peak_rss_is_the_childs_own():
     # a child that held 64 MB reads at least that, and the child run after
     # it, which holds none, reads well below: each peak is read off that
-    # child's rusage, not the cumulative one of every child.  The children
-    # start from a fresh process, since a child's peak starts at its parent's
+    # child's rusage, not the cumulative one of every child.  A child's peak
+    # starts at that of the process spawning it, so the runs come from a
+    # driver that holds 64 MB itself, which floors none of the readings
     code = "import sys; data = bytearray({} << 20); sys.stdout.write('done')"
     driver = (
-        f"import json, os, runpy, sys; run_child = runpy.run_path({str(_PATH)!r})['run_child']; "
+        "import json, os, runpy, sys; held = bytearray(64 << 20); "
+        f"run_child = runpy.run_path({str(_PATH)!r})['run_child']; "
         f"runs = [run_child([sys.executable, '-c', {code!r}.format(size)], dict(os.environ))"
         " for size in (64, 0)]; "
-        "print(json.dumps([(status, out.decode(), peak) for status, out, peak in runs]))"
+        "print(json.dumps([(status, out.decode(), wall, peak)"
+        " for status, out, wall, peak in runs]))"
     )
     done = subprocess.run([sys.executable, "-c", driver], capture_output=True, check=True)
     run = json.loads(done.stdout)
-    assert [(status, out) for status, out, _ in run] == [(0, "done")] * 2
-    assert run[0][2] > 64 and run[1][2] < run[0][2] - 32
-    assert bench_trajectory.run_child([sys.executable, "-c", "raise SystemExit(3)"],
-                                      dict(os.environ))[0] == 3
+    assert [(status, out) for status, out, _, _ in run] == [(0, "done")] * 2
+    assert all(0 < wall < 30 for _, _, wall, _ in run)
+    assert run[0][3] > 64 and run[1][3] < run[0][3] - 32 and run[1][3] < 48
+    code, out, _, _ = bench_trajectory.run_child(
+        [sys.executable, "-c", "import sys; print('x'); print('y', file=sys.stderr); exit(3)"],
+        dict(os.environ))
+    assert (code, out) == (3, b"x\n")  # the child's standard error is discarded
 
 
 def test_verify_digest_is_none_when_repeated_runs_differ(monkeypatch):
     # stubbed runs: the digest is that of the one output all runs print,
     # and None as soon as one run prints another
     outputs = []
-    monkeypatch.setattr(bench_trajectory, "run_child", lambda argv, env: (0, outputs.pop(0), 30.0))
+    monkeypatch.setattr(bench_trajectory, "run_child",
+                        lambda argv, env: (0, outputs.pop(0), 1.5, 30.0))
     outputs[:] = [b"same\n"] * 3
     assert bench_trajectory.verify_rung(8, 1)[1] == hashlib.sha256(b"same\n").hexdigest()
     outputs[:] = [b"same\n", b"same\n", b"other\n"]
     wall, digest, peak = bench_trajectory.verify_rung(8, 1)
-    assert isinstance(wall, float) and digest is None and peak == 30.0
+    assert wall == 1.5 and digest is None and peak == 30.0
 
 
 def test_the_trajectory_records_the_digests_and_fails_on_a_difference(monkeypatch, tmp_path):

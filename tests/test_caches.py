@@ -14,7 +14,8 @@ import inspect
 import pkgutil
 
 import qcblowup
-from qcblowup import classical_presentation, derive_params
+from qcblowup import classical_presentation, derive_params, quantum_presentation
+from qcblowup.quantum import _kernel
 
 # qualified name -> (key parameters, maxsize or None for unbounded, reason)
 ALLOWED = {
@@ -22,9 +23,6 @@ ALLOWED = {
         ("r", "n"), 128, "one interned preset per (r, n); four short tuples each"),
     "qcblowup.poly.blowup_variables": (
         ("r", "n"), 128, "one interned preset per (r, n); four short tuples each"),
-    "qcblowup.geometry._binary_form": (
-        ("a", "b", "images"), 1024,
-        "one integer row per exponent pair and direction; every pair of degree <= 30 fits"),
     "qcblowup.geometry._rings": (
         ("params", "coords", "quantum"), None,
         "unbounded: one ring per instance and coordinate system, whatever the budget (a"
@@ -34,11 +32,16 @@ ALLOWED = {
         ("qp",), None,
         "unbounded: one read-only set of corrections per deformed bundle ring, which every"
         " product and invariant of the instance reads"),
-    "qcblowup.quantum._kernel": (
-        ("qp",), None,
-        "unbounded: like the rings it reads, one query kernel per deformed bundle ring,"
-        " which the blow-up presentation's entry shares; its one memo holds the paired"
-        " rows of each product monomial an invariant reads"),
+    "qcblowup.geometry._image": (
+        ("mono", "direction"), 1024,
+        "one target image per source monomial and direction; the verify grid to m = 12"
+        " carries 120 and the gw-session stream 102"),
+    "qcblowup.quantum._kernels": (
+        ("m", "p", "coords"), None,
+        "unbounded: like the rings it reads, one query kernel per deformed presentation,"
+        " stored with that presentation so that a rebuilt ring gets its own (blow-up"
+        " shares the bundle kernel); its one memo holds the paired rows of each product"
+        " monomial an invariant reads"),
 }
 
 
@@ -92,6 +95,7 @@ def test_each_memo_has_its_listed_key_and_bound():
 
 def test_each_table_is_unbounded_and_keyed_as_listed():
     classical_presentation(derive_params(4, 0), "bundle")  # at least one entry
+    _kernel(quantum_presentation(derive_params(4, 0), "blowup"))
     for name, table in package_tables().items():
         key, bound, reason = ALLOWED[name]
         assert bound is None and reason.startswith("unbounded: "), name

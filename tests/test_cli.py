@@ -571,7 +571,7 @@ def _default_budget_8(monkeypatch):
 
     geometry._rings.clear()
     quantum.basis_corrections.cache_clear()
-    quantum._kernel.cache_clear()
+    quantum._kernels.clear()
     monkeypatch.setattr(groebner, "DEFAULT_MAX_DEGREE", 8)
     monkeypatch.setenv("QC_MAX_DEGREE", "12")
 

@@ -650,12 +650,19 @@ def test_change_vars_lands_on_the_interned_presets():
     assert change_vars(image, BUNDLE_TO_BLOWUP).variables is kv
 
 
-def test_binary_forms_are_shared_tuples_behind_a_bounded_cache():
+def test_monomial_images_are_shared_tuples_behind_a_bounded_cache():
+    # (s - t)^3 (s - 2t)^2, by the power of t, is the image of k^3 eta^2 in
+    # (xi, h): each target monomial with its nonzero coefficient, memoised
     images = ((1, -1), (1, -2))
-    row = geometry._binary_form(3, 2, images)
-    assert type(row) is tuple
-    assert geometry._binary_form(3, 2, images) is row
-    # (s - t)^3 (s - 2t)^2, by the power of t
-    assert row == (1, -7, 19, -25, 16, -4)
-    assert geometry._binary_form(0, 0, images) == (1,)
-    assert geometry._binary_form.cache_info().maxsize is not None
+    assert geometry._binary_form(3, 2, images) == [1, -7, 19, -25, 16, -4]
+    assert geometry._binary_form(0, 0, images) == [1]
+    image = geometry._image((3, 2, 1, 4), BLOWUP_TO_BUNDLE)
+    assert type(image) is tuple
+    assert geometry._image((3, 2, 1, 4), BLOWUP_TO_BUNDLE) is image
+    assert image == tuple(((5 - j, j, 1, 4), c) for j, c in enumerate((1, -7, 19, -25, 16, -4)))
+    # (2k - eta) (k - eta): 2k^2 - 3 k eta + eta^2, and h^2 = (k - eta)^2
+    assert geometry._image((1, 1, 0, 0), BUNDLE_TO_BLOWUP) == (
+        ((2, 0, 0, 0), 2), ((1, 1, 0, 0), -3), ((0, 2, 0, 0), 1))
+    assert geometry._image((0, 2, 0, 0), BUNDLE_TO_BLOWUP) == (
+        ((2, 0, 0, 0), 1), ((1, 1, 0, 0), -2), ((0, 2, 0, 0), 1))
+    assert geometry._image.cache_info().maxsize is not None

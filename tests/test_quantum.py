@@ -737,9 +737,6 @@ def test_a_warm_staircase_query_enters_its_classes_in_its_own_scan(monkeypatch):
     params = derive_params(11, 3)
     qp, qpb = (quantum_presentation(params, coords) for coords in ("bundle", "blowup"))
     queries = _staircase_ladder_queries(random.Random(1104), params, qp.variables, 6)
-    # an earlier test may have rebuilt the rings, leaving the kernel cache
-    # keyed by an equal, older presentation, which a lookup would compare
-    quantum._kernel.cache_clear()
     expected = [gw_invariant(query, qp) for query in queries]  # warms the kernel
     eq_calls = _spied_calls(monkeypatch, Record, "__eq__")
     terms_calls = _spied_calls(monkeypatch, quantum, "_terms")
@@ -778,6 +775,103 @@ def test_every_entry_route_gives_the_staircase_value(m, p):
         seen["nonzero"] += value != 0
     assert seen["b"] == {0, 1, 2}
     assert seen["fraction"] and seen["nonzero"] >= 3 and seen["shifted"] >= 6
+
+
+def _sized_queries(rng, params, vs, staircase, terms, count):
+    # admissible queries at b = 0, 1, 2 in turn whose classes take
+    # rng.randint(*terms) monomials (all, where fewer exist) of one degree of
+    # ``staircase``; alpha and beta take degrees that have at least terms[0]
+    top, r, n = params.top_degree, params.r, params.n
+    by_degree = {}
+    for mono in staircase:
+        by_degree.setdefault(sum(mono), []).append(mono)
+    wide = [d for d, monos in by_degree.items() if len(monos) >= terms[0]]
+    queries = []
+    for i in range(count):
+        b = i % 3
+        a, da, db = rng.choice([(a, da, db) for a in (0, 1) for da in wide for db in wide
+                                if 0 <= da + db - r * a - n * b <= top])
+        classes = []
+        for d in (da, db, top - (da + db - r * a - n * b)):
+            monos = rng.sample(by_degree[d], min(rng.randint(*terms), len(by_degree[d])))
+            classes.append(Polynomial(vs, {mono: rng.choice([-3, -2, -1, 1, 2]) for mono in monos}))
+        queries.append(GWQuery(CurveClass(a, b), *classes))
+    return queries
+
+
+def _spied_walks(monkeypatch):
+    # the term-pair groups each gw_invariant call walks, as (k, pairs), and
+    # the number of groups it sums by product monomial first
+    walks, summed = [], []
+    groups, sums, invariant = quantum._groups, quantum._summed, quantum.gw_invariant
+
+    def spy_groups(*args):
+        found = groups(*args)
+        walks[-1] += [(k, len(x) * len(y)) for k, x, y in found]
+        return found
+
+    def spy_summed(*args):
+        summed[-1] += 1
+        return sums(*args)
+
+    def spy_invariant(*args):
+        walks.append([])
+        summed.append(0)
+        return invariant(*args)
+
+    monkeypatch.setattr(quantum, "_groups", spy_groups)
+    monkeypatch.setattr(quantum, "_summed", spy_summed)
+    return spy_invariant, walks, summed
+
+
+WIDE_LADDER = [(11, 3), (16, 5), (20, 4)]
+
+
+@pytest.mark.parametrize("m, p", WIDE_LADDER, ids=[f"m{m}p{p}" for m, p in WIDE_LADDER])
+def test_both_pair_walks_match_the_piecewise_kernel(monkeypatch, m, p):
+    # classes of one to three staircase terms and of four to seven, at
+    # b = 0, 1 and 2: a group of more than 9 term pairs is summed by product
+    # monomial first and any other is walked pair by pair, and either way
+    # the value is the pairwise kernel's and the whole-product assembly's
+    params = derive_params(m, p)
+    qp = quantum_presentation(params, "bundle")
+    staircase = classical_presentation(params, "bundle").quotient.staircase
+    rng = random.Random(53 * m + p)
+    invariant, walks, summed = _spied_walks(monkeypatch)
+    seen = set()  # (k, walked pair by pair) over the groups with pairs
+    for terms in ((1, 3), (4, 7)):
+        for query in _sized_queries(rng, params, qp.variables, staircase, terms, 30):
+            value = invariant(query, qp)
+            assert summed[-1] == sum(pairs > 9 for _, pairs in walks[-1]), query
+            seen |= {(k, pairs <= 9) for k, pairs in walks[-1] if pairs}
+            assert value == piecewise_invariant(query, qp) == assembled_invariant(query, qp)
+    assert seen == {(k, direct) for k in (0, 1, 2) for direct in (False, True)}
+
+
+@pytest.mark.parametrize("m, p", WIDE_LADDER, ids=[f"m{m}p{p}" for m, p in WIDE_LADDER])
+def test_translated_blowup_classes_take_both_walks(monkeypatch, m, p):
+    # blow-up classes carried to bundle coordinates by change_vars and
+    # reduced in the classical bundle ring, as a session asks them, give the
+    # pairwise kernel's value of the blow-up query, and so does the blow-up
+    # query asked as it is; the translated classes reach both walks
+    from qcblowup import BLOWUP_TO_BUNDLE, change_vars
+
+    params = derive_params(m, p)
+    qp, qpb = (quantum_presentation(params, coords) for coords in ("bundle", "blowup"))
+    staircase = classical_presentation(params, "blowup").quotient.staircase
+    reduce = classical_presentation(params, "bundle").quotient.normal_form
+    rng = random.Random(59 * m + p)
+    invariant, walks, summed = _spied_walks(monkeypatch)
+    seen, nonzero = set(), 0
+    for query in _sized_queries(rng, params, qpb.variables, staircase, (1, 7), 24):
+        classes = (query.alpha, query.beta, query.gamma)
+        carried = (reduce(change_vars(c, BLOWUP_TO_BUNDLE)) for c in classes)
+        value = invariant(GWQuery(query.curve, *carried), qp)
+        assert summed[-1] == sum(pairs > 9 for _, pairs in walks[-1]), query
+        seen |= {(k, pairs <= 9) for k, pairs in walks[-1] if pairs}
+        assert value == piecewise_invariant(query, qpb) == gw_invariant(query, qpb), query
+        nonzero += value != 0
+    assert {(0, False), (0, True), (1, False), (1, True)} <= seen and nonzero >= 3
 
 
 def _check_kernel_rows(qp):
@@ -1360,12 +1454,12 @@ def _assert_patched_pairs_are_named(monkeypatch, params, b):
         vec.setdefault(key, {})[t] = vec.get(key, {}).get(t, 0) + 5
         monkeypatch.setitem(ring._products, w, vec)
     names = [f"fiber_multiple_vanishing[b={c}]" for c in range(1, b + 1)]
-    quantum._kernel.cache_clear()  # no kernel row is built from a patched product
+    quantum._kernels.clear()  # no kernel row is built from a patched product
     try:
         fiber_entries = _entries(verify_gw_identities(params, b_max=b), *names)
         special_entries = _entries(verify_quantum_presentation(params), "product_specialization")
     finally:
-        quantum._kernel.cache_clear()
+        quantum._kernels.clear()
     assert fiber_entries == {
         name: pair_sweep_oracle.fiber_multiple_vanishing(qp, c) for c, name in enumerate(names, 1)
     }
@@ -1619,7 +1713,7 @@ def test_product_table_takes_two_normal_forms_per_basis_class():
     qp = quantum_presentation(derive_params(11, 3), "bundle")
     cp = classical_presentation(qp.params, "bundle")
     basis_corrections.cache_clear()
-    quantum._kernel.cache_clear()  # a kernel keeps the products it read
+    quantum._kernels.clear()  # a kernel keeps the products it read
     for pres in (qp, cp):
         vars(pres.quotient).pop("_products", None)
     memos = [pres.quotient.basis._nf_memo for pres in (qp, cp)]
@@ -1678,7 +1772,7 @@ def test_doubled_corrections_break_the_self_adjointness(monkeypatch):
         quantum, "basis_corrections",
         lambda qp: MappingProxyType({s: 2 * c for s, c in original(qp).items()}),
     )
-    quantum._kernel.cache_clear()  # no kernel keeps the doubled corrections
+    quantum._kernels.clear()  # no kernel keeps the doubled corrections
     try:
         counts = [
             len(symmetry_oracle.divisor_asymmetries(
@@ -1686,7 +1780,7 @@ def test_doubled_corrections_break_the_self_adjointness(monkeypatch):
             for m, p in LADDER[:3]
         ]
     finally:
-        quantum._kernel.cache_clear()
+        quantum._kernels.clear()
     assert counts == [26, 64, 118]
 
 
@@ -1803,11 +1897,11 @@ def test_the_sweep_fails_when_one_basis_correction_is_doubled(monkeypatch, m, p,
     for mono, correction in corrections.items():
         doubled = MappingProxyType({**corrections, mono: 2 * correction})
         monkeypatch.setattr(quantum, "basis_corrections", lambda qp: doubled)
-        quantum._kernel.cache_clear()  # a new kernel reads the doubled correction
+        quantum._kernels.clear()  # a new kernel reads the doubled correction
         report = verify_s3_symmetry(params)
         assert [e.name for e in report.failures()] == ["s3_symmetry"], mono
     monkeypatch.undo()
-    quantum._kernel.cache_clear()
+    quantum._kernels.clear()
     assert verify_s3_symmetry(params).ok
 
 
@@ -1914,7 +2008,7 @@ def test_a_ring_a_raised_budget_built_is_the_one_every_reader_gets(monkeypatch):
     params = derive_params(10, 1)
     geometry._rings.clear()
     basis_corrections.cache_clear()
-    quantum._kernel.cache_clear()
+    quantum._kernels.clear()
     monkeypatch.setattr(groebner, "DEFAULT_MAX_DEGREE", 8)
     with pytest.raises(BudgetError, match="generator degree 9 exceeds budget 8"):
         classical_presentation(params, "bundle")
@@ -1931,6 +2025,28 @@ def test_a_ring_a_raised_budget_built_is_the_one_every_reader_gets(monkeypatch):
     assert quantum._kernel(qp).classical is built
     with pytest.raises(BudgetError, match="generator degree 9 exceeds budget 8"):
         classical_presentation(params, "bundle", max_degree=8)
+
+
+def test_a_rebuilt_ring_gets_its_own_kernel():
+    # a kernel is tied to the presentation it serves: once the rings are
+    # dropped and built again, both coordinate systems read one new kernel,
+    # over the new deformed and classical bundle rings, and a query fills it
+    from qcblowup import geometry
+
+    params = derive_params(11, 3)
+    old = quantum._kernel(quantum_presentation(params, "blowup"))
+    assert old is quantum._kernel(quantum_presentation(params, "bundle"))
+    geometry._rings.clear()
+    qp, qpb = (quantum_presentation(params, coords) for coords in ("bundle", "blowup"))
+    assert qp == old.qp and qp is not old.qp
+    kernel = quantum._kernel(qpb)
+    assert kernel is quantum._kernel(qp) and kernel is not old
+    assert kernel.qp is qp
+    assert kernel.classical is classical_presentation(params, "bundle").quotient
+    h, xi = bp("h", params), bp("xi", params)
+    point = h**params.n * xi ** (params.r - 1)
+    assert gw_invariant(GWQuery(CurveClass(1, 0), xi, xi ** (params.r - 1), point), qp) == 1
+    assert kernel.paired_rows and quantum._kernel(qp) is kernel
 
 
 def test_extraction_rejects_the_classical_presentation():

@@ -7,9 +7,13 @@ fresh process from the checkout's root, for the ``run_seconds`` of
 ``BENCHMARK.json``; the parent runs first in even pairs and the change in
 odd ones.  For each end-to-end metric of ``BENCHMARK.json`` the script
 prints both sides' medians and quartiles, the pairs the change won (ties
-count for neither side) and whether a gain may be claimed: the change wins
+count for neither side), whether a gain may be claimed (the change wins
 at least nine tenths of the pairs, and its median is better than the
-parent's by more than the distance between the parent's quartiles.  The
+parent's by more than the distance between the parent's quartiles) and a
+no-regression verdict against the metric's ``bound``: ``worse`` when the
+change's median is worse than the parent's by more than the bound,
+``unresolved`` when the parent's quartiles lie further apart than the
+bound and not every change run beats every parent run, else ``ok``.  The
 exit code is 1 when a run reports a wrong output or failed operations,
 else 0.  Before any run, the script exits with 2 when one checkout's
 ``src/`` holds cached bytecode (a ``__pycache__``) and the other's does
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -37,9 +42,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def decide(parent: list[float], change: list[float], better: str) -> dict:
+def decide(parent: list[float], change: list[float], better: str,
+           bound: float = math.inf) -> dict:
     """Compare the runs of one metric, pair by pair (``parent[i]`` and
-    ``change[i]`` ran as pair i); ``better`` is "lower" or "higher"."""
+    ``change[i]`` ran as pair i); ``better`` is "lower" or "higher", and
+    ``bound`` the relative loss the metric tolerates (none by default)."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
     sign = 1 if better == "lower" else -1
@@ -47,6 +54,12 @@ def decide(parent: list[float], change: list[float], better: str) -> dict:
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     gap = sign * (pm - cm)  # positive when the change's median is better
+    if -gap > bound * abs(pm):
+        verdict = "worse"
+    elif p3 - p1 > bound * abs(pm) and not all(sign * (p - c) > 0 for p in parent for c in change):
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
     return {
         "parent": (p1, pm, p3),
         "change": (c1, cm, c3),
@@ -54,6 +67,7 @@ def decide(parent: list[float], change: list[float], better: str) -> dict:
         "pairs": len(parent),
         "relative": (cm - pm) / pm if pm else 0.0,
         "gain": wins >= 0.9 * len(parent) and gap > p3 - p1,
+        "verdict": verdict,
     }
 
 
@@ -94,14 +108,14 @@ def main(argv: list[str]) -> int:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, alternating who runs first")
     print(f"{'metric':18} {'parent median (q1-q3)':36} {'change median (q1-q3)':36} "
-          f"{'change':>8} {'wins':>6}  gain")
+          f"{'change':>8} {'wins':>6}  gain  verdict")
     for metric in SPEC["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in sides}
-        d = decide(values["parent"], values["change"], metric["better"])
+        d = decide(values["parent"], values["change"], metric["better"], metric["bound"])
         cells = ["{1:.4g} ({0:.4g}-{2:.4g})".format(*d[side]) for side in sides]
         print(f"{name:18} {cells[0]:36} {cells[1]:36} {d['relative']:+8.1%} "
-              f"{d['wins']:>3}/{d['pairs']:<2}  {'yes' if d['gain'] else 'no'}")
+              f"{d['wins']:>3}/{d['pairs']:<2}  {'yes' if d['gain'] else 'no':4}  {d['verdict']}")
     if not ok:
         print("a run reported a wrong output or failed operations", file=sys.stderr)
     return 0 if ok else 1

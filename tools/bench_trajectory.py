@@ -10,7 +10,8 @@ three times in fresh processes on each of the larger instances
 ``VERIFY_RUNGS``, which lie above the benchmark's ladder; the best wall
 time of each goes to ``verify_wall_s``, the sha256 of its output to
 ``verify_sha256`` and the largest peak RSS of its runs, each read off
-that process's own rusage, to ``verify_peak_rss_mb``, all under
+that process's own rusage by a small launcher that spawns it, to
+``verify_peak_rss_mb``, all under
 ``"M,P"``.  The file written holds both results of each workload as the
 benchmark prints them (``correct``, ``attempted``, ``failed`` and every
 metric with its unit), those wall times, digests and peaks, the line
@@ -28,7 +29,6 @@ import os
 import platform
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,20 +46,32 @@ def run(workload: str, trace: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def run_child(argv: list[str], env: dict[str, str]) -> tuple[int, bytes, float]:
+#: Spawns ``argv[1:]`` with its standard error discarded, waits for it and
+#: writes its exit code, its wall time and its own ``ru_maxrss`` to
+#: standard error.
+LAUNCHER = (
+    "import os, sys, time; start = time.perf_counter();"
+    " pid = os.posix_spawnp(sys.argv[1], sys.argv[1:], os.environ,"
+    " file_actions=[(os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)]);"
+    " _, status, usage = os.wait4(pid, 0); print(os.waitstatus_to_exitcode(status),"
+    " time.perf_counter() - start, usage.ru_maxrss, file=sys.stderr)"
+)
+
+
+def run_child(argv: list[str], env: dict[str, str]) -> tuple[int, bytes, float, float]:
     """Run one process from the root of this checkout to its end: its exit
-    code, its standard output and its own peak RSS in MB, read off the
-    rusage that ``os.wait4`` returns for that child alone (``ru_maxrss``
-    counts kilobytes on Linux), not the cumulative ``RUSAGE_CHILDREN``.
-    Linux keeps a high-water mark across exec, so a child reads at least
-    this process's own peak RSS (about 18 MB on CPython 3.11)."""
-    child = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE,
-                             stderr=subprocess.DEVNULL)
-    with child.stdout:
-        out = child.stdout.read()
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    return child.returncode, out, usage.ru_maxrss / 1024
+    code, its standard output, its wall time in seconds and its own peak
+    RSS in MB, read off the rusage that ``os.wait4`` returns for that child
+    alone (``ru_maxrss`` counts kilobytes on Linux), not the cumulative
+    ``RUSAGE_CHILDREN``.  Linux keeps a high-water mark across exec, so a
+    child reads at least the peak RSS of the process that spawned it: a
+    small fresh launcher (:data:`LAUNCHER`, about 13 MB on CPython 3.11)
+    spawns and times it, so this process's own peak floors no reading and
+    the launcher's start-up counts in no wall time."""
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], cwd=ROOT, env=env,
+                          capture_output=True, check=True)
+    code, wall, kilobytes = done.stderr.split()
+    return int(code), done.stdout, float(wall), int(kilobytes) / 1024
 
 
 def verify_rung(m: int, p: int) -> tuple[float | None, str | None, float | None]:
@@ -73,9 +85,8 @@ def verify_rung(m: int, p: int) -> tuple[float | None, str | None, float | None]
     argv = [sys.executable, "-m", "qcblowup.cli", "verify", "--m", str(m), "--p", str(p)]
     times, digests, peaks = [], set(), []
     for _ in range(VERIFY_REPEATS):
-        start = time.perf_counter()
-        code, out, peak = run_child(argv, env)
-        times.append(time.perf_counter() - start)
+        code, out, wall, peak = run_child(argv, env)
+        times.append(wall)
         if code:
             return None, None, None
         digests.add(hashlib.sha256(out).hexdigest())
