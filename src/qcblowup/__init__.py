@@ -21,9 +21,8 @@ _SOURCES = {
         "FIBER_LINE", "CurveClass", "GeometryParams", "Presentation",
         "anticanonical_class", "change_vars", "chern_coefficients",
         "classical_presentation", "classical_relations", "curve_dual", "derive_params",
-        "fano_positivity_check", "integrate", "moduli_dimension_identities",
-        "oracle_integrate", "pair_divisor_curve", "pairing_matrix", "quantum_presentation",
-        "quantum_relations", "segre_integral_oracle", "variables_for",
+        "integrate", "oracle_integrate", "pair_divisor_curve", "pairing_matrix",
+        "quantum_presentation", "quantum_relations", "segre_integral_oracle", "variables_for",
         "verify_classical_geometry", "virtual_dimension",
     ),
     "groebner": (
@@ -36,6 +35,7 @@ _SOURCES = {
         "gw_invariant", "quantum_product", "verify_gw_identities", "verify_quantum_presentation",
     ),
     "report": ("CheckEntry", "CheckReport"),
+    "suites": ("fano_positivity_check", "moduli_dimension_identities"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

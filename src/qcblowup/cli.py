@@ -22,7 +22,6 @@ from . import geometry
 from .errors import BudgetError, CheckFailure, StructuralError, UsageError
 from .geometry import CurveClass, derive_params
 from .poly import Polynomial
-from .report import CheckReport
 
 SCHEMA = "qcblowup/1"
 
@@ -63,17 +62,6 @@ def _parse_class(vs, text: str, budget: int | None) -> Polynomial:
     if budget is not None and cls.total_degree() > budget:
         raise BudgetError(f"class degree {cls.total_degree()} exceeds budget {budget}")
     return cls
-
-
-def _parse_range(text: str) -> range:
-    lo, sep, hi = text.partition("..")
-    try:
-        bounds = range(int(lo), int(hi if sep else lo) + 1)
-    except ValueError:
-        raise UsageError(f"bad range {text!r}") from None
-    if not bounds:
-        raise UsageError(f"empty range {text!r}")
-    return bounds
 
 
 def _document(command: str, request: dict, payload: dict, status: str) -> dict:
@@ -229,80 +217,11 @@ def cmd_basis(args) -> tuple[dict, str, str]:
     return payload, STATUS_OK, "\n".join(lines)
 
 
-def _valid(m: int, p: int) -> bool:
-    try:
-        derive_params(m, p)
-    except UsageError:
-        return False
-    return True
-
-
-def _verify_instance(
-    m: int, p: int, b_max: int, grid_bound: int, budget: int | None
-) -> tuple[bool, CheckReport]:
-    """The range flag and the check report of one (m, p) instance.
-
-    The presentations the suites use are built under the degree budget
-    first, so that an exceeded budget fails the command; the suites then
-    read the very rings stored, whatever the budget.
-    """
-    try:
-        params = derive_params(m, p)
-    except UsageError as exc:
-        report = CheckReport()
-        report.skip("parameters_valid", str(exc))
-        return False, report
-    from . import quantum
-
-    for coords in (geometry.BUNDLE, geometry.BLOWUP):
-        geometry.classical_presentation(params, coords, max_degree=budget)
-        if params.in_range:
-            geometry.quantum_presentation(params, coords, max_degree=budget)
-    report = geometry.verify_classical_geometry(params, grid_bound)
-    if params.in_range:
-        report.merge(quantum.verify_gw_identities(params, b_max))
-        report.merge(quantum.verify_quantum_presentation(params))
-    else:
-        report.skip(
-            "quantum_suite",
-            f"hypothesis 2p+3 < m fails (2p+3 = {2 * p + 3}, m = {m}); quantum checks skipped",
-        )
-    return params.in_range, report
-
-
 def cmd_verify(args) -> tuple[dict, str, str]:
-    budget = _max_degree()
-    for flag, value in (("--b-max", args.b_max), ("--grid-bound", args.grid_bound)):
-        if value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
-    grid = args.grid_m or args.grid_p  # a grid takes neither --m nor --p, one instance both
-    if sum(value is not None for value in (args.m, args.p)) != (0 if grid else 2):
-        raise UsageError("give either --m and --p or --grid-m and --grid-p")
-    if grid:
-        if not (args.grid_m and args.grid_p):
-            raise UsageError("--grid-m and --grid-p must be given together")
-        ms = _parse_range(args.grid_m)
-        ps = _parse_range(args.grid_p)
-        pairs = [(m, p) for m in ms for p in ps]
-        if not any(_valid(m, p) for m, p in pairs):
-            raise UsageError(
-                f"no valid (m, p) pair in --grid-m {args.grid_m} x --grid-p {args.grid_p}"
-            )
-    else:
-        derive_params(args.m, args.p)  # a bad single instance is a usage error, not a skip
-        pairs = [(args.m, args.p)]
-    instances: list[dict] = []
-    lines: list[str] = []
-    for m, p in pairs:
-        in_range, report = _verify_instance(m, p, args.b_max, args.grid_bound, budget)
-        instances.append(
-            {"m": m, "p": p, "in_range": in_range, "ok": report.ok, "checks": report.as_dicts()}
-        )
-        lines += [f"== (m, p) = ({m}, {p}) ==", str(report)]
-    ok = all(inst["ok"] for inst in instances)
-    payload = {"instances": instances, "ok": ok}
-    lines.append(f"overall: {'all checks passed' if ok else 'FAILURES PRESENT'}")
-    return payload, STATUS_OK if ok else STATUS_CHECK_FAILED, "\n".join(lines)
+    from . import suites  # compiled only by the command that runs a suite
+
+    payload, text = suites.verify(args, _max_degree())
+    return payload, STATUS_OK if payload["ok"] else STATUS_CHECK_FAILED, text
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -23,7 +23,9 @@ is 1, which reproduces the standard duality pairings of the two curve
 classes against the nef divisors xi - h and h.
 
 Everything in this module is exact and pure; objects are immutable and
-safe to share across threads.
+safe to share across threads.  The classical suite that ``verify`` runs is
+in :mod:`qcblowup.suites`, imported by :func:`verify_classical_geometry` on
+its first call, so that no other process compiles it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import CheckFailure, UsageError
-from .groebner import Ideal, QuotientRing, _in_ideal, buchberger, staircase_basis
+from .groebner import Ideal, QuotientRing, buchberger, staircase_basis
 from .poly import Mono, Polynomial, Scalar, VariableSet, _canonical, _canonical_terms
 from .poly import blowup_variables, bundle_variables
 from .records import Frozen
-from .report import CheckReport
 
 BUNDLE = "bundle"
 BLOWUP = "blowup"
@@ -332,16 +333,6 @@ def change_vars(f: Polynomial, direction: str) -> Polynomial:
     return Polynomial._from_clean(target_vs, _canonical_terms(out))
 
 
-def _carries_ideal(source: Presentation, target: Presentation) -> bool:
-    """True iff the coordinate change carries the ideal of ``source`` into
-    that of ``target``: each relation of ``source``, mapped, lies in the
-    ideal of the basis ``target`` already holds (one reduction of the whole
-    relation, which memoises nothing).  The inclusions both ways prove the
-    two ideals equal."""
-    basis = target.quotient.basis
-    return all(_in_ideal(_in_coords(g, target.coords), basis) for g in source.relations)
-
-
 def _in_coords(f: Polynomial, coords: str) -> Polynomial:
     """The class f in the coordinate system ``coords``: f itself when it is
     already there, else carried by :func:`change_vars`, which rejects a
@@ -468,155 +459,10 @@ def pairing_matrix(presentation: Presentation) -> list[list[int]]:
     return matrix
 
 
-def _bareiss(block: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss 1968): each division by the last pivot is exact, so all stay ``int``."""
-    a, sign, prev = [list(row) for row in block], 1, 1
-    for i in range(len(a)):
-        p = next((j for j in range(i, len(a)) if a[j][i]), None)
-        if p is None:
-            return 0
-        a[i], a[p], sign = a[p], a[i], sign if p == i else -sign
-        pivot, tail = a[i][i], a[i][i + 1:]
-        for row in a[i + 1:]:
-            row[i + 1:] = [(x * pivot - row[i] * y) // prev for x, y in zip(row[i + 1:], tail)]
-        prev = pivot
-    return sign * prev
+def verify_classical_geometry(params: GeometryParams, grid_bound: int = 5):
+    """Run every classical cross-check for one (m, p) instance; returns a
+    :class:`~qcblowup.report.CheckReport`.  The suite is
+    :func:`qcblowup.suites.classical_geometry_suite`, compiled on the first call."""
+    from . import suites
 
-
-def block_determinant(matrix: list[list[int]], sizes: list[int]) -> int:
-    """Determinant of an integer matrix whose rows and columns split into
-    consecutive blocks of the given sizes s_0..s_k, row block i being zero
-    outside column block k - i.  Reversing the column blocks, at the sign
-    (-1)^(sum of s_i*s_j over i < j), leaves the diagonal blocks, each taken
-    by :func:`_bareiss`; one that is not square makes the matrix singular.
-    A pairing matrix qualifies with the group sizes of
-    ``QuotientRing.by_degree``: graded-lex lists the staircase by degree, so
-    the blocks are contiguous, and degree d pairs only with top - d (a
-    degree with no complement has zero rows, and so a zero block)."""
-    starts, k = [sum(sizes[:i]) for i in range(len(sizes))], len(sizes) - 1
-    det = -1 if sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1:]) % 2 else 1
-    for i, (start, size) in enumerate(zip(starts, sizes)):
-        if sizes[k - i] != size:
-            return 0
-        col = starts[k - i]
-        det *= _bareiss([row[col:col + size] for row in matrix[start:start + size]])
-    return det
-
-
-def fano_positivity_check(params: GeometryParams, grid_bound: int = 5) -> CheckReport:
-    """Verify anticanonical positivity and nef pairings on the grid of
-    effective classes a, b in 0..grid_bound, (a, b) != (0, 0).  Pairings
-    are linear in the class, so only the six extremal ones are integrated."""
-    if grid_bound < 1:
-        raise UsageError("grid_bound must be at least 1")
-    xi, h = (Polynomial.variable(variables_for(params, BUNDLE), name) for name in ("xi", "h"))
-    extremal = [
-        [pair_divisor_curve(d, c, params) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
-        for d in (anticanonical_class(params), xi - h, h)
-    ]
-    grid = range(grid_bound + 1)
-    effective = [(a, b) for a in grid for b in grid if CurveClass(a, b).is_effective]
-    violations = []
-    for a, b in effective:
-        deg, nef_fiber, nef_base = (a * d1 + b * d2 for d1, d2 in extremal)
-        if deg <= 0:
-            violations.append(f"-K.({a},{b}) = {deg}")
-        if nef_fiber < 0:
-            violations.append(f"(xi-h).({a},{b}) < 0")
-        if nef_base < 0:
-            violations.append(f"h.({a},{b}) < 0")
-    report = CheckReport()
-    detail = "; ".join(violations) or f"{len(effective)} effective classes checked"
-    report.add("fano_positivity", not violations, detail)
-    return report
-
-
-def moduli_dimension_identities(params: GeometryParams) -> CheckReport:
-    """The two dimension identities tying the unparametrized moduli spaces of
-    the extremal classes to their expected dimensions."""
-    n, r = params.n, params.r
-    anti, report = anticanonical_class(params), CheckReport()
-    for name, curve, expected in (
-        ("fiber_moduli_dimension", FIBER_LINE, n + 2 * r - 4),
-        ("exceptional_moduli_dimension", EXCEPTIONAL_LINE, 2 * n + r - 4),
-    ):
-        dimension = pair_divisor_curve(anti, curve, params) + params.top_degree - 3
-        report.add(name, expected == dimension, f"{expected} vs {dimension}")
-    return report
-
-
-def verify_classical_geometry(
-    params: GeometryParams, grid_bound: int = 5
-) -> CheckReport:
-    """Run every classical cross-check for one (m, p) instance."""
-    report = CheckReport()
-    n, r = params.n, params.r
-    bundle = classical_presentation(params, BUNDLE)
-    blowup = classical_presentation(params, BLOWUP)
-
-    for pres in (bundle, blowup):
-        rank = pres.quotient.rank
-        report.add(f"staircase_rank_{pres.coords}", rank == params.rank,
-                   f"rank {rank}, expected {params.rank}")
-
-    # Coordinate change carries each classical ideal into the other, so
-    # the two inclusions prove them equal.
-    report.add("ideal_correspondence_to_bundle", _carries_ideal(blowup, bundle))
-    report.add("ideal_correspondence_to_blowup", _carries_ideal(bundle, blowup))
-
-    # Duality pairings: {xi-h, h} against {A1, A2} is the identity table;
-    # the blow-up pairings of {k, eta} against the same classes.
-    xi, h = (Polynomial.variable(bundle.variables, name) for name in ("xi", "h"))
-    k, eta = (Polynomial.variable(blowup.variables, name) for name in ("k", "eta"))
-    for name, divisors, expected in (("duality_pairing_table", (xi - h, h), [[1, 0], [0, 1]]),
-                                     ("blowup_pairing_table", (k, eta), [[1, 0], [1, -1]])):
-        table = [[int(pair_divisor_curve(d, c, params)) for c in (FIBER_LINE, EXCEPTIONAL_LINE)]
-                 for d in divisors]
-        report.add(name, table == expected, f"{table}")
-
-    # Anticanonical degrees of the extremal classes.
-    anti = anticanonical_class(params)
-    report.add(
-        "anticanonical_degrees",
-        pair_divisor_curve(anti, FIBER_LINE, params) == r
-        and pair_divisor_curve(anti, EXCEPTIONAL_LINE, params) == n,
-    )
-
-    # Integration normalization and top-row values.
-    report.add(
-        "integration_normalization",
-        integrate(h**n * xi ** (r - 1), params) == 1
-        and integrate(h ** (n - 1) * xi**r, params) == r + 1,
-    )
-
-    # Groebner integration agrees with the series oracle in every top degree.
-    oracle_ok = all(
-        integrate(h**a * xi ** (params.top_degree - a), params)
-        == segre_integral_oracle(params, a, params.top_degree - a)
-        for a in range(n + 1)
-    )
-    report.add("integration_oracle_agreement", oracle_ok)
-
-    # The intersection pairing on the bundle staircase is unimodular (that
-    # staircase is an integral basis of the cohomology).  The blow-up
-    # staircase only spans a finite-index sublattice for p >= 1, so there
-    # the pairing is merely required to be nondegenerate.
-    det, det_blowup = (
-        block_determinant(pairing_matrix(pres), list(map(len, pres.quotient.by_degree.values())))
-        for pres in (bundle, blowup)
-    )
-    report.add("pairing_unimodular", det in (1, -1), f"det {det}")
-    report.add("pairing_nondegenerate_blowup", det_blowup != 0, f"det {det_blowup}")
-
-    # Expected dimensions of the genus-0 moduli spaces.
-    report.add(
-        "virtual_dimensions",
-        virtual_dimension(params, FIBER_LINE) == r + params.top_degree
-        and virtual_dimension(params, EXCEPTIONAL_LINE) == n + params.top_degree
-        and virtual_dimension(params, CurveClass(0, 0)) == params.top_degree,
-    )
-
-    report.merge(moduli_dimension_identities(params))
-    report.merge(fano_positivity_check(params, grid_bound))
-    return report
+    return suites.classical_geometry_suite(params, grid_bound)

@@ -37,6 +37,8 @@ products of its grouped pairs and takes the step once; :func:`gw_invariant`
 walks each group's pairs (summed by w first above 9 pairs) into the paired
 rows the kernel keeps for each w, looking gamma up.  The tests check it all
 against Groebner assemblies, and the invariants' symmetry by a basis sweep.
+The two suites that ``verify`` runs are in :mod:`qcblowup.suites`, imported
+by their entry points here on the first call.
 
 The presentation is certified by the hypothesis 2p+3 < m (r < n);
 construction outside that range still works but results are formal and
@@ -45,56 +47,28 @@ use the uncorrected identification.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property, lru_cache
 from math import comb
 from types import MappingProxyType
 
 from .errors import CheckFailure, UsageError
 from .geometry import (
-    BLOWUP,
     BUNDLE,
     CurveClass,
     GeometryParams,
     Presentation,
-    _carries_ideal,
     _in_coords,
     classical_presentation,
     integrate,  # noqa: F401  (kept importable from this module)
     quantum_presentation,
 )
-from .groebner import QuotientRing
-from .poly import Mono, Polynomial, Scalar, _canonical, _canonical_terms, mono_mul
+from .poly import Mono, Polynomial, Scalar, _canonical, _canonical_terms
 from .records import Frozen
-from .report import CheckReport
 
 
 Key = tuple[int, int]  # the exponents (a, b) of q1^a q2^b
 Grouped = dict[int, dict[Mono, Scalar]]  # :func:`_grouped`
 _kernels: dict[tuple[int, int, str], tuple[Presentation, _Kernel]] = {}  # :func:`_kernel`
-
-
-def _product_monomials(columns: dict[int, int]) -> list[Mono]:
-    """The distinct products w = s*u of a staircase with ``columns[x]``
-    monomials of xi degree x.  A staircase is a down-set, so column x holds
-    h^0..h^(c-1) and the products' column at x + y runs to h^(c+d-2): pairs
-    of columns are walked, not pairs of monomials."""
-    tops: dict[int, int] = {}
-    for x, c in columns.items():
-        for y, d in columns.items():
-            tops[x + y] = max(tops.get(x + y, 0), c + d - 1)
-    return [(z, e, 0, 0) for z, top in sorted(tops.items()) for e in range(top)]
-
-
-def _offenders(quotient: QuotientRing, failed: dict[Mono, str]) -> str:
-    """Each pair i <= j of staircase positions, in order, whose product
-    monomial w failed, named with the note ``failed[w]``: pairs are walked
-    only to name offenders, once some piece has failed."""
-    staircase, polys = quotient.staircase, quotient.staircase_polynomials()
-    return "; ".join(
-        f"{polys[i]} * {polys[j]}{failed[w]}" for i, s in enumerate(staircase)
-        for j in range(i, len(staircase)) if (w := mono_mul(s, staircase[j])) in failed
-    )
 
 
 @lru_cache(maxsize=None)
@@ -450,7 +424,7 @@ def gw_invariant(query: GWQuery, qp: Presentation) -> Scalar:
     return value
 
 
-def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
+def verify_gw_identities(params: GeometryParams, b_max: int = 2):
     """Check the three families of three-point identities plus the deformed
     ring relations they imply.
 
@@ -462,137 +436,22 @@ def verify_gw_identities(params: GeometryParams, b_max: int = 2) -> CheckReport:
     * vanishing of every multiple-fiber-class contribution below the degree
       threshold, for multiplicities up to ``b_max``.
 
-    Requires the range hypothesis 2p+3 < m.
+    Requires the range hypothesis 2p+3 < m.  Returns a
+    :class:`~qcblowup.report.CheckReport`; the suite is
+    :func:`qcblowup.suites.gw_identity_suite`, compiled on the first call.
     """
-    if not params.in_range:
-        raise UsageError(
-            "three-point identity suite requires 2p+3 < m (equivalently r < n)"
-        )
-    if b_max < 1:
-        raise UsageError("b_max must be at least 1")
-    n, r = params.n, params.r
-    qp = quantum_presentation(params, BUNDLE)
-    vs = qp.variables
-    xi, h, q1, q2 = (Polynomial.variable(vs, name) for name in ("xi", "h", "q1", "q2"))
-    report = CheckReport()
+    from . import suites
 
-    # Fiber-line count: one line in the fiber through a point, meeting one
-    # hyperplane section of the fiber and the complementary power.
-    point = h**n * xi ** (r - 1)
-    val = gw_invariant(GWQuery(CurveClass(1, 0), xi, xi ** (r - 1), point), qp)
-    report.add("fiber_point_count", val == 1, f"value {val}")
-
-    # Exceptional-line counts for every split j + (n+1-j) of the base power.
-    dual_a1 = h**n * xi ** (r - 2)
-    section = h ** (n - 1) * xi ** (r - 1)
-    combo = section + (1 - r) * dual_a1
-    for j in range(1, n + 1):
-        alpha, beta = h**j, h ** (n + 1 - j)
-        v_point = gw_invariant(GWQuery(CurveClass(0, 1), alpha, beta, dual_a1), qp)
-        v_section = gw_invariant(GWQuery(CurveClass(0, 1), alpha, beta, section), qp)
-        v_combo = gw_invariant(GWQuery(CurveClass(0, 1), alpha, beta, combo), qp)
-        report.add(
-            f"exceptional_point_count[j={j}]", v_point == 1, f"value {v_point}"
-        )
-        report.add(
-            f"exceptional_section_count[j={j}]",
-            v_section == r - 1,
-            f"value {v_section}, expected {r - 1}",
-        )
-        report.add(
-            f"exceptional_combination_vanishes[j={j}]", v_combo == 0, f"value {v_combo}"
-        )
-
-    # Multiple-fiber-class vanishing: the (b, 0) contribution of a product of
-    # basis classes dies whenever the fiber degrees sum below b*r.  phi and
-    # the correction step only add q2 powers, so that piece of the quantum
-    # product is the deformed ring's product w of the two staircase
-    # monomials, read once per w.  The pairs i <= j are counted by column
-    # (the ordered pairs plus the diagonal, halved) and named by _offenders.
-    columns = Counter(s[0] for s in qp.quotient.staircase)  # s[0]: the xi degree
-    for b in range(1, b_max + 1):
-        failed = {
-            w: f" -> {Polynomial._from_clean(vs, piece)}" for w in _product_monomials(columns)
-            if w[0] < b * r and (piece := qp.quotient.product(w).get((b, 0)))
-        }
-        pairs = sum(c * d for x, c in columns.items() for y, d in columns.items() if x + y < b * r)
-        checked = (pairs + sum(c for x, c in columns.items() if 2 * x < b * r)) // 2
-        report.add(
-            f"fiber_multiple_vanishing[b={b}]",
-            not failed,
-            _offenders(qp.quotient, failed) if failed else f"{checked} basis pairs checked",
-        )
-
-    # The deformed ring relations the counts above assemble into.
-    nf = qp.quotient.normal_form
-    base, fiber = nf(h ** (n + 1)), nf((xi - h) ** (r - 1) * (xi - 2 * h))
-    report.add("deformed_base_relation", base == (xi - 2 * h) * q2, f"h^{n + 1} -> {base}")
-    report.add("deformed_fiber_relation", fiber == q1, f"-> {fiber}")
-    return report
+    return suites.gw_identity_suite(params, b_max)
 
 
-def verify_quantum_presentation(params: GeometryParams) -> CheckReport:
+def verify_quantum_presentation(params: GeometryParams):
     """Structural checks of the deformed presentation for one instance:
     the unit-parameter relations in blow-up coordinates, the coordinate
     correspondence of the deformed ideals, rank preservation, and the
-    classical specialization at q1 = q2 = 0."""
-    if not params.in_range:
-        raise UsageError("quantum certification requires 2p+3 < m")
-    report = CheckReport()
-    qpb = quantum_presentation(params, BLOWUP)
-    qpf = quantum_presentation(params, BUNDLE)
+    classical specialization at q1 = q2 = 0.  Returns a
+    :class:`~qcblowup.report.CheckReport`; the suite is
+    :func:`qcblowup.suites.quantum_presentation_suite`."""
+    from . import suites
 
-    # (k - eta)^(m-p) - eta and k^(p+1) eta - 1 at unit parameters.
-    bvs = qpb.variables
-    k, eta = (Polynomial.variable(bvs, name) for name in ("k", "eta"))
-    expected = (
-        (k - eta) ** (params.m - params.p) - eta,
-        k ** (params.p + 1) * eta - 1,
-    )
-    at_one = tuple(g.substitute({"q1": 1, "q2": 1}) for g in qpb.relations)
-    report.add(
-        "unit_parameter_relations",
-        at_one == expected,
-        f"{[str(g) for g in at_one]}",
-    )
-
-    # The coordinate change carries each deformed ideal into the other.
-    report.add(
-        "deformed_ideal_correspondence", _carries_ideal(qpb, qpf) and _carries_ideal(qpf, qpb)
-    )
-
-    # Homogeneity and rank preservation under deformation.
-    report.add(
-        "relations_homogeneous",
-        all(g.is_homogeneous() for g in qpb.relations + qpf.relations),
-    )
-    report.add(
-        "deformed_rank",
-        qpb.quotient.rank == params.rank and qpf.quotient.rank == params.rank,
-        f"blowup {qpb.quotient.rank}, bundle {qpf.quotient.rank}, expected {params.rank}",
-    )
-
-    # q -> 0, which keeps the parameter-free terms of each relation,
-    # recovers the classical presentations exactly.
-    for qp, coords in ((qpb, BLOWUP), (qpf, BUNDLE)):
-        classical = classical_presentation(params, coords).relations
-        free = qp.variables.is_parameter_free
-        kept = ({m: c for m, c in g.terms.items() if free(m)} for g in qp.relations)
-        specialized = tuple(Polynomial._from_clean(qp.variables, terms) for terms in kept)
-        report.add(f"classical_specialization_{coords}", specialized == classical)
-
-    # Products specialize too: the classical-class piece of the deformed
-    # product is the classical product on every basis pair.  That piece of
-    # the quantum product is the deformed ring's product (phi and the
-    # correction step only add q2 powers), read once per product monomial.
-    rings = (qpf.quotient, classical_presentation(params, BUNDLE).quotient)
-    failed = {
-        w: "" for w in _product_monomials(Counter(s[0] for s in qpf.quotient.staircase))
-        if rings[0].product(w).get((0, 0)) != rings[1].product(w).get((0, 0))
-    }
-    report.add(
-        "product_specialization",
-        not failed,
-        _offenders(qpf.quotient, failed) if failed else f"{qpf.quotient.rank} basis classes",
-    )
-    return report
+    return suites.quantum_presentation_suite(params)

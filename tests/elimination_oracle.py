@@ -2,7 +2,7 @@
 kept as a test oracle: the basis-correction solves of
 ``correction_oracle`` run on :func:`eliminate`, and :func:`determinant` is
 the reference of the package's block pairing determinant
-(``qcblowup.geometry.block_determinant``).
+(``qcblowup.suites.block_determinant``).
 
 Rows are maps ``{column: value}`` holding only nonzero entries.  An entry
 stays an ``int`` while every elimination step divides exactly; a step that

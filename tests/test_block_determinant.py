@@ -1,5 +1,5 @@
 """The pairing determinants of ``verify``: block by block over the graded
-staircase (``geometry.block_determinant``), against the dense Bareiss
+staircase (``suites.block_determinant``), against the dense Bareiss
 oracle and the sparse elimination oracle."""
 
 import pytest
@@ -8,7 +8,7 @@ from elimination_oracle import determinant
 from hypothesis import given, settings, strategies as st
 
 from qcblowup import classical_presentation, derive_params, pairing_matrix
-from qcblowup.geometry import block_determinant
+from qcblowup.suites import block_determinant
 
 GRID_TO_12 = [(m, p) for m in range(4, 13) for p in range(4) if p <= m - 2]
 LARGE = [(24, 6), (32, 8), (48, 12), (64, 16)]

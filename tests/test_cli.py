@@ -274,10 +274,10 @@ def test_verify_rejects_bounds_below_one_before_any_instance(capsys):
 def test_verify_refuses_a_single_instance_beside_a_grid(capsys, monkeypatch):
     # --m or --p given with the grid flags is a usage error before any
     # instance runs, not a grid that silently drops the single instance
-    from qcblowup import cli
+    from qcblowup import suites
 
     ran = []
-    monkeypatch.setattr(cli, "_verify_instance", lambda *a: ran.append(a))
+    monkeypatch.setattr(suites, "_verify_instance", lambda *a: ran.append(a))
     for argv in (
         ("--m", "4", "--p", "0", "--grid-m", "5", "--grid-p", "0"),
         ("--m", "4", "--grid-m", "5", "--grid-p", "0"),
@@ -292,10 +292,10 @@ def test_verify_refuses_a_single_instance_beside_a_grid(capsys, monkeypatch):
 
 
 def test_verify_grid_without_a_valid_pair_is_a_usage_error(capsys, monkeypatch):
-    from qcblowup import cli
+    from qcblowup import suites
 
     ran = []
-    monkeypatch.setattr(cli, "_verify_instance", lambda *a: ran.append(a))
+    monkeypatch.setattr(suites, "_verify_instance", lambda *a: ran.append(a))
     code, doc = run_json(capsys, "verify", "--grid-m", "2..3", "--grid-p", "4..5")
     assert code == 2
     assert doc["status"] == "usage-error"

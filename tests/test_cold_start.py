@@ -3,9 +3,11 @@
 Every command runs in a fresh interpreter, and without cached bytecode each
 module is compiled again on every start, so the package keeps the import of
 ``qcblowup.cli`` free of ``dataclasses`` (which pulls in ``inspect``, ``ast``
-and ``dis``) and loads ``qcblowup.quantum`` only in the commands that
-multiply in the deformed ring.  Both presentations are built in
-``qcblowup.geometry``, so showing the deformed ring multiplies nothing.
+and ``dis``), loads ``qcblowup.quantum`` only in the commands that
+multiply in the deformed ring, and loads the verification suites
+(``qcblowup.suites``, with ``qcblowup.report``) in ``verify`` only.  Both
+presentations are built in ``qcblowup.geometry``, so showing the deformed
+ring multiplies nothing.
 """
 
 import json
@@ -74,7 +76,8 @@ def probe(*argv):
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_quantum():
     imported = probe()["imported"]
     assert "qcblowup.cli" in imported and "qcblowup.geometry" in imported
-    for name in ("dataclasses", "inspect", "qcblowup.quantum"):
+    for name in ("dataclasses", "inspect", "qcblowup.quantum", "qcblowup.suites",
+                 "qcblowup.report"):
         assert name not in imported, name
 
 
@@ -93,6 +96,24 @@ def test_commands_load_quantum_only_when_they_use_it(command, loads_quantum):
     assert result["code"] == 0
     assert ("qcblowup.quantum" in result["after"]) == loads_quantum
     assert "dataclasses" not in result["after"]
+    for name in ("qcblowup.suites", "qcblowup.report"):
+        assert (name in result["after"]) == command.startswith("verify"), name
+
+
+def test_an_invariant_loads_no_suite():
+    # the gw-session client's import and one query: the suites and their
+    # report stay uncompiled
+    out = run_python(
+        "import sys\n"
+        "import qcblowup.cli\n"
+        "from qcblowup import CurveClass, GWQuery, Polynomial, derive_params, gw_invariant\n"
+        "from qcblowup import quantum_presentation\n"
+        "qp = quantum_presentation(derive_params(8, 1), 'bundle')\n"
+        "xi, h = (Polynomial.variable(qp.variables, name) for name in ('xi', 'h'))\n"
+        "print(gw_invariant(GWQuery(CurveClass(1, 0), xi, xi**2, h**6 * xi**2), qp),\n"
+        "      *(name in sys.modules for name in ('qcblowup.suites', 'qcblowup.report')))\n"
+    )
+    assert out.split() == ["1", "False", "False"]
 
 
 def test_the_deformed_presentation_loads_no_quantum_module():

@@ -40,7 +40,7 @@ from qcblowup import (
     verify_classical_geometry,
     virtual_dimension,
 )
-from qcblowup import geometry
+from qcblowup import geometry, suites
 from bareiss import bareiss_determinant
 
 
@@ -206,7 +206,7 @@ def test_the_correspondence_checks_build_no_basis(monkeypatch, params81):
 
 
 def carries_ideal_by_bases(source, target):
-    """The former check, kept as the oracle of ``geometry._carries_ideal``:
+    """The former check, kept as the oracle of ``suites._carries_ideal``:
     the mapped relations of ``source`` have the reduced basis of ``target``."""
     from qcblowup import Ideal, buchberger
 
@@ -228,7 +228,7 @@ def test_both_inclusions_agree_with_the_comparison_of_reduced_bases(m, p):
     for build in (classical_presentation, quantum_presentation):
         bundle, blowup = build(params, "bundle"), build(params, "blowup")
         for source, target in ((blowup, bundle), (bundle, blowup)):
-            assert geometry._carries_ideal(source, target)
+            assert suites._carries_ideal(source, target)
             assert carries_ideal_by_bases(source, target)
 
 
@@ -255,7 +255,7 @@ def test_an_inclusion_check_memoises_no_normal_form(params81):
     for quantum in (False, True):
         bundle, blowup = (geometry._build(params81, c, quantum) for c in ("bundle", "blowup"))
         for source, target in ((blowup, bundle), (bundle, blowup)):
-            assert geometry._carries_ideal(source, target)
+            assert suites._carries_ideal(source, target)
             assert target.quotient.basis._nf_memo == {}
 
 
@@ -271,7 +271,7 @@ def test_a_changed_relation_fails_both_correspondence_checks_alike(monkeypatch, 
         return out + h**params40.r if out == bundle.relations[1] else out
 
     monkeypatch.setattr(geometry, "change_vars", changed)
-    assert not geometry._carries_ideal(blowup, bundle)
+    assert not suites._carries_ideal(blowup, bundle)
     assert not carries_ideal_by_bases(blowup, bundle)
 
 

@@ -34,7 +34,7 @@ from qcblowup import (
     verify_gw_identities,
     verify_quantum_presentation,
 )
-from qcblowup import quantum
+from qcblowup import quantum, suites
 from qcblowup.geometry import _build
 from qcblowup.poly import mono_mul
 
@@ -1485,7 +1485,7 @@ def test_passing_suites_form_no_basis_pair(monkeypatch):
     # rank, not rank^2: the suites read each product monomial of the
     # column walk, and multiply no pair of staircase monomials unless
     # some piece has failed
-    calls = _spied_calls(monkeypatch, quantum, "mono_mul")
+    calls = _spied_calls(monkeypatch, suites, "mono_mul")
     for m, p in ((8, 1), (16, 5), (20, 4)):
         params = derive_params(m, p)
         assert verify_gw_identities(params, b_max=3).ok
@@ -1506,7 +1506,7 @@ def test_the_column_walk_lists_the_products_of_every_staircase():
                     columns = Counter(s[0] for s in staircase)
                     assert set(staircase) == {
                         (x, e, 0, 0) for x, c in columns.items() for e in range(c)}
-                    products = quantum._product_monomials(columns)
+                    products = suites._product_monomials(columns)
                     assert len(products) == len(set(products))
                     assert set(products) == {mono_mul(s, u) for s in staircase for u in staircase}
                     walked += 1
@@ -1520,7 +1520,7 @@ def test_ring_products_hold_no_zero_and_no_empty_piece():
             params = derive_params(m, p)
             for build in (classical_presentation, quantum_presentation):
                 ring = build(params, "bundle").quotient
-                for w in quantum._product_monomials(Counter(s[0] for s in ring.staircase)):
+                for w in suites._product_monomials(Counter(s[0] for s in ring.staircase)):
                     ring.product(w)
                 for w, vec in ring._products.items():
                     assert all(piece and all(piece.values()) for piece in vec.values()), w

@@ -20,8 +20,11 @@ workload ``command``.  Every line of the report names a workload, a count
 and a function of the package (``module.qualname``; lambdas and
 comprehensions are left out): first each function a workload called, with
 its number of calls, most called first, then ``uncalled`` and ``-`` for
-every function that no workload called.  The commands' own output is
-discarded, and ``perfbench/`` is only read.  Standard library only.
+every function that no workload called, and last, in the first form, each
+workload with ``loaded`` and every package module its process held in
+``sys.modules`` when the workload ended (the modules it compiled).  The
+commands' own output is discarded, and ``perfbench/`` is only read.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -154,9 +157,14 @@ def workload(name: str, seed: int) -> Callable[[], None]:
     return _session(seed)
 
 
-def report(counts: dict[str, Counter]) -> str:
+def loaded_modules() -> list[str]:
+    """The package's modules this process has imported."""
+    return sorted(name for name in sys.modules if name.startswith("qcblowup."))
+
+
+def report(counts: dict[str, Counter], modules: dict[str, list[str]]) -> str:
     """One line per (workload, called function), then one per function
-    that no workload called."""
+    that no workload called, then one per (workload, loaded module)."""
     width = max(map(len, [*counts, "uncalled"]))
     lines = []
     for name, calls in counts.items():
@@ -165,6 +173,8 @@ def report(counts: dict[str, Counter]) -> str:
     called = set().union(*counts.values())
     lines += [f"{'uncalled':<{width}}  {'-':>9}  {function}"
               for function in package_functions() if function not in called]
+    lines += [f"{name:<{width}}  {'loaded':>9}  {module}"
+              for name, loaded in modules.items() for module in loaded]
     return "\n".join(lines)
 
 
@@ -176,22 +186,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", choices=WORKLOADS,
-                        help="count one workload here and print its counts as JSON")
+                        help="count one workload here and print its counts and the"
+                             " package modules it loaded as JSON")
     args = parser.parse_args(argv)
+    modules = {}
     if command is not None:
         counts = {"command": count_calls(_commands([command]))}
     elif args.workload:
-        print(json.dumps(count_calls(workload(args.workload, args.seed))))
+        calls = count_calls(workload(args.workload, args.seed))
+        print(json.dumps({"calls": calls, "modules": loaded_modules()}))
         return 0
     else:
         counts = {}
         for name in WORKLOADS:
-            out = subprocess.run(
+            out = json.loads(subprocess.run(
                 [sys.executable, __file__, "--workload", name, "--seed", str(args.seed)],
                 check=True, capture_output=True, text=True,
-            ).stdout
-            counts[name] = Counter(json.loads(out))
-    print(report(counts))
+            ).stdout)
+            counts[name], modules[name] = Counter(out["calls"]), out["modules"]
+    print(report(counts, modules))
     return 0
 
 
